@@ -28,7 +28,6 @@ import io
 import json
 import math
 import sys
-from math import lgamma
 
 import numpy as np
 
@@ -257,37 +256,20 @@ def _oracle_amplitudes(ctx, state, t: float, N: int) -> np.ndarray:
 def _oracle_value(ctx, g: np.ndarray, spec_name: str, picture: str, t: float):
     """Evaluate one observable directly on evolved oracle amplitudes."""
     name, *idx = spec_name.split(":")
-    k = np.arange(g.size, dtype=float)
     if name == "number_moment":
-        return float(np.sum(k ** int(idx[0]) * np.abs(g) ** 2))
+        return ob._occupation_series(g, int(idx[0]))
     if name == "h_expectation":
         return ob._tridiagonal_mean(ctx.js, g)
     if name == "correlation":
-        r, s = int(idx[0]), int(idx[1])
-        lg = np.array([lgamma(j + 1.0) for j in range(g.size)])
-        m = np.arange(g.size - max(r, s))
-        w = np.exp(0.5 * (lg[m + r] + lg[m + s]) - lg[m])
-        return complex(np.sum(np.conj(g[m + r]) * g[m + s] * w))
+        return ob._correlation_series(g, int(idx[0]), int(idx[1]))
     if name == "cluster_correlation":
-        r, s = int(idx[0]), int(idx[1])
-        b = np.array([ctx.js.b(j) for j in range(g.size)])
-        total = 0j
-        for m in range(g.size - max(r, s)):
-            total += (
-                np.conj(g[m + r]) * g[m + s]
-                * np.prod(b[m + 1 : m + r + 1])
-                * np.prod(b[m + 1 : m + s + 1])
-            )
-        if picture == "full":
-            total *= np.exp(-1j * ctx.js.gamma0 * (s - r) * t)
-        return complex(total)
+        return ob._cluster_series(ctx.js, g, int(idx[0]), int(idx[1]), t, picture)
     if name == "alpha_moment":
         return ob.alpha_moment(ctx, ob.Fock(g), int(idx[0]), 0.0)
     if name == "alpha_dispersion":
         return ob.alpha_dispersion(ctx, ob.Fock(g), 0.0)
     if name == "total_energy":
-        n1 = float(np.sum(k * np.abs(g) ** 2))
-        return ctx.js.gamma0 * n1 + ob._tridiagonal_mean(ctx.js, g)
+        return ctx.js.gamma0 * ob._occupation_series(g, 1) + ob._tridiagonal_mean(ctx.js, g)
     raise CliError("config-field", f"unknown observable {spec_name!r}")
 
 
@@ -476,13 +458,13 @@ def _classify_ladder(js, nmax: int = 8, tol: float = 1e-10):
     top = nmax if js.dim is math.inf else min(nmax, int(js.dim) - 1)
     if top < 2:
         return "unclassified (sector too short)", {}
-    bsq = np.array([js.b(n) ** 2 for n in range(1, top + 1)])
-    hs = np.array([js.h(n) for n in range(top + 1)])
+    b, hs = js.arrays(top)
+    bsq = b[1:] ** 2
     scale = max(1.0, float(np.max(bsq)))
     if np.all(np.abs(bsq - bsq[0]) <= tol * scale) and np.all(
         np.abs(hs - hs[0]) <= tol * max(1.0, abs(hs[0]))
     ):
-        return "Jacobi-type strong-field (constant couplings)", {"b": float(js.b(1))}
+        return "Jacobi-type strong-field (constant couplings)", {"b": float(b[1])}
     ratio = bsq / np.arange(1, top + 1)
     if np.all(np.abs(ratio - ratio[0]) <= tol * scale):
         return "Hermite-type", {"beta": float(math.sqrt(ratio[0]))}
@@ -516,10 +498,11 @@ def cmd_reduce(cfg, args):
     for key in sorted(params):
         info_rows.append([f"classification_{key}", params[key]])
     top = 8 if js.dim is math.inf else min(8, int(js.dim) - 1)
+    b, h = js.arrays(top)
     ladder = {
         "name": "ladder",
         "columns": ["n", "b_n", "h_n"],
-        "rows": [[n, float(js.b(n)), float(js.h(n))] for n in range(top + 1)],
+        "rows": [[n, float(b[n]), float(h[n])] for n in range(top + 1)],
     }
     return [{"name": "sector", "columns": ["key", "value"], "rows": info_rows}, ladder], []
 
@@ -599,6 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(status: int, **doc) -> int:
+    """Write a JSON report line to stderr and return the exit status."""
+    json.dump({"schema_version": SCHEMA_VERSION, **doc}, sys.stderr)
+    sys.stderr.write("\n")
+    return status
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -608,12 +598,9 @@ def main(argv=None) -> int:
             raise CliError("config-field", f"float_format must be fixed17|shortest, got {float_mode!r}")
         tables, checks = _COMMANDS[args.command](cfg, args)
     except CliError as exc:
-        json.dump(
-            {"schema_version": SCHEMA_VERSION, "error": exc.code, "detail": exc.detail},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
-        return 2
+        return _report(2, error=exc.code, detail=exc.detail)
+    except QladderError as exc:
+        return _report(2, error="numerical", detail=f"{type(exc).__name__}: {exc}")
 
     buf = io.StringIO()
     if args.format == "csv":
@@ -629,22 +616,10 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(payload)
         if args.gnuplot:
-            json.dump(
-                {"schema_version": SCHEMA_VERSION, "error": "usage",
-                 "detail": "--gnuplot needs --out"},
-                sys.stderr,
-            )
-            sys.stderr.write("\n")
-            return 2
+            return _report(2, error="usage", detail="--gnuplot needs --out")
 
-    failed = [c for c in checks if not c["passed"]]
-    if failed:
-        json.dump(
-            {"schema_version": SCHEMA_VERSION, "error": "tolerance", "checks": checks},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
-        return 1
+    if any(not c["passed"] for c in checks):
+        return _report(1, error="tolerance", checks=checks)
     return 0
 
 

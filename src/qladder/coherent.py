@@ -100,27 +100,34 @@ def coherent_coeffs(
 ) -> np.ndarray:
     """Ladder coefficients <n|z> = sigma_n(z), truncated by squared tail.
 
-    The returned vector c satisfies ||c||^2 >= (1 - tol) <z|z>.  Near the
-    Laguerre strip edge the coefficients decay like a geometric series with
-    ratio approaching 1, so the needed length grows; past ``nmax`` a
-    ConvergenceError reports the captured fraction instead of silently
-    truncating.
+    The returned vector c satisfies ||c||^2 >= (1 - tol) <z|z>, or stops
+    earlier once the remaining tail can no longer change ||c||^2 in double
+    precision (a tol below rounding cannot be met: the sum and the closed
+    <z|z> differ by a few ulps).  The tail is bounded by the geometric
+    series of the last decay ratio.  Near the Laguerre strip edge that
+    ratio approaches 1, so the needed length grows; past ``nmax`` a
+    ConvergenceError reports the deficit instead of silently truncating.
     """
     z = _require_label(ctx, z)
     norm2 = squared_norm(ctx, z)
     out = []
-    acc = 0.0
-    n = 0
-    while n <= nmax:
+    acc = prev = 0.0
+    for n in range(nmax + 1):
         c = sigma_n(ctx, n, z)
         out.append(c)
-        acc += abs(c) ** 2
-        if acc >= (1.0 - tol) * norm2 and n >= 1:
+        term = abs(c) ** 2
+        acc += term
+        if n >= 1 and (
+            acc >= (1.0 - tol) * norm2
+            or (term < prev and acc + prev / (1.0 - term / prev) == acc)
+        ):
             return np.array(out, dtype=complex)
-        n += 1
+        prev = term
+    edge = ctx.strip.upper - z.imag < 0.1 * ctx.strip.upper
     raise ConvergenceError(
-        f"coherent_coeffs: {nmax + 1} coefficients capture only "
-        f"{acc / norm2:.6f} of <z|z>; label too close to the strip edge"
+        f"coherent_coeffs: {nmax + 1} coefficients leave a deficit of "
+        f"{1.0 - acc / norm2:.3e} of <z|z>"
+        + ("; label too close to the strip edge" if edge else "")
     )
 
 

@@ -65,9 +65,8 @@ def truncated_h(js: JacobiSystem, N: int, edge_margin: int = 0) -> TruncatedOper
         raise ValueError("N must be positive")
     if js.dim is not math.inf and N > js.dim:
         raise ValueError(f"N = {N} exceeds the sector dimension {js.dim}")
-    diag = np.array([js.h(n) for n in range(N)], dtype=float)
-    off = np.array([js.b(n) for n in range(1, N)], dtype=float)
-    return TruncatedOperator(dim=N, diag=diag, off=off, edge_margin=edge_margin)
+    b, h = js.arrays(N - 1)
+    return TruncatedOperator(dim=N, diag=h, off=b[1:], edge_margin=edge_margin)
 
 
 def _eig_of(op: TruncatedOperator):

@@ -31,6 +31,7 @@ from .orthopoly import (
     PearsonData,
     log_weight_mass,
     recurrence,
+    scaled_sweep,
 )
 
 __all__ = [
@@ -137,30 +138,17 @@ def absolute_moment(sm: SpectralMeasure, k: int) -> float:
 def _log_sum_poly_sq(js, nodes: np.ndarray, N: int) -> np.ndarray:
     """log of sum_{k<N} P_k(x_i)^2 for the orthonormal recurrence polynomials.
 
-    Evaluated with a per-node running rescale so the result is accurate even
+    Evaluated on the per-node rescaled sweep so the result is accurate even
     where the sum spans thousands of orders of magnitude (far nodes of rules
     on unbounded supports).
     """
     x = np.asarray(nodes, dtype=float)
-    u_prev = np.ones_like(x)
     s = np.zeros_like(x)
     total = np.zeros_like(x)  # log(P_0^2) = 0
-    if N == 1:
-        return total
-    u_cur = (x - js.h(0)) / js.b(1)
-    with np.errstate(divide="ignore"):
-        total = np.logaddexp(total, 2.0 * (np.log(np.abs(u_cur)) + s))
-    for k in range(1, N - 1):
-        u_next = ((x - js.h(k)) * u_cur - js.b(k) * u_prev) / js.b(k + 1)
-        big = np.abs(u_next) > 1e120
-        if big.any():
-            f = np.abs(u_next[big])
-            u_next[big] /= f
-            u_cur[big] /= f
-            s[big] += np.log(f)
-        with np.errstate(divide="ignore"):
-            total = np.logaddexp(total, 2.0 * (np.log(np.abs(u_next)) + s))
-        u_prev, u_cur = u_cur, u_next
+    for k, u, _ in scaled_sweep(js, x, N - 1, s):
+        if k:
+            with np.errstate(divide="ignore"):
+                total = np.logaddexp(total, 2.0 * (np.log(np.abs(u)) + s))
     return total
 
 
@@ -176,9 +164,8 @@ def gauss_rule(sm: SpectralMeasure, N: int) -> QuadratureRule:
     if N < 1:
         raise ValueError("N must be positive")
     js = recurrence(sm.pd)
-    diag = np.array([js.h(n) for n in range(N)])
-    off = np.array([js.b(n) for n in range(1, N)])
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    b, h = js.arrays(N - 1)
+    nodes = eigh_tridiagonal(h, b[1:], eigvals_only=True)
     logw = math.log(sm.mass) - _log_sum_poly_sq(js, nodes, N)
     return QuadratureRule(nodes=nodes, weights=np.exp(logw), log_weights=logw)
 

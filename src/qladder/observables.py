@@ -178,11 +178,10 @@ def ladder_amplitudes(
 
 def _tridiagonal_mean(js, c: np.ndarray) -> float:
     """<c| J |c> for the tridiagonal ladder matrix J built from js."""
-    diag = np.array([js.h(k) for k in range(c.size)])
-    val = float(np.sum(np.abs(c) ** 2 * diag))
+    b, h = js.arrays(c.size - 1)
+    val = float(np.sum(np.abs(c) ** 2 * h))
     if c.size > 1:
-        off = np.array([js.b(k) for k in range(1, c.size)])
-        val += 2.0 * float(np.real(np.sum(np.conj(c[1:]) * off * c[:-1])))
+        val += 2.0 * float(np.real(np.sum(np.conj(c[1:]) * b[1:] * c[:-1])))
     return val
 
 
@@ -202,6 +201,12 @@ def h_expectation(ctx: PropagatorContext, state: QuantumState) -> float:
     if isinstance(state, Fock):
         return _tridiagonal_mean(ctx.js, _fock_coeffs(state))
     raise TypeError(f"not a ladder state: {state!r}")
+
+
+def _occupation_series(g: np.ndarray, l: int) -> float:
+    """sum_k k^l |g_k|^2 on amplitudes g."""
+    k = np.arange(g.size, dtype=float)
+    return float(np.sum(k**l * np.abs(g) ** 2))
 
 
 def _closed_number_moment(ctx, z: complex, l: int, t: float):
@@ -243,9 +248,7 @@ def number_moment(
     l = int(l)
     if l < 1:
         raise ValueError("moment order l must be >= 1")
-    g = ladder_amplitudes(ctx, state, t)
-    k = np.arange(g.size, dtype=float)
-    series = float(np.sum(k**l * np.abs(g) ** 2))
+    series = _occupation_series(ladder_amplitudes(ctx, state, t), l)
     if isinstance(state, SpectralCoherent):
         closed = _closed_number_moment(ctx, complex(state.z), l, float(t))
         if closed is not None and abs(closed - series) > 1e-7 * max(1.0, series):
@@ -258,6 +261,41 @@ def number_moment(
     return series
 
 
+def _pair_series(g: np.ndarray, L: np.ndarray, r: int, s: int) -> complex:
+    """sum_m conj(g_{m+r}) g_{m+s} exp(L[m+r] + L[m+s] - 2 L[m]).
+
+    L is the log-coupling prefix of a lowering operator with A|k> =
+    c(k)|k-1>, L[k] = sum_{j<=k} log c(j), so exp(L[m+r] - L[m]) is the
+    weight of lowering |m+r> to |m>.
+    """
+    nterms = g.size - max(r, s)
+    if nterms <= 0:
+        return 0j
+    m = np.arange(nterms)
+    w = np.exp((L[m + r] - L[m]) + (L[m + s] - L[m]))
+    return complex(np.sum(np.conj(g[m + r]) * g[m + s] * w))
+
+
+def _correlation_series(g: np.ndarray, r: int, s: int) -> complex:
+    """<a*^r a^s> on amplitudes g (couplings sqrt(j), L[k] = log(k!)/2)."""
+    L = 0.5 * np.array([lgamma(k + 1.0) for k in range(g.size)])
+    return _pair_series(g, L, r, s)
+
+
+def _cluster_series(js, g: np.ndarray, r: int, s: int, t: float,
+                    picture: str) -> complex:
+    """<A*^r A^s> on amplitudes g (couplings b(j) of js).
+
+    ``picture="full"`` reattaches the free phase e^{-i gamma0 (s-r) t}.
+    """
+    b, _ = js.arrays(g.size - 1)
+    L = np.concatenate(([0.0], np.cumsum(np.log(b[1:]))))
+    val = _pair_series(g, L, r, s)
+    if picture == "full":
+        val *= cmath.exp(-1j * js.gamma0 * (s - r) * float(t))
+    return val
+
+
 def correlation(
     ctx: PropagatorContext, state: QuantumState, r: int, s: int, t: float
 ) -> complex:
@@ -268,14 +306,7 @@ def correlation(
     of the amplitudes.
     """
     r, s = _check_level(r), _check_level(s)
-    g = ladder_amplitudes(ctx, state, t)
-    nterms = g.size - max(r, s)
-    if nterms <= 0:
-        return 0j
-    lg = np.array([lgamma(k + 1.0) for k in range(g.size)])
-    m = np.arange(nterms)
-    logw = 0.5 * (lg[m + r] + lg[m + s]) - lg[m]
-    return complex(np.sum(np.conj(g[m + r]) * g[m + s] * np.exp(logw)))
+    return _correlation_series(ladder_amplitudes(ctx, state, t), r, s)
 
 
 def cluster_correlation(
@@ -295,22 +326,7 @@ def cluster_correlation(
     if picture not in ("interaction", "full"):
         raise ValueError("picture must be 'interaction' or 'full'")
     r, s = _check_level(r), _check_level(s)
-    g = ladder_amplitudes(ctx, state, t)
-    nterms = g.size - max(r, s)
-    if nterms <= 0:
-        return 0j
-    b = np.array([ctx.js.b(k) for k in range(g.size)])
-    total = 0j
-    for m in range(nterms):
-        total += (
-            np.conj(g[m + r])
-            * g[m + s]
-            * np.prod(b[m + 1 : m + r + 1])
-            * np.prod(b[m + 1 : m + s + 1])
-        )
-    if picture == "full":
-        total *= cmath.exp(-1j * ctx.js.gamma0 * (s - r) * float(t))
-    return complex(total)
+    return _cluster_series(ctx.js, ladder_amplitudes(ctx, state, t), r, s, t, picture)
 
 
 # ----------------------------------------------------------------------
@@ -330,16 +346,15 @@ def derivative_matrix(js, K: int) -> np.ndarray:
     D = np.zeros((K, K))
     if K < 2:
         return D
-    b = np.array([js.b(n) for n in range(K + 1)])
-    h = np.array([js.h(n) for n in range(K)])
+    b, h = js.arrays(K - 1)
     prev = np.zeros(K)
     cur = np.zeros(K)
     cur[0] = 1.0 / b[1]
     D[:, 1] = cur
     for n in range(1, K - 1):
         jc = h * cur
-        jc[:-1] += b[1:K] * cur[1:]
-        jc[1:] += b[1:K] * cur[:-1]
+        jc[:-1] += b[1:] * cur[1:]
+        jc[1:] += b[1:] * cur[:-1]
         nxt = (jc - h[n] * cur - b[n] * prev) / b[n + 1]
         nxt[n] += 1.0 / b[n + 1]
         D[:, n + 1] = nxt

@@ -38,6 +38,7 @@ __all__ = [
     "jacobi_data",
     "legendre_data",
     "recurrence",
+    "scaled_sweep",
     "eval_poly",
     "eval_poly_table",
     "rodrigues_constant",
@@ -117,6 +118,12 @@ class JacobiSystem:
     h: Callable[[int], float]
     dim: float = math.inf
     gamma0: float = 0.0
+
+    def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(b(0..n), h(0..n)) as float arrays, one call per coefficient."""
+        b = np.array([self.b(k) for k in range(n + 1)], dtype=float)
+        h = np.array([self.h(k) for k in range(n + 1)], dtype=float)
+        return b, h
 
 
 def _roots_of_quadratic(b2, b1, b0):
@@ -296,6 +303,37 @@ def recurrence(pd: PearsonData) -> JacobiSystem:
 
 
 # -- evaluation -------------------------------------------------------------
+
+def scaled_sweep(js: JacobiSystem, x: np.ndarray, kmax: int, s: np.ndarray):
+    """Run the recurrence at the nodes x, yielding (k, u_k, rescaled), k = 0..kmax.
+
+    P_k(x_i) = u_k[i] * exp(s[i] - s_start[i]), where ``s`` is the caller's
+    log-scale array, updated in place: whenever |u_k| grows huge at a node,
+    u_k and u_{k-1} are divided by |u_k| there and its log is added to s.
+    ``rescaled`` is the mask of the nodes rescaled at step k, or None.  The
+    yielded u_k is divided in place at the next step's rescaled nodes, so
+    consumers must use it before advancing.
+    """
+    b, h = js.arrays(kmax)
+    u_prev = np.ones_like(x)
+    yield 0, u_prev, None
+    if kmax == 0:
+        return
+    u_cur = (x - h[0]) / b[1]
+    yield 1, u_cur, None
+    for k in range(1, kmax):
+        u_next = ((x - h[k]) * u_cur - b[k] * u_prev) / b[k + 1]
+        big = np.abs(u_next) > 1e120
+        rescaled = None
+        if big.any():
+            f = np.abs(u_next[big])
+            u_next[big] /= f
+            u_cur[big] /= f
+            s[big] += np.log(f)
+            rescaled = big
+        yield k + 1, u_next, rescaled
+        u_prev, u_cur = u_cur, u_next
+
 
 def eval_poly_table(js: JacobiSystem, nmax: int, omega: float, p0: float = 1.0,
                     derivatives: int = 0) -> np.ndarray:

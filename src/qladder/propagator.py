@@ -46,6 +46,7 @@ from .orthopoly import (
     PearsonData,
     recurrence,
     rodrigues_log_norm,
+    scaled_sweep,
 )
 from .specfun import hyp1f1, ln_gamma
 
@@ -178,9 +179,9 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
 
     These rows are exactly orthonormal under plain summation over i for
     k < N, which is what makes the discrete propagation unitary.  Every
-    entry is bounded by 1.  The recurrence runs on per-node rescaled
-    values with the log weight folded in only at emission time: sqrt(w_i)
-    itself underflows at far nodes of unbounded supports while the emitted
+    entry is bounded by 1.  The sweep's log scale starts at log sqrt(w_i),
+    so the weight is folded in only at emission time: sqrt(w_i) itself
+    underflows at far nodes of unbounded supports while the emitted
     products are of order one exactly where the row lives.
     """
     if nmax >= N:
@@ -190,26 +191,13 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     cached = _QMAT_CACHE.get(key)
     if cached is not None and cached.shape[0] > nmax:
         return nodes, cached
-    js = ctx.js
     Q = np.empty((nmax + 1, N))
-    s = 0.5 * logw.copy()
+    s = 0.5 * logw
     es = np.exp(s)
-    u_prev = np.ones_like(nodes)
-    Q[0] = es
-    if nmax >= 1:
-        u_cur = (nodes - js.h(0)) / js.b(1)
-        Q[1] = u_cur * es
-    for k in range(1, nmax):
-        u_next = ((nodes - js.h(k)) * u_cur - js.b(k) * u_prev) / js.b(k + 1)
-        big = np.abs(u_next) > 1e120
-        if big.any():
-            f = np.abs(u_next[big])
-            u_next[big] /= f
-            u_cur[big] /= f
-            s[big] += np.log(f)
-            es[big] = np.exp(s[big])
-        Q[k + 1] = u_next * es
-        u_prev, u_cur = u_cur, u_next
+    for k, u, rescaled in scaled_sweep(ctx.js, nodes, nmax, s):
+        if rescaled is not None:
+            es[rescaled] = np.exp(s[rescaled])
+        Q[k] = u * es
     _cache_put(_QMAT_CACHE, key, Q)
     return nodes, Q
 
@@ -225,34 +213,12 @@ def _log_poly_rows(ctx: PropagatorContext, N: int, rows):
     if want[0] < 0:
         raise ValueError("row indices must be nonnegative")
     nodes, _, logw = _rule_data(ctx, N)
-    js = ctx.js
     table = {}
-    u_prev = np.ones_like(nodes)
     s = np.zeros_like(nodes)
-
-    def record(k, u):
-        with np.errstate(divide="ignore"):
-            table[k] = (np.log(np.abs(u)) + s, np.sign(u))
-
-    if 0 in want:
-        record(0, u_prev)
-    kmax = want[-1]
-    if kmax == 0:
-        return nodes, logw, table
-    u_cur = (nodes - js.h(0)) / js.b(1)
-    if 1 in want:
-        record(1, u_cur)
-    for k in range(1, kmax):
-        u_next = ((nodes - js.h(k)) * u_cur - js.b(k) * u_prev) / js.b(k + 1)
-        big = np.abs(u_next) > 1e120
-        if big.any():
-            f = np.abs(u_next[big])
-            u_next[big] /= f
-            u_cur[big] /= f
-            s[big] += np.log(f)
-        if k + 1 in want:
-            record(k + 1, u_next)
-        u_prev, u_cur = u_cur, u_next
+    for k, u, _ in scaled_sweep(ctx.js, nodes, want[-1], s):
+        if k in want:
+            with np.errstate(divide="ignore"):
+                table[k] = (np.log(np.abs(u)) + s, np.sign(u))
     return nodes, logw, table
 
 

@@ -1,8 +1,8 @@
 """Scalar special functions used by the closed-form spectral formulas.
 
 Everything here is plain-Python scalar code: series with explicit
-convergence control, plus two functions (Whittaker W, modified Bessel K)
-evaluated through their classical integral representations.  Vectorized
+convergence control, plus Whittaker W evaluated through its classical
+integral representation.  Vectorized
 callers should loop; none of these are hot paths.
 """
 
@@ -19,12 +19,9 @@ from .errors import ConvergenceError, DivergenceError, Unsupported
 __all__ = [
     "SeriesControl",
     "ln_gamma",
-    "gamma_ratio",
     "hyp1f1",
-    "hyp2f1_terminating",
     "hyp_pfq",
     "whittaker_w",
-    "bessel_k",
 ]
 
 
@@ -58,21 +55,6 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma_ratio(num, den) -> float:
-    """exp(sum ln_gamma(num) - sum ln_gamma(den)).
-
-    All closed forms route their Gamma-function ratios through here so that
-    quantities like Gamma(mu+n)/Gamma(mu) stay finite for n well past the
-    point where the individual Gammas overflow.
-    """
-    s = 0.0
-    for x in num:
-        s += ln_gamma(x)
-    for x in den:
-        s -= ln_gamma(x)
-    return math.exp(s)
-
-
 def _is_nonpositive_int(x) -> bool:
     if isinstance(x, complex):
         if x.imag != 0.0:
@@ -103,24 +85,6 @@ def hyp1f1(a, b, z, ctl: SeriesControl = _DEFAULT):
     raise ConvergenceError(
         f"1F1({a}, {b}, {z}) did not converge in {ctl.max_terms} terms"
     )
-
-
-def hyp2f1_terminating(a, n: int, c, z):
-    """Gauss series 2F1(a, -n; c; z) for integer n >= 0 (a polynomial in z).
-
-    Exact finite sum, no tolerance involved.  c must avoid the poles
-    0, -1, ..., -(n-1).
-    """
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a nonnegative integer")
-    term = 1.0 + 0.0j
-    total = term
-    for k in range(int(n)):
-        if _is_nonpositive_int(c + k):
-            raise ValueError(f"2F1 pole: c + {k} = {c + k}")
-        term = term * (a + k) * (-n + k) * z / ((c + k) * (k + 1))
-        total += term
-    return total
 
 
 def hyp_pfq(num, den, x, ctl: SeriesControl = _DEFAULT):
@@ -222,32 +186,3 @@ def whittaker_w(kappa: float, lam: float, x: float) -> float:
             f"whittaker_w: lambda - kappa + 1/2 = {a} < 0 outside integral route"
         )
     return pref * _hyperu_integral(a, b, x)
-
-
-def bessel_k(alpha: float, x: float) -> float:
-    """Macdonald function K_alpha(x), x > 0, via the cosh integral.
-
-    K_alpha(x) = int_0^inf e^{-x cosh t} cosh(alpha t) dt.  Even in alpha.
-    """
-    if x <= 0.0:
-        raise ValueError("bessel_k requires x > 0")
-    alpha = abs(alpha)
-
-    def f(t):
-        # cosh(alpha*t) * exp(-x*cosh t), assembled in the exponent to avoid
-        # overflow of the cosh factor before the exponential kills it
-        try:
-            c = math.cosh(t)
-        except OverflowError:
-            return 0.0
-        e1 = alpha * t - x * c
-        e2 = -alpha * t - x * c
-        v = 0.0
-        if e1 > -745.0:
-            v += 0.5 * math.exp(e1)
-        if e2 > -745.0:
-            v += 0.5 * math.exp(e2)
-        return v
-
-    val, _ = quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=300)
-    return val

@@ -116,6 +116,30 @@ def test_expect_spectral_oracle_within_tolerance():
     assert code == 0, err
 
 
+def test_expect_oracle_on_a_label_whose_tail_is_below_rounding(tmp_path):
+    text = (SCENARIOS / "spectral_expect.ini").read_text()
+    cfgp = write_config(tmp_path, text.replace("z = 0.45+0.3j", "z = 0.45+0.2j"))
+    code, out, err = run_cli(["expect", "--config", cfgp, "--oracle"])
+    assert code == 0, err
+
+
+def test_numerical_error_in_a_command_is_exit_2(monkeypatch):
+    import qladder.cli as cli
+    from qladder.errors import ConvergenceError
+
+    def fail(cfg, args):
+        raise ConvergenceError("series did not converge")
+
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", fail)
+    code, out, err = run_cli(
+        ["spectrum", "--config", str(SCENARIOS / "hermite_spectrum.ini")]
+    )
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "numerical"
+    assert "ConvergenceError" in doc["detail"]
+
+
 def test_reduce_classifies_amplifier(tmp_path):
     cfgp = write_config(
         tmp_path,

@@ -75,8 +75,25 @@ def test_labels_outside_strip_rejected():
 
 def test_coeffs_near_strip_edge_refuse_silent_truncation():
     ctx = build_context(laguerre_data(2.5))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="strip edge"):
         coherent_coeffs(ctx, 0.3 + 0.49999j, tol=1e-13, nmax=200)
+
+
+def test_coeffs_budget_error_blames_the_edge_only_near_it():
+    with pytest.raises(ConvergenceError, match=r"deficit of \d\.\d{3}e[-+]\d+ of") as err:
+        coherent_coeffs(HERMITE_CTX, 2.0 + 0.3j, nmax=3)
+    assert "strip edge" not in str(err.value)
+
+
+def test_coeffs_stop_when_the_tail_drops_below_rounding():
+    # the sum and the closed <z|z> differ by ~2e-15, so a 1e-15 tail can
+    # only be certified by the coefficients ceasing to change the sum
+    ctx = build_context(laguerre_data(2.5))
+    z = 0.45 + 0.2j
+    c = coherent_coeffs(ctx, z, tol=1e-15)
+    norm2 = squared_norm(ctx, z)
+    assert c.size < 100
+    assert abs(float(np.vdot(c, c).real) - norm2) <= 1e-14 * norm2
 
 
 def test_evolution_shifts_the_label(family_ctx):
