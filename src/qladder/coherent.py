@@ -21,6 +21,11 @@ tests is the scalar identity
 
 on the support of the spectral measure, which is equivalent to the operator
 resolution after collapsing the x-integral.
+
+The closed forms per family (``reproducing_density``, ``mean_energy``,
+``omega_density``) live on the PearsonData subclasses of
+:mod:`qladder.orthopoly`; the functions here check the label strip and call
+them.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, StripError, Unsupported
+from .errors import ConvergenceError, StripError
 from .measure import gauss_rule
-from .orthopoly import HERMITE, JACOBI, LAGUERRE, PearsonData
+from .orthopoly import PearsonData
 from .propagator import (
     PropagatorContext,
     StripDomain,
@@ -41,7 +46,6 @@ from .propagator import (
     char_fn,
     sigma_n,
 )
-from .specfun import hyp1f1, whittaker_w
 
 __all__ = [
     "strip_for",
@@ -73,6 +77,13 @@ def _require_label(ctx: PropagatorContext, z: complex, name: str = "z") -> compl
             f"Im {name} < {ctx.strip.upper}"
         )
     return z
+
+
+def _require_height(ctx: PropagatorContext, y: float) -> float:
+    y = float(y)
+    if y >= ctx.strip.upper:
+        raise StripError(f"Im z = {y} outside the state strip (< {ctx.strip.upper})")
+    return y
 
 
 def kernel(ctx: PropagatorContext, z: complex, v: complex) -> complex:
@@ -174,13 +185,6 @@ def holomorphic_transform(
 # ---------------------------------------------------------------------------
 
 
-def _snap_unit(x: float) -> float:
-    # exponent 1 is a structural boundary (one-sided inversion); the
-    # constructors round-trip it with O(eps) noise that must not leak into
-    # lgamma(x - 1) or the Whittaker parameter checks
-    return 1.0 if abs(x - 1.0) < 1e-9 else x
-
-
 def reproducing_density(ctx: PropagatorContext, y: float) -> float:
     """Density mu(y) of the completeness measure mu(y) dx dy / (2 pi).
 
@@ -198,87 +202,12 @@ def reproducing_density(ctx: PropagatorContext, y: float) -> float:
       is even in y up to the e^{-(a+b)y} tilt and reduces to a Macdonald
       function.
     """
-    pd = ctx.pd
-    C = ctx.sm.C
-    y = float(y)
-    if pd.family == HERMITE:
-        p = -2.0 * pd.b0 / pd.a1
-        q = -2.0 * pd.a0 / pd.a1
-        amp = math.sqrt(p / math.pi) / C * math.exp(-q * q / (4.0 * p))
-        return amp * math.exp(-(p * y + q) * y)
-    if pd.family == LAGUERRE:
-        mu = _snap_unit(pd.mu)
-        if mu <= 1.0:
-            raise Unsupported(
-                "reproducing measure of a Laguerre pair needs mu > 1; at "
-                f"mu = {mu} the inversion has no density"
-            )
-        gamma = -pd.a1 / pd.b1
-        beta = pd.b0 / pd.b1
-        if y >= 0.5 * gamma:
-            return 0.0
-        lg = (
-            math.log(2.0)
-            - math.log(C)
-            - math.lgamma(mu - 1.0)
-            + 2.0 * beta * y
-            - gamma * beta
-            + (mu - 2.0) * math.log(gamma - 2.0 * y)
-        )
-        return math.exp(lg)
-    # Jacobi
-    mu, nu = _snap_unit(pd.mu), _snap_unit(pd.nu)
-    if mu < 1.0 or nu < 1.0 or mu + nu <= 3.0:
-        raise Unsupported(
-            "reproducing measure of a Jacobi pair needs mu >= 1, nu >= 1 "
-            f"and mu + nu > 3; got mu = {mu}, nu = {nu}"
-        )
-    a, b = pd.support
-    if y == 0.0:
-        if mu == 1.0 or nu == 1.0:
-            # one-sided profile (2|y|)^{edge-2} with edge > 2 vanishing at 0
-            return 0.0
-        lg = (
-            math.log(2.0)
-            - math.log(C)
-            + math.lgamma(mu + nu - 3.0)
-            - math.lgamma(mu - 1.0)
-            - math.lgamma(nu - 1.0)
-            + (3.0 - mu - nu) * math.log(b - a)
-        )
-        return math.exp(lg)
-    if y > 0.0:
-        kappa, edge = 0.5 * (nu - mu), nu
-    else:
-        kappa, edge = 0.5 * (mu - nu), mu
-    if edge == 1.0:
-        # the one-sided kernel on this side is a point mass at y = 0
-        return 0.0
-    lam = 0.5 * (mu + nu - 3.0)
-    x = 2.0 * (b - a) * abs(y)
-    lw = math.log(whittaker_w(kappa, lam, x))
-    lg = (
-        math.log(2.0)
-        - math.log(C)
-        - math.lgamma(edge - 1.0)
-        - (a + b) * y
-        + 0.5 * (mu + nu - 4.0) * math.log(2.0 * abs(y))
-        - 0.5 * (mu + nu - 2.0) * math.log(b - a)
-        + lw
-    )
-    return math.exp(lg)
+    return ctx.pd.reproducing_density(ctx, float(y))
 
 
 # ---------------------------------------------------------------------------
 # Tilted-state energy diagnostics
 # ---------------------------------------------------------------------------
-
-
-def _hyp1f1_pos(a: float, c: float, w: float) -> float:
-    # Kummer reflection keeps every series term positive.
-    if w >= 0.0:
-        return complex(hyp1f1(a, c, w)).real
-    return math.exp(w) * complex(hyp1f1(c - a, c, -w)).real
 
 
 def mean_energy(ctx: PropagatorContext, y: float) -> float:
@@ -289,21 +218,7 @@ def mean_energy(ctx: PropagatorContext, y: float) -> float:
     Laguerre, and a ratio of confluent functions for Jacobi (interpolating
     from the lower to the upper support edge as y runs over the line).
     """
-    pd = ctx.pd
-    y = float(y)
-    if pd.family == HERMITE:
-        return -(2.0 * pd.b0 * y + pd.a0) / pd.a1
-    if pd.family == LAGUERRE:
-        gamma = -pd.a1 / pd.b1
-        if y >= 0.5 * gamma:
-            raise StripError(f"Im z = {y} outside the state strip (< {0.5 * gamma})")
-        return pd.mu / (gamma - 2.0 * y) - pd.b0 / pd.b1
-    a, b = pd.support
-    mu, nu = pd.mu, pd.nu
-    c = mu + nu
-    w = 2.0 * (b - a) * y
-    ratio = _hyp1f1_pos(mu + 1.0, c + 1.0, w) / _hyp1f1_pos(mu, c, w)
-    return a + (b - a) * (mu / c) * ratio
+    return ctx.pd.mean_energy(_require_height(ctx, y))
 
 
 def omega_density(ctx: PropagatorContext, y: float) -> float:
@@ -313,21 +228,4 @@ def omega_density(ctx: PropagatorContext, y: float) -> float:
     the tilted state, so this quantity doubles as a variance readout and as
     the y-profile against which the reproducing density flattens.
     """
-    pd = ctx.pd
-    y = float(y)
-    if pd.family == HERMITE:
-        return 2.0 * pd.b0 / pd.a1
-    if pd.family == LAGUERRE:
-        gamma = -pd.a1 / pd.b1
-        if y >= 0.5 * gamma:
-            raise StripError(f"Im z = {y} outside the state strip (< {0.5 * gamma})")
-        return -2.0 * pd.mu / (gamma - 2.0 * y) ** 2
-    a, b = pd.support
-    mu, nu = pd.mu, pd.nu
-    c = mu + nu
-    w = 2.0 * (b - a) * y
-    f0 = _hyp1f1_pos(mu, c, w)
-    f1 = (mu / c) * _hyp1f1_pos(mu + 1.0, c + 1.0, w)
-    f2 = (mu * (mu + 1.0) / (c * (c + 1.0))) * _hyp1f1_pos(mu + 2.0, c + 2.0, w)
-    r1 = f1 / f0
-    return -2.0 * (b - a) ** 2 * (f2 / f0 - r1 * r1)
+    return ctx.pd.omega_density(_require_height(ctx, y))

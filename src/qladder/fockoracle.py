@@ -7,9 +7,9 @@ occupation-basis states (dict occupation-tuple -> amplitude, the same
 pattern as a hand-written Fock simulator).
 
 Truncation policy: multi-mode bases are cut by total occupation (simplex);
-states whose support gets within edge_margin = |l|_1 * (number of
-applications) of the cut are contaminated and the strict application mode
-refuses to produce them.
+states whose support gets within |l|_1 * (number of applications) of the
+cut are contaminated and the strict application mode refuses to produce
+them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class TruncatedOperator:
     dim: int
     diag: np.ndarray
     off: np.ndarray
-    edge_margin: int = 0
 
     def dense(self) -> np.ndarray:
         m = np.diag(self.diag).astype(complex)
@@ -59,14 +58,14 @@ class TruncatedOperator:
         return m
 
 
-def truncated_h(js: JacobiSystem, N: int, edge_margin: int = 0) -> TruncatedOperator:
+def truncated_h(js: JacobiSystem, N: int) -> TruncatedOperator:
     """First N ladder levels of H_I = shift + diagonal."""
     if N < 1:
         raise ValueError("N must be positive")
     if js.dim is not math.inf and N > js.dim:
         raise ValueError(f"N = {N} exceeds the sector dimension {js.dim}")
     b, h = js.arrays(N - 1)
-    return TruncatedOperator(dim=N, diag=h, off=b[1:], edge_margin=edge_margin)
+    return TruncatedOperator(dim=N, diag=h, off=b[1:])
 
 
 def _eig_of(op: TruncatedOperator):
@@ -131,23 +130,8 @@ class MultiModeBasis:
         return tuple(occ) in self.index
 
 
-def _amp_lower(occ, l):
-    """Amplitude factor of the pure monomial part of A at occupation occ."""
-    amp2 = 1.0
-    for m, lj in zip(occ, l):
-        if lj > 0:  # annihilate lj quanta
-            for k in range(lj):
-                f = m - k
-                if f <= 0:
-                    return 0.0
-                amp2 *= f
-        elif lj < 0:  # create |lj| quanta
-            for k in range(1, -lj + 1):
-                amp2 *= m + k
-    return math.sqrt(amp2)
-
-
 def _amp_raise(occ, l):
+    """Amplitude factor of the monomial part of A* at occ (and of A at occ + l)."""
     amp2 = 1.0
     for m, lj in zip(occ, l):
         if lj > 0:  # create lj quanta
@@ -189,15 +173,11 @@ def _apply_term(sys: MultiModeSystem, term, v: dict, cutoff: int,
         if term in ("A", "HI"):
             dst = tuple(m - lj for m, lj in zip(occ, sys.l))
             if all(m >= 0 for m in dst):
-                amp = _amp_lower(occ, sys.l)
-                if amp != 0.0:
-                    add(dst, c * sys.g_at(dst) * amp)
+                add(dst, c * sys.g_at(dst) * _amp_raise(dst, sys.l))
         if term in ("Astar", "HI"):
             dst = tuple(m + lj for m, lj in zip(occ, sys.l))
             if all(m >= 0 for m in dst):
-                amp = _amp_raise(occ, sys.l)
-                if amp != 0.0:
-                    add(dst, c * np.conjugate(sys.g_at(occ)) * amp)
+                add(dst, c * np.conjugate(sys.g_at(occ)) * _amp_raise(occ, sys.l))
         if term == "HI":
             add(occ, c * sys.h_at(occ))
         elif term == "H0":

@@ -1,7 +1,7 @@
 """Spectral measures of the Pearson families.
 
 The measure attached to a Pearson pair is d(sigma) = C * w(omega) d(omega)
-with the fixed representative weight
+with the fixed representative weight (``PearsonData.weight``)
 
     Hermite : w = exp((a1*omega^2/2 + a0*omega)/b0)
     Laguerre: w = (omega + b0/b1)^(mu-1) * exp((a1/b1)*omega)
@@ -24,15 +24,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal
 
-from .orthopoly import (
-    HERMITE,
-    JACOBI,
-    LAGUERRE,
-    PearsonData,
-    log_weight_mass,
-    recurrence,
-    scaled_sweep,
-)
+from .orthopoly import PearsonData, log_weight_mass, recurrence, scaled_sweep
 
 __all__ = [
     "SpectralMeasure",
@@ -59,24 +51,13 @@ class SpectralMeasure:
 
     def density(self, omega):
         """C * w(omega), elementwise; 0 outside the open support."""
-        pd = self.pd
         om = np.asarray(omega, dtype=float)
         scalar = om.ndim == 0
         om = np.atleast_1d(om)
         out = np.zeros_like(om)
-        lo, hi = pd.support
+        lo, hi = self.pd.support
         inside = (om > lo) & (om < hi)
-        x = om[inside]
-        if pd.family == HERMITE:
-            val = np.exp((pd.a1 * x**2 / 2.0 + pd.a0 * x) / pd.b0)
-        elif pd.family == LAGUERRE:
-            mu = pd.mu
-            u = x + pd.b0 / pd.b1
-            val = u ** (mu - 1.0) * np.exp((pd.a1 / pd.b1) * x)
-        else:
-            a, b = pd.support
-            val = (x - a) ** (pd.mu - 1.0) * (b - x) ** (pd.nu - 1.0)
-        out[inside] = self.C * val
+        out[inside] = self.C * self.pd.weight(om[inside])
         return out[0] if scalar else out
 
 
@@ -135,8 +116,8 @@ def absolute_moment(sm: SpectralMeasure, k: int) -> float:
     return _quad_measure(sm, lambda w: abs(w) ** k)
 
 
-def _log_sum_poly_sq(js, nodes: np.ndarray, N: int) -> np.ndarray:
-    """log of sum_{k<N} P_k(x_i)^2 for the orthonormal recurrence polynomials.
+def _log_sum_poly_sq(b: np.ndarray, h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """log of sum_{k<N} P_k(x_i)^2 for the ladder arrays b, h of length N.
 
     Evaluated on the per-node rescaled sweep so the result is accurate even
     where the sum spans thousands of orders of magnitude (far nodes of rules
@@ -145,7 +126,7 @@ def _log_sum_poly_sq(js, nodes: np.ndarray, N: int) -> np.ndarray:
     x = np.asarray(nodes, dtype=float)
     s = np.zeros_like(x)
     total = np.zeros_like(x)  # log(P_0^2) = 0
-    for k, u, _ in scaled_sweep(js, x, N - 1, s):
+    for k, u, _ in scaled_sweep(b, h, x, s):
         if k:
             with np.errstate(divide="ignore"):
                 total = np.logaddexp(total, 2.0 * (np.log(np.abs(u)) + s))
@@ -163,10 +144,9 @@ def gauss_rule(sm: SpectralMeasure, N: int) -> QuadratureRule:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    js = recurrence(sm.pd)
-    b, h = js.arrays(N - 1)
+    b, h = recurrence(sm.pd).arrays(N - 1)
     nodes = eigh_tridiagonal(h, b[1:], eigvals_only=True)
-    logw = math.log(sm.mass) - _log_sum_poly_sq(js, nodes, N)
+    logw = math.log(sm.mass) - _log_sum_poly_sq(b, h, nodes)
     return QuadratureRule(nodes=nodes, weights=np.exp(logw), log_weights=logw)
 
 

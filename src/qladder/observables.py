@@ -30,10 +30,8 @@ import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
 from .errors import ConvergenceError
-from .orthopoly import HERMITE, LAGUERRE
 from .propagator import PropagatorContext, evolve, sigma_row
 from .reduction import MultiModeSystem, Sector, beta_offsets
-from .specfun import hyp_pfq
 
 __all__ = [
     "Number",
@@ -209,32 +207,6 @@ def _occupation_series(g: np.ndarray, l: int) -> float:
     return float(np.sum(k**l * np.abs(g) ** 2))
 
 
-def _closed_number_moment(ctx, z: complex, l: int, t: float):
-    """Family closed form for <N^l(t)> on a spectral coherent state.
-
-    Returns None when the family has no independent closed expression.
-    The Hermite form is the l-th moment of a Poisson distribution with
-    intensity (-b0/a1)|z+t|^2; the Laguerre form is a terminating-top
-    hypergeometric in the ratio q = |w|^2 / |w - i gamma|^2.
-    """
-    pd = ctx.pd
-    w = z + t
-    if pd.family == HERMITE:
-        xi = (-pd.b0 / pd.a1) * abs(w) ** 2
-        if xi == 0.0:
-            return 0.0
-        tailval = hyp_pfq([2.0] * (l - 1), [1.0] * (l - 1), xi)
-        return math.exp(-xi) * xi * complex(tailval).real
-    if pd.family == LAGUERRE:
-        gamma = -pd.a1 / pd.b1
-        q = abs(w) ** 2 / abs(w - 1j * gamma) ** 2
-        if q == 0.0:
-            return 0.0
-        tailval = hyp_pfq([pd.mu + 1.0] + [2.0] * (l - 1), [1.0] * (l - 1), q)
-        return (1.0 - q) ** pd.mu * pd.mu * q * complex(tailval).real
-    return None
-
-
 def number_moment(
     ctx: PropagatorContext, state: QuantumState, l: int, t: float
 ) -> float:
@@ -250,7 +222,7 @@ def number_moment(
         raise ValueError("moment order l must be >= 1")
     series = _occupation_series(ladder_amplitudes(ctx, state, t), l)
     if isinstance(state, SpectralCoherent):
-        closed = _closed_number_moment(ctx, complex(state.z), l, float(t))
+        closed = ctx.pd.closed_number_moment(complex(state.z) + float(t), l)
         if closed is not None and abs(closed - series) > 1e-7 * max(1.0, series):
             warnings.warn(
                 f"closed-form occupation moment {closed!r} deviates from the "
@@ -273,6 +245,8 @@ def _pair_series(g: np.ndarray, L: np.ndarray, r: int, s: int) -> complex:
         return 0j
     m = np.arange(nterms)
     w = np.exp((L[m + r] - L[m]) + (L[m + s] - L[m]))
+    if r == s:  # real by construction: keep rounding out of the imaginary part
+        return complex(np.sum((g[m + r].real ** 2 + g[m + r].imag ** 2) * w))
     return complex(np.sum(np.conj(g[m + r]) * g[m + s] * w))
 
 

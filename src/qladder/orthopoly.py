@@ -17,17 +17,26 @@ and for Jacobi the raw quadratic coefficient b2 < 0 with the positive
 factored value B = b2_factored*(omega-a)*(b-omega) exposed separately.  Every
 closed form downstream uses the factored value; the ODE eigenvalue
 lambda_n = a1*n + b2*n*(n-1) uses the raw (signed) one.
+
+The family is decided here and nowhere else: ``classify`` returns one
+PearsonData subclass per family, which holds every closed form of that
+family, including those that :mod:`qladder.measure`, :mod:`.propagator`,
+:mod:`.coherent` and :mod:`.observables` evaluate; those modules check
+arguments and call the method.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from .specfun import ln_gamma
+from .errors import Unsupported
+from .specfun import hyp1f1, hyp_pfq, ln_gamma, log_whittaker_w
 
 __all__ = [
     "PearsonData",
@@ -61,6 +70,11 @@ class PearsonData:
     Coefficients are stored in the normalized sign gauge (see module
     docstring); ``support`` is the open interval carrying the weight and
     ``family`` is one of "hermite", "laguerre", "jacobi".
+
+    Each family subclass derives its shape parameters once and holds the
+    closed forms, named after the functions that call them; methods taking
+    ``ctx`` read ``ctx.sm.C`` and ``ctx.rule(N)`` of a PropagatorContext.
+    ``strip_edge`` is the upper edge of the coherent-label strip.
     """
 
     a0: float
@@ -69,7 +83,8 @@ class PearsonData:
     b1: float
     b2: float
     support: tuple[float, float]
-    family: str
+    family: ClassVar[str]
+    strip_edge: ClassVar[float] = math.inf
 
     def A(self, omega):
         return self.a1 * omega + self.a0
@@ -77,30 +92,13 @@ class PearsonData:
     def B(self, omega):
         return (self.b2 * omega + self.b1) * omega + self.b0
 
-    # -- derived shape parameters ------------------------------------------
+    def quad_extra(self, z: complex) -> int:
+        """Extra rule size for exp(-i omega z) at complex z (none by default)."""
+        return 0
 
-    @property
-    def mu(self) -> float:
-        if self.family == LAGUERRE:
-            return (self.a0 * self.b1 - self.b0 * self.a1) / self.b1**2
-        if self.family == JACOBI:
-            a, b = self.support
-            return (a * self.a1 + self.a0) / (self.b2_factored * (b - a))
-        raise AttributeError("mu is defined for Laguerre and Jacobi data only")
-
-    @property
-    def nu(self) -> float:
-        if self.family != JACOBI:
-            raise AttributeError("nu is defined for Jacobi data only")
-        a, b = self.support
-        return (b * self.a1 + self.a0) / (self.b2_factored * (a - b))
-
-    @property
-    def b2_factored(self) -> float:
-        """Positive coefficient of the factored form B = b2f*(omega-a)*(b-omega)."""
-        if self.family != JACOBI:
-            raise AttributeError("b2_factored is defined for Jacobi data only")
-        return -self.b2
+    def closed_number_moment(self, w: complex, l: int):
+        """<N^l> on the spectral coherent state |w>; None without a closed form."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,499 @@ class JacobiSystem:
         b = np.array([self.b(k) for k in range(n + 1)], dtype=float)
         h = np.array([self.h(k) for k in range(n + 1)], dtype=float)
         return b, h
+
+
+def _sum_exp(logs) -> complex:
+    """sum_k exp(L_k) for complex exponents, normalized by the largest.
+
+    Warns when the alternating sum cancels away more than ~13 digits, since
+    the returned value then carries almost no significant figures.
+    """
+    m = max((L.real for L in logs), default=-math.inf)
+    if m == -math.inf:
+        return 0j
+    acc = sum(cmath.exp(L - m) for L in logs)
+    _warn_cancellation(abs(acc), m)
+    return acc * math.exp(m)
+
+
+def _warn_cancellation(ratio: float, peak: float) -> None:
+    """ratio = |normalized sum| (peak summand is 1 by construction).
+
+    Only worth shouting about when the rounding floor peak * eps is itself
+    large on the absolute scale; a matrix element passing through one of
+    its zeros at order-one peaks is still absolutely accurate.
+    """
+    if ratio < 1e-13 and peak > 12.0:
+        lost = 330.0 if ratio == 0.0 else -math.log10(ratio)
+        warnings.warn(
+            f"closed-form coefficient sum cancels ~{lost:.0f} digits; "
+            "the result has few or no significant figures",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def _snap_unit(x: float) -> float:
+    # exponent 1 is a structural boundary (one-sided inversion); the
+    # constructors round-trip it with O(eps) noise that must not leak into
+    # lgamma(x - 1) or the Whittaker parameter checks
+    return 1.0 if abs(x - 1.0) < 1e-9 else x
+
+
+def _hyp1f1_pos(a: float, c: float, w: float) -> float:
+    # Kummer reflection keeps every series term positive.
+    if w >= 0.0:
+        return complex(hyp1f1(a, c, w)).real
+    return math.exp(w) * complex(hyp1f1(c - a, c, -w)).real
+
+
+@dataclass(frozen=True)
+class _Hermite(PearsonData):
+    """Hermite class: B = b0 > 0, support the whole line."""
+
+    family = HERMITE
+
+    def ladder(self):
+        scale = math.sqrt(-self.b0 / self.a1)
+        shift = -self.a0 / self.a1
+
+        def b(n: int) -> float:
+            return scale * math.sqrt(n) if n >= 1 else 0.0
+
+        def h(n: int) -> float:
+            return shift
+
+        return b, h
+
+    def log_mass(self) -> float:
+        return -self.a0**2 / (2.0 * self.a1 * self.b0) + 0.5 * math.log(
+            2.0 * math.pi * self.b0 / (-self.a1)
+        )
+
+    def rodrigues_log(self, n: int, log_mass: float) -> float:
+        return log_mass + ln_gamma(n + 1.0) + n * math.log(-self.a1 * self.b0)
+
+    def strong_field(self) -> PearsonData:
+        return classify(0.0, self.a1, self.b0, 0.0, 0.0)
+
+    def weight(self, x):
+        return np.exp((self.a1 * x**2 / 2.0 + self.a0 * x) / self.b0)
+
+    def spread(self, t: float) -> int:
+        scale = math.sqrt(self.b0 * (-self.a1))
+        return 32 + int(4.0 * t * (1.0 + scale) + 0.5 * (t * scale) ** 2)
+
+    def quad_extra(self, z: complex) -> int:
+        if z.imag == 0.0:
+            return 0
+        tau = -self.a1 / (2.0 * self.b0)
+        return 32 + int(abs(z) ** 2 / (2.0 * tau))
+
+    def char(self, ctx, z: complex) -> complex:
+        return cmath.exp(
+            (self.b0 / (2.0 * self.a1)) * z * z + 1j * (self.a0 / self.a1) * z
+        )
+
+    def sigma_n(self, ctx, n: int, z: complex) -> complex:
+        lc = rodrigues_log_norm(self, n, ctx.sm.C)
+        expo = lc + n * cmath.log(-1j * self.b0 * z)
+        return cmath.exp(expo) * self.char(ctx, z)
+
+    def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
+        C = ctx.sm.C
+        base = (
+            rodrigues_log_norm(self, m, C)
+            + rodrigues_log_norm(self, n, C)
+            + ln_gamma(m + 1.0)
+            + ln_gamma(n + 1.0)
+            + (m + n) * math.log(self.b0)
+        )
+        lr = math.log(-self.a1 / self.b0)
+        lz = cmath.log(-1j * z)
+        logs = [
+            base
+            + j * lr
+            - ln_gamma(j + 1.0)
+            - ln_gamma(m - j + 1.0)
+            - ln_gamma(n - j + 1.0)
+            + (m + n - 2 * j) * lz
+            for j in range(m + 1)
+        ]
+        return _sum_exp(logs) * self.char(ctx, z)
+
+    def closed_number_moment(self, w: complex, l: int) -> float:
+        # l-th moment of a Poisson law with intensity (-b0/a1)|w|^2
+        xi = (-self.b0 / self.a1) * abs(w) ** 2
+        if xi == 0.0:
+            return 0.0
+        tailval = hyp_pfq([2.0] * (l - 1), [1.0] * (l - 1), xi)
+        return math.exp(-xi) * xi * complex(tailval).real
+
+    def reproducing_density(self, ctx, y: float) -> float:
+        p = -2.0 * self.b0 / self.a1
+        q = -2.0 * self.a0 / self.a1
+        amp = math.sqrt(p / math.pi) / ctx.sm.C * math.exp(-q * q / (4.0 * p))
+        return amp * math.exp(-(p * y + q) * y)
+
+    def mean_energy(self, y: float) -> float:
+        return -(2.0 * self.b0 * y + self.a0) / self.a1
+
+    def omega_density(self, y: float) -> float:
+        return 2.0 * self.b0 / self.a1
+
+
+@dataclass(frozen=True)
+class _Laguerre(PearsonData):
+    """Laguerre class: B = b1*(omega + beta), b1 > 0, gamma = -a1/b1 > 0."""
+
+    family = LAGUERRE
+
+    def __post_init__(self):
+        gamma = -self.a1 / self.b1
+        mu = (self.a0 * self.b1 - self.b0 * self.a1) / self.b1**2
+        self.__dict__.update(mu=mu, gamma=gamma, beta=self.b0 / self.b1, strip_edge=0.5 * gamma)
+
+    def ladder(self):
+        mu = self.mu
+        s = -self.b1 / self.a1
+        shift = -self.beta
+
+        def b(n: int) -> float:
+            return s * math.sqrt(n * (n + mu - 1.0)) if n >= 1 else 0.0
+
+        def h(n: int) -> float:
+            return s * (2.0 * n + mu) + shift
+
+        return b, h
+
+    def log_mass(self) -> float:
+        return self.gamma * self.beta + ln_gamma(self.mu) - self.mu * math.log(self.gamma)
+
+    def rodrigues_log(self, n: int, log_mass: float) -> float:
+        return (log_mass + ln_gamma(n + 1.0) + 2.0 * n * math.log(self.b1)
+                + ln_gamma(self.mu + n) - ln_gamma(self.mu))
+
+    def strong_field(self) -> PearsonData:
+        return classify(0.0, self.a1, -self.b1**2 / self.a1, self.b1, 0.0)
+
+    def weight(self, x):
+        return (x + self.beta) ** (self.mu - 1.0) * np.exp(-self.gamma * x)
+
+    def spread(self, t: float) -> int:
+        if t == 0.0:
+            return 32
+        # one-index coefficients decay like q^k
+        q = t / math.hypot(t, self.gamma)
+        return 32 + int(40.0 / max(1e-3, -math.log(q)))
+
+    def quad_extra(self, z: complex) -> int:
+        y = z.imag
+        if y <= 0.0:
+            return 0
+        # the integrand decays only like exp(-(gamma - y) omega), so the
+        # node range (about 4N/gamma) must reach omega_need, and the node
+        # spacing out there (~sqrt(4 omega gamma / N)) must still resolve
+        # the oscillation period 2 pi / |Re z|
+        omega_need = 45.0 / (self.gamma - y)
+        n_range = 0.4 * self.gamma * omega_need
+        n_osc = 0.61 * omega_need * z.real**2 / self.gamma
+        return int(max(n_range, n_osc))
+
+    def char(self, ctx, z: complex) -> complex:
+        p = 1.0 + 1j * z / self.gamma
+        return cmath.exp(-self.mu * cmath.log(p) + 1j * self.beta * z)
+
+    def sigma_n(self, ctx, n: int, z: complex) -> complex:
+        expo = (rodrigues_log_norm(self, n, ctx.sm.C) + ln_gamma(self.mu + n) - ln_gamma(self.mu)
+                + n * cmath.log(-self.b1 * z / (z - 1j * self.gamma)))
+        return cmath.exp(expo) * self.char(ctx, z)
+
+    def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
+        mu = self.mu
+        C = ctx.sm.C
+        s = 1j * z / self.gamma
+        base = (
+            rodrigues_log_norm(self, m, C)
+            + rodrigues_log_norm(self, n, C)
+            + (m + n) * math.log(self.b1)
+            + ln_gamma(mu + m)
+            + ln_gamma(mu + n)
+            - 2.0 * ln_gamma(mu)
+            - (m + n) * cmath.log(1.0 + s)
+        )
+        ls = cmath.log(s)
+        logs = [
+            base
+            + ln_gamma(m + 1.0)
+            - ln_gamma(m - k + 1.0)
+            + ln_gamma(n + 1.0)
+            - ln_gamma(n - k + 1.0)
+            - (ln_gamma(mu + k) - ln_gamma(mu))
+            - ln_gamma(k + 1.0)
+            + (m + n - 2 * k) * ls
+            for k in range(m + 1)
+        ]
+        sign = -1.0 if (m + n) % 2 else 1.0
+        return sign * _sum_exp(logs) * self.char(ctx, z)
+
+    def closed_number_moment(self, w: complex, l: int) -> float:
+        # terminating-top hypergeometric in q = |w|^2 / |w - i gamma|^2
+        q = abs(w) ** 2 / abs(w - 1j * self.gamma) ** 2
+        if q == 0.0:
+            return 0.0
+        tailval = hyp_pfq([self.mu + 1.0] + [2.0] * (l - 1), [1.0] * (l - 1), q)
+        return (1.0 - q) ** self.mu * self.mu * q * complex(tailval).real
+
+    def reproducing_density(self, ctx, y: float) -> float:
+        mu = _snap_unit(self.mu)
+        if mu <= 1.0:
+            raise Unsupported(
+                "reproducing measure of a Laguerre pair needs mu > 1; at "
+                f"mu = {mu} the inversion has no density"
+            )
+        if y >= self.strip_edge:
+            return 0.0
+        lg = (
+            math.log(2.0)
+            - math.log(ctx.sm.C)
+            - math.lgamma(mu - 1.0)
+            + 2.0 * self.beta * y
+            - self.gamma * self.beta
+            + (mu - 2.0) * math.log(self.gamma - 2.0 * y)
+        )
+        return math.exp(lg)
+
+    def mean_energy(self, y: float) -> float:
+        return self.mu / (self.gamma - 2.0 * y) - self.beta
+
+    def omega_density(self, y: float) -> float:
+        return -2.0 * self.mu / (self.gamma - 2.0 * y) ** 2
+
+
+@dataclass(frozen=True)
+class _Jacobi(PearsonData):
+    """Jacobi class: B = b2_factored*(omega - a)*(b - omega) on (a, b)."""
+
+    family = JACOBI
+
+    def __post_init__(self):
+        a, b = self.support
+        b2f = -self.b2
+        mu = (a * self.a1 + self.a0) / (b2f * (b - a))
+        nu = (b * self.a1 + self.a0) / (b2f * (a - b))
+        self.__dict__.update(b2_factored=b2f, mu=mu, nu=nu)
+
+    def ladder(self):
+        a, bb = self.support
+        mu, nu = self.mu, self.nu
+        width = bb - a
+        s = mu + nu
+
+        def b(n: int) -> float:
+            if n < 1:
+                return 0.0
+            num_pair = s + n - 2.0
+            den_pair = s + 2.0 * n - 3.0
+            if n == 1 and abs(den_pair) < 1e-12:
+                ratio = 1.0  # limit of (s+n-2)/(s+2n-3) as s -> 1 at n = 1
+            else:
+                ratio = num_pair / den_pair
+            val = (
+                n * (mu + n - 1.0) * (nu + n - 1.0) * ratio
+                / ((s + 2.0 * n - 2.0) ** 2 * (s + 2.0 * n - 1.0))
+            )
+            return width * math.sqrt(val)
+
+        def h(n: int) -> float:
+            if n == 0:
+                # the closed form below is 0/0 at n = 0 when mu+nu = 2;
+                # h(0) is just the mean of the Beta-type weight
+                return a + width * mu / s
+            num = (
+                2.0 * n * (a + bb) * (s - 1.0)
+                + 2.0 * n * n * (a + bb)
+                - 2.0 * bb * mu
+                - 2.0 * a * nu
+                + mu * nu * (a + bb)
+                + bb * mu * mu
+                + a * nu * nu
+            )
+            return num / ((s + 2.0 * n - 2.0) * (s + 2.0 * n))
+
+        return b, h
+
+    def log_mass(self) -> float:
+        a, b = self.support
+        mu, nu = self.mu, self.nu
+        return (mu + nu - 1.0) * math.log(b - a) + ln_gamma(mu) + ln_gamma(nu) - ln_gamma(mu + nu)
+
+    def rodrigues_log(self, n: int, log_mass: float) -> float:
+        a, b = self.support
+        mu, nu = self.mu, self.nu
+        return (
+            log_mass + 2.0 * n * math.log(self.b2_factored * (b - a)) + ln_gamma(n + 1.0)
+            + ln_gamma(mu + n) - ln_gamma(mu) + ln_gamma(nu + n) - ln_gamma(nu)
+            + ln_gamma(mu + nu) - ln_gamma(mu + nu + n - 1.0) - math.log(2.0 * n + mu + nu - 1.0)
+        )
+
+    def strong_field(self) -> PearsonData:
+        a, b = self.support
+        return jacobi_data(a, b, 1.5, 1.5, scale=self.b2_factored)
+
+    def weight(self, x):
+        a, b = self.support
+        return (x - a) ** (self.mu - 1.0) * (b - x) ** (self.nu - 1.0)
+
+    def spread(self, t: float) -> int:
+        a, b = self.support
+        return 32 + int(2.0 * t * (b - a))
+
+    def char(self, ctx, z: complex) -> complex:
+        L, V = self._shifted(ctx, z, 0, 0)
+        return math.exp(L) * V
+
+    def _shifted(self, ctx, z: complex, dmu: int, dnu: int):
+        """Transform of the weight with indices raised to mu+dmu, nu+dnu.
+
+        Returns ``(L, V)`` with the value equal to exp(L) * V; keeping the
+        positive magnitude in log form lets callers combine it with Rodrigues
+        normalizations of arbitrary order without overflow.
+        """
+        a, b = self.support
+        mup, nup = self.mu + dmu, self.nu + dnu
+        w = -1j * (b - a) * z
+        if abs(w) <= 12.0 + dmu + dnu:
+            # confluent series: int_0^1 e^{su} u^{m-1} (1-u)^{n-1} du
+            L = (
+                math.log(ctx.sm.C)
+                + (mup + nup - 1.0) * math.log(b - a)
+                + ln_gamma(mup)
+                + ln_gamma(nup)
+                - ln_gamma(mup + nup)
+            )
+            F = hyp1f1(mup, mup + nup, w)
+            return L, F * cmath.exp(-1j * a * z)
+        # oscillatory regime: quadrature in the base measure with the index
+        # shift carried as a polynomial factor, assembled per node in logs
+        N = 64 + int(2.0 * abs(w)) + dmu + dnu
+        nodes, _, logw = ctx.rule(N)
+        hw = 0.5 * (b - a)
+        logs = logw + z.imag * nodes
+        if dmu:
+            logs = logs + dmu * np.log((nodes - a) / hw)
+        if dnu:
+            logs = logs + dnu * np.log((b - nodes) / hw)
+        M = float(logs.max())
+        V = complex(np.sum(np.exp(logs - M) * np.exp(-1j * z.real * nodes)))
+        return M + (dmu + dnu) * math.log(hw), V
+
+    def sigma_n(self, ctx, n: int, z: complex) -> complex:
+        lc = rodrigues_log_norm(self, n, ctx.sm.C)
+        L, V = self._shifted(ctx, z, n, n)
+        expo = lc + n * math.log(self.b2_factored) + n * cmath.log(-1j * z) + L
+        return cmath.exp(expo) * V
+
+    def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
+        # double Leibniz expansion over shifted weight transforms
+        mu, nu = self.mu, self.nu
+        C = ctx.sm.C
+        pre = (
+            rodrigues_log_norm(self, m, C)
+            + rodrigues_log_norm(self, n, C)
+            + (m + n) * math.log(self.b2_factored)
+        )
+        entries = []
+        for k in range(m + 1):
+            lgk = ln_gamma(m + 1.0) - ln_gamma(k + 1.0) - ln_gamma(m - k + 1.0)
+            gk = (
+                ln_gamma(mu + m)
+                - ln_gamma(mu + k)
+                + ln_gamma(nu + m)
+                - ln_gamma(nu + m - k)
+            )
+            for l in range(n + 1):
+                lgl = ln_gamma(n + 1.0) - ln_gamma(l + 1.0) - ln_gamma(n - l + 1.0)
+                gl = (
+                    ln_gamma(mu + n)
+                    - ln_gamma(mu + l)
+                    + ln_gamma(nu + n)
+                    - ln_gamma(nu + n - l)
+                )
+                L, V = self._shifted(ctx, z, k + l, m + n - k - l)
+                if V == 0:
+                    continue
+                sign = -1.0 if (k + l) % 2 else 1.0
+                entries.append((pre + lgk + gk + lgl + gl + L, sign * V))
+        if not entries:
+            return 0j
+        M = max(L for L, _ in entries)
+        acc = sum(V * math.exp(L - M) for L, V in entries)
+        _warn_cancellation(abs(acc) / max(abs(V) for _, V in entries), M)
+        sign = -1.0 if (m + n) % 2 else 1.0
+        return sign * acc * math.exp(M)
+
+    def reproducing_density(self, ctx, y: float) -> float:
+        mu, nu = _snap_unit(self.mu), _snap_unit(self.nu)
+        if mu < 1.0 or nu < 1.0 or mu + nu <= 3.0:
+            raise Unsupported(
+                "reproducing measure of a Jacobi pair needs mu >= 1, nu >= 1 "
+                f"and mu + nu > 3; got mu = {mu}, nu = {nu}"
+            )
+        C = ctx.sm.C
+        a, b = self.support
+        if y == 0.0:
+            if mu == 1.0 or nu == 1.0:
+                # one-sided profile (2|y|)^{edge-2} with edge > 2 vanishing at 0
+                return 0.0
+            lg = (
+                math.log(2.0)
+                - math.log(C)
+                + math.lgamma(mu + nu - 3.0)
+                - math.lgamma(mu - 1.0)
+                - math.lgamma(nu - 1.0)
+                + (3.0 - mu - nu) * math.log(b - a)
+            )
+            return math.exp(lg)
+        if y > 0.0:
+            kappa, edge = 0.5 * (nu - mu), nu
+        else:
+            kappa, edge = 0.5 * (mu - nu), mu
+        if edge == 1.0:
+            # the one-sided kernel on this side is a point mass at y = 0
+            return 0.0
+        lam = 0.5 * (mu + nu - 3.0)
+        x = 2.0 * (b - a) * abs(y)
+        lw = log_whittaker_w(kappa, lam, x)
+        lg = (
+            math.log(2.0)
+            - math.log(C)
+            - math.lgamma(edge - 1.0)
+            - (a + b) * y
+            + 0.5 * (mu + nu - 4.0) * math.log(2.0 * abs(y))
+            - 0.5 * (mu + nu - 2.0) * math.log(b - a)
+            + lw
+        )
+        return math.exp(lg)
+
+    def mean_energy(self, y: float) -> float:
+        a, b = self.support
+        mu, nu = self.mu, self.nu
+        c = mu + nu
+        w = 2.0 * (b - a) * y
+        ratio = _hyp1f1_pos(mu + 1.0, c + 1.0, w) / _hyp1f1_pos(mu, c, w)
+        return a + (b - a) * (mu / c) * ratio
+
+    def omega_density(self, y: float) -> float:
+        a, b = self.support
+        mu, nu = self.mu, self.nu
+        c = mu + nu
+        w = 2.0 * (b - a) * y
+        f0 = _hyp1f1_pos(mu, c, w)
+        f1 = (mu / c) * _hyp1f1_pos(mu + 1.0, c + 1.0, w)
+        f2 = (mu * (mu + 1.0) / (c * (c + 1.0))) * _hyp1f1_pos(mu + 2.0, c + 2.0, w)
+        r1 = f1 / f0
+        return -2.0 * (b - a) ** 2 * (f2 / f0 - r1 * r1)
 
 
 def _roots_of_quadratic(b2, b1, b0):
@@ -153,33 +644,28 @@ def classify(a0: float, a1: float, b0: float, b1: float, b2: float,
             a0, a1, b0 = -a0, -a1, -b0
         if a1 / b0 >= 0.0:
             raise ValueError("not Hermite-class: a1/b0 must be negative")
-        pd = PearsonData(a0, a1, b0, 0.0, 0.0, (-math.inf, math.inf), HERMITE)
+        pd = _Hermite(a0, a1, b0, 0.0, 0.0, (-math.inf, math.inf))
     elif b2 == 0.0:
         if b1 < 0.0:
             a0, a1, b0, b1 = -a0, -a1, -b0, -b1
         if a1 / b1 >= 0.0:
             raise ValueError("not Laguerre-class: a1/b1 must be negative")
-        mu = (a0 * b1 - b0 * a1) / b1**2
-        if mu <= 0.0:
+        pd = _Laguerre(a0, a1, b0, b1, 0.0, (-b0 / b1, math.inf))
+        if pd.mu <= 0.0:
             raise ValueError(
-                f"not Laguerre-class: mu = (a0*b1 - b0*a1)/b1^2 = {mu} must be positive"
+                f"not Laguerre-class: mu = (a0*b1 - b0*a1)/b1^2 = {pd.mu} must be positive"
             )
-        pd = PearsonData(a0, a1, b0, b1, 0.0, (-b0 / b1, math.inf), LAGUERRE)
     else:
         if b2 > 0.0:
             a0, a1, b0, b1, b2 = -a0, -a1, -b0, -b1, -b2
         roots = _roots_of_quadratic(b2, b1, b0)
         if roots is None:
             raise ValueError("not Jacobi-class: B must have two distinct real roots")
-        a, b = roots
-        b2f = -b2
-        mu = (a * a1 + a0) / (b2f * (b - a))
-        nu = (b * a1 + a0) / (b2f * (a - b))
-        if mu <= 0.0:
-            raise ValueError(f"not Jacobi-class: mu = {mu} must be positive")
-        if nu <= 0.0:
-            raise ValueError(f"not Jacobi-class: nu = {nu} must be positive")
-        pd = PearsonData(a0, a1, b0, b1, b2, (a, b), JACOBI)
+        pd = _Jacobi(a0, a1, b0, b1, b2, roots)
+        if pd.mu <= 0.0:
+            raise ValueError(f"not Jacobi-class: mu = {pd.mu} must be positive")
+        if pd.nu <= 0.0:
+            raise ValueError(f"not Jacobi-class: nu = {pd.nu} must be positive")
 
     if support is not None:
         lo, hi = support
@@ -240,72 +726,17 @@ def recurrence(pd: PearsonData) -> JacobiSystem:
     (mu = nu = 1/2 at n = 1, mu = nu = 3/2 at n = 0) are handled by taking
     the limit of the cancelled factor pair.
     """
-    fam = pd.family
-    if fam == HERMITE:
-        scale = math.sqrt(-pd.b0 / pd.a1)
-        shift = -pd.a0 / pd.a1
-
-        def b(n: int) -> float:
-            return scale * math.sqrt(n) if n >= 1 else 0.0
-
-        def h(n: int) -> float:
-            return shift
-
-    elif fam == LAGUERRE:
-        mu = pd.mu
-        s = -pd.b1 / pd.a1
-        shift = -pd.b0 / pd.b1
-
-        def b(n: int) -> float:
-            return s * math.sqrt(n * (n + mu - 1.0)) if n >= 1 else 0.0
-
-        def h(n: int) -> float:
-            return s * (2.0 * n + mu) + shift
-
-    else:
-        a, bb = pd.support
-        mu, nu = pd.mu, pd.nu
-        width = bb - a
-        s = mu + nu
-
-        def b(n: int) -> float:
-            if n < 1:
-                return 0.0
-            num_pair = s + n - 2.0
-            den_pair = s + 2.0 * n - 3.0
-            if n == 1 and abs(den_pair) < 1e-12:
-                ratio = 1.0  # limit of (s+n-2)/(s+2n-3) as s -> 1 at n = 1
-            else:
-                ratio = num_pair / den_pair
-            val = (
-                n * (mu + n - 1.0) * (nu + n - 1.0) * ratio
-                / ((s + 2.0 * n - 2.0) ** 2 * (s + 2.0 * n - 1.0))
-            )
-            return width * math.sqrt(val)
-
-        def h(n: int) -> float:
-            if n == 0:
-                # the closed form below is 0/0 at n = 0 when mu+nu = 2;
-                # h(0) is just the mean of the Beta-type weight
-                return a + width * mu / s
-            num = (
-                2.0 * n * (a + bb) * (s - 1.0)
-                + 2.0 * n * n * (a + bb)
-                - 2.0 * bb * mu
-                - 2.0 * a * nu
-                + mu * nu * (a + bb)
-                + bb * mu * mu
-                + a * nu * nu
-            )
-            return num / ((s + 2.0 * n - 2.0) * (s + 2.0 * n))
-
+    b, h = pd.ladder()
     return JacobiSystem(b=b, h=h, dim=math.inf, gamma0=0.0)
 
 
 # -- evaluation -------------------------------------------------------------
 
-def scaled_sweep(js: JacobiSystem, x: np.ndarray, kmax: int, s: np.ndarray):
+def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray):
     """Run the recurrence at the nodes x, yielding (k, u_k, rescaled), k = 0..kmax.
+
+    ``b``, ``h`` are the ladder arrays b(0..kmax), h(0..kmax) (see
+    ``JacobiSystem.arrays``); their length fixes kmax.
 
     P_k(x_i) = u_k[i] * exp(s[i] - s_start[i]), where ``s`` is the caller's
     log-scale array, updated in place: whenever |u_k| grows huge at a node,
@@ -314,7 +745,7 @@ def scaled_sweep(js: JacobiSystem, x: np.ndarray, kmax: int, s: np.ndarray):
     yielded u_k is divided in place at the next step's rescaled nodes, so
     consumers must use it before advancing.
     """
-    b, h = js.arrays(kmax)
+    kmax = len(b) - 1
     u_prev = np.ones_like(x)
     yield 0, u_prev, None
     if kmax == 0:
@@ -335,7 +766,7 @@ def scaled_sweep(js: JacobiSystem, x: np.ndarray, kmax: int, s: np.ndarray):
         u_prev, u_cur = u_cur, u_next
 
 
-def eval_poly_table(js: JacobiSystem, nmax: int, omega: float, p0: float = 1.0,
+def eval_poly_table(js: JacobiSystem, nmax: int, omega: float,
                     derivatives: int = 0) -> np.ndarray:
     """Values (and derivatives) of P_0..P_nmax at a point.
 
@@ -346,7 +777,7 @@ def eval_poly_table(js: JacobiSystem, nmax: int, omega: float, p0: float = 1.0,
                          - b(n) P^{(d)}_{n-1}) / b(n+1).
     """
     out = np.zeros((nmax + 1, derivatives + 1))
-    out[0, 0] = p0
+    out[0, 0] = 1.0
     if nmax == 0:
         return out
     prev = out[0].copy()
@@ -365,10 +796,9 @@ def eval_poly_table(js: JacobiSystem, nmax: int, omega: float, p0: float = 1.0,
     return out
 
 
-def eval_poly(js: JacobiSystem, n: int, omega: float,
-              p0: float = 1.0) -> tuple[float, float, float]:
+def eval_poly(js: JacobiSystem, n: int, omega: float) -> tuple[float, float, float]:
     """(P_n, P_n', P_n'') at omega for the orthonormal system ``js``."""
-    table = eval_poly_table(js, n, omega, p0=p0, derivatives=2)
+    table = eval_poly_table(js, n, omega, derivatives=2)
     return tuple(table[n])
 
 
@@ -379,22 +809,7 @@ def log_weight_mass(pd: PearsonData) -> float:
     (w + b0/b1)^(mu-1) exp((a1/b1) w) for Laguerre and
     (w-a)^(mu-1) (b-w)^(nu-1) for Jacobi.
     """
-    if pd.family == HERMITE:
-        return -pd.a0**2 / (2.0 * pd.a1 * pd.b0) + 0.5 * math.log(
-            2.0 * math.pi * pd.b0 / (-pd.a1)
-        )
-    if pd.family == LAGUERRE:
-        gamma = -pd.a1 / pd.b1
-        beta = pd.b0 / pd.b1
-        return gamma * beta + ln_gamma(pd.mu) - pd.mu * math.log(gamma)
-    a, b = pd.support
-    mu, nu = pd.mu, pd.nu
-    return (
-        (mu + nu - 1.0) * math.log(b - a)
-        + ln_gamma(mu)
-        + ln_gamma(nu)
-        - ln_gamma(mu + nu)
-    )
+    return pd.log_mass()
 
 
 def rodrigues_log_norm(pd: PearsonData, n: int, C: float) -> float:
@@ -404,35 +819,7 @@ def rodrigues_log_norm(pd: PearsonData, n: int, C: float) -> float:
     if C <= 0.0:
         raise ValueError("C must be positive")
     log_mass = math.log(C) + log_weight_mass(pd)
-    fam = pd.family
-    if fam == HERMITE:
-        log_val = log_mass + ln_gamma(n + 1.0) + n * math.log(-pd.a1 * pd.b0)
-    elif fam == LAGUERRE:
-        mu = pd.mu
-        log_val = (
-            log_mass
-            + ln_gamma(n + 1.0)
-            + 2.0 * n * math.log(pd.b1)
-            + ln_gamma(mu + n)
-            - ln_gamma(mu)
-        )
-    else:
-        a, b = pd.support
-        mu, nu = pd.mu, pd.nu
-        b2f = pd.b2_factored
-        log_val = (
-            log_mass
-            + 2.0 * n * math.log(b2f * (b - a))
-            + ln_gamma(n + 1.0)
-            + ln_gamma(mu + n)
-            - ln_gamma(mu)
-            + ln_gamma(nu + n)
-            - ln_gamma(nu)
-            + ln_gamma(mu + nu)
-            - ln_gamma(mu + nu + n - 1.0)
-            - math.log(2.0 * n + mu + nu - 1.0)
-        )
-    return -0.5 * log_val
+    return -0.5 * pd.rodrigues_log(n, log_mass)
 
 
 def rodrigues_constant(pd: PearsonData, n: int, C: float) -> float:
@@ -447,14 +834,14 @@ def rodrigues_constant(pd: PearsonData, n: int, C: float) -> float:
     return math.exp(rodrigues_log_norm(pd, n, C))
 
 
-def ode_residual(pd: PearsonData, n: int, omega: float, p0: float = 1.0) -> float:
+def ode_residual(pd: PearsonData, n: int, omega: float) -> float:
     """|A P_n' + B P_n'' - lambda_n P_n| at omega, lambda_n = a1 n + b2 n(n-1).
 
     The raw (signed) quadratic coefficient enters lambda_n; for Jacobi data
     in the normalized gauge that coefficient is negative.
     """
     js = recurrence(pd)
-    p, d1, d2 = eval_poly(js, n, omega, p0=p0)
+    p, d1, d2 = eval_poly(js, n, omega)
     lam = pd.a1 * n + pd.b2 * n * (n - 1.0)
     return abs(pd.A(omega) * d1 + pd.B(omega) * d2 - lam * p)
 
@@ -478,10 +865,4 @@ def strong_field(pd: PearsonData) -> PearsonData:
     Hermite: a0 = 0.  Laguerre: mu = 1 with b0 = -b1^2/a1 (so a0 = 0).
     Jacobi: mu = nu = 3/2 at the same endpoints and factored scale.
     """
-    fam = pd.family
-    if fam == HERMITE:
-        return classify(0.0, pd.a1, pd.b0, 0.0, 0.0)
-    if fam == LAGUERRE:
-        return classify(0.0, pd.a1, -pd.b1**2 / pd.a1, pd.b1, 0.0)
-    a, b = pd.support
-    return jacobi_data(a, b, 1.5, 1.5, scale=pd.b2_factored)
+    return pd.strong_field()

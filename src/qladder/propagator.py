@@ -23,14 +23,15 @@ Two independent evaluation routes are provided on purpose:
   so propagating a coefficient vector is unitary up to the reported tail
   deficit.
 
-Each route is used to cross-check the other in the test-suite.
+Each route is used to cross-check the other in the test-suite.  The
+per-family closed forms and rule sizes live on the PearsonData subclasses
+of :mod:`qladder.orthopoly`; the functions here check their arguments and
+the strip, then call them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -38,17 +39,7 @@ import numpy as np
 
 from .errors import ConvergenceError, StripError, Unsupported
 from .measure import SpectralMeasure, gauss_rule, normalize
-from .orthopoly import (
-    HERMITE,
-    JACOBI,
-    LAGUERRE,
-    JacobiSystem,
-    PearsonData,
-    recurrence,
-    rodrigues_log_norm,
-    scaled_sweep,
-)
-from .specfun import hyp1f1, ln_gamma
+from .orthopoly import JacobiSystem, PearsonData, recurrence, scaled_sweep
 
 __all__ = [
     "StripDomain",
@@ -93,57 +84,29 @@ class PropagatorContext:
     js: JacobiSystem
     strip: StripDomain
 
+    def rule(self, N: int):
+        """Gauss nodes, weights and log-weights of the N point rule (cached)."""
+        key = (self.pd, self.sm.C, N)
+        got = _RULE_CACHE.get(key)
+        if got is None:
+            rule = gauss_rule(self.sm, N)
+            got = (rule.nodes, rule.weights, rule.log_weights)
+            _cache_put(_RULE_CACHE, key, got)
+        return got
+
 
 def build_context(pd: PearsonData) -> PropagatorContext:
     """Normalize the measure of ``pd`` and package everything needed."""
-    sm = normalize(pd)
-    js = recurrence(pd)
-    if pd.family == LAGUERRE:
-        gamma = -pd.a1 / pd.b1
-        strip = StripDomain(-math.inf, 0.5 * gamma)
-    else:
-        strip = StripDomain(-math.inf, math.inf)
-    return PropagatorContext(pd=pd, sm=sm, js=js, strip=strip)
+    strip = StripDomain(-math.inf, pd.strip_edge)
+    return PropagatorContext(pd=pd, sm=normalize(pd), js=recurrence(pd), strip=strip)
 
 
 def _check_char_domain(ctx: PropagatorContext, z: complex) -> None:
     """The transform integral converges for Im z on the doubled strip."""
-    if ctx.pd.family == LAGUERRE:
-        gamma = -ctx.pd.a1 / ctx.pd.b1
-        if z.imag >= gamma:
-            raise StripError(
-                f"Im z = {z.imag:g} outside the transform domain Im z < {gamma:g}"
-            )
-
-
-def _sum_exp(logs) -> complex:
-    """sum_k exp(L_k) for complex exponents, normalized by the largest.
-
-    Warns when the alternating sum cancels away more than ~13 digits, since
-    the returned value then carries almost no significant figures.
-    """
-    m = max((L.real for L in logs), default=-math.inf)
-    if m == -math.inf:
-        return 0j
-    acc = sum(cmath.exp(L - m) for L in logs)
-    _warn_cancellation(abs(acc), m)
-    return acc * math.exp(m)
-
-
-def _warn_cancellation(ratio: float, peak: float) -> None:
-    """ratio = |normalized sum| (peak summand is 1 by construction).
-
-    Only worth shouting about when the rounding floor peak * eps is itself
-    large on the absolute scale; a matrix element passing through one of
-    its zeros at order-one peaks is still absolutely accurate.
-    """
-    if ratio < 1e-13 and peak > 12.0:
-        lost = 330.0 if ratio == 0.0 else -math.log10(ratio)
-        warnings.warn(
-            f"closed-form coefficient sum cancels ~{lost:.0f} digits; "
-            "the result has few or no significant figures",
-            RuntimeWarning,
-            stacklevel=3,
+    edge = 2.0 * ctx.strip.upper
+    if z.imag >= edge:
+        raise StripError(
+            f"Im z = {z.imag:g} outside the transform domain Im z < {edge:g}"
         )
 
 
@@ -163,17 +126,6 @@ def _cache_put(cache: OrderedDict, key, val) -> None:
         cache.popitem(last=False)
 
 
-def _rule_data(ctx: PropagatorContext, N: int):
-    """Gauss nodes, weights and log-weights of the N point rule."""
-    key = (ctx.pd, ctx.sm.C, N)
-    got = _RULE_CACHE.get(key)
-    if got is None:
-        rule = gauss_rule(ctx.sm, N)
-        got = (rule.nodes, rule.weights, rule.log_weights)
-        _cache_put(_RULE_CACHE, key, got)
-    return got
-
-
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     """Rows Q_k(omega_i) = sqrt(w_i) P_k(omega_i), k = 0..nmax.
 
@@ -186,7 +138,7 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     """
     if nmax >= N:
         raise ValueError("poly matrix needs nmax < N")
-    nodes, _, logw = _rule_data(ctx, N)
+    nodes, _, logw = ctx.rule(N)
     key = (ctx.pd, ctx.sm.C, N)
     cached = _QMAT_CACHE.get(key)
     if cached is not None and cached.shape[0] > nmax:
@@ -194,7 +146,7 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     Q = np.empty((nmax + 1, N))
     s = 0.5 * logw
     es = np.exp(s)
-    for k, u, rescaled in scaled_sweep(ctx.js, nodes, nmax, s):
+    for k, u, rescaled in scaled_sweep(*ctx.js.arrays(nmax), nodes, s):
         if rescaled is not None:
             es[rescaled] = np.exp(s[rescaled])
         Q[k] = u * es
@@ -212,32 +164,14 @@ def _log_poly_rows(ctx: PropagatorContext, N: int, rows):
     want = sorted(set(rows))
     if want[0] < 0:
         raise ValueError("row indices must be nonnegative")
-    nodes, _, logw = _rule_data(ctx, N)
+    nodes, _, logw = ctx.rule(N)
     table = {}
     s = np.zeros_like(nodes)
-    for k, u, _ in scaled_sweep(ctx.js, nodes, want[-1], s):
+    for k, u, _ in scaled_sweep(*ctx.js.arrays(want[-1]), nodes, s):
         if k in want:
             with np.errstate(divide="ignore"):
                 table[k] = (np.log(np.abs(u)) + s, np.sign(u))
     return nodes, logw, table
-
-
-def _spread_nodes(ctx: PropagatorContext, t: float) -> int:
-    """Extra rule size soaking up the bandwidth of exp(-i omega t)."""
-    pd = ctx.pd
-    t = abs(t)
-    if pd.family == LAGUERRE:
-        if t == 0.0:
-            return 32
-        gamma = -pd.a1 / pd.b1
-        # one-index coefficients decay like q^k
-        q = t / math.hypot(t, gamma)
-        return 32 + int(40.0 / max(1e-3, -math.log(q)))
-    if pd.family == JACOBI:
-        a, b = pd.support
-        return 32 + int(2.0 * t * (b - a))
-    scale = math.sqrt(pd.b0 * (-pd.a1))
-    return 32 + int(4.0 * t * (1.0 + scale) + 0.5 * (t * scale) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,58 +188,7 @@ def char_fn(ctx: PropagatorContext, z: complex) -> complex:
     """
     z = complex(z)
     _check_char_domain(ctx, z)
-    pd = ctx.pd
-    if pd.family == HERMITE:
-        return cmath.exp(
-            (pd.b0 / (2.0 * pd.a1)) * z * z + 1j * (pd.a0 / pd.a1) * z
-        )
-    if pd.family == LAGUERRE:
-        gamma = -pd.a1 / pd.b1
-        beta = pd.b0 / pd.b1
-        p = 1.0 + 1j * z / gamma
-        return cmath.exp(-pd.mu * cmath.log(p) + 1j * beta * z)
-    L, V = _char_jacobi_shifted(ctx, z, 0, 0)
-    return math.exp(L) * V
-
-
-def _char_jacobi_shifted(
-    ctx: PropagatorContext, z: complex, dmu: int, dnu: int
-):
-    """Transform of the Jacobi weight with indices raised to mu+dmu, nu+dnu.
-
-    Returns ``(L, V)`` with the value equal to exp(L) * V; keeping the
-    positive magnitude in log form lets callers combine it with Rodrigues
-    normalizations of arbitrary order without overflow.
-    """
-    pd = ctx.pd
-    a, b = pd.support
-    mu, nu = pd.mu, pd.nu
-    mup, nup = mu + dmu, nu + dnu
-    w = -1j * (b - a) * z
-    if abs(w) <= 12.0 + dmu + dnu:
-        # confluent series: int_0^1 e^{su} u^{m-1} (1-u)^{n-1} du
-        L = (
-            math.log(ctx.sm.C)
-            + (mup + nup - 1.0) * math.log(b - a)
-            + ln_gamma(mup)
-            + ln_gamma(nup)
-            - ln_gamma(mup + nup)
-        )
-        F = hyp1f1(mup, mup + nup, w)
-        return L, F * cmath.exp(-1j * a * z)
-    # oscillatory regime: quadrature in the base measure with the index
-    # shift carried as a polynomial factor, assembled per node in logs
-    N = 64 + int(2.0 * abs(w)) + dmu + dnu
-    nodes, _, logw = _rule_data(ctx, N)
-    hw = 0.5 * (b - a)
-    logs = logw + z.imag * nodes
-    if dmu:
-        logs = logs + dmu * np.log((nodes - a) / hw)
-    if dnu:
-        logs = logs + dnu * np.log((b - nodes) / hw)
-    M = float(logs.max())
-    V = complex(np.sum(np.exp(logs - M) * np.exp(-1j * z.real * nodes)))
-    return M + (dmu + dnu) * math.log(hw), V
+    return ctx.pd.char(ctx, z)
 
 
 def sigma_n(ctx: PropagatorContext, n: int, z: complex) -> complex:
@@ -316,23 +199,7 @@ def sigma_n(ctx: PropagatorContext, n: int, z: complex) -> complex:
     _check_char_domain(ctx, z)
     if z == 0:
         return complex(1.0 if n == 0 else 0.0)
-    pd = ctx.pd
-    lc = rodrigues_log_norm(pd, n, ctx.sm.C)
-    if pd.family == HERMITE:
-        expo = lc + n * cmath.log(-1j * pd.b0 * z)
-        return cmath.exp(expo) * char_fn(ctx, z)
-    if pd.family == LAGUERRE:
-        gamma = -pd.a1 / pd.b1
-        expo = (
-            lc
-            + ln_gamma(pd.mu + n)
-            - ln_gamma(pd.mu)
-            + n * cmath.log(-pd.b1 * z / (z - 1j * gamma))
-        )
-        return cmath.exp(expo) * char_fn(ctx, z)
-    L, V = _char_jacobi_shifted(ctx, z, n, n)
-    expo = lc + n * math.log(pd.b2_factored) + n * cmath.log(-1j * z) + L
-    return cmath.exp(expo) * V
+    return ctx.pd.sigma_n(ctx, n, z)
 
 
 def sigma_mn_closed(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
@@ -350,89 +217,7 @@ def sigma_mn_closed(ctx: PropagatorContext, m: int, n: int, z: complex) -> compl
         return complex(1.0 if m == n else 0.0)
     if m > n:
         m, n = n, m  # symmetric
-    pd = ctx.pd
-    C = ctx.sm.C
-    lcm = rodrigues_log_norm(pd, m, C)
-    lcn = rodrigues_log_norm(pd, n, C)
-    if pd.family == HERMITE:
-        base = (
-            lcm
-            + lcn
-            + ln_gamma(m + 1.0)
-            + ln_gamma(n + 1.0)
-            + (m + n) * math.log(pd.b0)
-        )
-        lr = math.log(-pd.a1 / pd.b0)
-        lz = cmath.log(-1j * z)
-        logs = [
-            base
-            + j * lr
-            - ln_gamma(j + 1.0)
-            - ln_gamma(m - j + 1.0)
-            - ln_gamma(n - j + 1.0)
-            + (m + n - 2 * j) * lz
-            for j in range(m + 1)
-        ]
-        return _sum_exp(logs) * char_fn(ctx, z)
-    if pd.family == LAGUERRE:
-        mu = pd.mu
-        gamma = -pd.a1 / pd.b1
-        s = 1j * z / gamma
-        base = (
-            lcm
-            + lcn
-            + (m + n) * math.log(pd.b1)
-            + ln_gamma(mu + m)
-            + ln_gamma(mu + n)
-            - 2.0 * ln_gamma(mu)
-            - (m + n) * cmath.log(1.0 + s)
-        )
-        ls = cmath.log(s)
-        logs = [
-            base
-            + ln_gamma(m + 1.0)
-            - ln_gamma(m - k + 1.0)
-            + ln_gamma(n + 1.0)
-            - ln_gamma(n - k + 1.0)
-            - (ln_gamma(mu + k) - ln_gamma(mu))
-            - ln_gamma(k + 1.0)
-            + (m + n - 2 * k) * ls
-            for k in range(m + 1)
-        ]
-        sign = -1.0 if (m + n) % 2 else 1.0
-        return sign * _sum_exp(logs) * char_fn(ctx, z)
-    # Jacobi: double Leibniz expansion over shifted weight transforms
-    mu, nu = pd.mu, pd.nu
-    pre = lcm + lcn + (m + n) * math.log(pd.b2_factored)
-    entries = []
-    for k in range(m + 1):
-        lgk = ln_gamma(m + 1.0) - ln_gamma(k + 1.0) - ln_gamma(m - k + 1.0)
-        gk = (
-            ln_gamma(mu + m)
-            - ln_gamma(mu + k)
-            + ln_gamma(nu + m)
-            - ln_gamma(nu + m - k)
-        )
-        for l in range(n + 1):
-            lgl = ln_gamma(n + 1.0) - ln_gamma(l + 1.0) - ln_gamma(n - l + 1.0)
-            gl = (
-                ln_gamma(mu + n)
-                - ln_gamma(mu + l)
-                + ln_gamma(nu + n)
-                - ln_gamma(nu + n - l)
-            )
-            L, V = _char_jacobi_shifted(ctx, z, k + l, m + n - k - l)
-            if V == 0:
-                continue
-            sign = -1.0 if (k + l) % 2 else 1.0
-            entries.append((pre + lgk + gk + lgl + gl + L, sign * V))
-    if not entries:
-        return 0j
-    M = max(L for L, _ in entries)
-    acc = sum(V * math.exp(L - M) for L, V in entries)
-    _warn_cancellation(abs(acc) / max(abs(V) for _, V in entries), M)
-    sign = -1.0 if (m + n) % 2 else 1.0
-    return sign * acc * math.exp(M)
+    return ctx.pd.sigma_mn_closed(ctx, m, n, z)
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +240,7 @@ def sigma_mn_quad(
     z = complex(z)
     _check_char_domain(ctx, z)
     if N is None:
-        N = m + n + 96 + _spread_nodes(ctx, abs(z))
-        y = z.imag
-        pd = ctx.pd
-        if y > 0.0 and pd.family == LAGUERRE:
-            # the integrand decays only like exp(-(gamma - y) omega), so the
-            # node range (about 4N/gamma) must reach omega_need, and the node
-            # spacing out there (~sqrt(4 omega gamma / N)) must still resolve
-            # the oscillation period 2 pi / |Re z|
-            gamma = -pd.a1 / pd.b1
-            omega_need = 45.0 / (gamma - y)
-            n_range = 0.4 * gamma * omega_need
-            n_osc = 0.61 * omega_need * z.real**2 / gamma
-            N += int(max(n_range, n_osc))
-        elif y != 0.0 and pd.family == HERMITE:
-            tau = -pd.a1 / (2.0 * pd.b0)
-            N += 32 + int(abs(z) ** 2 / (2.0 * tau))
+        N = m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z)
         N = min(N, 6144)
     if z.imag == 0.0:
         nodes, Q = _weighted_poly_matrix(ctx, N, max(m, n))
@@ -502,11 +272,7 @@ def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
     cancellation becomes severe).
     """
     z = complex(z)
-    if ctx.pd.family == LAGUERRE:
-        gamma = -ctx.pd.a1 / ctx.pd.b1
-        if z.imag > 0.45 * gamma:
-            return sigma_mn_closed(ctx, m, n, z)
-    if m + n <= 24:
+    if m + n <= 24 or z.imag > 0.9 * ctx.strip.upper:
         return sigma_mn_closed(ctx, m, n, z)
     return sigma_mn_quad(ctx, m, n, z)
 
@@ -519,7 +285,7 @@ def sigma_row(
         raise ValueError("indices must be nonnegative")
     t = float(t)
     if N is None:
-        N = max(n, kmax) + 64 + _spread_nodes(ctx, t)
+        N = max(n, kmax) + 64 + ctx.pd.spread(abs(t))
     N = max(N, max(n, kmax) + 1)
     nodes, Q = _weighted_poly_matrix(ctx, N, max(n, kmax))
     f = np.exp(-1j * t * nodes) * Q[n]
@@ -546,7 +312,7 @@ def evolve(
     nrm2 = float(np.vdot(c, c).real)
     if nrm2 == 0.0:
         return np.zeros(c.size, dtype=complex)
-    K = c.size + 64 + _spread_nodes(ctx, t)
+    K = c.size + 64 + ctx.pd.spread(abs(t))
     while True:
         K = min(K, max_dim)
         N = K + 64
@@ -564,7 +330,7 @@ def evolve(
         K *= 2
 
 
-def require_selfadjoint(js: JacobiSystem, n_probe: int = 1024) -> None:
+def require_selfadjoint(js: JacobiSystem) -> None:
     """Certify essential self-adjointness of an infinite ladder.
 
     Divergence of sum 1/b(n) is sufficient; it holds whenever the couplings
@@ -574,8 +340,8 @@ def require_selfadjoint(js: JacobiSystem, n_probe: int = 1024) -> None:
     """
     if js.dim != math.inf:
         return
-    b1 = js.b(n_probe)
-    b2 = js.b(2 * n_probe)
+    b1 = js.b(1024)
+    b2 = js.b(2048)
     if not (b1 > 0.0 and b2 > 0.0):
         return
     growth = math.log(b2 / b1) / math.log(2.0)

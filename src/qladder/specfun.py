@@ -8,44 +8,26 @@ callers should loop; none of these are hot paths.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 from scipy.integrate import quad
 
 from .errors import ConvergenceError, DivergenceError, Unsupported
 
 __all__ = [
-    "SeriesControl",
     "ln_gamma",
     "hyp1f1",
     "hyp_pfq",
     "whittaker_w",
+    "log_whittaker_w",
 ]
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping rule for the hypergeometric series.
-
-    rel_tol
-        relative size of the first neglected term
-    max_terms
-        hard budget before ConvergenceError is raised
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-
-
-_DEFAULT = SeriesControl()
+# hypergeometric series stop once a term falls below _REL_TOL of the sum,
+# and raise ConvergenceError after _MAX_TERMS terms
+_REL_TOL = 1e-14
+_MAX_TERMS = 10000
+# below this argument the Euler integral of U is assembled in logs
+_SMALL_X = 1e-3
 
 
 def ln_gamma(x: float) -> float:
@@ -63,7 +45,7 @@ def _is_nonpositive_int(x) -> bool:
     return x <= 0.0 and x == round(x)
 
 
-def hyp1f1(a, b, z, ctl: SeriesControl = _DEFAULT):
+def hyp1f1(a, b, z):
     """Kummer's confluent hypergeometric 1F1(a; b; z), entire in z.
 
     b must not be a nonpositive integer.  Complex a, b, z are accepted.
@@ -72,22 +54,22 @@ def hyp1f1(a, b, z, ctl: SeriesControl = _DEFAULT):
         raise ValueError(f"1F1 pole: b = {b} is a nonpositive integer")
     term = 1.0 + 0.0j
     total = term
-    for n in range(ctl.max_terms):
+    for n in range(_MAX_TERMS):
         term = term * (a + n) * z / ((b + n) * (n + 1))
         total += term
-        if abs(term) <= ctl.rel_tol * abs(total):
+        if abs(term) <= _REL_TOL * abs(total):
             # one extra term as a guard against lucky zeros
             nxt = term * (a + n + 1) * z / ((b + n + 1) * (n + 2))
-            if abs(nxt) <= ctl.rel_tol * abs(total):
+            if abs(nxt) <= _REL_TOL * abs(total):
                 return total
             total += nxt
             term = nxt
     raise ConvergenceError(
-        f"1F1({a}, {b}, {z}) did not converge in {ctl.max_terms} terms"
+        f"1F1({a}, {b}, {z}) did not converge in {_MAX_TERMS} terms"
     )
 
 
-def hyp_pfq(num, den, x, ctl: SeriesControl = _DEFAULT):
+def hyp_pfq(num, den, x):
     """Generalized hypergeometric pFq(num; den; x) with divergence detection.
 
     Standard normalization: sum_n [prod (a_i)_n / prod (b_j)_n] x^n / n!.
@@ -126,7 +108,7 @@ def hyp_pfq(num, den, x, ctl: SeriesControl = _DEFAULT):
     term = 1.0 + 0.0j
     total = term
     growing = 0
-    for n in range(ctl.max_terms):
+    for n in range(_MAX_TERMS):
         ratio = x / (n + 1)
         for a in num:
             ratio *= a + n
@@ -143,10 +125,10 @@ def hyp_pfq(num, den, x, ctl: SeriesControl = _DEFAULT):
             growing = 0
         term = new
         total += term
-        if abs(term) <= ctl.rel_tol * abs(total):
+        if abs(term) <= _REL_TOL * abs(total):
             return total
     raise ConvergenceError(
-        f"{p}F{q} did not converge in {ctl.max_terms} terms"
+        f"{p}F{q} did not converge in {_MAX_TERMS} terms"
     )
 
 
@@ -163,26 +145,56 @@ def _hyperu_integral(a: float, b: float, x: float) -> float:
     return (i1 + i2) / math.gamma(a)
 
 
+def _log_hyperu_small(a: float, b: float, x: float) -> float:
+    # log U(a,b,x) for 0 < x < _SMALL_X.  The tail of the Euler integral then
+    # reaches out to t ~ 1/x, beyond what QAGS resolves on [1, inf); in
+    # s = log(x t) it is a smooth bump times x^{1-b}, combined in logs.
+    lgx = math.log(x)
+
+    def f(t):
+        return math.exp(-x * t + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t))
+
+    def bump(s):  # log(u + x) with u = e^s, free of subnormal rounding
+        log_ux = s + math.log1p(math.exp(lgx - s))
+        return math.exp(-math.exp(s) + a * s + (b - a - 1.0) * log_ux)
+
+    i1 = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+    ends = (lgx, 0.5 * lgx, 0.0, 7.0)  # e^{-e^7} = 0
+    j = sum(quad(bump, lo, hi, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+            for lo, hi in zip(ends, ends[1:]))
+    lx = (1.0 - b) * lgx
+    return lx + math.log(j + i1 * math.exp(-lx)) - math.lgamma(a)
+
+
 def whittaker_w(kappa: float, lam: float, x: float) -> float:
-    """Whittaker's W_{kappa,lambda}(x) for x > 0.
+    """Whittaker's W_{kappa,lambda}(x) for x > 0; exp of ``log_whittaker_w``."""
+    return math.exp(log_whittaker_w(kappa, lam, x))
+
+
+def log_whittaker_w(kappa: float, lam: float, x: float) -> float:
+    """log of Whittaker's W_{kappa,lambda}(x) for x > 0.
 
     Evaluated as e^{-x/2} x^{lambda+1/2} U(lambda-kappa+1/2, 1+2*lambda, x)
     with U from its Euler integral.  The reflection W_{k,l} = W_{k,-l} is
     applied first, so only lambda >= 0 reaches the integral; after that,
     parameters with lambda - kappa + 1/2 < 0 are not representable by this
     route and raise Unsupported.  The boundary case lambda - kappa + 1/2 = 0
-    has U = 1 exactly and is returned in closed form.
+    has U = 1 exactly and is returned in closed form.  Below x = 1e-3, where
+    x^{lambda+1/2} and U can over- or underflow while W does not, the two
+    are combined in logs.
     """
     if x <= 0.0:
         raise ValueError("whittaker_w requires x > 0")
     lam = abs(lam)
     a = lam - kappa + 0.5
     b = 1.0 + 2.0 * lam
-    pref = math.exp(-0.5 * x + (lam + 0.5) * math.log(x))
+    log_pref = -0.5 * x + (lam + 0.5) * math.log(x)
     if a == 0.0:
-        return pref
+        return log_pref
     if a < 0.0:
         raise Unsupported(
             f"whittaker_w: lambda - kappa + 1/2 = {a} < 0 outside integral route"
         )
-    return pref * _hyperu_integral(a, b, x)
+    if x < _SMALL_X:
+        return log_pref + _log_hyperu_small(a, b, x)
+    return math.log(math.exp(log_pref) * _hyperu_integral(a, b, x))

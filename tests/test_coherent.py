@@ -202,6 +202,14 @@ def test_gegenbauer_density_profile():
         assert got == pytest.approx(want, rel=1e-8)
 
 
+def test_jacobi_density_is_continuous_down_to_tiny_heights():
+    # at mu = nu = 2 both one-sided profiles approach the y = 0 value like |y|
+    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 2.0))
+    mid = reproducing_density(ctx, 0.0)
+    for y in (1e-7, -1e-9, 2.2e-16, -5e-324):
+        assert reproducing_density(ctx, y) == pytest.approx(mid, rel=5.0 * abs(y) + 1e-12)
+
+
 def test_jacobi_density_branches_meet_at_zero():
     """The one-sided profiles approach the closed y = 0 value at the rates
     y^(mu-1) from below and y^(nu-1) from above (here y and sqrt(y))."""

@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-import qladder.observables as ob
 from qladder.coherent import mean_energy
 from qladder.fockoracle import expm_evolve, truncated_h
 from qladder.observables import (
@@ -114,7 +113,7 @@ def test_laguerre_geometric_moments():
 
 
 def test_closed_series_guard_warns_on_mismatch(monkeypatch):
-    monkeypatch.setattr(ob, "_closed_number_moment", lambda *a: 99.0)
+    monkeypatch.setattr(type(HCTX.pd), "closed_number_moment", lambda *a: 99.0)
     with pytest.warns(RuntimeWarning, match="deviates from the normative"):
         number_moment(HCTX, SpectralCoherent(0.2 + 0.1j), 1, 0.5)
 
@@ -148,6 +147,13 @@ def test_cluster_correlation_values(family_ctx):
     for n in (1, 3):
         got = cluster_correlation(family_ctx, Number(n), 1, 1, 0.0)
         assert got == pytest.approx(js.b(n) ** 2, rel=1e-12)
+
+
+def test_equal_order_correlations_are_exactly_real():
+    # <A*^r A^r> is a sum of |g|^2 terms: no rounding may reach its imaginary part
+    lctx = build_context(laguerre_data(2.5))
+    assert cluster_correlation(lctx, Fock([0.6, 0.8j, 0.3]), 2, 2, 0.9).imag == 0.0
+    assert correlation(HCTX, GaussianCoherent(1 + 0.5j), 1, 1, 0.7).imag == 0.0
 
 
 def test_cluster_is_scaled_correlation_for_constant_ratio():

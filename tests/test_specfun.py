@@ -5,14 +5,8 @@ import math
 import mpmath as mp
 import pytest
 
-from qladder.errors import DivergenceError, Unsupported
-from qladder.specfun import (
-    SeriesControl,
-    hyp1f1,
-    hyp_pfq,
-    ln_gamma,
-    whittaker_w,
-)
+from qladder.errors import ConvergenceError, DivergenceError, Unsupported
+from qladder.specfun import hyp1f1, hyp_pfq, ln_gamma, log_whittaker_w, whittaker_w
 
 mp.mp.dps = 30
 
@@ -69,8 +63,8 @@ def test_hyp_pfq_divergence_detection():
 
 
 def test_series_control_budget():
-    with pytest.raises(Exception):
-        hyp1f1(1.0, 2.0, 500.0, SeriesControl(max_terms=5))
+    with pytest.raises(ConvergenceError):
+        hyp1f1(1.0, 2.0, 2e4)
 
 
 def test_ln_gamma_rejects_nonpositive_argument():
@@ -86,12 +80,22 @@ def test_ln_gamma_rejects_nonpositive_argument():
         (0.25, 0.75, 5.0),
         (-1.5, 0.5, 0.3),
         (0.25, -0.75, 5.0),   # reflection lam -> |lam|
+        (0.0, 0.5, 1e-7),     # below x = 1e-3 the Euler tail reaches t ~ 1/x
+        (0.35, 0.15, 1e-12),
+        (-0.4, 0.6, 1e-5),
     ],
 )
 def test_whittaker_w_matches_mpmath(kappa, lam, x):
     got = whittaker_w(kappa, lam, x)
     want = float(mp.whitw(kappa, lam, x))
     assert got == pytest.approx(want, rel=5e-12)
+
+
+@pytest.mark.parametrize("kappa,lam,x", [(0.0, 2.5, 5e-324), (0.35, 0.15, 1e-300), (-0.4, 0.6, 1e-100)])
+def test_log_whittaker_w_where_the_factors_overflow(kappa, lam, x):
+    # W ~ x^{1/2-lam}: x^{lam+1/2} and U leave double range long before W does
+    want = float(mp.log(mp.whitw(kappa, lam, x)))
+    assert log_whittaker_w(kappa, lam, x) == pytest.approx(want, rel=1e-12)
 
 
 def test_whittaker_boundary_case_is_closed_form():
