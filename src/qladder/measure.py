@@ -119,18 +119,24 @@ def absolute_moment(sm: SpectralMeasure, k: int) -> float:
 def _log_sum_poly_sq(b: np.ndarray, h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """log of sum_{k<N} P_k(x_i)^2 for the ladder arrays b, h of length N.
 
-    Evaluated on the per-node rescaled sweep so the result is accurate even
-    where the sum spans thousands of orders of magnitude (far nodes of rules
-    on unbounded supports).
+    Summed in the sweep's own scaled frame, sum_k u_k^2 = exp(-2 s) sum_k
+    P_k^2, with no per-step log: where the sweep rescales a node by f the
+    partial sum is multiplied by 1/f^2.  Terms stay below 1e240, and those
+    that underflow after a rescale are negligible next to the current one
+    (~1), so far nodes whose sums span thousands of orders stay accurate.
     """
     x = np.asarray(nodes, dtype=float)
     s = np.zeros_like(x)
-    total = np.zeros_like(x)  # log(P_0^2) = 0
-    for k, u, _ in scaled_sweep(b, h, x, s):
+    seen = np.zeros_like(x)  # the log scale acc is expressed in
+    acc = np.ones_like(x)  # P_0^2
+    sq = np.empty_like(x)
+    for k, u, rescaled in scaled_sweep(b, h, x, s):
+        if rescaled is not None:
+            acc[rescaled] *= np.exp(2.0 * (seen[rescaled] - s[rescaled]))
+            seen[rescaled] = s[rescaled]
         if k:
-            with np.errstate(divide="ignore"):
-                total = np.logaddexp(total, 2.0 * (np.log(np.abs(u)) + s))
-    return total
+            acc += np.multiply(u, u, out=sq)
+    return np.log(acc) + 2.0 * s
 
 
 def gauss_rule(sm: SpectralMeasure, N: int) -> QuadratureRule:
@@ -138,9 +144,10 @@ def gauss_rule(sm: SpectralMeasure, N: int) -> QuadratureRule:
 
     Nodes are the eigenvalues of the order-N truncation of the recurrence
     matrix.  Weights come from the Christoffel identity
-    w_i = mass / sum_{k<N} P_k(x_i)^2 evaluated in log space; unlike the
-    squared first eigenvector components this stays relatively accurate for
-    the extremely small far weights of unbounded supports.
+    w_i = mass / sum_{k<N} P_k(x_i)^2, summed in the sweep's scaled frame
+    and only then taken to logs; unlike the squared first eigenvector
+    components this stays relatively accurate for the extremely small far
+    weights of unbounded supports.
     """
     if N < 1:
         raise ValueError("N must be positive")

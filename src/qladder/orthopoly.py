@@ -74,7 +74,8 @@ class PearsonData:
     Each family subclass derives its shape parameters once and holds the
     closed forms, named after the functions that call them; methods taking
     ``ctx`` read ``ctx.sm.C`` and ``ctx.rule(N)`` of a PropagatorContext.
-    ``strip_edge`` is the upper edge of the coherent-label strip.
+    ``strip_edge`` is the upper edge of the coherent-label strip, and
+    ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form.
     """
 
     a0: float
@@ -84,6 +85,7 @@ class PearsonData:
     b2: float
     support: tuple[float, float]
     family: ClassVar[str]
+    closed_max_degree: ClassVar[int]
     strip_edge: ClassVar[float] = math.inf
 
     def A(self, omega):
@@ -174,6 +176,7 @@ class _Hermite(PearsonData):
     """Hermite class: B = b0 > 0, support the whole line."""
 
     family = HERMITE
+    closed_max_degree = 24
 
     def ladder(self):
         scale = math.sqrt(-self.b0 / self.a1)
@@ -269,6 +272,7 @@ class _Laguerre(PearsonData):
     """Laguerre class: B = b1*(omega + beta), b1 > 0, gamma = -a1/b1 > 0."""
 
     family = LAGUERRE
+    closed_max_degree = 24
 
     def __post_init__(self):
         gamma = -self.a1 / self.b1
@@ -397,6 +401,7 @@ class _Jacobi(PearsonData):
     """Jacobi class: B = b2_factored*(omega - a)*(b - omega) on (a, b)."""
 
     family = JACOBI
+    closed_max_degree = 18  # at 20-24 the sums cancel past 1e-8
 
     def __post_init__(self):
         a, b = self.support
@@ -742,8 +747,9 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray):
     log-scale array, updated in place: whenever |u_k| grows huge at a node,
     u_k and u_{k-1} are divided by |u_k| there and its log is added to s.
     ``rescaled`` is the mask of the nodes rescaled at step k, or None.  The
-    yielded u_k is divided in place at the next step's rescaled nodes, so
-    consumers must use it before advancing.
+    sweep allocates nothing per step, so the yielded u_k is a reused buffer:
+    it is divided in place at the next step's rescaled nodes and overwritten
+    two steps later; consumers must use (or copy) it before advancing.
     """
     kmax = len(b) - 1
     u_prev = np.ones_like(x)
@@ -752,16 +758,20 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray):
         return
     u_cur = (x - h[0]) / b[1]
     yield 1, u_cur, None
+    tmp = np.empty_like(x)
     for k in range(1, kmax):
-        u_next = ((x - h[k]) * u_cur - b[k] * u_prev) / b[k + 1]
-        big = np.abs(u_next) > 1e120
+        # u_next = ((x - h[k]) * u_cur - b[k] * u_prev) / b[k + 1], into u_prev
+        np.multiply(np.subtract(x, h[k], out=tmp), u_cur, out=tmp)
+        np.multiply(u_prev, b[k], out=u_prev)
+        np.subtract(tmp, u_prev, out=u_prev)
+        u_next = np.divide(u_prev, b[k + 1], out=u_prev)
         rescaled = None
-        if big.any():
-            f = np.abs(u_next[big])
-            u_next[big] /= f
-            u_cur[big] /= f
-            s[big] += np.log(f)
-            rescaled = big
+        if np.abs(u_next, out=tmp).max(initial=0.0) > 1e120:
+            rescaled = tmp > 1e120
+            f = tmp[rescaled]
+            u_next[rescaled] /= f
+            u_cur[rescaled] /= f
+            s[rescaled] += np.log(f)
         yield k + 1, u_next, rescaled
         u_prev, u_cur = u_cur, u_next
 

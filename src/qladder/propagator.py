@@ -149,7 +149,7 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     for k, u, rescaled in scaled_sweep(*ctx.js.arrays(nmax), nodes, s):
         if rescaled is not None:
             es[rescaled] = np.exp(s[rescaled])
-        Q[k] = u * es
+        np.multiply(u, es, out=Q[k])
     _cache_put(_QMAT_CACHE, key, Q)
     return nodes, Q
 
@@ -206,8 +206,8 @@ def sigma_mn_closed(ctx: PropagatorContext, m: int, n: int, z: complex) -> compl
     """Two-index coefficient sigma_mn(z) by the Rodrigues closed forms.
 
     Finite alternating sums; intended for moderate m + n (the generic
-    ``sigma_mn`` switches to quadrature beyond m + n = 24 where the
-    cancellation starts to eat precision).
+    ``sigma_mn`` switches to quadrature beyond ``pd.closed_max_degree``,
+    24 or 18 for Jacobi, where the cancellation starts to eat precision).
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -263,7 +263,8 @@ def sigma_mn_quad(
 def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
     """Two-index coefficient, routed by total degree and argument.
 
-    Closed forms up to m + n = 24; beyond that their alternating sums lose
+    Closed forms up to m + n = ``ctx.pd.closed_max_degree`` (24 for Hermite
+    and Laguerre, 18 for Jacobi); beyond that their alternating sums lose
     precision and the quadrature route is both faster and more accurate.
     Exception: for a Laguerre pair with Im z beyond the square-integrable
     strip (above ~0.45 * gamma) the discrete sum is dominated by an
@@ -272,7 +273,7 @@ def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
     cancellation becomes severe).
     """
     z = complex(z)
-    if m + n <= 24 or z.imag > 0.9 * ctx.strip.upper:
+    if m + n <= ctx.pd.closed_max_degree or z.imag > 0.9 * ctx.strip.upper:
         return sigma_mn_closed(ctx, m, n, z)
     return sigma_mn_quad(ctx, m, n, z)
 

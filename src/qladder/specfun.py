@@ -132,16 +132,41 @@ def hyp_pfq(num, den, x):
     )
 
 
+def _euler_integrand(t: float, a: float, b: float, x: float) -> float:
+    # e^{-xt} t^{a-1} (1+t)^{b-a-1}, the integrand of the Euler integral of U
+    return math.exp(-x * t + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t))
+
+
+def _euler_head(a: float, b: float, x: float) -> float:
+    # The [0, 1] piece of the Euler integral.  For a < 1 its t^{a-1} endpoint
+    # singularity defeats QAGS near a = 0, so it is subtracted on [0, tau],
+    # tau = min(1, 1/x): tau^a/a + int_0^tau t^{a-1} expm1(-xt + (b-a-1) log1p t),
+    # an integrand vanishing like t^a.  Up to t = 1/x the exponential has not
+    # decayed, so this cancels no digits; [tau, 1] is regular.
+    if a >= 1.0:
+        return quad(_euler_integrand, 0.0, 1.0, args=(a, b, x),
+                    epsabs=0.0, epsrel=1e-13, limit=300)[0]
+    tau = min(1.0, 1.0 / x)
+    lead = tau**a / a
+
+    def g(t):
+        return t ** (a - 1.0) * math.expm1(-x * t + (b - a - 1.0) * math.log1p(t))
+
+    head = lead + quad(g, 0.0, tau, epsabs=1e-15 * lead, epsrel=1e-13, limit=300)[0]
+    if tau < 1.0:
+        head += quad(_euler_integrand, tau, 1.0, args=(a, b, x),
+                     epsabs=0.0, epsrel=1e-13, limit=300)[0]
+    return head
+
+
 def _hyperu_integral(a: float, b: float, x: float) -> float:
     # Euler integral U(a,b,x) = (1/Gamma(a)) int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt,
     # valid for a > 0, x > 0.  Split at t = 1: the [0,1] piece carries the
-    # t^{a-1} endpoint singularity (QAGS handles it), the tail decays like
+    # t^{a-1} endpoint singularity (``_euler_head``), the tail decays like
     # e^{-xt} t^{b-2}.
-    def f(t):
-        return math.exp(-x * t + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t))
-
-    i1, e1 = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=300)
-    i2, e2 = quad(f, 1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=300)
+    i1 = _euler_head(a, b, x)
+    i2 = quad(_euler_integrand, 1.0, math.inf, args=(a, b, x),
+              epsabs=0.0, epsrel=1e-13, limit=300)[0]
     return (i1 + i2) / math.gamma(a)
 
 
@@ -151,14 +176,11 @@ def _log_hyperu_small(a: float, b: float, x: float) -> float:
     # s = log(x t) it is a smooth bump times x^{1-b}, combined in logs.
     lgx = math.log(x)
 
-    def f(t):
-        return math.exp(-x * t + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t))
-
     def bump(s):  # log(u + x) with u = e^s, free of subnormal rounding
         log_ux = s + math.log1p(math.exp(lgx - s))
         return math.exp(-math.exp(s) + a * s + (b - a - 1.0) * log_ux)
 
-    i1 = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+    i1 = _euler_head(a, b, x)
     ends = (lgx, 0.5 * lgx, 0.0, 7.0)  # e^{-e^7} = 0
     j = sum(quad(bump, lo, hi, epsabs=0.0, epsrel=1e-13, limit=300)[0]
             for lo, hi in zip(ends, ends[1:]))

@@ -2,11 +2,19 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qladder.measure import analyticity_radius, gauss_rule, moment, normalize
-from qladder.orthopoly import eval_poly_table, jacobi_data, laguerre_data
+from qladder.orthopoly import (
+    eval_poly_table,
+    hermite_data,
+    jacobi_data,
+    laguerre_data,
+    recurrence,
+    scaled_sweep,
+)
 
 # closed moments of exp(-w^2)/sqrt(pi): double factorial / 2^k
 _HERMITE_MOMENTS = [1.0, 0.0, 0.5, 0.0, 0.75, 0.0, 1.875]
@@ -75,6 +83,54 @@ def test_gauss_rule_log_weights_consistent(family_ctx):
     assert np.allclose(np.log(rule.weights[pos]), rule.log_weights[pos], atol=1e-12)
     # far log-weights remain finite even where the plain weights underflow
     assert np.all(np.isfinite(rule.log_weights))
+
+
+def _mp_log_christoffel_sum(b, h, x):
+    """log sum_{k<N} P_k(x)^2 by the plain recurrence at 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(float(x))
+        prev, cur = mp.mpf(0), mp.mpf(1)
+        total = mp.mpf(1)
+        for k in range(len(b) - 1):
+            bk, hk, bk1 = (mp.mpf(float(v)) for v in (b[k], h[k], b[k + 1]))
+            prev, cur = cur, ((x - hk) * cur - bk * prev) / bk1
+            total += cur * cur
+        return float(mp.log(total))
+
+
+@pytest.mark.parametrize(
+    "pd", [hermite_data(a1=-1.7, b0=1.3), laguerre_data(0.8)], ids=["hermite", "laguerre"]
+)
+def test_gauss_rule_log_weights_match_a_40_digit_christoffel_sum(pd):
+    """At N = 400 the sweep rescales the far nodes, whose sums span hundreds
+    of orders of magnitude; the scaled-frame sum must still be exact."""
+    N = 400
+    sm = normalize(pd)
+    rule = gauss_rule(sm, N)
+    b, h = recurrence(pd).arrays(N - 1)
+    far = np.argsort(np.abs(rule.nodes - np.median(rule.nodes)))[-3:]
+    picks = sorted(set(far) | set(np.linspace(0, N - 1, 6).astype(int)))
+    want = {i: _mp_log_christoffel_sum(b, h, rule.nodes[i]) for i in picks}
+    for i in picks:
+        got = math.log(sm.mass) - rule.log_weights[i]
+        assert abs(got - want[i]) <= 1e-14 * max(1.0, abs(want[i]))
+    assert max(want[i] for i in far) > 2.0 * math.log(1e120)  # the rescale fired
+
+
+@pytest.mark.parametrize(
+    "pd",
+    [hermite_data(a1=-1.7, b0=1.3), laguerre_data(0.8), jacobi_data(-1, 1, 1.7, 2.9)],
+    ids=["hermite", "laguerre", "jacobi"],
+)
+def test_scaled_sweep_matches_the_scalar_table(pd):
+    js = recurrence(pd)
+    kmax = 60
+    x = np.array([-0.9, -0.3, 0.05, 0.4, 0.95]) * (1.0 if pd.family == "jacobi" else 4.0)
+    s = np.zeros_like(x)
+    rows = [u.copy() for _, u, _ in scaled_sweep(*js.arrays(kmax), x, s)]
+    assert np.all(s == 0.0)  # no rescale at these degrees
+    want = np.array([eval_poly_table(js, kmax, xi)[:, 0] for xi in x]).T
+    np.testing.assert_allclose(np.array(rows), want, rtol=1e-13, atol=0.0)
 
 
 def test_gauss_rule_rejects_empty():

@@ -9,7 +9,7 @@ import pytest
 
 from qladder.errors import ConvergenceError, StripError, Unsupported
 from qladder.fockoracle import expm_evolve, truncated_h
-from qladder.orthopoly import JacobiSystem, hermite_data, laguerre_data
+from qladder.orthopoly import JacobiSystem, hermite_data, jacobi_data, laguerre_data
 from qladder.propagator import (
     build_context,
     char_fn,
@@ -174,6 +174,20 @@ def test_cancellation_warning_beyond_routing_threshold():
     e[40] = 1.0
     ref = expm_evolve(op, 4.8, e)[40]
     assert v == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "mu,nu,m,n,t",
+    [(2.718, 3.122, 23, 1, 1.991), (1.276, 3.579, 6, 18, 0.627), (3.379, 2.593, 21, 2, 2.152)],
+)
+def test_jacobi_router_keeps_cancelling_degrees_off_the_closed_form(mu, nu, m, n, t):
+    """At m + n = 20-24 the Jacobi closed sums cancel to ~1e-8 absolute, far
+    above these tiny elements; the router must serve them by quadrature."""
+    ctx = build_context(jacobi_data(-1, 1, mu, nu))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = sigma_mn(ctx, m, n, t)
+    assert abs(v - sigma_mn_quad(ctx, m, n, t, N=600)) < 1e-12
 
 
 def test_selfadjointness_certificate():

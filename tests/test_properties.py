@@ -86,7 +86,6 @@ def _same(got, want, tol=1e-11):
     assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @settings(max_examples=25, deadline=None)
 @given(pd=PEARSON, lam=st.floats(0.1, 10.0), t=TIMES, frac=st.floats(-1.0, 0.9),
        m=st.integers(0, 4), n=st.integers(0, 4))

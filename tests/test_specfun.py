@@ -1,6 +1,7 @@
 """Special-function scalars against the mpmath reference implementation."""
 
 import math
+import warnings
 
 import mpmath as mp
 import pytest
@@ -96,6 +97,16 @@ def test_log_whittaker_w_where_the_factors_overflow(kappa, lam, x):
     # W ~ x^{1/2-lam}: x^{lam+1/2} and U leave double range long before W does
     want = float(mp.log(mp.whitw(kappa, lam, x)))
     assert log_whittaker_w(kappa, lam, x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa,lam,x", [(0.5925, 0.1125, 3.305), (0.9899, 0.5405, 0.542)])
+def test_log_whittaker_w_near_a_vanishing_euler_exponent(kappa, lam, x):
+    # a = lam - kappa + 1/2 is near 0: the t^{a-1} endpoint of the Euler
+    # integral must be handled without an IntegrationWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_whittaker_w(kappa, lam, x)
+    assert abs(got - float(mp.log(mp.whitw(kappa, lam, x)))) < 1e-13
 
 
 def test_whittaker_boundary_case_is_closed_form():
