@@ -234,18 +234,11 @@ def write_gnuplot(csv_path: str, tables, script_path: str) -> None:
 # oracle helpers (independent truncated-Fock routes)
 
 
-def _initial_coeffs(ctx, state) -> np.ndarray:
-    if isinstance(state, ob.Number):
-        c = np.zeros(state.n + 1, dtype=complex)
-        c[state.n] = 1.0
-        return c
-    # 1e-15 squared tail: the alpha observables amplify a coefficient
-    # truncation of size eps into an error of order sqrt(eps).
-    return ob.ladder_amplitudes(ctx, state, 0.0, tail=1e-15)
-
-
 def _oracle_amplitudes(ctx, state, t: float, N: int) -> np.ndarray:
-    c0 = _initial_coeffs(ctx, state)
+    # 1e-15 squared tail for a spectral label (other states are their exact
+    # vectors at t = 0): the alpha observables amplify a coefficient
+    # truncation of size eps into an error of order sqrt(eps).
+    c0 = ob.ladder_amplitudes(ctx, state, 0.0, tail=1e-15)
     if c0.size > N:
         raise CliError("truncation", f"state needs more than {N} oracle levels")
     v = np.zeros(N, dtype=complex)
@@ -521,8 +514,8 @@ def cmd_amplifier(cfg, args):
     basis = MultiModeBasis(2, max_local=trunc)
     HI = dense_matrix(sysm, "HI", basis)
     N0 = np.array([occ[0] for occ in basis.states], dtype=float)
-    c0 = ob._gaussian_coeffs(z0) if z0 != 0 else np.ones(1, complex)
-    c1 = ob._gaussian_coeffs(z1) if z1 != 0 else np.ones(1, complex)
+    c0 = ob._gaussian_coeffs(z0)
+    c1 = ob._gaussian_coeffs(z1)
     v0 = np.zeros(len(basis), dtype=complex)
     for i, occ in enumerate(basis.states):
         if occ[0] < c0.size and occ[1] < c1.size:

@@ -29,8 +29,7 @@ from typing import Union
 import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
-from .errors import ConvergenceError
-from .propagator import PropagatorContext, evolve, sigma_row
+from .propagator import PropagatorContext, evolve
 from .reduction import MultiModeSystem, Sector, beta_offsets
 
 __all__ = [
@@ -93,34 +92,33 @@ class Fock:
 QuantumState = Union[Number, GaussianCoherent, SpectralCoherent, Fock]
 
 
-def _gaussian_coeffs(zeta: complex, tail: float = 1e-14) -> np.ndarray:
-    """Number-basis coefficients of a Glauber state, squared tail < tail."""
+# squared norm a Glauber vector may leave out: its amplitudes stay below
+# rounding even after the square root that the alpha observables take
+_GAUSSIAN_TAIL = 1e-32
+
+
+def _gaussian_coeffs(zeta: complex) -> np.ndarray:
+    """Number-basis coefficients of a Glauber state, squared tail < 1e-32.
+
+    p_n = |c_n|^2 = e^{-r2} r2^n / n! is a Poisson weight.  Once n + 2 > r2
+    its term ratio r2/(k+1) falls for every k > n, so the squared tail past
+    c_n is at most p_{n+1} / (1 - r2/(n+2)); the vector ends at the first n
+    where that bound is below _GAUSSIAN_TAIL.  Since n! >= (n/e)^n, the
+    bound is below 2 e^{-(n+1)} once n + 1 >= e^2 r2, which puts that n
+    below e^2 r2 + log(2 / _GAUSSIAN_TAIL).
+    """
     zeta = complex(zeta)
     r2 = abs(zeta) ** 2
     if r2 == 0.0:
         return np.ones(1, dtype=complex)
-    theta = cmath.phase(zeta)
-    nmax = int(r2 + 12.0 * math.sqrt(r2 + 1.0) + 24.0)
-    while True:
-        n = np.arange(nmax + 1, dtype=float)
-        lg = np.array([lgamma(k + 1.0) for k in range(nmax + 1)])
-        logmag = -0.5 * r2 + 0.5 * n * math.log(r2) - 0.5 * lg
-        c = np.exp(logmag + 1j * theta * n)
-        if 1.0 - float(np.vdot(c, c).real) <= tail:
-            return c
-        if nmax > 100000:
-            raise ConvergenceError("Gaussian coefficient tail does not close")
-        nmax *= 2
-
-
-def _fock_coeffs(state: Fock) -> np.ndarray:
-    c = np.asarray(state.coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("Fock coefficients must form a nonempty vector")
-    nrm = float(np.linalg.norm(c))
-    if nrm == 0.0:
-        raise ValueError("Fock coefficients must be normalizable (nonzero)")
-    return c / nrm
+    size = int(math.e**2 * r2 + math.log(2.0 / _GAUSSIAN_TAIL)) + 2
+    n = np.arange(size, dtype=float)
+    lg = np.array([lgamma(k + 1.0) for k in range(size)])
+    logmag = -0.5 * r2 + 0.5 * n * math.log(r2) - 0.5 * lg
+    with np.errstate(divide="ignore"):  # +inf while the ratio is >= 1
+        bound = 2.0 * logmag[1:] - np.log1p(-np.minimum(r2 / (n[1:] + 1.0), 1.0))
+    nmax = int(np.argmax(bound <= math.log(_GAUSSIAN_TAIL)))
+    return np.exp(logmag[: nmax + 1] + 1j * cmath.phase(zeta) * n[: nmax + 1])
 
 
 def _check_level(n: int) -> int:
@@ -130,41 +128,47 @@ def _check_level(n: int) -> int:
     return n
 
 
+def _state_coeffs(state: QuantumState) -> np.ndarray:
+    """Number-basis coefficient vector of a state that has one explicitly.
+
+    |n> is the unit vector e_n; Glauber states and finite superpositions
+    are their (normalized) coefficients.  A spectral coherent label has no
+    finite vector and raises TypeError like any other non-ladder state.
+    """
+    if isinstance(state, Number):
+        c = np.zeros(_check_level(state.n) + 1, dtype=complex)
+        c[-1] = 1.0
+        return c
+    if isinstance(state, GaussianCoherent):
+        return _gaussian_coeffs(state.zeta)
+    if not isinstance(state, Fock):
+        raise TypeError(f"not a ladder state: {state!r}")
+    c = np.asarray(state.coeffs, dtype=complex)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("Fock coefficients must form a nonempty vector")
+    nrm = float(np.linalg.norm(c))
+    if nrm == 0.0:
+        raise ValueError("Fock coefficients must be normalizable (nonzero)")
+    return c / nrm
+
+
 def ladder_amplitudes(
     ctx: PropagatorContext, state: QuantumState, t: float, tail: float = 1e-13
 ) -> np.ndarray:
     """Coefficients g_k(t) of e^{-i H_I t}|state> in the number basis.
 
-    The returned vector has unit norm up to the requested squared tail;
-    its length adapts to where the amplitudes have decayed.
+    A spectral coherent label z moves to z + t, whose coefficients
+    :func:`.coherent_coeffs` gives to the squared tail ``tail``.  Every
+    other state is its coefficient vector (a number state |n> is e_n),
+    returned as it is at t = 0 and otherwise propagated by :func:`.evolve`,
+    whose output length adapts until the squared tail is below ``tail``.
     """
     t = float(t)
-    if isinstance(state, Number):
-        n = _check_level(state.n)
-        if t == 0.0:
-            g = np.zeros(n + 1, dtype=complex)
-            g[n] = 1.0
-            return g
-        kmax = n + 64
-        while True:
-            g = sigma_row(ctx, n, t, kmax)
-            if 1.0 - float(np.vdot(g, g).real) <= tail:
-                return g
-            if kmax >= 8192:
-                raise ConvergenceError(
-                    "number-state amplitudes do not close below level 8192"
-                )
-            kmax *= 2
     if isinstance(state, SpectralCoherent):
         z = complex(state.z)
         g = coherent_coeffs(ctx, z + t, tol=tail)
         return g / math.sqrt(squared_norm(ctx, z))
-    if isinstance(state, GaussianCoherent):
-        c = _gaussian_coeffs(state.zeta, tail=min(tail, 1e-14))
-    elif isinstance(state, Fock):
-        c = _fock_coeffs(state)
-    else:
-        raise TypeError(f"not a ladder state: {state!r}")
+    c = _state_coeffs(state)
     if t == 0.0:
         return c
     return evolve(ctx, c, t, tail=tail)
@@ -186,19 +190,13 @@ def _tridiagonal_mean(js, c: np.ndarray) -> float:
 def h_expectation(ctx: PropagatorContext, state: QuantumState) -> float:
     """Mean interaction energy <H_I>; conserved, so no time argument.
 
-    Number states give the recurrence diagonal h(n); a spectral coherent
-    label z gives the log-derivative closed form of :func:`.mean_energy`;
-    Gaussian and finite superpositions contract the tridiagonal matrix.
+    A spectral coherent label z gives the log-derivative closed form of
+    :func:`.mean_energy`; every other state contracts the tridiagonal
+    matrix with its coefficient vector (|n> gives the diagonal h(n)).
     """
-    if isinstance(state, Number):
-        return float(ctx.js.h(_check_level(state.n)))
     if isinstance(state, SpectralCoherent):
         return mean_energy(ctx, complex(state.z).imag)
-    if isinstance(state, GaussianCoherent):
-        return _tridiagonal_mean(ctx.js, _gaussian_coeffs(state.zeta))
-    if isinstance(state, Fock):
-        return _tridiagonal_mean(ctx.js, _fock_coeffs(state))
-    raise TypeError(f"not a ladder state: {state!r}")
+    return _tridiagonal_mean(ctx.js, _state_coeffs(state))
 
 
 def _occupation_series(g: np.ndarray, l: int) -> float:
@@ -344,10 +342,7 @@ def _alpha_moments_now(ctx, state, l: int) -> list:
     if isinstance(state, SpectralCoherent):
         z = complex(state.z)
         return [z**k for k in range(l + 1)]
-    if isinstance(state, GaussianCoherent):
-        c = _gaussian_coeffs(state.zeta)
-    else:
-        c = _fock_coeffs(state)
+    c = _state_coeffs(state)
     # alpha = i d/domega; in coefficient space each derivative is one
     # application of the exact triangular matrix above.
     D = derivative_matrix(ctx.js, c.size)

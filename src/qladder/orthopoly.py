@@ -205,7 +205,7 @@ class _Hermite(PearsonData):
         return np.exp((self.a1 * x**2 / 2.0 + self.a0 * x) / self.b0)
 
     def spread(self, t: float) -> int:
-        scale = math.sqrt(self.b0 * (-self.a1))
+        scale = math.sqrt(-self.b0 / self.a1)  # b(n) = scale * sqrt(n)
         return 32 + int(4.0 * t * (1.0 + scale) + 0.5 * (t * scale) ** 2)
 
     def quad_extra(self, z: complex) -> int:

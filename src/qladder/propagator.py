@@ -278,16 +278,12 @@ def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
     return sigma_mn_quad(ctx, m, n, z)
 
 
-def sigma_row(
-    ctx: PropagatorContext, n: int, t: float, kmax: int, N: int | None = None
-) -> np.ndarray:
+def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray:
     """Array of sigma_nk(t) for k = 0..kmax at real time t."""
     if n < 0 or kmax < 0:
         raise ValueError("indices must be nonnegative")
     t = float(t)
-    if N is None:
-        N = max(n, kmax) + 64 + ctx.pd.spread(abs(t))
-    N = max(N, max(n, kmax) + 1)
+    N = max(n, kmax) + 64 + ctx.pd.spread(abs(t))
     nodes, Q = _weighted_poly_matrix(ctx, N, max(n, kmax))
     f = np.exp(-1j * t * nodes) * Q[n]
     return Q[: kmax + 1] @ f
@@ -302,9 +298,13 @@ def evolve(
 ) -> np.ndarray:
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
-    The output length adapts until the unitarity deficit
+    The output keeps K + 1 levels, K = c.size + 64 + spread(t) at first,
+    on a rule of K + 64 nodes.  K doubles until the unitarity deficit
     ||c||^2 - ||out||^2 (nonnegative by construction, equal to the weight
     leaked past the kept rows) drops below ``tail`` relative to ||c||^2.
+    K is clamped to ``max_dim``; a first K above it raises
+    ConvergenceError at once, since a smaller rule would measure a
+    deficit it cannot resolve.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -314,10 +314,13 @@ def evolve(
     if nrm2 == 0.0:
         return np.zeros(c.size, dtype=complex)
     K = c.size + 64 + ctx.pd.spread(abs(t))
+    if K > max_dim:
+        raise ConvergenceError(
+            f"propagation needs {K} ladder levels at first, "
+            f"more than max_dim = {max_dim}"
+        )
     while True:
-        K = min(K, max_dim)
-        N = K + 64
-        nodes, Q = _weighted_poly_matrix(ctx, N, K)
+        nodes, Q = _weighted_poly_matrix(ctx, K + 64, K)
         f = np.exp(-1j * t * nodes) * (c @ Q[: c.size])
         out = Q @ f
         deficit = nrm2 - float(np.vdot(out, out).real)
@@ -328,7 +331,7 @@ def evolve(
                 f"propagation needs more than {max_dim} ladder levels "
                 f"(unitarity deficit {deficit:.3e})"
             )
-        K *= 2
+        K = min(2 * K, max_dim)
 
 
 def require_selfadjoint(js: JacobiSystem) -> None:

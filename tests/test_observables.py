@@ -28,18 +28,48 @@ from qladder.observables import (
     total_energy,
 )
 from qladder.orthopoly import JacobiSystem, hermite_data, laguerre_data
+import qladder.propagator as prop
 from qladder.propagator import PropagatorContext, build_context, sigma_row
 from qladder.reduction import MultiModeSystem, reduce
 
 HCTX = build_context(hermite_data())
 
 
-def test_number_amplitudes_are_propagator_rows(family_ctx):
-    g = ladder_amplitudes(family_ctx, Number(3), 0.9)
-    row = sigma_row(family_ctx, 3, 0.9, g.size - 1)
-    assert np.max(np.abs(g - row)) < 1e-12
+def test_number_amplitudes_are_propagator_rows(family_name, family_ctx):
+    # long times reach far rows: the Laguerre vacuum at t = 5 spreads over
+    # hundreds of levels
+    cases = {"laguerre": [(0, 5.0)], "hermite": [(3, 10.0)]}.get(family_name, [])
+    for n, t in [(3, 0.9)] + cases:
+        g = ladder_amplitudes(family_ctx, Number(n), t)
+        row = sigma_row(family_ctx, n, t, g.size - 1)
+        assert np.max(np.abs(g - row)) < 1e-12
     g0 = ladder_amplitudes(family_ctx, Number(2), 0.0)
     assert g0[2] == 1.0 and np.count_nonzero(g0) == 1
+
+
+def test_number_amplitudes_build_one_poly_matrix(monkeypatch):
+    # a number state is the vector e_n for evolve, sized once from spread(t),
+    # not a row whose length doubles with a new rule per attempt
+    ctx = build_context(laguerre_data(2.5))
+    calls = []
+    inner = prop._weighted_poly_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(prop, "_weighted_poly_matrix", counted)
+    g = ladder_amplitudes(ctx, Number(0), 5.0)
+    assert len(calls) == 1
+    assert 1.0 - np.vdot(g, g).real <= 1e-13
+
+
+def test_large_glauber_label_has_unit_norm():
+    # each c_n carries about |log c_n| * eps of rounding, so 1 - ||c||^2
+    # cannot test a 1e-14 tail at |zeta|^2 = 3600; the length comes from
+    # the Poisson tail bound instead
+    g = ladder_amplitudes(HCTX, GaussianCoherent(60), 0.0)
+    assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_number_state_energy(family_ctx):

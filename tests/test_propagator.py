@@ -144,6 +144,28 @@ def test_evolve_reports_truncation_failure(family_ctx):
         evolve(family_ctx, [1.0], 40.0, max_dim=8)
 
 
+def test_evolve_refuses_a_first_size_above_max_dim():
+    ctx = build_context(hermite_data())
+    # a 66-level clamp of a packet that needs hundreds of levels would
+    # measure its deficit on a rule far too small to see the leak
+    with pytest.raises(ConvergenceError, match="max_dim = 65"):
+        evolve(ctx, [1.0], 40.0, tail=1e-9, max_dim=65)
+    # a vector longer than max_dim + 1 must not reach the matrix product
+    with pytest.raises(ConvergenceError, match="max_dim = 16"):
+        evolve(ctx, np.ones(40) / np.sqrt(40), 0.5, max_dim=16)
+
+
+def test_hermite_rule_size_is_gauge_free():
+    # (a1, b0) and lambda * (a1, b0) give the same measure and ladder
+    # (variance -b0/a1 = 8), so the same row; at t = 5 its packet lies past
+    # level 60 and a rule sized at the smaller gauge misses it
+    rows = [
+        sigma_row(build_context(hermite_data(a1=a1, b0=b0)), 3, 5.0, 60)
+        for a1, b0 in ((-0.05, 0.4), (-1.0, 8.0))
+    ]
+    assert np.max(np.abs(rows[0] - rows[1])) < 1e-12
+
+
 def test_evolve_input_validation(family_ctx):
     with pytest.raises(ValueError):
         evolve(family_ctx, [], 1.0)
