@@ -9,9 +9,7 @@ with the fixed representative weight (``PearsonData.weight``)
 
 ``normalize`` picks C so the total mass is 1 (closed Gamma/Beta forms);
 ``gauss_rule`` produces the Gaussian quadrature of the measure from the
-truncated recurrence matrix (Golub-Welsch); ``analyticity_radius`` estimates
-the radius of the strip on which exp(y*omega) stays integrable, from the
-growth of the absolute moments.
+truncated recurrence matrix (Golub-Welsch).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal
 
 from .orthopoly import PearsonData, log_weight_mass, recurrence, scaled_sweep
@@ -31,9 +28,7 @@ __all__ = [
     "QuadratureRule",
     "normalize",
     "moment",
-    "absolute_moment",
     "gauss_rule",
-    "analyticity_radius",
 ]
 
 
@@ -83,6 +78,8 @@ def normalize(pd: PearsonData) -> SpectralMeasure:
 
 def _quad_measure(sm: SpectralMeasure, f) -> float:
     """Adaptive quadrature of f against the measure, split at omega = 0."""
+    from scipy.integrate import IntegrationWarning, quad  # slow import, used only here
+
     lo, hi = sm.pd.support
 
     def g(w):
@@ -107,13 +104,6 @@ def moment(sm: SpectralMeasure, k: int) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _quad_measure(sm, lambda w: w**k)
-
-
-def absolute_moment(sm: SpectralMeasure, k: int) -> float:
-    """k-th absolute moment int |omega|^k dsigma."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _quad_measure(sm, lambda w: abs(w) ** k)
 
 
 def _log_sum_poly_sq(b: np.ndarray, h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -156,31 +146,3 @@ def gauss_rule(sm: SpectralMeasure, N: int) -> QuadratureRule:
     logw = math.log(sm.mass) - _log_sum_poly_sq(b, h, nodes)
     return QuadratureRule(nodes=nodes, weights=np.exp(logw), log_weights=logw)
 
-
-def analyticity_radius(sm: SpectralMeasure, n_max: int = 60) -> float:
-    """Estimated radius R of the strip of analyticity of the transform.
-
-    Based on the growth law limsup |mu|_n^{1/n} / n = 1/(e*R): the sequence
-    a_n = |mu|_n^{1/n}/n is extrapolated linearly in 1/n over the last five
-    indices.  If the sequence is still decaying substantially between
-    n_max/2 and n_max (ratio < 0.8) it is treated as tending to 0 and R =
-    inf is reported.
-    """
-    if n_max < 4:
-        raise ValueError("n_max must be at least 4")
-
-    def a_of(n: int) -> float:
-        m = absolute_moment(sm, n)
-        return m ** (1.0 / n) / n
-
-    a_end = a_of(n_max)
-    a_mid = a_of(max(1, n_max // 2))
-    if a_mid > 0.0 and a_end / a_mid < 0.8:
-        return math.inf
-    ns = np.arange(n_max - 4, n_max + 1)
-    vals = np.array([a_of(int(n)) for n in ns])
-    coeffs = np.polyfit(1.0 / ns, vals, 1)
-    a_inf = coeffs[1]
-    if a_inf <= 0.0:
-        return math.inf
-    return 1.0 / (math.e * a_inf)

@@ -108,22 +108,23 @@ class JacobiSystem:
     """Three-term recurrence data of a ladder system.
 
     ``b(n)`` is the off-diagonal (b(0) = 0 always), ``h(n)`` the diagonal.
+    Both take a level or an integer array of levels and evaluate
+    elementwise, so ``arrays`` builds a whole ladder from one call of each.
     ``dim`` is math.inf for half-infinite ladders, an integer for finite
     sectors.  ``gamma0`` is the free-field frequency combination attached to
     the ladder by a multi-mode reduction; it is 0.0 for systems built
     directly from a Pearson family.
     """
 
-    b: Callable[[int], float]
-    h: Callable[[int], float]
+    b: Callable
+    h: Callable
     dim: float = math.inf
     gamma0: float = 0.0
 
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(b(0..n), h(0..n)) as float arrays, one call per coefficient."""
-        b = np.array([self.b(k) for k in range(n + 1)], dtype=float)
-        h = np.array([self.h(k) for k in range(n + 1)], dtype=float)
-        return b, h
+        """(b(0..n), h(0..n)) as float arrays, from one call of each function."""
+        k = np.arange(n + 1)
+        return np.asarray(self.b(k), dtype=float), np.asarray(self.h(k), dtype=float)
 
 
 def _sum_exp(logs) -> complex:
@@ -178,17 +179,11 @@ class _Hermite(PearsonData):
     family = HERMITE
     closed_max_degree = 24
 
-    def ladder(self):
-        scale = math.sqrt(-self.b0 / self.a1)
-        shift = -self.a0 / self.a1
+    def ladder_b(self, n):
+        return math.sqrt(-self.b0 / self.a1) * np.sqrt(n)
 
-        def b(n: int) -> float:
-            return scale * math.sqrt(n) if n >= 1 else 0.0
-
-        def h(n: int) -> float:
-            return shift
-
-        return b, h
+    def ladder_h(self, n):
+        return np.full(np.shape(n), -self.a0 / self.a1)[()]
 
     def log_mass(self) -> float:
         return -self.a0**2 / (2.0 * self.a1 * self.b0) + 0.5 * math.log(
@@ -279,18 +274,13 @@ class _Laguerre(PearsonData):
         mu = (self.a0 * self.b1 - self.b0 * self.a1) / self.b1**2
         self.__dict__.update(mu=mu, gamma=gamma, beta=self.b0 / self.b1, strip_edge=0.5 * gamma)
 
-    def ladder(self):
-        mu = self.mu
+    def ladder_b(self, n):
         s = -self.b1 / self.a1
-        shift = -self.beta
+        return np.where(n >= 1, s * np.sqrt(n * (n + self.mu - 1.0)), 0.0)[()]
 
-        def b(n: int) -> float:
-            return s * math.sqrt(n * (n + mu - 1.0)) if n >= 1 else 0.0
-
-        def h(n: int) -> float:
-            return s * (2.0 * n + mu) + shift
-
-        return b, h
+    def ladder_h(self, n):
+        s = -self.b1 / self.a1
+        return s * (2.0 * n + self.mu) - self.beta
 
     def log_mass(self) -> float:
         return self.gamma * self.beta + ln_gamma(self.mu) - self.mu * math.log(self.gamma)
@@ -410,44 +400,38 @@ class _Jacobi(PearsonData):
         nu = (b * self.a1 + self.a0) / (b2f * (a - b))
         self.__dict__.update(b2_factored=b2f, mu=mu, nu=nu)
 
-    def ladder(self):
+    def ladder_b(self, n):
         a, bb = self.support
         mu, nu = self.mu, self.nu
-        width = bb - a
         s = mu + nu
+        n = np.asarray(n)  # a Python float would raise ZeroDivisionError at 0/0
+        s2n = s + 2.0 * n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den_pair = s2n - 3.0
+            # limit of (s+n-2)/(s+2n-3) as s -> 1 at n = 1
+            ratio = np.where((n == 1) & (abs(den_pair) < 1e-12), 1.0, (s + n - 2.0) / den_pair)
+            val = n * (mu + n - 1.0) * (nu + n - 1.0) * ratio / (np.square(s2n - 2.0) * (s2n - 1.0))
+            return np.where(n >= 1, (bb - a) * np.sqrt(val), 0.0)[()]
 
-        def b(n: int) -> float:
-            if n < 1:
-                return 0.0
-            num_pair = s + n - 2.0
-            den_pair = s + 2.0 * n - 3.0
-            if n == 1 and abs(den_pair) < 1e-12:
-                ratio = 1.0  # limit of (s+n-2)/(s+2n-3) as s -> 1 at n = 1
-            else:
-                ratio = num_pair / den_pair
-            val = (
-                n * (mu + n - 1.0) * (nu + n - 1.0) * ratio
-                / ((s + 2.0 * n - 2.0) ** 2 * (s + 2.0 * n - 1.0))
-            )
-            return width * math.sqrt(val)
-
-        def h(n: int) -> float:
-            if n == 0:
-                # the closed form below is 0/0 at n = 0 when mu+nu = 2;
-                # h(0) is just the mean of the Beta-type weight
-                return a + width * mu / s
-            num = (
-                2.0 * n * (a + bb) * (s - 1.0)
-                + 2.0 * n * n * (a + bb)
-                - 2.0 * bb * mu
-                - 2.0 * a * nu
-                + mu * nu * (a + bb)
-                + bb * mu * mu
-                + a * nu * nu
-            )
-            return num / ((s + 2.0 * n - 2.0) * (s + 2.0 * n))
-
-        return b, h
+    def ladder_h(self, n):
+        a, bb = self.support
+        mu, nu = self.mu, self.nu
+        s = mu + nu
+        n = np.asarray(n)
+        n2 = 2.0 * n
+        num = (
+            n2 * (a + bb) * (s - 1.0)
+            + n2 * n * (a + bb)
+            - 2.0 * bb * mu
+            - 2.0 * a * nu
+            + mu * nu * (a + bb)
+            + bb * mu * mu
+            + a * nu * nu
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the closed form is 0/0 at n = 0 when mu+nu = 2; h(0) is just
+            # the mean of the Beta-type weight
+            return np.where(n == 0, a + (bb - a) * mu / s, num / ((s + n2 - 2.0) * (s + n2)))[()]
 
     def log_mass(self) -> float:
         a, b = self.support
@@ -581,14 +565,14 @@ class _Jacobi(PearsonData):
                 + (3.0 - mu - nu) * math.log(b - a)
             )
             return math.exp(lg)
-        if y > 0.0:
-            kappa, edge = 0.5 * (nu - mu), nu
-        else:
-            kappa, edge = 0.5 * (mu - nu), mu
+        edge, other = (nu, mu) if y > 0.0 else (mu, nu)
         if edge == 1.0:
             # the one-sided kernel on this side is a point mass at y = 0
             return 0.0
-        lam = 0.5 * (mu + nu - 3.0)
+        # grouped so that other = 1 gives lam - kappa + 1/2 = 0 exactly,
+        # the closed Whittaker case, and not -eps
+        kappa = 0.5 * (edge - other)
+        lam = 0.5 * ((edge - 3.0) + other)
         x = 2.0 * (b - a) * abs(y)
         lw = log_whittaker_w(kappa, lam, x)
         lg = (
@@ -728,11 +712,10 @@ def recurrence(pd: PearsonData) -> JacobiSystem:
     """Three-term recurrence (b, h) of the orthonormal system of ``pd``.
 
     b(0) is forced to 0; removable 0/0 points of the Jacobi closed form
-    (mu = nu = 1/2 at n = 1, mu = nu = 3/2 at n = 0) are handled by taking
+    (mu + nu = 1 at n = 1, mu + nu = 2 and 3 at n = 0) are handled by taking
     the limit of the cancelled factor pair.
     """
-    b, h = pd.ladder()
-    return JacobiSystem(b=b, h=h, dim=math.inf, gamma0=0.0)
+    return JacobiSystem(b=pd.ladder_b, h=pd.ladder_h)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -790,14 +773,15 @@ def eval_poly_table(js: JacobiSystem, nmax: int, omega: float,
     out[0, 0] = 1.0
     if nmax == 0:
         return out
+    b, h = js.arrays(nmax)
     prev = out[0].copy()
     prevprev = np.zeros(derivatives + 1)
     for n in range(nmax):
-        bn1 = js.b(n + 1)
+        bn1 = b[n + 1]
         cur = np.empty(derivatives + 1)
-        x = omega - js.h(n)
+        x = omega - h[n]
         for d in range(derivatives + 1):
-            v = x * prev[d] - js.b(n) * prevprev[d]
+            v = x * prev[d] - b[n] * prevprev[d]
             if d > 0:
                 v += d * prev[d - 1]
             cur[d] = v / bn1

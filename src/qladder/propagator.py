@@ -154,6 +154,11 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     return nodes, Q
 
 
+def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Q @ f for real Q and complex f, without a complex copy of Q."""
+    return (Q @ np.stack((f.real, f.imag), axis=-1)).view(complex)[:, 0]
+
+
 def _log_poly_rows(ctx: PropagatorContext, N: int, rows):
     """log magnitudes and signs of selected orthonormal polynomial rows.
 
@@ -230,10 +235,13 @@ def sigma_mn_quad(
 ) -> complex:
     """sigma_mn by Gauss quadrature in the spectral measure.
 
-    Machine accurate for real arguments and for Im z within the
-    square-integrable strip.  On a Laguerre pair with Im z close to the
-    transform boundary the oscillatory sum is exponentially ill conditioned
-    and the closed form should be preferred (``sigma_mn`` routes this way).
+    The sum is assembled per node in log space: for complex z the integrand
+    grows against the measure, so far nodes (whose sqrt-weights underflow in
+    the damped matrix of ``sigma_row``) can carry the entire mass.  Machine
+    accurate for real arguments and for Im z within the square-integrable
+    strip.  On a Laguerre pair with Im z close to the transform boundary the
+    oscillatory sum is exponentially ill conditioned and the closed form
+    should be preferred (``sigma_mn`` routes this way).
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -242,12 +250,6 @@ def sigma_mn_quad(
     if N is None:
         N = m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z)
         N = min(N, 6144)
-    if z.imag == 0.0:
-        nodes, Q = _weighted_poly_matrix(ctx, N, max(m, n))
-        return complex(np.sum(np.exp(-1j * z.real * nodes) * Q[m] * Q[n]))
-    # complex argument: the integrand grows against the measure, so far
-    # nodes (whose sqrt-weights underflow in the damped matrix) can carry
-    # the entire mass; assemble per node fully in log space instead
     nodes, logw, table = _log_poly_rows(ctx, N, (m, n))
     lam, sm_ = table[m]
     lan, sn_ = table[n]
@@ -286,7 +288,7 @@ def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray
     N = max(n, kmax) + 64 + ctx.pd.spread(abs(t))
     nodes, Q = _weighted_poly_matrix(ctx, N, max(n, kmax))
     f = np.exp(-1j * t * nodes) * Q[n]
-    return Q[: kmax + 1] @ f
+    return _real_matvec(Q[: kmax + 1], f)
 
 
 def evolve(
@@ -321,8 +323,8 @@ def evolve(
         )
     while True:
         nodes, Q = _weighted_poly_matrix(ctx, K + 64, K)
-        f = np.exp(-1j * t * nodes) * (c @ Q[: c.size])
-        out = Q @ f
+        f = np.exp(-1j * t * nodes) * _real_matvec(Q[: c.size].T, c)
+        out = _real_matvec(Q, f)
         deficit = nrm2 - float(np.vdot(out, out).real)
         if deficit <= tail * nrm2:
             return out

@@ -222,7 +222,10 @@ def reduce(sys: MultiModeSystem, start) -> tuple[JacobiSystem, Sector]:
         return sys.h_at(occupation_on_ladder(sector, lvec, n))
 
     gamma0 = float(np.dot(np.asarray(sys.omega), np.asarray(lvec, dtype=float)))
-    return JacobiSystem(b=b, h=h, dim=dim, gamma0=gamma0), sector
+    # JacobiSystem takes level arrays; the occupation maps stay per level
+    js = JacobiSystem(b=np.vectorize(b, otypes=[float]), h=np.vectorize(h, otypes=[float]),
+                      dim=dim, gamma0=gamma0)
+    return js, sector
 
 
 def beta_offsets(sys: MultiModeSystem, sector: Sector) -> np.ndarray:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from .errors import ConvergenceError, DivergenceError, Unsupported
 
 __all__ = [
@@ -143,6 +141,8 @@ def _euler_head(a: float, b: float, x: float) -> float:
     # tau = min(1, 1/x): tau^a/a + int_0^tau t^{a-1} expm1(-xt + (b-a-1) log1p t),
     # an integrand vanishing like t^a.  Up to t = 1/x the exponential has not
     # decayed, so this cancels no digits; [tau, 1] is regular.
+    from scipy.integrate import quad  # slow to import; only W needs it
+
     if a >= 1.0:
         return quad(_euler_integrand, 0.0, 1.0, args=(a, b, x),
                     epsabs=0.0, epsrel=1e-13, limit=300)[0]
@@ -164,6 +164,8 @@ def _hyperu_integral(a: float, b: float, x: float) -> float:
     # valid for a > 0, x > 0.  Split at t = 1: the [0,1] piece carries the
     # t^{a-1} endpoint singularity (``_euler_head``), the tail decays like
     # e^{-xt} t^{b-2}.
+    from scipy.integrate import quad  # slow to import; only W needs it
+
     i1 = _euler_head(a, b, x)
     i2 = quad(_euler_integrand, 1.0, math.inf, args=(a, b, x),
               epsabs=0.0, epsrel=1e-13, limit=300)[0]
@@ -174,6 +176,8 @@ def _log_hyperu_small(a: float, b: float, x: float) -> float:
     # log U(a,b,x) for 0 < x < _SMALL_X.  The tail of the Euler integral then
     # reaches out to t ~ 1/x, beyond what QAGS resolves on [1, inf); in
     # s = log(x t) it is a smooth bump times x^{1-b}, combined in logs.
+    from scipy.integrate import quad  # slow to import; only W needs it
+
     lgx = math.log(x)
 
     def bump(s):  # log(u + x) with u = e^s, free of subnormal rounding

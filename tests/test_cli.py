@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -265,3 +268,11 @@ def test_unknown_family_kind_is_exit_2(tmp_path):
     code, out, err = run_cli(["spectrum", "--config", cfgp])
     assert code == 2
     assert json.loads(err)["error"] == "config-field"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, qladder.cli; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qladder.measure import analyticity_radius, gauss_rule, moment, normalize
+from qladder.measure import gauss_rule, moment, normalize
 from qladder.orthopoly import (
     eval_poly_table,
     hermite_data,
@@ -137,12 +137,3 @@ def test_gauss_rule_rejects_empty():
     with pytest.raises(ValueError):
         gauss_rule(normalize(laguerre_data(1.0)), 0)
 
-
-def test_analyticity_radius_by_family():
-    from qladder.orthopoly import hermite_data
-
-    assert analyticity_radius(normalize(hermite_data())) == math.inf
-    assert analyticity_radius(normalize(jacobi_data(-1, 1, 2, 1.5))) == math.inf
-    # Laguerre transform has a pole at y = gamma = 1
-    r = analyticity_radius(normalize(laguerre_data(2.5)))
-    assert r == pytest.approx(1.0, abs=0.1)

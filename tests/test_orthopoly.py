@@ -6,9 +6,13 @@ into a Hankel Gram matrix, and the orthonormal polynomials extracted by
 Cholesky factorization.  No code from this package was involved.
 """
 
+import dataclasses
 import math
+import warnings
+from collections import Counter
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from qladder.orthopoly import (
@@ -28,6 +32,7 @@ from qladder.orthopoly import (
     rodrigues_constant,
     strong_field,
 )
+from qladder.reduction import MultiModeSystem, reduce
 
 # weight exp(-x^2) on R
 _HERMITE_B = [
@@ -188,3 +193,46 @@ def test_strong_field_members():
     for n in range(1, 8):
         assert js.h(n) == pytest.approx((1.7 - 0.3) / 2, abs=1e-13)
         assert js.b(n) == pytest.approx((1.7 + 0.3) / 4, abs=1e-13)
+
+
+_LADDERS = {
+    "hermite": lambda: recurrence(hermite_data()),
+    "laguerre": lambda: recurrence(laguerre_data(2.5)),
+    "jacobi": lambda: recurrence(jacobi_data(-1.0, 1.0, 2.0, 1.5)),
+    # removable points: mu + nu = 1 at n = 1, mu + nu = 2 and 3 at n = 0
+    "jacobi_s1": lambda: recurrence(jacobi_data(-1.0, 1.0, 0.5, 0.5)),
+    "jacobi_s2": lambda: recurrence(jacobi_data(-1.0, 1.0, 0.7, 1.3)),
+    "jacobi_s3": lambda: recurrence(jacobi_data(-1.0, 1.0, 1.5, 1.5)),
+    "amplifier": lambda: reduce(MultiModeSystem(omega=(1.3, 0.7), l=(1, 1), g=-1j), (2, 0))[0],
+    "up_converter": lambda: reduce(MultiModeSystem(omega=(2.0, 1.0), l=(-1, 1), g=1.0), (4, 1))[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LADDERS))
+def test_ladder_arrays_are_the_scalar_coefficients(name):
+    js = _LADDERS[name]()
+    n = 200 if js.dim == math.inf else int(js.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b, h = js.arrays(n)
+        np.testing.assert_array_equal(b, [js.b(k) for k in range(n + 1)])
+        np.testing.assert_array_equal(h, [js.h(k) for k in range(n + 1)])
+    assert b[0] == 0.0 and np.all(b[1:n] > 0.0)
+
+
+@pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi"])
+def test_ladder_arrays_call_each_coefficient_function_once(name):
+    calls = Counter()
+
+    def counted(f, key):
+        def wrapper(n):
+            calls[key] += 1
+            return f(n)
+
+        return wrapper
+
+    js = _LADDERS[name]()
+    js = dataclasses.replace(js, b=counted(js.b, "b"), h=counted(js.h, "h"))
+    b, h = js.arrays(200)
+    assert b.shape == h.shape == (201,)
+    assert calls == {"b": 1, "h": 1}

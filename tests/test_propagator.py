@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from qladder.errors import ConvergenceError, StripError, Unsupported
 from qladder.fockoracle import expm_evolve, truncated_h
 from qladder.orthopoly import JacobiSystem, hermite_data, jacobi_data, laguerre_data
 from qladder.propagator import (
+    _weighted_poly_matrix,
     build_context,
     char_fn,
     evolve,
@@ -220,3 +222,18 @@ def test_selfadjointness_certificate():
         require_selfadjoint(js_fast)
     finite = JacobiSystem(b=lambda n: 1.0, h=lambda n: 0.0, dim=5)
     require_selfadjoint(finite)  # finite matrices are always fine
+
+
+def test_warm_evolve_makes_no_complex_copy_of_the_poly_matrix():
+    ctx = build_context(laguerre_data(2.5))
+    out = evolve(ctx, [1.0], 2.0)  # cold: builds and caches the matrix
+    _, Q = _weighted_poly_matrix(ctx, out.size + 63, out.size - 1)
+    assert Q.shape[0] == out.size
+    tracemalloc.start()
+    try:
+        again = evolve(ctx, [1.0], 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(again, out)
+    assert peak < Q.nbytes / 4

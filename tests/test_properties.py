@@ -9,7 +9,7 @@ Laguerre weights (a0, resp. b0, in [-1, 1]).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qladder.coherent import mean_energy, omega_density, reproducing_density
 from qladder.errors import Unsupported
@@ -89,6 +89,8 @@ def _same(got, want, tol=1e-11):
 @settings(max_examples=25, deadline=None)
 @given(pd=PEARSON, lam=st.floats(0.1, 10.0), t=TIMES, frac=st.floats(-1.0, 0.9),
        m=st.integers(0, 4), n=st.integers(0, 4))
+# nu = 1: the y < 0 Whittaker parameter lam - kappa + 1/2 is exactly 0
+@example(pd=jacobi_data(-1.0, 1.0, 3.085886577694774, 1.0), lam=4.25, t=1.0, frac=-1.0, m=0, n=0)
 def test_closed_forms_are_gauge_invariant(pd, lam, t, frac, m, n):
     # (A, B) -> lam (A, B) leaves the Pearson equation, so the normalized
     # measure and everything built on it, unchanged; a closed form that uses
