@@ -28,6 +28,8 @@ import io
 import json
 import math
 import sys
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,8 +49,7 @@ class CliError(Exception):
 
     def __init__(self, code: str, detail: str):
         super().__init__(detail)
-        self.code = code
-        self.detail = detail
+        self.code, self.detail = code, detail
 
 
 # ----------------------------------------------------------------------
@@ -68,10 +69,8 @@ def load_config(path: str) -> configparser.ConfigParser:
         raise CliError("config-schema", f"{path}: missing [scenario] section")
     ver = cfg.get("scenario", "schema_version", fallback=None)
     if ver != str(SCHEMA_VERSION):
-        raise CliError(
-            "config-schema",
-            f"{path}: [scenario] schema_version must be {SCHEMA_VERSION}, got {ver!r}",
-        )
+        raise CliError("config-schema",
+                       f"{path}: [scenario] schema_version must be {SCHEMA_VERSION}, got {ver!r}")
     return cfg
 
 
@@ -101,42 +100,48 @@ def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.split(","))
 
 
+def _pairs(raw: str) -> list[tuple[int, ...]]:
+    pairs = [tuple(ob._check_level(x) for x in tok.split(":")) for tok in raw.split(",")]
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError("pairs must be m:n")
+    return pairs
+
+
+def _complexes(raw: str) -> list[complex]:
+    coeffs = [_complex(tok) for tok in raw.split(",")]
+    if not any(coeffs):
+        raise ValueError("all coefficients are zero")
+    return coeffs
+
+
+# kind -> (constructor, required keys, optional keys); the optional keys
+# are passed only when the config sets them, so their defaults stay with
+# the constructors.  A raw Pearson pair has no defaults of its own.
+_FAMILIES = {
+    "hermite": (hermite_data, (), ("a1", "a0", "b0")),
+    "laguerre": (laguerre_data, ("mu",), ("a1", "b1", "b0")),
+    "jacobi": (jacobi_data, ("a", "b", "mu", "nu"), ("scale",)),
+    "legendre": (legendre_data, (), ()),
+}
+
+
 def family_from(cfg) -> "PearsonData":
     if not cfg.has_section("family"):
         raise CliError("config-field", "missing [family] section")
     kind = _get(cfg, "family", "kind", str, required=True).lower()
-    if kind == "hermite":
-        return hermite_data(
-            a1=_get(cfg, "family", "a1", float, -2.0),
-            a0=_get(cfg, "family", "a0", float, 0.0),
-            b0=_get(cfg, "family", "b0", float, 1.0),
-        )
-    if kind == "laguerre":
-        return laguerre_data(
-            _get(cfg, "family", "mu", float, required=True),
-            a1=_get(cfg, "family", "a1", float, -1.0),
-            b1=_get(cfg, "family", "b1", float, 1.0),
-            b0=_get(cfg, "family", "b0", float, 0.0),
-        )
-    if kind == "jacobi":
-        return jacobi_data(
-            _get(cfg, "family", "a", float, required=True),
-            _get(cfg, "family", "b", float, required=True),
-            _get(cfg, "family", "mu", float, required=True),
-            _get(cfg, "family", "nu", float, required=True),
-            scale=_get(cfg, "family", "scale", float, 1.0),
-        )
-    if kind == "legendre":
-        return legendre_data()
     if kind == "pearson":
-        return classify(
-            _get(cfg, "family", "a0", float, 0.0),
-            _get(cfg, "family", "a1", float, 0.0),
-            _get(cfg, "family", "b0", float, 0.0),
-            _get(cfg, "family", "b1", float, 0.0),
-            _get(cfg, "family", "b2", float, 0.0),
-        )
-    raise CliError("config-field", f"unknown [family] kind {kind!r}")
+        ctor, kw = classify, {}
+        pos = [_get(cfg, "family", k, float, 0.0) for k in ("a0", "a1", "b0", "b1", "b2")]
+    elif kind in _FAMILIES:
+        ctor, required, optional = _FAMILIES[kind]
+        pos = [_get(cfg, "family", k, float, required=True) for k in required]
+        kw = {k: _get(cfg, "family", k, float) for k in optional if cfg.has_option("family", k)}
+    else:
+        raise CliError("config-field", f"unknown [family] kind {kind!r}")
+    try:
+        return ctor(*pos, **kw)
+    except ValueError as exc:
+        raise CliError("config-field", f"[family]: {exc}") from exc
 
 
 def state_from(cfg) -> ob.QuantumState:
@@ -144,14 +149,13 @@ def state_from(cfg) -> ob.QuantumState:
         raise CliError("config-field", "missing [state] section")
     kind = _get(cfg, "state", "kind", str, required=True).lower()
     if kind == "number":
-        return ob.Number(_get(cfg, "state", "n", int, required=True))
+        return ob.Number(_get(cfg, "state", "n", ob._check_level, required=True))
     if kind == "gaussian":
         return ob.GaussianCoherent(_get(cfg, "state", "zeta", _complex, required=True))
     if kind == "spectral":
         return ob.SpectralCoherent(_get(cfg, "state", "z", _complex, required=True))
     if kind == "fock":
-        raw = _get(cfg, "state", "coeffs", str, required=True)
-        return ob.Fock([_complex(tok) for tok in raw.split(",")])
+        return ob.Fock(_get(cfg, "state", "coeffs", _complexes, required=True))
     raise CliError("config-field", f"unknown [state] kind {kind!r}")
 
 
@@ -184,13 +188,26 @@ def multimode_from(cfg) -> tuple[MultiModeSystem, tuple[int, ...]]:
 
 
 def tolerance(cfg, args, key: str, default: float) -> float:
-    if args.tol is not None:
-        return float(args.tol)
-    return _get(cfg, "tolerances", key, float, default) if cfg.has_section("tolerances") else default
+    return float(args.tol) if args.tol is not None else _get(cfg, "tolerances", key, float, default)
+
+
+def _check(name: str, worst: float, tol: float) -> dict:
+    return {"name": name, "worst": worst, "tol": tol, "passed": worst <= tol}
+
+
+def _truncation(cfg, args, section: str, default: int) -> int:
+    n = args.truncation or _get(cfg, section, "truncation", int, default)
+    if n < 1:
+        raise CliError("config-field", f"oracle truncation must be >= 1, got {n}")
+    return n
 
 
 # ----------------------------------------------------------------------
 # output assembly
+
+
+def _table(name: str, columns: list, rows: list) -> dict:
+    return {"name": name, "columns": columns, "rows": rows}
 
 
 def _fmt(value, mode: str) -> str:
@@ -210,12 +227,7 @@ def write_csv(tables, stream, mode: str) -> None:
 
 
 def write_json(command, tables, checks, stream) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "tables": tables,
-        "checks": checks,
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, "tables": tables, "checks": checks}
     json.dump(doc, stream, indent=1, sort_keys=True)
     stream.write("\n")
 
@@ -231,60 +243,80 @@ def write_gnuplot(csv_path: str, tables, script_path: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# oracle helpers (independent truncated-Fock routes)
+# oracle and observables
 
 
-def _oracle_amplitudes(ctx, state, t: float, N: int) -> np.ndarray:
-    # 1e-15 squared tail for a spectral label (other states are their exact
-    # vectors at t = 0): the alpha observables amplify a coefficient
-    # truncation of size eps into an error of order sqrt(eps).
-    c0 = ob.ladder_amplitudes(ctx, state, 0.0, tail=1e-15)
-    if c0.size > N:
-        raise CliError("truncation", f"state needs more than {N} oracle levels")
-    v = np.zeros(N, dtype=complex)
-    v[: c0.size] = c0
-    return expm_evolve(truncated_h(ctx.js, N), t, v)
+class _Oracle:
+    """Independent truncated-Fock route of one request, built once."""
+
+    def __init__(self, ctx, N: int):
+        self.ctx, self.N, self.op = ctx, N, truncated_h(ctx.js, N)
+
+    def start(self, state) -> np.ndarray:
+        # 1e-15 squared tail for a spectral label (other states are their
+        # exact vectors at t = 0): the alpha observables amplify a
+        # coefficient truncation of size eps into an error of order sqrt(eps).
+        c0 = ob.ladder_amplitudes(self.ctx, state, 0.0, tail=1e-15)
+        if c0.size > self.N:
+            raise CliError("truncation", f"state needs more than {self.N} oracle levels")
+        return np.pad(c0, (0, self.N - c0.size))
+
+    @cached_property
+    def derivative(self) -> np.ndarray:
+        return ob.derivative_matrix(self.ctx.js, self.N)
+
+    def alpha_series(self, g: np.ndarray, l: int) -> list:
+        """<alpha^k>, k = 0..l, on the normalized oracle amplitudes g."""
+        return ob._alpha_series(self.derivative, g / float(np.linalg.norm(g)), l)
 
 
-def _oracle_value(ctx, g: np.ndarray, spec_name: str, picture: str, t: float):
-    """Evaluate one observable directly on evolved oracle amplitudes."""
-    name, *idx = spec_name.split(":")
-    if name == "number_moment":
-        return ob._occupation_series(g, int(idx[0]))
-    if name == "h_expectation":
-        return ob._tridiagonal_mean(ctx.js, g)
-    if name == "correlation":
-        return ob._correlation_series(g, int(idx[0]), int(idx[1]))
-    if name == "cluster_correlation":
-        return ob._cluster_series(ctx.js, g, int(idx[0]), int(idx[1]), t, picture)
-    if name == "alpha_moment":
-        return ob.alpha_moment(ctx, ob.Fock(g), int(idx[0]), 0.0)
-    if name == "alpha_dispersion":
-        return ob.alpha_dispersion(ctx, ob.Fock(g), 0.0)
-    if name == "total_energy":
-        return ctx.js.gamma0 * ob._occupation_series(g, 1) + ob._tridiagonal_mean(ctx.js, g)
-    raise CliError("config-field", f"unknown observable {spec_name!r}")
+class _Observable(NamedTuple):
+    nidx: int  # number of ":"-separated indices after the name
+    lowest: int  # smallest admissible index
+    is_complex: bool
+    series: Callable  # (ctx, state, idx, t, picture) -> library value
+    oracle: Callable  # (_Oracle, amplitudes, idx, t, picture) -> oracle value
 
 
-def _series_value(ctx, state, spec_name: str, picture: str, t: float):
-    name, *idx = spec_name.split(":")
-    if name == "number_moment":
-        return ob.number_moment(ctx, state, int(idx[0]), t)
-    if name == "h_expectation":
-        return ob.h_expectation(ctx, state)
-    if name == "correlation":
-        return ob.correlation(ctx, state, int(idx[0]), int(idx[1]), t)
-    if name == "cluster_correlation":
-        return ob.cluster_correlation(
-            ctx, state, int(idx[0]), int(idx[1]), t, picture=picture
-        )
-    if name == "alpha_moment":
-        return ob.alpha_moment(ctx, state, int(idx[0]), t)
-    if name == "alpha_dispersion":
-        return ob.alpha_dispersion(ctx, state, t)
-    if name == "total_energy":
-        return ob.total_energy(ctx, state, t)
-    raise CliError("config-field", f"unknown observable {spec_name!r}")
+_OBSERVABLES = {
+    "number_moment": _Observable(1, 1, False,
+        lambda ctx, st, i, t, p: ob.number_moment(ctx, st, i[0], t),
+        lambda o, g, i, t, p: ob._occupation_series(g, i[0])),
+    "h_expectation": _Observable(0, 0, False,
+        lambda ctx, st, i, t, p: ob.h_expectation(ctx, st),
+        lambda o, g, i, t, p: ob._tridiagonal_mean(o.ctx.js, g)),
+    "correlation": _Observable(2, 0, True,
+        lambda ctx, st, i, t, p: ob.correlation(ctx, st, *i, t),
+        lambda o, g, i, t, p: ob._correlation_series(g, *i)),
+    "cluster_correlation": _Observable(2, 0, True,
+        lambda ctx, st, i, t, p: ob.cluster_correlation(ctx, st, *i, t, picture=p),
+        lambda o, g, i, t, p: ob._cluster_series(o.ctx.js, g, *i, t, p)),
+    # the oracle evolves the amplitudes, so its alpha law is taken at t = 0
+    "alpha_moment": _Observable(1, 1, True,
+        lambda ctx, st, i, t, p: ob.alpha_moment(ctx, st, i[0], t),
+        lambda o, g, i, t, p: ob._alpha_law(o.alpha_series(g, i[0]), i[0], 0.0)),
+    "alpha_dispersion": _Observable(0, 0, True,
+        lambda ctx, st, i, t, p: ob.alpha_dispersion(ctx, st, t),
+        lambda o, g, i, t, p: ob._alpha_spread(o.alpha_series(g, 2), 0.0)),
+    "total_energy": _Observable(0, 0, False,
+        lambda ctx, st, i, t, p: ob.total_energy(ctx, st, t),
+        lambda o, g, i, t, p: o.ctx.js.gamma0 * ob._occupation_series(g, 1)
+        + ob._tridiagonal_mean(o.ctx.js, g)),
+}
+
+
+def _observables(raw: str) -> list[tuple[str, _Observable, tuple[int, ...]]]:
+    """Parse ``name[:i[:j]]`` specs into (spec, table entry, indices)."""
+    specs = []
+    for spec in filter(None, (tok.strip() for tok in raw.split(","))):
+        name, *idx = spec.split(":")
+        if name not in _OBSERVABLES:
+            raise ValueError(f"unknown observable {spec!r}")
+        obs, idx = _OBSERVABLES[name], tuple(int(i) for i in idx)
+        if len(idx) != obs.nidx or any(i < obs.lowest for i in idx):
+            raise ValueError(f"{name} needs {obs.nidx} index(es) >= {obs.lowest}, got {spec!r}")
+        specs.append((spec, obs, idx))
+    return specs
 
 
 # ----------------------------------------------------------------------
@@ -302,35 +334,27 @@ def cmd_spectrum(cfg, args):
         raise CliError("config-field", "[spectrum] needs omega_max > omega_min, points >= 2")
     omegas = np.linspace(lo, hi, points)
     rho = sm.density(omegas)
-    density = {
-        "name": "density",
-        "columns": ["omega(dimensionless,hbar=1)", "rho"],
-        "rows": [[float(w), float(r)] for w, r in zip(omegas, rho)],
-    }
-    moments = {
-        "name": "moments",
-        "columns": ["k", "moment_k"],
-        "rows": [[k, moment(sm, k)] for k in range(n_mom + 1)],
-    }
-    return [density, moments], []
+    density = [[float(w), float(r)] for w, r in zip(omegas, rho)]
+    moments = [[k, moment(sm, k)] for k in range(n_mom + 1)]
+    return [_table("density", ["omega(dimensionless,hbar=1)", "rho"], density),
+            _table("moments", ["k", "moment_k"], moments)], []
 
 
-def _parse_pairs(raw: str) -> list[tuple[int, int]]:
-    pairs = []
-    for tok in raw.split(","):
-        m, n = tok.strip().split(":")
-        pairs.append((int(m), int(n)))
-    return pairs
+def _at(g: np.ndarray, n: int) -> complex:
+    """Amplitude n of g, zero past its last kept level."""
+    return complex(g[n]) if n < g.size else 0j
 
 
 def cmd_propagate(cfg, args):
     ctx = build_context(family_from(cfg))
-    pairs = _parse_pairs(_get(cfg, "propagate", "pairs", str, "0:0, 0:1, 1:1"))
+    pairs = _get(cfg, "propagate", "pairs", _pairs, [(0, 0), (0, 1), (1, 1)])
     imag_t = _get(cfg, "propagate", "imag_t", float, 0.0)
     ts = grid_from(cfg)
-    trunc = args.truncation or _get(cfg, "propagate", "truncation", int, 200)
+    trunc = _truncation(cfg, args, "propagate", 200)
     tol_uni = tolerance(cfg, args, "unitarity", 1e-8)
     tol_orc = tolerance(cfg, args, "oracle", 1e-8)
+    if args.oracle and imag_t != 0.0:
+        raise CliError("usage", "--oracle requires a real time grid")
 
     columns = ["t(dimensionless,hbar=1)"]
     for m, n in pairs:
@@ -339,24 +363,21 @@ def cmd_propagate(cfg, args):
     if imag_t == 0.0:
         columns += [f"unitarity_row_{m}" for m in rows_m]
     if args.oracle:
-        columns += [f"oracle_re_{m}_{n}" for m, n in pairs]
-        columns += ["max_deviation"]
+        columns += [f"oracle_re_{m}_{n}" for m, n in pairs] + ["max_deviation"]
+        oracle = _Oracle(ctx, trunc)
+        starts = {m: oracle.start(ob.Number(m)) for m in rows_m}
 
     rows = []
     worst_uni = 0.0
     worst_dev = 0.0
     for t in ts:
         row = [float(t)]
-        vals = {}
         if imag_t == 0.0:
             amp = {m: ob.ladder_amplitudes(ctx, ob.Number(m), float(t)) for m in rows_m}
-            for m, n in pairs:
-                g = amp[m]
-                vals[(m, n)] = complex(g[n]) if n < g.size else 0j
+            vals = {(m, n): _at(amp[m], n) for m, n in pairs}
         else:
             try:
-                for m, n in pairs:
-                    vals[(m, n)] = sigma_mn(ctx, m, n, complex(t, imag_t))
+                vals = {(m, n): sigma_mn(ctx, m, n, complex(t, imag_t)) for m, n in pairs}
             except QladderError as exc:
                 raise CliError("strip", f"sigma at t + {imag_t}i: {exc}") from exc
         for m, n in pairs:
@@ -367,28 +388,17 @@ def cmd_propagate(cfg, args):
                 worst_uni = max(worst_uni, abs(u - 1.0))
                 row.append(u)
         if args.oracle:
-            if imag_t != 0.0:
-                raise CliError("usage", "--oracle requires a real time grid")
-            dev = 0.0
-            for m, n in pairs:
-                go = _oracle_amplitudes(ctx, ob.Number(m), float(t), trunc)
-                o = complex(go[n]) if n < go.size else 0j
-                row.append(o.real)
-                dev = max(dev, abs(vals[(m, n)] - o))
-            row.append(dev)
+            go = {m: expm_evolve(oracle.op, float(t), v) for m, v in starts.items()}
+            ovals = [_at(go[m], n) for m, n in pairs]
+            dev = max([0.0] + [abs(vals[p] - o) for p, o in zip(pairs, ovals)])
+            row += [o.real for o in ovals] + [dev]
             worst_dev = max(worst_dev, dev)
         rows.append(row)
 
-    checks = []
-    if imag_t == 0.0:
-        checks.append(
-            {"name": "unitarity", "worst": worst_uni, "tol": tol_uni, "passed": worst_uni <= tol_uni}
-        )
+    checks = [_check("unitarity", worst_uni, tol_uni)] if imag_t == 0.0 else []
     if args.oracle:
-        checks.append(
-            {"name": "oracle", "worst": worst_dev, "tol": tol_orc, "passed": worst_dev <= tol_orc}
-        )
-    return [{"name": "propagator", "columns": columns, "rows": rows}], checks
+        checks.append(_check("oracle", worst_dev, tol_orc))
+    return [_table("propagator", columns, rows)], checks
 
 
 def cmd_expect(cfg, args):
@@ -397,61 +407,53 @@ def cmd_expect(cfg, args):
     picture = _get(cfg, "expect", "picture", str, "interaction")
     if picture not in ("interaction", "full"):
         raise CliError("config-field", f"[expect] picture must be interaction|full, got {picture!r}")
-    raw = _get(cfg, "expect", "observables", str, "h_expectation, number_moment:1")
-    specs = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    specs = _get(cfg, "expect", "observables", _observables,
+                 _observables("h_expectation, number_moment:1"))
     ts = grid_from(cfg)
-    trunc = args.truncation or _get(cfg, "expect", "truncation", int, 200)
+    trunc = _truncation(cfg, args, "expect", 200)
     tol = tolerance(cfg, args, "expect_oracle", 1e-7)
 
     columns = ["t(dimensionless,hbar=1)"]
-    complex_names = {"correlation", "cluster_correlation", "alpha_moment", "alpha_dispersion"}
-    for spec in specs:
-        base = spec.split(":")[0]
-        label = spec.replace(":", "_")
-        if base in complex_names:
-            columns += [f"re_{label}@{picture}", f"im_{label}@{picture}"]
-        else:
-            columns += [f"{label}@{picture}"]
+    for spec, obs, _ in specs:
+        label = f"{spec.replace(':', '_')}@{picture}"
+        columns += [f"re_{label}", f"im_{label}"] if obs.is_complex else [label]
     if args.oracle:
-        columns += [f"oracle_{spec.replace(':', '_')}" for spec in specs]
-        columns += ["max_deviation"]
+        columns += [f"oracle_{spec.replace(':', '_')}" for spec, _, _ in specs] + ["max_deviation"]
+        oracle = _Oracle(ctx, trunc)
+        start = oracle.start(state)
 
     rows = []
     worst = 0.0
     for t in ts:
-        row = [float(t)]
-        vals = []
-        for spec in specs:
-            v = _series_value(ctx, state, spec, picture, float(t))
-            vals.append(v)
-            if spec.split(":")[0] in complex_names:
-                v = complex(v)
-                row += [v.real, v.imag]
-            else:
-                row += [float(v)]
+        t = float(t)
+        row = [t]
+        vals = [obs.series(ctx, state, idx, t, picture) for _, obs, idx in specs]
+        for (_, obs, _), v in zip(specs, vals):
+            row += [complex(v).real, complex(v).imag] if obs.is_complex else [float(v)]
         if args.oracle:
-            g = _oracle_amplitudes(ctx, state, float(t), trunc)
-            dev = 0.0
-            for spec, v in zip(specs, vals):
-                o = _oracle_value(ctx, g, spec, picture, float(t))
-                row.append(complex(o).real if isinstance(o, complex) else float(o))
-                dev = max(dev, abs(complex(v) - complex(o)))
-            row.append(dev)
+            g = expm_evolve(oracle.op, t, start)
+            ovals = [obs.oracle(oracle, g, idx, t, picture) for _, obs, idx in specs]
+            dev = max([0.0] + [abs(complex(v) - complex(o)) for v, o in zip(vals, ovals)])
+            row += [complex(o).real if obs.is_complex else float(o)
+                    for (_, obs, _), o in zip(specs, ovals)] + [dev]
             worst = max(worst, dev)
         rows.append(row)
 
-    checks = []
-    if args.oracle:
-        checks.append({"name": "expect-oracle", "worst": worst, "tol": tol, "passed": worst <= tol})
-    return [{"name": "expectations", "columns": columns, "rows": rows}], checks
+    checks = [_check("expect-oracle", worst, tol)] if args.oracle else []
+    return [_table("expectations", columns, rows)], checks
+
+
+def _ladder_head(js, nmax: int):
+    """(b, h) at levels 0..nmax, cut at the last level of a finite sector."""
+    return js.arrays(min(nmax, js.dim - 1))
 
 
 def _classify_ladder(js, nmax: int = 8, tol: float = 1e-10):
     """Match b(n) samples against the closed family coupling patterns."""
-    top = nmax if js.dim is math.inf else min(nmax, int(js.dim) - 1)
+    b, hs = _ladder_head(js, nmax)
+    top = b.size - 1
     if top < 2:
         return "unclassified (sector too short)", {}
-    b, hs = js.arrays(top)
     bsq = b[1:] ** 2
     scale = max(1.0, float(np.max(bsq)))
     if np.all(np.abs(bsq - bsq[0]) <= tol * scale) and np.all(
@@ -488,16 +490,11 @@ def cmd_reduce(cfg, args):
         ["beta_offsets", " ".join(_fmt(float(x), "fixed17") for x in betas)],
         ["classification", kind],
     ]
-    for key in sorted(params):
-        info_rows.append([f"classification_{key}", params[key]])
-    top = 8 if js.dim is math.inf else min(8, int(js.dim) - 1)
-    b, h = js.arrays(top)
-    ladder = {
-        "name": "ladder",
-        "columns": ["n", "b_n", "h_n"],
-        "rows": [[n, float(b[n]), float(h[n])] for n in range(top + 1)],
-    }
-    return [{"name": "sector", "columns": ["key", "value"], "rows": info_rows}, ladder], []
+    info_rows += [[f"classification_{key}", params[key]] for key in sorted(params)]
+    b, h = _ladder_head(js, 8)
+    ladder = [[n, float(bn), float(hn)] for n, (bn, hn) in enumerate(zip(b, h))]
+    return [_table("sector", ["key", "value"], info_rows),
+            _table("ladder", ["n", "b_n", "h_n"], ladder)], []
 
 
 def cmd_amplifier(cfg, args):
@@ -507,7 +504,7 @@ def cmd_amplifier(cfg, args):
     if gval <= 0:
         raise CliError("config-field", "[amplifier] g must be positive")
     ts = grid_from(cfg)
-    trunc = args.truncation or _get(cfg, "amplifier", "truncation", int, 30)
+    trunc = _truncation(cfg, args, "amplifier", 30)
     tol = tolerance(cfg, args, "amplifier", 1e-3)
 
     sysm = MultiModeSystem(omega=(1.0, 1.0), l=(1, 1), g=-1j * gval)
@@ -531,18 +528,9 @@ def cmd_amplifier(cfg, args):
         rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
         worst = max(worst, rel)
         rows.append([float(t), closed, oracle, rel])
-    table = {
-        "name": "amplifier",
-        "columns": [
-            "t(dimensionless,hbar=1)",
-            "mean_photon_closed@full",
-            "mean_photon_oracle@full",
-            "rel_deviation",
-        ],
-        "rows": rows,
-    }
-    checks = [{"name": "amplifier-oracle", "worst": worst, "tol": tol, "passed": worst <= tol}]
-    return [table], checks
+    columns = ["t(dimensionless,hbar=1)", "mean_photon_closed@full",
+               "mean_photon_oracle@full", "rel_deviation"]
+    return [_table("amplifier", columns, rows)], [_check("amplifier-oracle", worst, tol)]
 
 
 # ----------------------------------------------------------------------
@@ -562,16 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qladder",
         description="Jacobi-ladder spectral simulations from scenario configs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="scenario INI file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--oracle", action="store_true", help="append truncated-Fock oracle columns")
-        p.add_argument("--truncation", type=int, default=None, help="oracle truncation")
-        p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
-        p.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", required=True, help="scenario INI file")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--oracle", action="store_true", help="append truncated-Fock oracle columns")
+    parser.add_argument("--truncation", type=int, default=None, help="oracle truncation")
+    parser.add_argument("--tol", type=float, default=None, help="override the check tolerance")
+    parser.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
     return parser
 
 

@@ -24,6 +24,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import CutoffOverflow
 from .orthopoly import JacobiSystem
+from .propagator import _real_matvec
 from .reduction import MultiModeSystem, big_g, lambda_of
 
 __all__ = [
@@ -86,7 +87,7 @@ def expm_evolve(op: TruncatedOperator, t: float, vec) -> np.ndarray:
     if vec.shape != (op.dim,):
         raise ValueError(f"vector length {vec.shape} does not match dim {op.dim}")
     w, v = _eig_of(op)
-    return v @ (np.exp(-1j * w * t) * (v.T @ vec))
+    return _real_matvec(v, np.exp(-1j * w * t) * _real_matvec(v.T, vec))
 
 
 # -- multi-mode sparse states ----------------------------------------------

@@ -334,6 +334,17 @@ def derivative_matrix(js, K: int) -> np.ndarray:
     return D
 
 
+def _alpha_series(D: np.ndarray, c: np.ndarray, l: int) -> list:
+    """<alpha^k>, k = 0..l, on coefficients c: alpha = i d/domega acts as i D,
+    D = derivative_matrix(js, c.size) the exact triangular derivative."""
+    out = [complex(np.vdot(c, c))]
+    psi = c
+    for k in range(1, l + 1):
+        psi = D @ psi
+        out.append((1j) ** k * complex(np.vdot(c, psi)))
+    return out
+
+
 def _alpha_moments_now(ctx, state, l: int) -> list:
     """<alpha^k> at t = 0 for k = 0..l."""
     if isinstance(state, Number):
@@ -343,15 +354,17 @@ def _alpha_moments_now(ctx, state, l: int) -> list:
         z = complex(state.z)
         return [z**k for k in range(l + 1)]
     c = _state_coeffs(state)
-    # alpha = i d/domega; in coefficient space each derivative is one
-    # application of the exact triangular matrix above.
-    D = derivative_matrix(ctx.js, c.size)
-    out = [complex(np.vdot(c, c))]
-    psi = c
-    for k in range(1, l + 1):
-        psi = D @ psi
-        out.append((1j) ** k * complex(np.vdot(c, psi)))
-    return out
+    return _alpha_series(derivative_matrix(ctx.js, c.size), c, l)
+
+
+def _alpha_law(mom: list, l: int, t: float) -> complex:
+    """<alpha^l(t)> = sum_k C(l,k) t^k <alpha^{l-k}> from the moments at t = 0."""
+    return complex(sum(math.comb(l, k) * t**k * mom[l - k] for k in range(l + 1)))
+
+
+def _alpha_spread(mom: list, t: float) -> complex:
+    """<alpha^2(t)> - <alpha(t)>^2 from the moments at t = 0."""
+    return _alpha_law(mom, 2, t) - _alpha_law(mom, 1, t) ** 2
 
 
 def alpha_moment(
@@ -366,18 +379,14 @@ def alpha_moment(
     l = int(l)
     if l < 1:
         raise ValueError("moment order l must be >= 1")
-    t = float(t)
-    mom = _alpha_moments_now(ctx, state, l)
-    return complex(
-        sum(math.comb(l, k) * t**k * mom[l - k] for k in range(l + 1))
-    )
+    return _alpha_law(_alpha_moments_now(ctx, state, l), l, float(t))
 
 
 def alpha_dispersion(
     ctx: PropagatorContext, state: QuantumState, t: float
 ) -> complex:
     """<alpha^2(t)> - <alpha(t)>^2; constant in t for every state."""
-    return alpha_moment(ctx, state, 2, t) - alpha_moment(ctx, state, 1, t) ** 2
+    return _alpha_spread(_alpha_moments_now(ctx, state, 2), float(t))
 
 
 # ----------------------------------------------------------------------

@@ -680,6 +680,8 @@ def hermite_data(a1: float = -2.0, a0: float = 0.0, b0: float = 1.0) -> PearsonD
 
 def laguerre_data(mu: float, a1: float = -1.0, b1: float = 1.0,
                   b0: float = 0.0) -> PearsonData:
+    if b1 == 0.0:
+        raise ValueError("not Laguerre-class: b1 must be nonzero")
     # invert mu = (a0*b1 - b0*a1)/b1^2 for a0
     a0 = (mu * b1**2 + b0 * a1) / b1
     return classify(a0, a1, b0, b1, 0.0)

@@ -276,3 +276,94 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, qladder.cli; assert 'scipy.integrate' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+_HERMITE = "[scenario]\nschema_version = 1\n\n[family]\nkind = hermite\n\n"
+_GRID = "[grid]\nt0 = 0.0\nt1 = 0.5\nsteps = 3\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("expect", _HERMITE + "[state]\nkind = number\nn = 1\n\n"
+         "[expect]\nobservables = number_moment\n"),
+        ("expect", _HERMITE + "[state]\nkind = number\nn = 1\n\n"
+         "[expect]\nobservables = correlation:1\n"),
+        ("expect", _HERMITE + "[state]\nkind = number\nn = 1\n\n"
+         "[expect]\nobservables = number_moment:x\n"),
+        ("expect", _HERMITE + "[state]\nkind = number\nn = 1\n\n"
+         "[expect]\nobservables = number_moment:0\n"),
+        ("propagate", _HERMITE + "[propagate]\npairs = 0:x\n"),
+        ("expect", _HERMITE + "[state]\nkind = number\nn = -1\n"),
+        ("expect", _HERMITE + "[state]\nkind = fock\ncoeffs = 0, 0\n"),
+        ("expect", "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = -1\n\n"
+         "[state]\nkind = number\nn = 0\n"),
+        ("expect", _HERMITE + "[state]\nkind = number\nn = 0\n\n[expect]\ntruncation = 0\n"),
+    ],
+    ids=["missing-index", "one-of-two-indices", "non-integer-index", "moment-order-0",
+         "non-integer-pair", "negative-level", "zero-fock-state", "negative-mu",
+         "zero-truncation"],
+)
+def test_malformed_config_value_is_config_field_exit_2(tmp_path, command, text):
+    cfgp = write_config(tmp_path, text + _GRID)
+    code, out, err = run_cli([command, "--config", cfgp, "--oracle"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "config-field"
+
+
+def test_expect_oracle_builds_the_derivative_matrix_once(tmp_path, monkeypatch):
+    import qladder.observables as ob
+
+    sizes = []
+    build = ob.derivative_matrix
+
+    def counted(js, K):
+        sizes.append(K)
+        return build(js, K)
+
+    monkeypatch.setattr(ob, "derivative_matrix", counted)
+    cfgp = write_config(
+        tmp_path,
+        _HERMITE + "[state]\nkind = gaussian\nzeta = 0.4+0.2j\n\n"
+        "[expect]\nobservables = alpha_moment:1, alpha_dispersion\ntruncation = 120\n\n"
+        "[grid]\nt0 = 0.0\nt1 = 1.0\nsteps = 4\n",
+    )
+    code, out, err = run_cli(["expect", "--config", cfgp, "--oracle"])
+    assert code == 0, err
+    assert sizes.count(120) == 1
+    assert len(sizes) > 1  # the library series still builds its own, smaller ones
+
+
+def test_propagate_oracle_evolves_each_row_once_per_step(tmp_path, monkeypatch):
+    import qladder.cli as cli
+
+    calls = []
+    evolve = cli.expm_evolve
+
+    def counted(op, t, vec):
+        calls.append(t)
+        return evolve(op, t, vec)
+
+    monkeypatch.setattr(cli, "expm_evolve", counted)
+    cfgp = write_config(
+        tmp_path,
+        "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = 2.5\n\n"
+        "[propagate]\npairs = 0:0, 0:1, 1:1\ntruncation = 80\n\n" + _GRID,
+    )
+    code, out, err = run_cli(["propagate", "--config", cfgp, "--oracle"])
+    assert code == 0, err
+    assert len(calls) == 2 * 3  # rows m = 0 and 1, three time steps
+
+
+def test_every_readme_invocation_parses():
+    import shlex
+
+    from qladder.cli import _COMMANDS, build_parser
+
+    readme = SCENARIOS.parent / "README.md"
+    lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("qladder ")]
+    assert len(lines) >= 6
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.command in _COMMANDS
+        assert (SCENARIOS.parent / args.config).is_file()

@@ -1,6 +1,7 @@
 """Brute-force Fock oracle: truncation, sparse application, evolution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,25 @@ def test_expm_evolve_rejects_wrong_length(family_ctx):
     op = truncated_h(family_ctx.js, 5)
     with pytest.raises(ValueError):
         expm_evolve(op, 0.1, np.zeros(6))
+
+
+def test_warm_expm_evolve_makes_no_complex_copy_of_the_eigenvectors():
+    from qladder.fockoracle import _eig_of
+    from qladder.orthopoly import laguerre_data, recurrence
+
+    op = truncated_h(recurrence(laguerre_data(2.5)), 1000)
+    vec = np.zeros(op.dim, dtype=complex)
+    vec[:3] = (0.6, 0.8j, 0.0)
+    out = expm_evolve(op, 1.3, vec)  # cold: diagonalizes and caches
+    _, v = _eig_of(op)
+    tracemalloc.start()
+    try:
+        again = expm_evolve(op, 1.3, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(again, out)
+    assert peak < v.nbytes / 4
 
 
 def test_basis_counts():

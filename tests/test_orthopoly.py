@@ -79,6 +79,8 @@ def test_classify_rejects_bad_pairs():
         classify(-1.0, -1.0, 0.0, 1.0, 0.0)  # Laguerre exponent <= 0
     with pytest.raises(ValueError, match="two distinct real roots"):
         classify(0.0, -1.0, -1.0, 0.0, -1.0)  # B < 0 everywhere
+    with pytest.raises(ValueError, match="b1"):
+        laguerre_data(2.5, b1=0.0)  # deg B = 0: no Laguerre pair
 
 
 @pytest.mark.parametrize(
