@@ -196,7 +196,9 @@ def _check(name: str, worst: float, tol: float) -> dict:
 
 
 def _truncation(cfg, args, section: str, default: int) -> int:
-    n = args.truncation or _get(cfg, section, "truncation", int, default)
+    n = args.truncation
+    if n is None:
+        n = _get(cfg, section, "truncation", int, default)
     if n < 1:
         raise CliError("config-field", f"oracle truncation must be >= 1, got {n}")
     return n
@@ -520,9 +522,8 @@ def cmd_amplifier(cfg, args):
 
     rows = []
     worst = 0.0
-    for t in ts:
+    for t, v in zip(ts, eigh_evolve(HI, ts, v0)):
         closed = ob.amplifier_mean_photon(z0, z1, gval, float(t))
-        v = eigh_evolve(HI, float(t), v0)
         nrm = float(np.vdot(v, v).real)
         oracle = float(np.vdot(v, N0 * v).real) / nrm
         rel = abs(closed - oracle) / max(abs(oracle), 1e-12)

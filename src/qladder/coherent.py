@@ -37,7 +37,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import ConvergenceError, StripError
-from .measure import gauss_rule
 from .orthopoly import PearsonData
 from .propagator import (
     PropagatorContext,
@@ -142,19 +141,21 @@ def coherent_coeffs(
     )
 
 
+_TRANSFORM_NODES = 256  # Gauss rule size for a wavefunction given as a callable
+
+
 def holomorphic_transform(
     ctx: PropagatorContext,
     state: Union[Sequence[complex], np.ndarray, Callable],
     z: complex,
-    N: int = 256,
 ) -> complex:
     """Evaluate F_psi(z) = <psi|z> for a ladder state psi.
 
     ``state`` is either a vector of ladder coefficients c_n (then
     F(z) = sum conj(c_n) sigma_n(z)) or a callable psi(omega) giving the
     frequency-space wavefunction (then F(z) = int conj(psi) e^{-i z omega}
-    dsigma by an N-point Gauss rule).  F is holomorphic on the state strip
-    and satisfies the reproducing property
+    dsigma by the cached 256-point Gauss rule).  F is holomorphic on the
+    state strip and satisfies the reproducing property
 
         F(z) = int F(v) <v|z> mu(Im v) dx dy / (2 pi).
 
@@ -165,12 +166,12 @@ def holomorphic_transform(
     """
     z = _require_label(ctx, z)
     if callable(state):
-        rule = gauss_rule(ctx.sm, N)
+        nodes, logw = ctx.rule(_TRANSFORM_NODES)
         x, y = z.real, z.imag
-        logs = rule.log_weights + y * rule.nodes
+        logs = logw + y * nodes
         m = logs.max()
-        vals = np.conj(np.asarray(state(rule.nodes), dtype=complex))
-        phase = np.exp(-1j * x * rule.nodes)
+        vals = np.conj(np.asarray(state(nodes), dtype=complex))
+        phase = np.exp(-1j * x * nodes)
         return complex(math.exp(m) * np.sum(vals * np.exp(logs - m) * phase))
     coeffs = np.asarray(state, dtype=complex)
     total = 0.0 + 0.0j

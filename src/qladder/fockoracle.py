@@ -239,9 +239,12 @@ def dense_matrix(sys: MultiModeSystem, term, basis: MultiModeBasis) -> np.ndarra
     return mat
 
 
-def eigh_evolve(h: np.ndarray, t: float, vec) -> np.ndarray:
-    """exp(-i h t) @ vec for a dense Hermitian h, eigendecomposition cached."""
-    key = hashlib.sha1(np.ascontiguousarray(h).tobytes()).hexdigest()
+def eigh_evolve(h: np.ndarray, t: float | np.ndarray, vec) -> np.ndarray:
+    """exp(-i h t) @ vec for a dense Hermitian h, eigendecomposition cached.
+
+    ``t`` is a time or a 1-d array of times; an array gives one row per time.
+    """
+    key = hashlib.sha1(np.ascontiguousarray(h)).hexdigest()
     with _eig_lock:
         hit = _eig_cache.get(key)
     if hit is None:
@@ -250,5 +253,6 @@ def eigh_evolve(h: np.ndarray, t: float, vec) -> np.ndarray:
             _eig_cache[key] = (w, v)
     else:
         w, v = hit
-    vec = np.asarray(vec, dtype=complex)
-    return v @ (np.exp(-1j * w * t) * (v.conj().T @ vec))
+    coef = (np.asarray(vec, dtype=complex).conj() @ v).conj()  # v^H vec, no copy of v
+    x = np.exp(-1j * np.multiply.outer(t, w)) * coef
+    return v @ x if x.ndim == 1 else x @ v.T

@@ -77,13 +77,19 @@ def normalize(pd: PearsonData) -> SpectralMeasure:
 
 
 def _quad_measure(sm: SpectralMeasure, f) -> float:
-    """Adaptive quadrature of f against the measure, split at omega = 0."""
+    """Adaptive quadrature of f against the measure, split at omega = 0.
+
+    The integrand is the scalar C * w(omega).  quad samples the open
+    pieces, but a node of a tiny subinterval can round onto a support
+    edge, where w may be singular; like ``density``, it counts 0 there.
+    """
     from scipy.integrate import IntegrationWarning, quad  # slow import, used only here
 
     lo, hi = sm.pd.support
+    C, weight = sm.C, sm.pd.weight
 
     def g(w):
-        return f(w) * sm.density(w)
+        return f(w) * (C * weight(w)) if lo < w < hi else 0.0
 
     pieces = []
     if lo < 0.0 < hi:

@@ -29,6 +29,7 @@ from typing import Union
 import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
+from .orthopoly import derivative_matrix
 from .propagator import PropagatorContext, evolve
 from .reduction import MultiModeSystem, Sector, beta_offsets
 
@@ -303,35 +304,6 @@ def cluster_correlation(
 
 # ----------------------------------------------------------------------
 # alpha moments
-
-
-def derivative_matrix(js, K: int) -> np.ndarray:
-    """Expansion coefficients of P_n' over P_0..P_{n-1} (strictly upper).
-
-    Differentiating the three-term recurrence gives, in coefficient space,
-
-        c^{(n+1)} = (e_n + (J - h(n)) c^{(n)} - b(n) c^{(n-1)}) / b(n+1)
-
-    with J the tridiagonal ladder matrix; no quadrature and no large-node
-    cancellation, so the columns stay accurate at any K.
-    """
-    D = np.zeros((K, K))
-    if K < 2:
-        return D
-    b, h = js.arrays(K - 1)
-    prev = np.zeros(K)
-    cur = np.zeros(K)
-    cur[0] = 1.0 / b[1]
-    D[:, 1] = cur
-    for n in range(1, K - 1):
-        jc = h * cur
-        jc[:-1] += b[1:] * cur[1:]
-        jc[1:] += b[1:] * cur[:-1]
-        nxt = (jc - h[n] * cur - b[n] * prev) / b[n + 1]
-        nxt[n] += 1.0 / b[n + 1]
-        D[:, n + 1] = nxt
-        prev, cur = cur, nxt
-    return D
 
 
 def _alpha_series(D: np.ndarray, c: np.ndarray, l: int) -> list:

@@ -49,7 +49,7 @@ __all__ = [
     "recurrence",
     "scaled_sweep",
     "eval_poly",
-    "eval_poly_table",
+    "derivative_matrix",
     "rodrigues_constant",
     "rodrigues_log_norm",
     "log_weight_mass",
@@ -487,7 +487,7 @@ class _Jacobi(PearsonData):
         # oscillatory regime: quadrature in the base measure with the index
         # shift carried as a polynomial factor, assembled per node in logs
         N = 64 + int(2.0 * abs(w)) + dmu + dnu
-        nodes, _, logw = ctx.rule(N)
+        nodes, logw = ctx.rule(N)
         hw = 0.5 * (b - a)
         logs = logw + z.imag * nodes
         if dmu:
@@ -761,41 +761,49 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray):
         u_prev, u_cur = u_cur, u_next
 
 
-def eval_poly_table(js: JacobiSystem, nmax: int, omega: float,
-                    derivatives: int = 0) -> np.ndarray:
-    """Values (and derivatives) of P_0..P_nmax at a point.
+def derivative_matrix(js: JacobiSystem, K: int) -> np.ndarray:
+    """Expansion coefficients of P_n' over P_0..P_{n-1} (strictly upper).
 
-    Returns an array of shape (nmax+1, derivatives+1); column d holds the
-    d-th omega-derivative.  Uses the derivative-propagated recurrence
+    Differentiating the three-term recurrence gives, in coefficient space,
 
-        P^{(d)}_{n+1} = ((omega-h(n)) P^{(d)}_n + d P^{(d-1)}_n
-                         - b(n) P^{(d)}_{n-1}) / b(n+1).
+        c^{(n+1)} = (e_n + (J - h(n)) c^{(n)} - b(n) c^{(n-1)}) / b(n+1)
+
+    with J the tridiagonal ladder matrix; no quadrature and no large-node
+    cancellation, so the columns stay accurate at any K.
     """
-    out = np.zeros((nmax + 1, derivatives + 1))
-    out[0, 0] = 1.0
-    if nmax == 0:
-        return out
-    b, h = js.arrays(nmax)
-    prev = out[0].copy()
-    prevprev = np.zeros(derivatives + 1)
-    for n in range(nmax):
-        bn1 = b[n + 1]
-        cur = np.empty(derivatives + 1)
-        x = omega - h[n]
-        for d in range(derivatives + 1):
-            v = x * prev[d] - b[n] * prevprev[d]
-            if d > 0:
-                v += d * prev[d - 1]
-            cur[d] = v / bn1
-        out[n + 1] = cur
-        prevprev, prev = prev, cur
-    return out
+    D = np.zeros((K, K))
+    if K < 2:
+        return D
+    b, h = js.arrays(K - 1)
+    prev = np.zeros(K)
+    cur = np.zeros(K)
+    cur[0] = 1.0 / b[1]
+    D[:, 1] = cur
+    for n in range(1, K - 1):
+        jc = h * cur
+        jc[:-1] += b[1:] * cur[1:]
+        jc[1:] += b[1:] * cur[:-1]
+        nxt = (jc - h[n] * cur - b[n] * prev) / b[n + 1]
+        nxt[n] += 1.0 / b[n + 1]
+        D[:, n + 1] = nxt
+        prev, cur = cur, nxt
+    return D
 
 
 def eval_poly(js: JacobiSystem, n: int, omega: float) -> tuple[float, float, float]:
-    """(P_n, P_n', P_n'') at omega for the orthonormal system ``js``."""
-    table = eval_poly_table(js, n, omega, derivatives=2)
-    return tuple(table[n])
+    """(P_n, P_n', P_n'') at omega for the orthonormal system ``js``.
+
+    P_0..P_n come from the scaled sweep at the one node omega; with
+    D = derivative_matrix(js, n + 1) the derivatives are P' = D^T P and
+    P'' = D^T P'.
+    """
+    s = np.zeros(1)
+    p = np.empty(n + 1)
+    for k, u, _ in scaled_sweep(*js.arrays(n), np.array([float(omega)]), s):
+        p[k] = u[0] * math.exp(s[0])
+    D = derivative_matrix(js, n + 1)
+    dp = D.T @ p
+    return float(p[n]), float(dp[n]), float(D[:, n] @ dp)
 
 
 def log_weight_mass(pd: PearsonData) -> float:

@@ -85,12 +85,12 @@ class PropagatorContext:
     strip: StripDomain
 
     def rule(self, N: int):
-        """Gauss nodes, weights and log-weights of the N point rule (cached)."""
+        """Gauss nodes and log-weights of the N point rule (cached)."""
         key = (self.pd, self.sm.C, N)
         got = _RULE_CACHE.get(key)
         if got is None:
             rule = gauss_rule(self.sm, N)
-            got = (rule.nodes, rule.weights, rule.log_weights)
+            got = (rule.nodes, rule.log_weights)
             _cache_put(_RULE_CACHE, key, got)
         return got
 
@@ -138,7 +138,7 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     """
     if nmax >= N:
         raise ValueError("poly matrix needs nmax < N")
-    nodes, _, logw = ctx.rule(N)
+    nodes, logw = ctx.rule(N)
     key = (ctx.pd, ctx.sm.C, N)
     cached = _QMAT_CACHE.get(key)
     if cached is not None and cached.shape[0] > nmax:
@@ -169,7 +169,7 @@ def _log_poly_rows(ctx: PropagatorContext, N: int, rows):
     want = sorted(set(rows))
     if want[0] < 0:
         raise ValueError("row indices must be nonnegative")
-    nodes, _, logw = ctx.rule(N)
+    nodes, logw = ctx.rule(N)
     table = {}
     s = np.zeros_like(nodes)
     for k, u, _ in scaled_sweep(*ctx.js.arrays(want[-1]), nodes, s):

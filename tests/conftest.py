@@ -1,5 +1,7 @@
-"""Shared fixtures: one context per classified family."""
+"""Shared fixtures: one context per classified family, and closed-form
+orthonormal polynomials as an independent reference."""
 
+import mpmath as mp
 import pytest
 
 from qladder.orthopoly import hermite_data, jacobi_data, laguerre_data
@@ -20,3 +22,45 @@ def family_name(request):
 @pytest.fixture(scope="session")
 def family_ctx(family_name):
     return build_context(CANONICAL[family_name])
+
+
+def _mp_orthonormal(pd, n, x, d=0):
+    """d-th derivatives of P_0..P_n of ``pd`` at x, computed at 40 digits.
+
+    mpmath's hermite, laguerre (a = mu - 1) and jacobi (a = nu - 1,
+    b = mu - 1), mapped affinely onto pd's support and scaled by their
+    closed norms to the orthonormal, positive-leading convention of the
+    recurrence; no code from this package is involved.
+    """
+    with mp.workdps(40):
+        if pd.family == "hermite":
+            mean = -mp.mpf(pd.a0) / pd.a1
+            c = 1 / mp.sqrt(-2 * mp.mpf(pd.b0) / pd.a1)
+
+            def f(k, t):
+                return mp.hermite(k, c * (t - mean)) / mp.sqrt(2**k * mp.factorial(k))
+        elif pd.family == "laguerre":
+            mu, gamma, beta = mp.mpf(pd.mu), mp.mpf(pd.gamma), mp.mpf(pd.beta)
+
+            def f(k, t):
+                norm = mp.sqrt(mp.factorial(k) * mp.gamma(mu) / mp.gamma(k + mu))
+                return (-1) ** k * norm * mp.laguerre(k, mu - 1, gamma * (t + beta))
+        else:
+            lo, hi = (mp.mpf(e) for e in pd.support)
+            al, be = mp.mpf(pd.nu) - 1, mp.mpf(pd.mu) - 1
+
+            def h(k):  # squared norm of the classical P_k^(al, be) on (-1, 1)
+                return (2 ** (al + be + 1) / (2 * k + al + be + 1) * mp.gamma(k + al + 1)
+                        * mp.gamma(k + be + 1) / (mp.gamma(k + al + be + 1) * mp.factorial(k)))
+
+            def f(k, t):
+                y = (2 * t - lo - hi) / (hi - lo)
+                return mp.sqrt(h(0) / h(k)) * mp.jacobi(k, al, be, y)
+
+        x = mp.mpf(float(x))
+        return [float(mp.diff(lambda t: f(k, t), x, d)) for k in range(n + 1)]
+
+
+@pytest.fixture(scope="session")
+def mp_orthonormal():
+    return _mp_orthonormal

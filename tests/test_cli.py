@@ -10,6 +10,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qladder.cli import main
@@ -311,6 +312,13 @@ def test_malformed_config_value_is_config_field_exit_2(tmp_path, command, text):
     assert json.loads(err)["error"] == "config-field"
 
 
+def test_zero_truncation_flag_is_config_field_exit_2():
+    cfgp = str(SCENARIOS / "spectral_expect.ini")
+    code, out, err = run_cli(["expect", "--config", cfgp, "--oracle", "--truncation", "0"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "config-field"
+
+
 def test_expect_oracle_builds_the_derivative_matrix_once(tmp_path, monkeypatch):
     import qladder.observables as ob
 
@@ -353,6 +361,23 @@ def test_propagate_oracle_evolves_each_row_once_per_step(tmp_path, monkeypatch):
     code, out, err = run_cli(["propagate", "--config", cfgp, "--oracle"])
     assert code == 0, err
     assert len(calls) == 2 * 3  # rows m = 0 and 1, three time steps
+
+
+def test_amplifier_evolves_its_grid_in_one_call(monkeypatch):
+    import qladder.cli as cli
+
+    calls = []
+    evolve = cli.eigh_evolve
+
+    def counted(h, t, vec):
+        calls.append(np.shape(t))
+        return evolve(h, t, vec)
+
+    monkeypatch.setattr(cli, "eigh_evolve", counted)
+    code, out, err = run_cli(["amplifier", "--config", str(SCENARIOS / "amplifier.ini")])
+    assert code == 0, err
+    assert len(parse_sections(out)[0]) == 1 + 6
+    assert calls == [(6,)]
 
 
 def test_every_readme_invocation_parses():

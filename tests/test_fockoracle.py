@@ -80,6 +80,32 @@ def test_warm_expm_evolve_makes_no_complex_copy_of_the_eigenvectors():
     assert peak < v.nbytes / 4
 
 
+def test_warm_eigh_evolve_copies_neither_h_nor_its_eigenvectors():
+    h = dense_matrix(_amplifier(), "HI", MultiModeBasis(2, max_local=14))
+    vec = np.zeros(len(h), dtype=complex)
+    vec[:3] = (0.6, 0.8j, 0.0)
+    out = eigh_evolve(h, 1.3, vec)  # cold: diagonalizes and caches
+    tracemalloc.start()
+    try:
+        again = eigh_evolve(h, 1.3, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(again, out)
+    assert peak < h.nbytes / 4  # the eigenvector matrix has h's shape and dtype
+
+
+def test_eigh_evolve_gives_one_row_per_time():
+    h = dense_matrix(_amplifier(), "HI", MultiModeBasis(2, max_local=6))
+    vec = np.zeros(len(h), dtype=complex)
+    vec[4] = 1.0
+    ts = np.array([0.0, 0.4, 1.1])
+    rows = eigh_evolve(h, ts, vec)
+    assert rows.shape == (3, len(h))
+    for t, row in zip(ts, rows):
+        np.testing.assert_allclose(row, eigh_evolve(h, t, vec), rtol=0, atol=1e-15)
+
+
 def test_basis_counts():
     b = MultiModeBasis(2, max_total=3)
     assert len(b) == 10  # (3+2 choose 2)

@@ -22,7 +22,6 @@ from qladder.orthopoly import (
     classify,
     derivative_pearson,
     eval_poly,
-    eval_poly_table,
     hermite_data,
     jacobi_data,
     laguerre_data,
@@ -121,11 +120,12 @@ def test_ode_residual(family_ctx, n):
         assert ode_residual(family_ctx.pd, n, omega) < 1e-9
 
 
-def test_recurrence_pointwise(family_ctx):
-    """omega P_n = b(n+1)P_{n+1} + h(n)P_n + b(n)P_{n-1} at sample points."""
+def test_recurrence_pointwise(family_ctx, mp_orthonormal):
+    """omega P_n = b(n+1)P_{n+1} + h(n)P_n + b(n)P_{n-1} at sample points,
+    with P_n from the closed classical forms."""
     js = family_ctx.js
     for omega in (-0.6, 0.2, 0.8):
-        tab = eval_poly_table(js, 9, omega)[:, 0]
+        tab = mp_orthonormal(family_ctx.pd, 9, omega)
         for n in range(8):
             lhs = omega * tab[n]
             rhs = js.b(n + 1) * tab[n + 1] + js.h(n) * tab[n]
@@ -134,13 +134,13 @@ def test_recurrence_pointwise(family_ctx):
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_eval_poly_matches_table(family_ctx):
-    js = family_ctx.js
-    p, dp, ddp = eval_poly(js, 6, 0.37)
-    tab = eval_poly_table(js, 6, 0.37, derivatives=2)
-    assert p == pytest.approx(tab[6, 0], rel=1e-13)
-    assert dp == pytest.approx(tab[6, 1], rel=1e-13)
-    assert ddp == pytest.approx(tab[6, 2], rel=1e-13)
+def test_eval_poly_matches_table(family_ctx, mp_orthonormal):
+    """(P_6, P_6', P_6'') against the closed classical forms."""
+    p, dp, ddp = eval_poly(family_ctx.js, 6, 0.37)
+    want = [mp_orthonormal(family_ctx.pd, 6, 0.37, d)[6] for d in range(3)]
+    assert p == pytest.approx(want[0], rel=1e-13)
+    assert dp == pytest.approx(want[1], rel=1e-13)
+    assert ddp == pytest.approx(want[2], rel=1e-13)
 
 
 def _weight_fn(pd):
