@@ -37,7 +37,8 @@ from . import observables as ob
 from .errors import QladderError
 from .fockoracle import MultiModeBasis, dense_matrix, eigh_evolve, expm_evolve, truncated_h
 from .measure import moment, normalize
-from .orthopoly import classify, hermite_data, jacobi_data, laguerre_data, legendre_data
+from .orthopoly import (classify, classify_ladder, hermite_data, jacobi_data, laguerre_data,
+                        legendre_data)
 from .propagator import build_context, sigma_mn
 from .reduction import MultiModeSystem, beta_offsets, reduce as reduce_sector
 
@@ -445,36 +446,6 @@ def cmd_expect(cfg, args):
     return [_table("expectations", columns, rows)], checks
 
 
-def _ladder_head(js, nmax: int):
-    """(b, h) at levels 0..nmax, cut at the last level of a finite sector."""
-    return js.arrays(min(nmax, js.dim - 1))
-
-
-def _classify_ladder(js, nmax: int = 8, tol: float = 1e-10):
-    """Match b(n) samples against the closed family coupling patterns."""
-    b, hs = _ladder_head(js, nmax)
-    top = b.size - 1
-    if top < 2:
-        return "unclassified (sector too short)", {}
-    bsq = b[1:] ** 2
-    scale = max(1.0, float(np.max(bsq)))
-    if np.all(np.abs(bsq - bsq[0]) <= tol * scale) and np.all(
-        np.abs(hs - hs[0]) <= tol * max(1.0, abs(hs[0]))
-    ):
-        return "Jacobi-type strong-field (constant couplings)", {"b": float(b[1])}
-    ratio = bsq / np.arange(1, top + 1)
-    if np.all(np.abs(ratio - ratio[0]) <= tol * scale):
-        return "Hermite-type", {"beta": float(math.sqrt(ratio[0]))}
-    # b(n)^2 = c n (n + mu - 1): ratio is affine in n
-    c = ratio[1] - ratio[0]
-    if abs(c) > tol * scale:
-        mu = ratio[0] / c
-        model = c * np.arange(1, top + 1) * (np.arange(1, top + 1) + mu - 1.0)
-        if np.all(np.abs(model - bsq) <= tol * scale):
-            return "Laguerre-type", {"mu": float(mu), "coupling": float(math.sqrt(abs(c)))}
-    return "unclassified", {}
-
-
 def cmd_reduce(cfg, args):
     sysm, start = multimode_from(cfg)
     try:
@@ -482,7 +453,7 @@ def cmd_reduce(cfg, args):
     except QladderError as exc:
         raise CliError("reduction", str(exc)) from exc
     betas = beta_offsets(sysm, sector)
-    kind, params = _classify_ladder(js)
+    kind, params = classify_ladder(js)
     info_rows = [
         ["pseudo_vacuum", " ".join(str(x) for x in sector.pseudo_vacuum_occupation)],
         ["lambda00", sector.lambda00],
@@ -493,7 +464,7 @@ def cmd_reduce(cfg, args):
         ["classification", kind],
     ]
     info_rows += [[f"classification_{key}", params[key]] for key in sorted(params)]
-    b, h = _ladder_head(js, 8)
+    b, h = js.arrays(min(8, js.dim - 1))
     ladder = [[n, float(bn), float(hn)] for n, (bn, hn) in enumerate(zip(b, h))]
     return [_table("sector", ["key", "value"], info_rows),
             _table("ladder", ["n", "b_n", "h_n"], ladder)], []

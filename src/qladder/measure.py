@@ -76,40 +76,33 @@ def normalize(pd: PearsonData) -> SpectralMeasure:
     return SpectralMeasure(pd, math.exp(-log_weight_mass(pd)))
 
 
-def _quad_measure(sm: SpectralMeasure, f) -> float:
-    """Adaptive quadrature of f against the measure, split at omega = 0.
+def moment(sm: SpectralMeasure, k: int) -> float:
+    """k-th moment int omega^k dsigma by adaptive quadrature.
 
-    The integrand is the scalar C * w(omega).  quad samples the open
-    pieces, but a node of a tiny subinterval can round onto a support
-    edge, where w may be singular; like ``density``, it counts 0 there.
+    A weight with algebraic edges (``PearsonData.alg_exponents``) is the
+    weight of QUADPACK's QAWS rule, which integrates the edge singularities
+    exactly.  Any other enters the integrand as the scalar C * w(omega),
+    split at omega = 0; quad samples the open pieces, but a node of a tiny
+    subinterval can round onto a support edge, where w may be singular;
+    like ``density``, it counts 0 there.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     from scipy.integrate import IntegrationWarning, quad  # slow import, used only here
 
     lo, hi = sm.pd.support
-    C, weight = sm.C, sm.pd.weight
+    C, weight, alg = sm.C, sm.pd.weight, sm.pd.alg_exponents
+    opts = dict(epsabs=0.0, epsrel=1e-12, limit=400)
 
     def g(w):
-        return f(w) * (C * weight(w)) if lo < w < hi else 0.0
+        return w**k * (C * weight(w)) if lo < w < hi else 0.0
 
-    pieces = []
-    if lo < 0.0 < hi:
-        pieces = [(lo, 0.0), (0.0, hi)]
-    else:
-        pieces = [(lo, hi)]
-    total = 0.0
+    pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in pieces:
-            val, _ = quad(g, a, b, epsabs=0.0, epsrel=1e-12, limit=400)
-            total += val
-    return total
-
-
-def moment(sm: SpectralMeasure, k: int) -> float:
-    """k-th moment int omega^k dsigma by adaptive quadrature."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _quad_measure(sm, lambda w: w**k)
+        if alg is not None:
+            return C * quad(lambda w: w**k, lo, hi, weight="alg", wvar=alg, **opts)[0]
+        return sum(quad(g, a, b, **opts)[0] for a, b in pieces)
 
 
 def _log_sum_poly_sq(b: np.ndarray, h: np.ndarray, nodes: np.ndarray) -> np.ndarray:

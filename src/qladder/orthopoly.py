@@ -47,6 +47,7 @@ __all__ = [
     "jacobi_data",
     "legendre_data",
     "recurrence",
+    "classify_ladder",
     "scaled_sweep",
     "eval_poly",
     "derivative_matrix",
@@ -74,8 +75,9 @@ class PearsonData:
     Each family subclass derives its shape parameters once and holds the
     closed forms, named after the functions that call them; methods taking
     ``ctx`` read ``ctx.sm.C`` and ``ctx.rule(N)`` of a PropagatorContext.
-    ``strip_edge`` is the upper edge of the coherent-label strip, and
-    ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form.
+    ``strip_edge`` is the upper edge of the coherent-label strip,
+    ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form,
+    and ``alg_exponents`` the (alpha, beta) of a weight (omega-a)^alpha (b-omega)^beta.
     """
 
     a0: float
@@ -87,6 +89,7 @@ class PearsonData:
     family: ClassVar[str]
     closed_max_degree: ClassVar[int]
     strip_edge: ClassVar[float] = math.inf
+    alg_exponents: ClassVar[tuple[float, float] | None] = None
 
     def A(self, omega):
         return self.a1 * omega + self.a0
@@ -398,7 +401,7 @@ class _Jacobi(PearsonData):
         b2f = -self.b2
         mu = (a * self.a1 + self.a0) / (b2f * (b - a))
         nu = (b * self.a1 + self.a0) / (b2f * (a - b))
-        self.__dict__.update(b2_factored=b2f, mu=mu, nu=nu)
+        self.__dict__.update(b2_factored=b2f, mu=mu, nu=nu, alg_exponents=(mu - 1.0, nu - 1.0))
 
     def ladder_b(self, n):
         a, bb = self.support
@@ -718,6 +721,38 @@ def recurrence(pd: PearsonData) -> JacobiSystem:
     the limit of the cancelled factor pair.
     """
     return JacobiSystem(b=pd.ladder_b, h=pd.ladder_h)
+
+
+_LADDER_LEVELS, _LADDER_TOL = 8, 1e-10
+
+
+def classify_ladder(js: JacobiSystem) -> tuple[str, dict]:
+    """Label and parameters of the coupling pattern that b(1..8) of ``js`` fits.
+
+    Patterns: constant ``b``; b(n)^2 = beta^2 n; b(n)^2 = c n (n + mu - 1),
+    with ``coupling`` sqrt|c|.  They are not PearsonData: the symmetric
+    su(1,1) ladders of reduced sectors have h = 0, which no Laguerre pair has.
+    """
+    b, hs = js.arrays(min(_LADDER_LEVELS, js.dim - 1))
+    tol, top = _LADDER_TOL, b.size - 1
+    if top < 2:
+        return "unclassified (sector too short)", {}
+    bsq = b[1:] ** 2
+    scale = max(1.0, float(np.max(bsq)))
+    if (np.all(np.abs(bsq - bsq[0]) <= tol * scale)
+            and np.all(np.abs(hs - hs[0]) <= tol * max(1.0, abs(hs[0])))):
+        return "Jacobi-type strong-field (constant couplings)", {"b": float(b[1])}
+    ratio = bsq / np.arange(1, top + 1)
+    if np.all(np.abs(ratio - ratio[0]) <= tol * scale):
+        return "Hermite-type", {"beta": float(math.sqrt(ratio[0]))}
+    # b(n)^2 = c n (n + mu - 1): ratio is affine in n
+    c = ratio[1] - ratio[0]
+    if abs(c) > tol * scale:
+        mu = ratio[0] / c
+        model = c * np.arange(1, top + 1) * (np.arange(1, top + 1) + mu - 1.0)
+        if np.all(np.abs(model - bsq) <= tol * scale):
+            return "Laguerre-type", {"mu": float(mu), "coupling": float(math.sqrt(abs(c)))}
+    return "unclassified", {}
 
 
 # -- evaluation -------------------------------------------------------------

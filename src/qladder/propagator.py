@@ -32,6 +32,7 @@ the strip, then call them.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -86,13 +87,8 @@ class PropagatorContext:
 
     def rule(self, N: int):
         """Gauss nodes and log-weights of the N point rule (cached)."""
-        key = (self.pd, self.sm.C, N)
-        got = _RULE_CACHE.get(key)
-        if got is None:
-            rule = gauss_rule(self.sm, N)
-            got = (rule.nodes, rule.log_weights)
-            _cache_put(_RULE_CACHE, key, got)
-        return got
+        rule = _RULES.get_or_build((self.pd, self.sm.C, N), lambda: gauss_rule(self.sm, N))
+        return rule.nodes, rule.log_weights
 
 
 def build_context(pd: PearsonData) -> PropagatorContext:
@@ -114,16 +110,36 @@ def _check_char_domain(ctx: PropagatorContext, z: complex) -> None:
 # Quadrature infrastructure (shared by the discrete routes)
 # ---------------------------------------------------------------------------
 
-_RULE_CACHE: OrderedDict = OrderedDict()
-_QMAT_CACHE: OrderedDict = OrderedDict()
-_CACHE_SLOTS = 12
+class _LRU:
+    """Map keeping its ``slots`` most recently used entries, under one lock."""
+
+    def __init__(self, slots: int):
+        self.slots, self._data, self._lock = slots, OrderedDict(), threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+            return self._data.get(key)
+
+    def put(self, key, val) -> None:
+        with self._lock:
+            self._data[key] = val
+            self._data.move_to_end(key)
+            if len(self._data) > self.slots:
+                self._data.popitem(last=False)
+
+    def get_or_build(self, key, build):
+        """The value at ``key``, from ``build()`` (run outside the lock) on a miss."""
+        val = self.get(key)
+        if val is None:
+            val = build()
+            self.put(key, val)
+        return val
 
 
-def _cache_put(cache: OrderedDict, key, val) -> None:
-    cache[key] = val
-    cache.move_to_end(key)
-    while len(cache) > _CACHE_SLOTS:
-        cache.popitem(last=False)
+_RULES = _LRU(12)
+_QMATS = _LRU(12)
 
 
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
@@ -140,7 +156,7 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
         raise ValueError("poly matrix needs nmax < N")
     nodes, logw = ctx.rule(N)
     key = (ctx.pd, ctx.sm.C, N)
-    cached = _QMAT_CACHE.get(key)
+    cached = _QMATS.get(key)
     if cached is not None and cached.shape[0] > nmax:
         return nodes, cached
     Q = np.empty((nmax + 1, N))
@@ -150,7 +166,7 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
         if rescaled is not None:
             es[rescaled] = np.exp(s[rescaled])
         np.multiply(u, es, out=Q[k])
-    _cache_put(_QMAT_CACHE, key, Q)
+    _QMATS.put(key, Q)
     return nodes, Q
 
 

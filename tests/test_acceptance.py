@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import quad
 
 import qladder.observables as ob
-from qladder.cli import _classify_ladder
 from qladder.coherent import reproducing_density
 from qladder.fockoracle import (
     MultiModeBasis,
@@ -27,6 +26,7 @@ from qladder.fockoracle import (
 )
 from qladder.measure import moment, normalize
 from qladder.orthopoly import (
+    classify_ladder as _classify_ladder,
     hermite_data,
     jacobi_data,
     laguerre_data,

@@ -127,6 +127,45 @@ def test_expect_oracle_on_a_label_whose_tail_is_below_rounding(tmp_path):
     assert code == 0, err
 
 
+_COMPLEX_TIME = (
+    "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = 2.5\n\n"
+    "[propagate]\npairs = 0:0, 0:1, 1:1, 2:4\nimag_t = {imag_t}\n\n"
+    "[grid]\nt0 = 0.0\nt1 = 2.0\nsteps = 5\n"
+)
+
+
+def test_propagate_at_complex_time_reports_sigma_on_the_strip(tmp_path):
+    from qladder.orthopoly import laguerre_data
+    from qladder.propagator import build_context, sigma_mn
+
+    cfgp = write_config(tmp_path, _COMPLEX_TIME.format(imag_t=0.2))
+    code, out, err = run_cli(["propagate", "--config", cfgp])
+    assert code == 0 and err == ""
+    (table,) = parse_sections(out)
+    header = table[0]
+    assert not any(h.startswith("unitarity_row") for h in header)
+    ctx = build_context(laguerre_data(2.5))
+    assert len(table) == 1 + 5
+    for row in table[1:]:
+        cells = dict(zip(header, row))
+        t = float(cells["t(dimensionless,hbar=1)"])
+        for m, n in [(0, 0), (0, 1), (1, 1), (2, 4)]:
+            want = sigma_mn(ctx, m, n, complex(t, 0.2))
+            assert float(cells[f"re_sigma_{m}_{n}@interaction"]) == want.real
+            assert float(cells[f"im_sigma_{m}_{n}@interaction"]) == want.imag
+
+
+@pytest.mark.parametrize("imag_t, flags, error", [
+    (0.2, ["--oracle"], "usage"),  # the oracle evolves in real time only
+    (1.2, [], "strip"),  # the transform domain is Im z < 1 for Laguerre(2.5)
+])
+def test_propagate_at_complex_time_refusals_are_exit_2(tmp_path, imag_t, flags, error):
+    cfgp = write_config(tmp_path, _COMPLEX_TIME.format(imag_t=imag_t))
+    code, out, err = run_cli(["propagate", "--config", cfgp] + flags)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_numerical_error_in_a_command_is_exit_2(monkeypatch):
     import qladder.cli as cli
     from qladder.errors import ConvergenceError

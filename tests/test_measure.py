@@ -75,6 +75,23 @@ def test_moment_integrates_the_weight_without_density(monkeypatch):
     assert moment(sm, 4) == pytest.approx(want, rel=1e-7)  # quad: ~1e-8 at singular edges
 
 
+def test_jacobi_moments_match_closed_beta_moments():
+    """Singular or asymmetric edges, against moments in exact arithmetic."""
+    from fractions import Fraction
+
+    for a, b, mu, nu in [(0.5, 2.0, 0.1, 0.2), (-1.0, 1.0, 0.3, 2.5), (0.0, 3.0, 2.0, 1.5),
+                         (-2.0, 5.0, 0.7, 0.9), (-1.0, 1.0, 2.0, 1.5), (1.0, 4.0, 0.5, 0.5)]:
+        sm = normalize(jacobi_data(a, b, mu, nu))
+        a, b, mu, nu = map(Fraction, (a, b, mu, nu))
+        # omega = a + (b - a) Y with Y ~ Beta(mu, nu), E[Y^j] = prod (mu + i)/(mu + nu + i)
+        beta = [math.prod([(mu + i) / (mu + nu + i) for i in range(j)], start=Fraction(1))
+                for j in range(9)]
+        for k in range(9):
+            want = sum(math.comb(k, j) * a ** (k - j) * (b - a) ** j * beta[j]
+                       for j in range(k + 1))
+            assert moment(sm, k) == pytest.approx(float(want), rel=1e-13)
+
+
 def test_jacobi_first_moment_closed():
     # mean of Beta(2, 1.5) mapped to (-1, 1): (mu-nu)/(mu+nu) = 1/7
     sm = normalize(jacobi_data(-1.0, 1.0, 2.0, 1.5))

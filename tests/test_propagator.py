@@ -237,3 +237,28 @@ def test_warm_evolve_makes_no_complex_copy_of_the_poly_matrix():
         tracemalloc.stop()
     np.testing.assert_array_equal(again, out)
     assert peak < Q.nbytes / 4
+
+
+def test_lru_evicts_the_least_recently_used_at_its_bound():
+    from qladder import fockoracle, propagator
+
+    slots = (propagator._RULES.slots, propagator._QMATS.slots, fockoracle._EIGS.slots)
+    assert slots == (12, 12, 64)
+    cache = propagator._LRU(2)
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert cache.get("a") == 1  # refreshes "a", so "b" is now the oldest
+    cache.put("c", 3)
+    assert (cache.get("a"), cache.get("b"), cache.get("c")) == (1, None, 3)
+    cache.put("a", 4)  # replacing refreshes too
+    cache.put("d", 5)
+    assert (cache.get("a"), cache.get("c"), cache.get("d")) == (4, None, 5)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return 6
+
+    assert cache.get_or_build("a", build) == 4
+    assert cache.get_or_build("e", build) == 6
+    assert calls == [1] and cache.get("d") is None  # the miss built once and evicted "d"
