@@ -31,13 +31,12 @@ them.
 from __future__ import annotations
 
 import math
-import cmath
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import ConvergenceError, StripError
-from .orthopoly import PearsonData
+from .orthopoly import PearsonData, _node_sum
 from .propagator import (
     PropagatorContext,
     StripDomain,
@@ -167,12 +166,9 @@ def holomorphic_transform(
     z = _require_label(ctx, z)
     if callable(state):
         nodes, logw = ctx.rule(_TRANSFORM_NODES)
-        x, y = z.real, z.imag
-        logs = logw + y * nodes
-        m = logs.max()
         vals = np.conj(np.asarray(state(nodes), dtype=complex))
-        phase = np.exp(-1j * x * nodes)
-        return complex(math.exp(m) * np.sum(vals * np.exp(logs - m) * phase))
+        M, V = _node_sum(logw + z.imag * nodes, vals, nodes, z.real)
+        return math.exp(M) * V
     coeffs = np.asarray(state, dtype=complex)
     total = 0.0 + 0.0j
     for n, c in enumerate(coeffs):

@@ -50,7 +50,7 @@ class TruncatedOperator:
     off: np.ndarray
 
     def dense(self) -> np.ndarray:
-        m = np.diag(self.diag).astype(complex)
+        m = np.diag(self.diag)
         idx = np.arange(self.dim - 1)
         m[idx, idx + 1] = self.off
         m[idx + 1, idx] = self.off

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
 from .orthopoly import derivative_matrix
-from .propagator import PropagatorContext, evolve
+from .propagator import PropagatorContext, _real_matvec, evolve
 from .reduction import MultiModeSystem, Sector, beta_offsets
 
 __all__ = [
@@ -312,7 +312,7 @@ def _alpha_series(D: np.ndarray, c: np.ndarray, l: int) -> list:
     out = [complex(np.vdot(c, c))]
     psi = c
     for k in range(1, l + 1):
-        psi = D @ psi
+        psi = _real_matvec(D, psi)
         out.append((1j) ** k * complex(np.vdot(c, psi)))
     return out
 

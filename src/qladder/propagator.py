@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError, StripError, Unsupported
 from .measure import SpectralMeasure, gauss_rule, normalize
-from .orthopoly import JacobiSystem, PearsonData, recurrence, scaled_sweep
+from .orthopoly import JacobiSystem, PearsonData, _node_sum, recurrence, scaled_sweep
 
 __all__ = [
     "StripDomain",
@@ -175,26 +175,6 @@ def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (Q @ np.stack((f.real, f.imag), axis=-1)).view(complex)[:, 0]
 
 
-def _log_poly_rows(ctx: PropagatorContext, N: int, rows):
-    """log magnitudes and signs of selected orthonormal polynomial rows.
-
-    Returns (nodes, logw, table) with table[k] = (log|P_k(x_i)|, sign_i).
-    Unlike the weighted matrix this never flushes far nodes to zero, which
-    matters for integrands growing against the measure.
-    """
-    want = sorted(set(rows))
-    if want[0] < 0:
-        raise ValueError("row indices must be nonnegative")
-    nodes, logw = ctx.rule(N)
-    table = {}
-    s = np.zeros_like(nodes)
-    for k, u, _ in scaled_sweep(*ctx.js.arrays(want[-1]), nodes, s):
-        if k in want:
-            with np.errstate(divide="ignore"):
-                table[k] = (np.log(np.abs(u)) + s, np.sign(u))
-    return nodes, logw, table
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -266,16 +246,16 @@ def sigma_mn_quad(
     if N is None:
         N = m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z)
         N = min(N, 6144)
-    nodes, logw, table = _log_poly_rows(ctx, N, (m, n))
-    lam, sm_ = table[m]
-    lan, sn_ = table[n]
-    logs = logw + lam + lan + z.imag * nodes
-    sign = sm_ * sn_
-    M = float(logs.max())
-    if M == -math.inf:
-        return 0j
-    vals = sign * np.exp(logs - M) * np.exp(-1j * z.real * nodes)
-    return complex(np.sum(vals) * math.exp(M))
+    nodes, logw = ctx.rule(N)
+    s = np.zeros_like(nodes)
+    rows = {}  # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
+    for k, u, _ in scaled_sweep(*ctx.js.arrays(max(m, n)), nodes, s):
+        if k in (m, n):
+            with np.errstate(divide="ignore"):
+                rows[k] = (np.log(np.abs(u)) + s, np.sign(u))
+    (lam, sm_), (lan, sn_) = rows[m], rows[n]
+    M, V = _node_sum(logw + lam + lan + z.imag * nodes, sm_ * sn_, nodes, z.real)
+    return V * math.exp(M)
 
 
 def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:

@@ -71,7 +71,8 @@ def hyp_pfq(num, den, x):
     """Generalized hypergeometric pFq(num; den; x) with divergence detection.
 
     Standard normalization: sum_n [prod (a_i)_n / prod (b_j)_n] x^n / n!.
-    Terminating series (some a_i a nonpositive integer) are summed exactly.
+    A terminating series (some a_i a nonpositive integer) stops at its first
+    zero term at the latest and skips the divergence checks.
     Nonterminating p > q+1 is rejected, and p = q+1 requires |x| < 1.
     """
     num = list(num)
@@ -86,23 +87,6 @@ def hyp_pfq(num, den, x):
             raise DivergenceError(f"{p}F{q} diverges for x != 0")
         if p == q + 1 and abs(x) >= 1.0:
             raise DivergenceError(f"{p}F{q} requires |x| < 1, got |x| = {abs(x)}")
-    if terminating:
-        nstop = min(
-            int(round(-a.real if isinstance(a, complex) else -a))
-            for a in num
-            if _is_nonpositive_int(a)
-        )
-        term = 1.0 + 0.0j
-        total = term
-        for k in range(nstop):
-            ratio = x / (k + 1)
-            for a in num:
-                ratio *= a + k
-            for b in den:
-                ratio /= b + k
-            term *= ratio
-            total += term
-        return total
     term = 1.0 + 0.0j
     total = term
     growing = 0
@@ -113,7 +97,7 @@ def hyp_pfq(num, den, x):
         for b in den:
             ratio /= b + n
         new = term * ratio
-        if abs(new) > abs(term):
+        if not terminating and abs(new) > abs(term):
             growing += 1
             if growing > 12 and abs(new) > 1e6 * max(1.0, abs(total)):
                 raise DivergenceError(

@@ -1,0 +1,33 @@
+"""The benchmark tracer patches private names of the package; renaming one
+must fail here, not only in traced benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+from qladder import fockoracle, measure, propagator
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _hooks() -> dict:
+    return {
+        "propagator._weighted_poly_matrix": propagator._weighted_poly_matrix,
+        "measure.gauss_rule": measure.gauss_rule,
+        "measure.eigh_tridiagonal": measure.eigh_tridiagonal,
+        "fockoracle.eigh": fockoracle.eigh,
+        "fockoracle.MultiModeBasis.__init__": fockoracle.MultiModeBasis.__init__,
+    }
+
+
+def test_tracer_wraps_its_hooks_and_puts_the_originals_back():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    before = _hooks()
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        assert [k for k, f in _hooks().items() if f is before[k]] == []
+    finally:
+        tr.uninstall()
+    assert [k for k, f in _hooks().items() if f is not before[k]] == []

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -212,6 +213,32 @@ def test_jacobi_router_keeps_cancelling_degrees_off_the_closed_form(mu, nu, m, n
         warnings.simplefilter("error")
         v = sigma_mn(ctx, m, n, t)
     assert abs(v - sigma_mn_quad(ctx, m, n, t, N=600)) < 1e-12
+
+
+@pytest.mark.parametrize("params", [(-1.0, 1.0, 2.0, 1.5), (0.5, 2.0, 1.7, 2.9)])
+def test_jacobi_transforms_match_mpmath_where_the_series_gives_way(params, mp_orthonormal):
+    """(b - a)|z| lies above the confluent-series threshold, so the shifted
+    weight transforms take their oscillatory quadrature branch."""
+    pd = jacobi_data(*params)
+    ctx = build_context(pd)
+    cuts = mp.linspace(*pd.support, 3)
+    with mp.workdps(30):
+        mass = mp.quad(pd.weight, cuts)
+
+    def transform(z, f):
+        with mp.workdps(30):
+            num = mp.quad(lambda x: mp.exp(-1j * z * x) * pd.weight(x) * f(x), cuts)
+            return complex(num / mass)
+
+    for z in (9.0, 15 + 0.3j, 26 - 0.2j, 40 + 0.5j):
+        assert abs(char_fn(ctx, z) - transform(z, lambda x: 1)) < 1e-13
+    # P_2 and P_5 have degree <= 5, so six reference values fix them
+    xs = np.linspace(*pd.support, 6)
+    table = np.array([mp_orthonormal(pd, 5, x) for x in xs])
+    for n in (2, 5):
+        P = np.polynomial.Polynomial.fit(xs, table[:, n], 5)
+        want = transform(30 + 0.2j, lambda x: P(float(x)))
+        assert abs(sigma_n(ctx, n, 30 + 0.2j) - want) < 1e-10
 
 
 def test_selfadjointness_certificate():
