@@ -523,7 +523,8 @@ class _Jacobi(PearsonData):
         return cmath.exp(expo) * V
 
     def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
-        # double Leibniz expansion over shifted weight transforms
+        # double Leibniz expansion over shifted weight transforms; the
+        # transform depends on k + l only, so m + n + 1 of them are evaluated
         mu, nu = self.mu, self.nu
         C = ctx.sm.C
         pre = (
@@ -532,6 +533,7 @@ class _Jacobi(PearsonData):
             + (m + n) * math.log(self.b2_factored)
         )
         entries = []
+        shifted = {}
         for k in range(m + 1):
             lgk = ln_gamma(m + 1.0) - ln_gamma(k + 1.0) - ln_gamma(m - k + 1.0)
             gk = (
@@ -548,10 +550,13 @@ class _Jacobi(PearsonData):
                     + ln_gamma(nu + n)
                     - ln_gamma(nu + n - l)
                 )
-                L, V = self._shifted(ctx, z, k + l, m + n - k - l)
+                j = k + l
+                if j not in shifted:
+                    shifted[j] = self._shifted(ctx, z, j, m + n - j)
+                L, V = shifted[j]
                 if V == 0:
                     continue
-                sign = -1.0 if (k + l) % 2 else 1.0
+                sign = -1.0 if j % 2 else 1.0
                 entries.append((pre + lgk + gk + lgl + gl + L, sign * V))
         if not entries:
             return 0j

@@ -54,6 +54,7 @@ __all__ = [
     "sigma_row",
     "evolve",
     "require_selfadjoint",
+    "rule_size",
 ]
 
 
@@ -86,9 +87,25 @@ class PropagatorContext:
     strip: StripDomain
 
     def rule(self, N: int):
-        """Gauss nodes and log-weights of the N point rule (cached)."""
+        """Gauss nodes and log-weights of the ``rule_size(N)`` point rule (cached)."""
+        N = rule_size(N)
         rule = _RULES.get_or_build((self.pd, self.sm.C, N), lambda: gauss_rule(self.sm, N))
         return rule.nodes, rule.log_weights
+
+
+RULE_GRID = 32
+
+
+def rule_size(N: int) -> int:
+    """N rounded to the nearest multiple of RULE_GRID (ties up), at least RULE_GRID.
+
+    Rule sizes depend on the request alone, so a value never depends on what
+    the caches hold, and the grid lets nearby requests share one rule.  The
+    package's callers ask for at least 64 nodes above their highest
+    polynomial row, so the rounding (at most RULE_GRID / 2 down) keeps a
+    margin of 48.
+    """
+    return max(RULE_GRID, (int(N) + RULE_GRID // 2) // RULE_GRID * RULE_GRID)
 
 
 def build_context(pd: PearsonData) -> PropagatorContext:
@@ -138,23 +155,27 @@ class _LRU:
         return val
 
 
-_RULES = _LRU(12)
+# A rule holds 24 B per node (nodes, log-weights, weights).  The largest is
+# rule_size(8192 + 64) = 8,256 nodes, so 128 slots hold at most ~25 MB.
+_RULES = _LRU(128)
 _QMATS = _LRU(12)
 
 
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
-    """Rows Q_k(omega_i) = sqrt(w_i) P_k(omega_i), k = 0..nmax.
+    """Rows Q_k(omega_i) = sqrt(w_i) P_k(omega_i), k = 0..nmax, on ``ctx.rule(N)``.
 
-    These rows are exactly orthonormal under plain summation over i for
-    k < N, which is what makes the discrete propagation unitary.  Every
-    entry is bounded by 1.  The sweep's log scale starts at log sqrt(w_i),
-    so the weight is folded in only at emission time: sqrt(w_i) itself
-    underflows at far nodes of unbounded supports while the emitted
-    products are of order one exactly where the row lives.
+    These rows are exactly orthonormal under plain summation over the
+    rule's nodes for k below its size, which is what makes the discrete
+    propagation unitary.  Every entry is bounded by 1.  The sweep's log
+    scale starts at log sqrt(w_i), so the weight is folded in only at
+    emission time: sqrt(w_i) itself underflows at far nodes of unbounded
+    supports while the emitted products are of order one exactly where the
+    row lives.
     """
+    nodes, logw = ctx.rule(N)
+    N = nodes.size
     if nmax >= N:
         raise ValueError("poly matrix needs nmax < N")
-    nodes, logw = ctx.rule(N)
     key = (ctx.pd, ctx.sm.C, N)
     cached = _QMATS.get(key)
     if cached is not None and cached.shape[0] > nmax:
@@ -171,8 +192,10 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Q @ f for real Q and complex f, without a complex copy of Q."""
-    return (Q @ np.stack((f.real, f.imag), axis=-1)).view(complex)[:, 0]
+    """Q @ f for real Q and a complex vector or matrix f, without a complex copy of Q."""
+    ri = np.stack((f.real, f.imag), axis=-1)
+    out = Q @ ri.reshape(ri.shape[0], -1)
+    return out.reshape(out.shape[0], *f.shape[1:], 2).view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +261,10 @@ def sigma_mn_quad(
     strip.  On a Laguerre pair with Im z close to the transform boundary the
     oscillatory sum is exponentially ill conditioned and the closed form
     should be preferred (``sigma_mn`` routes this way).
+
+    The rule has ``rule_size(N)`` nodes: N defaults to m + n + 96 plus the
+    family's spread at |z|, and an explicit ``N`` is rounded onto the same
+    grid of multiples of RULE_GRID.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -297,7 +324,8 @@ def evolve(
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
     The output keeps K + 1 levels, K = c.size + 64 + spread(t) at first,
-    on a rule of K + 64 nodes.  K doubles until the unitarity deficit
+    on a rule of rule_size(K + 64) nodes (K + 64 rounded to the nearest
+    multiple of RULE_GRID).  K doubles until the unitarity deficit
     ||c||^2 - ||out||^2 (nonnegative by construction, equal to the weight
     leaked past the kept rows) drops below ``tail`` relative to ||c||^2.
     K is clamped to ``max_dim``; a first K above it raises

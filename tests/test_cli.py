@@ -74,6 +74,26 @@ def test_propagate_is_deterministic_and_unitary():
     assert float(row0["re_sigma_0_1@interaction"]) == pytest.approx(0.0)
 
 
+def test_repeated_propagate_builds_no_rule(monkeypatch):
+    from qladder import propagator
+
+    argv = ["propagate", "--config", str(SCENARIOS / "laguerre_propagate.ini")]
+    built = []
+    build = propagator.gauss_rule
+
+    def counted(sm, N):
+        built.append(N)
+        return build(sm, N)
+
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(propagator._RULES.slots))
+    monkeypatch.setattr(propagator, "gauss_rule", counted)
+    assert run_cli(argv)[0] == 0
+    assert built and all(N % 32 == 0 for N in built)
+    built.clear()
+    assert run_cli(argv)[0] == 0
+    assert built == []
+
+
 def test_propagate_oracle_columns_agree():
     code, out, err = run_cli(
         [

@@ -9,15 +9,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qladder import propagator
 from qladder.errors import ConvergenceError, StripError, Unsupported
 from qladder.fockoracle import expm_evolve, truncated_h
 from qladder.orthopoly import JacobiSystem, hermite_data, jacobi_data, laguerre_data
 from qladder.propagator import (
+    PropagatorContext,
     _weighted_poly_matrix,
     build_context,
     char_fn,
     evolve,
     require_selfadjoint,
+    rule_size,
     sigma_mn,
     sigma_mn_closed,
     sigma_mn_quad,
@@ -270,7 +273,7 @@ def test_lru_evicts_the_least_recently_used_at_its_bound():
     from qladder import fockoracle, propagator
 
     slots = (propagator._RULES.slots, propagator._QMATS.slots, fockoracle._EIGS.slots)
-    assert slots == (12, 12, 64)
+    assert slots == (128, 12, 64)
     cache = propagator._LRU(2)
     cache.put("a", 1)
     cache.put("b", 2)
@@ -289,3 +292,79 @@ def test_lru_evicts_the_least_recently_used_at_its_bound():
     assert cache.get_or_build("a", build) == 4
     assert cache.get_or_build("e", build) == 6
     assert calls == [1] and cache.get("d") is None  # the miss built once and evicted "d"
+
+
+def test_rule_size_rounds_to_the_nearest_multiple_of_32():
+    sizes = np.array([rule_size(N) for N in range(1, 9000)])
+    N = np.arange(1, 9000)
+    assert np.all(sizes % 32 == 0) and sizes.min() == 32
+    assert np.all(np.abs(sizes - N)[N >= 16] <= 16)
+    assert (rule_size(48), rule_size(47), rule_size(8256)) == (64, 32, 8256)  # ties go up
+
+
+@pytest.mark.parametrize("pd", [hermite_data(), laguerre_data(0.8), jacobi_data(-1, 1, 2, 1.5)])
+def test_every_quadrature_caller_keeps_48_nodes_above_its_highest_row(pd, monkeypatch):
+    ctx = build_context(pd)
+    sizes = []
+    rule = PropagatorContext.rule
+
+    def recorded(self, N):
+        nodes, logw = rule(self, N)
+        sizes.append(nodes.size)
+        return nodes, logw
+
+    monkeypatch.setattr(PropagatorContext, "rule", recorded)
+    for t in (0.0, 0.3, 2.0):
+        for n, kmax in ((0, 0), (5, 40), (70, 3), (150, 150)):
+            sizes.clear()
+            sigma_row(ctx, n, t, kmax)
+            assert sizes and min(sizes) >= max(n, kmax) + 48
+        for m, n in ((0, 0), (30, 2), (60, 61)):
+            sizes.clear()
+            sigma_mn_quad(ctx, m, n, t + 0.05j)
+            assert sizes == [rule_size(sizes[0])] and sizes[0] >= max(m, n) + 48
+        sizes.clear()
+        out = evolve(ctx, np.ones(20) / math.sqrt(20), t)
+        assert sizes[-1] >= out.size - 1 + 48
+
+
+def test_quadrature_values_do_not_depend_on_the_cache_history(monkeypatch):
+    ctx = build_context(laguerre_data(2.5))
+
+    def values():
+        return (
+            sigma_row(ctx, 3, 1.7, 40),
+            evolve(ctx, [0.6, 0.8j, 0.0, 0.0], 1.7),
+            np.array([sigma_mn_quad(ctx, 4, 30, 1.7), sigma_mn_quad(ctx, 4, 30, 1.7 + 0.1j)]),
+        )
+
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
+    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(12))
+    cold = values()
+    # unrelated requests on the same grid rules, with more rows, and on other families
+    for t in (1.6, 1.75, 3.0):
+        sigma_row(ctx, 9, t, 60)
+        evolve(ctx, np.ones(30), t)
+        sigma_mn_quad(ctx, 1, 33, t)
+    for other in (hermite_data(), jacobi_data(-1, 1, 2, 1.5)):
+        octx = build_context(other)
+        for t in np.linspace(0.1, 4.0, 20):
+            sigma_row(octx, 2, t, 30)
+    for got, want in zip(values(), cold):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("z", [3.0, 20 + 0.1j])
+def test_jacobi_two_index_form_evaluates_m_plus_n_plus_1_transforms(z, monkeypatch):
+    pd = jacobi_data(-1.0, 1.0, 2.0, 1.5)
+    ctx = build_context(pd)
+    calls = []
+    shifted = type(pd)._shifted
+
+    def counted(self, ctx, z, dmu, dnu):
+        calls.append((dmu, dnu))
+        return shifted(self, ctx, z, dmu, dnu)
+
+    monkeypatch.setattr(type(pd), "_shifted", counted)
+    sigma_mn_closed(ctx, 9, 9, z)
+    assert sorted(calls) == [(j, 18 - j) for j in range(19)]
