@@ -234,14 +234,9 @@ def eigh_evolve(h: np.ndarray, t: float | np.ndarray, vec) -> np.ndarray:
     """exp(-i h t) @ vec for a dense Hermitian h, eigendecomposition cached.
 
     ``t`` is a time or a 1-d array of times; an array gives one row per time.
-    A real h has real eigenvectors v, which meet the complex vectors as
-    separate real and imaginary parts, so v is never copied to complex.
     """
     key = hashlib.sha1(np.ascontiguousarray(h)).hexdigest()
     w, v = _EIGS.get_or_build(key, lambda: eigh(h))
-    vec = np.asarray(vec, dtype=complex)
-    phase = np.exp(-1j * np.multiply.outer(t, w))
-    if np.isrealobj(v):
-        return _real_matvec(v, (phase * _real_matvec(v.T, vec)).T).T
-    x = phase * (vec.conj() @ v).conj()  # v^H vec, no copy of v
+    coef = (np.asarray(vec, dtype=complex).conj() @ v).conj()  # v^H vec, no copy of v
+    x = np.exp(-1j * np.multiply.outer(t, w)) * coef
     return v @ x if x.ndim == 1 else x @ v.T

@@ -54,7 +54,6 @@ __all__ = [
     "sigma_row",
     "evolve",
     "require_selfadjoint",
-    "rule_size",
 ]
 
 
@@ -87,25 +86,25 @@ class PropagatorContext:
     strip: StripDomain
 
     def rule(self, N: int):
-        """Gauss nodes and log-weights of the ``rule_size(N)`` point rule (cached)."""
-        N = rule_size(N)
+        """Gauss nodes and log-weights of the ``_rule_size(N)`` point rule (cached)."""
+        N = _rule_size(N)
         rule = _RULES.get_or_build((self.pd, self.sm.C, N), lambda: gauss_rule(self.sm, N))
         return rule.nodes, rule.log_weights
 
 
-RULE_GRID = 32
+_RULE_GRID = 32
 
 
-def rule_size(N: int) -> int:
-    """N rounded to the nearest multiple of RULE_GRID (ties up), at least RULE_GRID.
+def _rule_size(N: int) -> int:
+    """N rounded to the nearest multiple of _RULE_GRID (ties up), at least _RULE_GRID.
 
     Rule sizes depend on the request alone, so a value never depends on what
     the caches hold, and the grid lets nearby requests share one rule.  The
     package's callers ask for at least 64 nodes above their highest
-    polynomial row, so the rounding (at most RULE_GRID / 2 down) keeps a
+    polynomial row, so the rounding (at most _RULE_GRID / 2 down) keeps a
     margin of 48.
     """
-    return max(RULE_GRID, (int(N) + RULE_GRID // 2) // RULE_GRID * RULE_GRID)
+    return max(_RULE_GRID, (int(N) + _RULE_GRID // 2) // _RULE_GRID * _RULE_GRID)
 
 
 def build_context(pd: PearsonData) -> PropagatorContext:
@@ -155,8 +154,11 @@ class _LRU:
         return val
 
 
-# A rule holds 24 B per node (nodes, log-weights, weights).  The largest is
-# rule_size(8192 + 64) = 8,256 nodes, so 128 slots hold at most ~25 MB.
+# A rule holds 24 B per node (nodes, log-weights, weights).  evolve at its
+# default max_dim asks for at most 8,256 nodes and sigma_mn_quad's default
+# for at most 6,144, so 128 such rules take at most ~25 MB.  sigma_row and
+# the Jacobi shifted transforms size their rules from n and |z| without a
+# cap, so the slot count bounds the number of rules, not their bytes.
 _RULES = _LRU(128)
 _QMATS = _LRU(12)
 
@@ -179,7 +181,7 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     key = (ctx.pd, ctx.sm.C, N)
     cached = _QMATS.get(key)
     if cached is not None and cached.shape[0] > nmax:
-        return nodes, cached
+        return nodes, cached[: nmax + 1]
     Q = np.empty((nmax + 1, N))
     s = 0.5 * logw
     es = np.exp(s)
@@ -192,10 +194,8 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Q @ f for real Q and a complex vector or matrix f, without a complex copy of Q."""
-    ri = np.stack((f.real, f.imag), axis=-1)
-    out = Q @ ri.reshape(ri.shape[0], -1)
-    return out.reshape(out.shape[0], *f.shape[1:], 2).view(complex)[..., 0]
+    """Q @ f for real Q and complex f, without a complex copy of Q."""
+    return (Q @ np.stack((f.real, f.imag), axis=-1)).view(complex)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +262,9 @@ def sigma_mn_quad(
     oscillatory sum is exponentially ill conditioned and the closed form
     should be preferred (``sigma_mn`` routes this way).
 
-    The rule has ``rule_size(N)`` nodes: N defaults to m + n + 96 plus the
-    family's spread at |z|, and an explicit ``N`` is rounded onto the same
-    grid of multiples of RULE_GRID.
+    The rule has N nodes rounded to the nearest multiple of 32: N defaults
+    to m + n + 96 plus the family's spread at |z|, and an explicit ``N`` is
+    rounded onto the same grid.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -324,8 +324,8 @@ def evolve(
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
     The output keeps K + 1 levels, K = c.size + 64 + spread(t) at first,
-    on a rule of rule_size(K + 64) nodes (K + 64 rounded to the nearest
-    multiple of RULE_GRID).  K doubles until the unitarity deficit
+    on a rule of K + 64 nodes rounded to the nearest multiple of 32.
+    K doubles until the unitarity deficit
     ||c||^2 - ||out||^2 (nonnegative by construction, equal to the weight
     leaked past the kept rows) drops below ``tail`` relative to ||c||^2.
     K is clamped to ``max_dim``; a first K above it raises

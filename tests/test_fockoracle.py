@@ -1,6 +1,5 @@
 """Brute-force Fock oracle: truncation, sparse application, evolution."""
 
-import hashlib
 import math
 import tracemalloc
 
@@ -94,31 +93,6 @@ def test_warm_eigh_evolve_copies_neither_h_nor_its_eigenvectors():
         tracemalloc.stop()
     np.testing.assert_array_equal(again, out)
     assert peak < h.nbytes / 4  # the eigenvector matrix has h's shape and dtype
-
-
-def test_warm_eigh_evolve_on_a_real_h_makes_no_complex_copy_of_its_eigenvectors():
-    from qladder.fockoracle import _EIGS
-    from qladder.orthopoly import laguerre_data, recurrence
-
-    h = truncated_h(recurrence(laguerre_data(2.5)), 1000).dense()
-    assert h.dtype == np.float64
-    vec = np.zeros(len(h), dtype=complex)
-    vec[:3] = (0.6, 0.8j, 0.0)
-    out = eigh_evolve(h, 1.3, vec)  # cold: diagonalizes and caches
-    _, v = _EIGS.get(hashlib.sha1(h).hexdigest())
-    assert v.dtype == np.float64
-    tracemalloc.start()
-    try:
-        again = eigh_evolve(h, 1.3, vec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(again, out)
-    assert peak < v.nbytes / 4
-    np.testing.assert_allclose(out, eigh_evolve(h.astype(complex), 1.3, vec), rtol=0, atol=1e-14)
-    ts = np.array([0.0, 1.3, 2.2])
-    rows = eigh_evolve(h, ts, vec)
-    np.testing.assert_allclose(rows, eigh_evolve(h.astype(complex), ts, vec), rtol=0, atol=1e-14)
 
 
 def test_eigh_evolve_gives_one_row_per_time():

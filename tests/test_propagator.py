@@ -15,12 +15,12 @@ from qladder.fockoracle import expm_evolve, truncated_h
 from qladder.orthopoly import JacobiSystem, hermite_data, jacobi_data, laguerre_data
 from qladder.propagator import (
     PropagatorContext,
+    _rule_size,
     _weighted_poly_matrix,
     build_context,
     char_fn,
     evolve,
     require_selfadjoint,
-    rule_size,
     sigma_mn,
     sigma_mn_closed,
     sigma_mn_quad,
@@ -295,11 +295,11 @@ def test_lru_evicts_the_least_recently_used_at_its_bound():
 
 
 def test_rule_size_rounds_to_the_nearest_multiple_of_32():
-    sizes = np.array([rule_size(N) for N in range(1, 9000)])
+    sizes = np.array([_rule_size(N) for N in range(1, 9000)])
     N = np.arange(1, 9000)
     assert np.all(sizes % 32 == 0) and sizes.min() == 32
     assert np.all(np.abs(sizes - N)[N >= 16] <= 16)
-    assert (rule_size(48), rule_size(47), rule_size(8256)) == (64, 32, 8256)  # ties go up
+    assert (_rule_size(48), _rule_size(47), _rule_size(8256)) == (64, 32, 8256)  # ties go up
 
 
 @pytest.mark.parametrize("pd", [hermite_data(), laguerre_data(0.8), jacobi_data(-1, 1, 2, 1.5)])
@@ -322,7 +322,7 @@ def test_every_quadrature_caller_keeps_48_nodes_above_its_highest_row(pd, monkey
         for m, n in ((0, 0), (30, 2), (60, 61)):
             sizes.clear()
             sigma_mn_quad(ctx, m, n, t + 0.05j)
-            assert sizes == [rule_size(sizes[0])] and sizes[0] >= max(m, n) + 48
+            assert sizes == [_rule_size(sizes[0])] and sizes[0] >= max(m, n) + 48
         sizes.clear()
         out = evolve(ctx, np.ones(20) / math.sqrt(20), t)
         assert sizes[-1] >= out.size - 1 + 48
@@ -335,22 +335,29 @@ def test_quadrature_values_do_not_depend_on_the_cache_history(monkeypatch):
         return (
             sigma_row(ctx, 3, 1.7, 40),
             evolve(ctx, [0.6, 0.8j, 0.0, 0.0], 1.7),
+            evolve(ctx, [1.0], 1.75),
             np.array([sigma_mn_quad(ctx, 4, 30, 1.7), sigma_mn_quad(ctx, 4, 30, 1.7 + 0.1j)]),
         )
 
+    # a longer c at the same t asks for more levels on the same grid rule
+    for size, t in ((4, 1.7), (1, 1.75)):
+        spread = ctx.pd.spread(t)
+        assert _rule_size(size + 128 + spread) == _rule_size(10 + 128 + spread)
     monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
     monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(12))
     cold = values()
     # unrelated requests on the same grid rules, with more rows, and on other families
-    for t in (1.6, 1.75, 3.0):
+    for t in (1.6, 1.7, 1.75, 3.0):
         sigma_row(ctx, 9, t, 60)
+        evolve(ctx, np.ones(10) / math.sqrt(10), t)
         evolve(ctx, np.ones(30), t)
         sigma_mn_quad(ctx, 1, 33, t)
     for other in (hermite_data(), jacobi_data(-1, 1, 2, 1.5)):
         octx = build_context(other)
         for t in np.linspace(0.1, 4.0, 20):
             sigma_row(octx, 2, t, 30)
-    for got, want in zip(values(), cold):
+    for got, want in zip(values(), cold, strict=True):
+        assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
 
