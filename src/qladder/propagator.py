@@ -324,10 +324,10 @@ def evolve(
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
     The output keeps K + 1 levels, K = c.size + 64 + spread(t) at first,
-    on a rule of K + 64 nodes rounded to the nearest multiple of 32.
-    K doubles until the unitarity deficit
-    ||c||^2 - ||out||^2 (nonnegative by construction, equal to the weight
-    leaked past the kept rows) drops below ``tail`` relative to ||c||^2.
+    on a rule of K + 64 nodes rounded to the nearest multiple of 32.  K
+    doubles until the unitarity deficit ||c||^2 - ||out||^2 (nonnegative
+    by construction, equal to the weight leaked past the kept rows) drops
+    below ``tail`` relative to ||c||^2.
     K is clamped to ``max_dim``; a first K above it raises
     ConvergenceError at once, since a smaller rule would measure a
     deficit it cannot resolve.
