@@ -15,6 +15,7 @@ them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from .errors import CutoffOverflow
 from .orthopoly import JacobiSystem
 from .propagator import _LRU, _real_matvec
-from .reduction import MultiModeSystem, big_g, lambda_of
+from .reduction import MultiModeSystem, lambda_of
 
 __all__ = [
     "TruncatedOperator",
@@ -97,23 +98,12 @@ class MultiModeBasis:
         self.modes = modes
         self.max_total = max_total
         self.max_local = max_local
-        states: list[tuple[int, ...]] = []
-
-        def rec(prefix, remaining_modes):
-            if remaining_modes == 0:
-                if max_total is None or sum(prefix) <= max_total:
-                    states.append(tuple(prefix))
-                return
-            cap = max_local if max_local is not None else max_total - sum(prefix)
-            if max_total is not None:
-                cap = min(cap, max_total - sum(prefix))
-            for n in range(cap + 1):
-                rec(prefix + [n], remaining_modes - 1)
-
-        rec([], modes)
-        states.sort()
-        self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
+        cap = min(c for c in (max_total, max_local) if c is not None)
+        self.states = [  # product yields the tuples in sorted order
+            occ for occ in itertools.product(range(cap + 1), repeat=modes)
+            if max_total is None or sum(occ) <= max_total
+        ]
+        self.index = {s: i for i, s in enumerate(self.states)}
 
     def __len__(self):
         return len(self.states)

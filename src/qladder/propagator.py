@@ -99,10 +99,11 @@ def _rule_size(N: int) -> int:
     """N rounded to the nearest multiple of _RULE_GRID (ties up), at least _RULE_GRID.
 
     Rule sizes depend on the request alone, so a value never depends on what
-    the caches hold, and the grid lets nearby requests share one rule.  The
-    package's callers ask for at least 64 nodes above their highest
-    polynomial row, so the rounding (at most _RULE_GRID / 2 down) keeps a
-    margin of 48.
+    the caches hold, and the grid lets nearby requests share one rule.  A
+    rule's polynomial matrix carries rows 0..S - 64: ``evolve`` keeps
+    exactly 64 nodes of margin above its highest row, and ``sigma_row``,
+    which asks for at least 96 and loses at most _RULE_GRID / 2 to the
+    rounding, at least 80.
     """
     return max(_RULE_GRID, (int(N) + _RULE_GRID // 2) // _RULE_GRID * _RULE_GRID)
 
@@ -158,7 +159,9 @@ class _LRU:
 # default max_dim asks for at most 8,256 nodes and sigma_mn_quad's default
 # for at most 6,144, so 128 such rules take at most ~25 MB.  sigma_row and
 # the Jacobi shifted transforms size their rules from n and |z| without a
-# cap, so the slot count bounds the number of rules, not their bytes.
+# cap, so the slot count bounds the number of rules, not their bytes.  A
+# _QMATS slot holds the (S - 63) x S polynomial matrix of an S-node rule,
+# about 540 MB at evolve's largest default rule, S = 8,256.
 _RULES = _LRU(128)
 _QMATS = _LRU(12)
 
@@ -166,31 +169,31 @@ _QMATS = _LRU(12)
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     """Rows Q_k(omega_i) = sqrt(w_i) P_k(omega_i), k = 0..nmax, on ``ctx.rule(N)``.
 
-    These rows are exactly orthonormal under plain summation over the
-    rule's nodes for k below its size, which is what makes the discrete
-    propagation unitary.  Every entry is bounded by 1.  The sweep's log
-    scale starts at log sqrt(w_i), so the weight is folded in only at
-    emission time: sqrt(w_i) itself underflows at far nodes of unbounded
-    supports while the emitted products are of order one exactly where the
-    row lives.
+    A rule of S nodes has one cached matrix, rows 0..S - 64, and every
+    caller gets a slice of it; nmax > S - 64 raises ValueError.  The rows
+    are exactly orthonormal under plain summation over the rule's nodes,
+    which is what makes the discrete propagation unitary.  Every entry is
+    bounded by 1.  The sweep's log scale starts at log sqrt(w_i), so the
+    weight is folded in only at emission time: sqrt(w_i) itself underflows
+    at far nodes of unbounded supports while the emitted products are of
+    order one exactly where the row lives.
     """
     nodes, logw = ctx.rule(N)
     N = nodes.size
-    if nmax >= N:
-        raise ValueError("poly matrix needs nmax < N")
-    key = (ctx.pd, ctx.sm.C, N)
-    cached = _QMATS.get(key)
-    if cached is not None and cached.shape[0] > nmax:
-        return nodes, cached[: nmax + 1]
-    Q = np.empty((nmax + 1, N))
-    s = 0.5 * logw
-    es = np.exp(s)
-    for k, u, rescaled in scaled_sweep(*ctx.js.arrays(nmax), nodes, s):
-        if rescaled is not None:
-            es[rescaled] = np.exp(s[rescaled])
-        np.multiply(u, es, out=Q[k])
-    _QMATS.put(key, Q)
-    return nodes, Q
+    if nmax > N - 64:
+        raise ValueError(f"a {N}-node rule carries rows 0..{N - 64}, not {nmax}")
+
+    def build():
+        Q = np.empty((N - 63, N))
+        s = 0.5 * logw
+        es = np.exp(s)
+        for k, u, rescaled in scaled_sweep(*ctx.js.arrays(N - 64), nodes, s):
+            if rescaled is not None:
+                es[rescaled] = np.exp(s[rescaled])
+            np.multiply(u, es, out=Q[k])
+        return Q
+
+    return nodes, _QMATS.get_or_build((ctx.pd, ctx.sm.C, N), build)[: nmax + 1]
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -323,14 +326,16 @@ def evolve(
 ) -> np.ndarray:
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
-    The output keeps K + 1 levels, K = c.size + 64 + spread(t) at first,
-    on a rule of K + 64 nodes rounded to the nearest multiple of 32.  K
-    doubles until the unitarity deficit ||c||^2 - ||out||^2 (nonnegative
-    by construction, equal to the weight leaked past the kept rows) drops
-    below ``tail`` relative to ||c||^2.
-    K is clamped to ``max_dim``; a first K above it raises
-    ConvergenceError at once, since a smaller rule would measure a
-    deficit it cannot resolve.
+    The output keeps K + 1 levels, read from the rule: the first rule has
+    S = c.size + 128 + spread(t) nodes rounded onto the grid, and K = S - 64
+    is the last row of its matrix.  Each doubling of K moves to the rule of
+    2K + 64 nodes, also on the grid.  K doubles until the unitarity deficit
+    ||c||^2 - ||out||^2 (the weight leaked past the kept rows, up to
+    rounding) drops below ``tail`` relative to ||c||^2, or below the floor
+    4 eps K relative to it: a sum of K + 1 squares cannot resolve less.
+    K is capped at the largest grid level not above ``max_dim``; a first K
+    above it raises ConvergenceError at once, since a smaller rule would
+    measure a deficit it cannot resolve.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -339,25 +344,26 @@ def evolve(
     nrm2 = float(np.vdot(c, c).real)
     if nrm2 == 0.0:
         return np.zeros(c.size, dtype=complex)
-    K = c.size + 64 + ctx.pd.spread(abs(t))
+    K = _rule_size(c.size + 128 + ctx.pd.spread(abs(t))) - 64
     if K > max_dim:
         raise ConvergenceError(
             f"propagation needs {K} ladder levels at first, "
             f"more than max_dim = {max_dim}"
         )
+    kcap = (max_dim + 64) // _RULE_GRID * _RULE_GRID - 64
     while True:
         nodes, Q = _weighted_poly_matrix(ctx, K + 64, K)
         f = np.exp(-1j * t * nodes) * _real_matvec(Q[: c.size].T, c)
         out = _real_matvec(Q, f)
         deficit = nrm2 - float(np.vdot(out, out).real)
-        if deficit <= tail * nrm2:
+        if deficit <= max(tail, 4.0 * np.finfo(float).eps * K) * nrm2:
             return out
-        if K >= max_dim:
+        if K >= kcap:
             raise ConvergenceError(
                 f"propagation needs more than {max_dim} ladder levels "
                 f"(unitarity deficit {deficit:.3e})"
             )
-        K = min(2 * K, max_dim)
+        K = min(2 * K, kcap)  # 2K + 64 = 2S - 64 stays on the grid
 
 
 def require_selfadjoint(js: JacobiSystem) -> None:

@@ -4,6 +4,7 @@ orthonormal polynomials as an independent reference."""
 import mpmath as mp
 import pytest
 
+from qladder import propagator
 from qladder.orthopoly import hermite_data, jacobi_data, laguerre_data
 from qladder.propagator import build_context
 
@@ -22,6 +23,24 @@ def family_name(request):
 @pytest.fixture(scope="session")
 def family_ctx(family_name):
     return build_context(CANONICAL[family_name])
+
+
+@pytest.fixture
+def qmat_builds(monkeypatch):
+    """Keys (pd, C, nodes) of the polynomial matrices built during the test.
+
+    The test runs on an empty matrix cache of the same slot count, so what
+    it builds is dropped afterwards.
+    """
+    built = []
+
+    class Recording(propagator._LRU):
+        def put(self, key, val):
+            built.append(key)
+            super().put(key, val)
+
+    monkeypatch.setattr(propagator, "_QMATS", Recording(propagator._QMATS.slots))
+    return built
 
 
 def _mp_orthonormal(pd, n, x, d=0):

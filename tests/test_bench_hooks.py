@@ -4,7 +4,7 @@ must fail here, not only in traced benchmark runs."""
 import importlib.util
 from pathlib import Path
 
-from qladder import fockoracle, measure, propagator
+from qladder import fockoracle, measure, orthopoly, propagator
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -15,6 +15,8 @@ def _hooks() -> dict:
         "measure.gauss_rule": measure.gauss_rule,
         "measure.eigh_tridiagonal": measure.eigh_tridiagonal,
         "fockoracle.eigh": fockoracle.eigh,
+        "fockoracle.eigh_tridiagonal": fockoracle.eigh_tridiagonal,
+        "orthopoly.recurrence": orthopoly.recurrence,
         "fockoracle.MultiModeBasis.__init__": fockoracle.MultiModeBasis.__init__,
     }
 

@@ -74,7 +74,7 @@ def test_propagate_is_deterministic_and_unitary():
     assert float(row0["re_sigma_0_1@interaction"]) == pytest.approx(0.0)
 
 
-def test_repeated_propagate_builds_no_rule(monkeypatch):
+def test_repeated_propagate_builds_no_rule(monkeypatch, qmat_builds):
     from qladder import propagator
 
     argv = ["propagate", "--config", str(SCENARIOS / "laguerre_propagate.ini")]
@@ -89,9 +89,12 @@ def test_repeated_propagate_builds_no_rule(monkeypatch):
     monkeypatch.setattr(propagator, "gauss_rule", counted)
     assert run_cli(argv)[0] == 0
     assert built and all(N % 32 == 0 for N in built)
+    # one polynomial matrix per distinct rule, whatever rows each step keeps
+    assert len(qmat_builds) == len(set(qmat_builds)) == 8
     built.clear()
+    qmat_builds.clear()
     assert run_cli(argv)[0] == 0
-    assert built == []
+    assert built == qmat_builds == []
 
 
 def test_propagate_oracle_columns_agree():

@@ -118,6 +118,19 @@ def test_basis_counts():
         MultiModeBasis(2)
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3])
+@pytest.mark.parametrize("max_total, max_local", [(5, None), (None, 3), (5, 3)])
+def test_basis_is_the_sorted_brute_force_filter(modes, max_total, max_local):
+    brute = sorted(
+        occ for occ in np.ndindex(*(7,) * modes)
+        if (max_total is None or sum(occ) <= max_total)
+        and (max_local is None or max(occ) <= max_local)
+    )
+    basis = MultiModeBasis(modes, max_total=max_total, max_local=max_local)
+    assert basis.states == brute
+    assert [basis.index[occ] for occ in brute] == list(range(len(brute)))
+
+
 def test_raise_amplitude_hand_value():
     sys = _amplifier()
     out = multimode_apply(sys, "Astar", {(2, 0): 1.0}, cutoff=10)

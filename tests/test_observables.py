@@ -64,6 +64,16 @@ def test_number_amplitudes_build_one_poly_matrix(monkeypatch):
     assert 1.0 - np.vdot(g, g).real <= 1e-13
 
 
+def test_number_amplitudes_share_one_poly_matrix_per_rule(qmat_builds):
+    # the CLI propagates rows m = 0..4 in turn; at one t they land on one
+    # rule, whose single matrix carries the rows every one of them keeps
+    ctxs = [build_context(laguerre_data(2.5)), HCTX]
+    for ctx in ctxs:
+        for n in range(5):
+            ladder_amplitudes(ctx, Number(n), 1.0)
+    assert [key[0] for key in qmat_builds] == [ctx.pd for ctx in ctxs]
+
+
 def test_large_glauber_label_has_unit_norm():
     # each c_n carries about |log c_n| * eps of rounding, so 1 - ||c||^2
     # cannot test a 1e-14 tail at |zeta|^2 = 3600; the length comes from

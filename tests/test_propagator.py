@@ -161,6 +161,32 @@ def test_evolve_refuses_a_first_size_above_max_dim():
         evolve(ctx, np.ones(40) / np.sqrt(40), 0.5, max_dim=16)
 
 
+def test_evolve_stops_at_the_rounding_floor_of_its_deficit(qmat_builds):
+    # the vacuum on Laguerre(0.8) at t = 5.5 keeps 2,560 levels whose last 64
+    # hold ~1e-25; its deficit of ~1.5e-12 is rounding of the 2,561-term
+    # norm, above the default tail but below 4 eps K, so no doubling follows
+    ctx = build_context(laguerre_data(0.8))
+    out = evolve(ctx, [1.0], 5.5)
+    assert [key[2] for key in qmat_builds] == [out.size + 63] == [2624]
+    deficit = 1.0 - np.vdot(out, out).real
+    assert deficit <= 4.0 * np.finfo(float).eps * (out.size - 1)
+    assert np.vdot(out[-64:], out[-64:]).real < 1e-20
+
+
+def test_evolve_doubles_while_its_deficit_is_resolved(qmat_builds):
+    # 40 random levels at the same t leak ~1e-2, then ~3e-5, far above the
+    # floor; the second doubling is capped at 6,976 = 7,040 - 64, the largest
+    # grid level not above max_dim
+    ctx = build_context(laguerre_data(0.8))
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=40) + 1j * rng.normal(size=40)
+    c /= np.linalg.norm(c)
+    out = evolve(ctx, c, 5.5, max_dim=7000)
+    assert [key[2] for key in qmat_builds] == [2656, 5248, 7040]
+    assert out.size == 6977
+    assert abs(1.0 - np.vdot(out, out).real) <= 4.0 * np.finfo(float).eps * (out.size - 1)
+
+
 def test_hermite_rule_size_is_gauge_free():
     # (a1, b0) and lambda * (a1, b0) give the same measure and ladder
     # (variance -b0/a1 = 8), so the same row; at t = 5 its packet lies past

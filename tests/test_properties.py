@@ -47,13 +47,13 @@ TIMES = st.floats(0.1, 3.0)
 @given(pd=st.one_of(HERMITE, LAGUERRE))
 def test_weighted_rows_orthonormal_where_the_rescale_fires(pd):
     ctx = build_context(pd)
-    N = 400
-    nodes, Q = _weighted_poly_matrix(ctx, N, N - 1)
+    N = 416  # on the rule grid; its matrix carries rows 0..N - 64
+    nodes, Q = _weighted_poly_matrix(ctx, N, N - 64)
     s = np.zeros_like(nodes)
-    for _ in scaled_sweep(*ctx.js.arrays(N - 1), nodes, s):
+    for _ in scaled_sweep(*ctx.js.arrays(N - 64), nodes, s):
         pass
     assert np.any(s > 0.0)  # some far nodes were rescaled
-    assert np.abs(Q @ Q.T - np.eye(N)).max() < 1e-11
+    assert np.abs(Q @ Q.T - np.eye(N - 63)).max() < 1e-11
 
 
 @settings(max_examples=25, deadline=None)
