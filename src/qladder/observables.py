@@ -162,7 +162,8 @@ def ladder_amplitudes(
     :func:`.coherent_coeffs` gives to the squared tail ``tail``.  Every
     other state is its coefficient vector (a number state |n> is e_n),
     returned as it is at t = 0 and otherwise propagated by :func:`.evolve`,
-    whose output length adapts until the squared tail is below ``tail``.
+    whose output length adapts until the squared tail is below ``tail``
+    (read from its last 64 levels where the norm deficit is at rounding).
     """
     t = float(t)
     if isinstance(state, SpectralCoherent):

@@ -99,11 +99,9 @@ def _rule_size(N: int) -> int:
     """N rounded to the nearest multiple of _RULE_GRID (ties up), at least _RULE_GRID.
 
     Rule sizes depend on the request alone, so a value never depends on what
-    the caches hold, and the grid lets nearby requests share one rule.  A
-    rule's polynomial matrix carries rows 0..S - 64: ``evolve`` keeps
-    exactly 64 nodes of margin above its highest row, and ``sigma_row``,
-    which asks for at least 96 and loses at most _RULE_GRID / 2 to the
-    rounding, at least 80.
+    the caches hold, and the grid lets nearby requests share one rule.
+    ``evolve`` keeps exactly 64 nodes above its highest row, ``sigma_row``
+    at least 80 (it asks for 96 and the rounding takes at most 16).
     """
     return max(_RULE_GRID, (int(N) + _RULE_GRID // 2) // _RULE_GRID * _RULE_GRID)
 
@@ -159,9 +157,9 @@ class _LRU:
 # default max_dim asks for at most 8,256 nodes and sigma_mn_quad's default
 # for at most 6,144, so 128 such rules take at most ~25 MB.  sigma_row and
 # the Jacobi shifted transforms size their rules from n and |z| without a
-# cap, so the slot count bounds the number of rules, not their bytes.  A
-# _QMATS slot holds the (S - 63) x S polynomial matrix of an S-node rule,
-# about 540 MB at evolve's largest default rule, S = 8,256.
+# cap, so the slot count bounds the number of rules, not their bytes.  Only
+# evolve fills _QMATS; a slot holds the (S - 63) x S polynomial matrix of an
+# S-node rule, about 540 MB at evolve's largest default rule, S = 8,256.
 _RULES = _LRU(128)
 _QMATS = _LRU(12)
 
@@ -170,30 +168,33 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     """Rows Q_k(omega_i) = sqrt(w_i) P_k(omega_i), k = 0..nmax, on ``ctx.rule(N)``.
 
     A rule of S nodes has one cached matrix, rows 0..S - 64, and every
-    caller gets a slice of it; nmax > S - 64 raises ValueError.  The rows
-    are exactly orthonormal under plain summation over the rule's nodes,
-    which is what makes the discrete propagation unitary.  Every entry is
-    bounded by 1.  The sweep's log scale starts at log sqrt(w_i), so the
-    weight is folded in only at emission time: sqrt(w_i) itself underflows
-    at far nodes of unbounded supports while the emitted products are of
-    order one exactly where the row lives.
+    caller (``evolve``, which reads them all) gets a slice of it; nmax >
+    S - 64 raises ValueError.
     """
     nodes, logw = ctx.rule(N)
     N = nodes.size
     if nmax > N - 64:
         raise ValueError(f"a {N}-node rule carries rows 0..{N - 64}, not {nmax}")
+    Q = _QMATS.get_or_build((ctx.pd, ctx.sm.C, N), lambda: _weighted_rows(ctx, nodes, logw, N - 64))
+    return nodes, Q[: nmax + 1]
 
-    def build():
-        Q = np.empty((N - 63, N))
-        s = 0.5 * logw
-        es = np.exp(s)
-        for k, u, rescaled in scaled_sweep(*ctx.js.arrays(N - 64), nodes, s):
-            if rescaled is not None:
-                es[rescaled] = np.exp(s[rescaled])
-            np.multiply(u, es, out=Q[k])
-        return Q
 
-    return nodes, _QMATS.get_or_build((ctx.pd, ctx.sm.C, N), build)[: nmax + 1]
+def _weighted_rows(ctx: PropagatorContext, nodes, logw, nmax: int) -> np.ndarray:
+    """The uncached rows sqrt(w_i) P_k(omega_i), k = 0..nmax, on a rule.
+
+    They are exactly orthonormal under plain summation over the nodes, so
+    the discrete propagation is unitary, and bounded by 1.  The sweep's log
+    scale starts at log sqrt(w_i) and folds the weight in at emission only:
+    sqrt(w_i) underflows at far nodes where the products are of order one.
+    """
+    Q = np.empty((nmax + 1, nodes.size))
+    s = 0.5 * logw
+    es = np.exp(s)
+    for k, u, rescaled in scaled_sweep(*ctx.js.arrays(nmax), nodes, s):
+        if rescaled is not None:
+            es[rescaled] = np.exp(s[rescaled])
+        np.multiply(u, es, out=Q[k])
+    return Q
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -307,12 +308,12 @@ def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
 
 
 def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray:
-    """Array of sigma_nk(t) for k = 0..kmax at real time t."""
+    """Array of sigma_nk(t) for k = 0..kmax at real time t (its rows uncached)."""
     if n < 0 or kmax < 0:
         raise ValueError("indices must be nonnegative")
     t = float(t)
-    N = max(n, kmax) + 64 + ctx.pd.spread(abs(t))
-    nodes, Q = _weighted_poly_matrix(ctx, N, max(n, kmax))
+    nodes, logw = ctx.rule(max(n, kmax) + 64 + ctx.pd.spread(abs(t)))
+    Q = _weighted_rows(ctx, nodes, logw, max(n, kmax))
     f = np.exp(-1j * t * nodes) * Q[n]
     return _real_matvec(Q[: kmax + 1], f)
 
@@ -326,16 +327,16 @@ def evolve(
 ) -> np.ndarray:
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
-    The output keeps K + 1 levels, read from the rule: the first rule has
-    S = c.size + 128 + spread(t) nodes rounded onto the grid, and K = S - 64
-    is the last row of its matrix.  Each doubling of K moves to the rule of
-    2K + 64 nodes, also on the grid.  K doubles until the unitarity deficit
-    ||c||^2 - ||out||^2 (the weight leaked past the kept rows, up to
-    rounding) drops below ``tail`` relative to ||c||^2, or below the floor
-    4 eps K relative to it: a sum of K + 1 squares cannot resolve less.
-    K is capped at the largest grid level not above ``max_dim``; a first K
-    above it raises ConvergenceError at once, since a smaller rule would
-    measure a deficit it cannot resolve.
+    The output keeps the K + 1 rows of a rule's matrix: the first rule has
+    c.size + 128 + spread(t) nodes rounded onto the grid, and each doubling
+    of K moves to the rule of 2K + 64 nodes, also on the grid.  K doubles
+    until the unitarity deficit ||c||^2 - ||out||^2 (the weight leaked past
+    the kept rows) is below ``tail`` ||c||^2.  Below 4 eps K ||c||^2 the
+    deficit is rounding of its K + 1 squares, and the weight of the last 64
+    kept rows, which is resolved, stands in for the leak.  K is capped at
+    the largest grid level not above ``max_dim``; a first K above it raises
+    ConvergenceError at once, since a smaller rule would measure a deficit
+    it cannot resolve.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -356,7 +357,9 @@ def evolve(
         f = np.exp(-1j * t * nodes) * _real_matvec(Q[: c.size].T, c)
         out = _real_matvec(Q, f)
         deficit = nrm2 - float(np.vdot(out, out).real)
-        if deficit <= max(tail, 4.0 * np.finfo(float).eps * K) * nrm2:
+        if deficit <= 4.0 * np.finfo(float).eps * K * nrm2:  # rounding: read the last 64 rows
+            deficit = min(deficit, float(np.vdot(out[-64:], out[-64:]).real))
+        if deficit <= tail * nrm2:
             return out
         if K >= kcap:
             raise ConvergenceError(

@@ -174,17 +174,46 @@ def test_evolve_stops_at_the_rounding_floor_of_its_deficit(qmat_builds):
 
 
 def test_evolve_doubles_while_its_deficit_is_resolved(qmat_builds):
-    # 40 random levels at the same t leak ~1e-2, then ~3e-5, far above the
-    # floor; the second doubling is capped at 6,976 = 7,040 - 64, the largest
+    # 100 random levels at t = 1 leak past 320 and 640 levels, far above the
+    # floor; the second doubling is capped at 992 = 1,056 - 64, the largest
     # grid level not above max_dim
     ctx = build_context(laguerre_data(0.8))
     rng = np.random.default_rng(7)
+    c = rng.normal(size=100) + 1j * rng.normal(size=100)
+    c /= np.linalg.norm(c)
+    out = evolve(ctx, c, 1.0, max_dim=1000)
+    assert [key[2] for key in qmat_builds] == [384, 704, 1056]
+    assert out.size == 993
+    assert abs(1.0 - np.vdot(out, out).real) <= 1e-12
+
+
+def test_evolve_honours_a_tail_below_its_rounding_floor(qmat_builds):
+    # 40 random levels at t = 2 leave a deficit of 6.3e-13 at 960 levels:
+    # below the floor 4 eps K = 8.5e-13 but a real leak, since the levels
+    # past 960 hold 7e-13 once kept; a tail of 1e-13 must double again
+    ctx = build_context(laguerre_data(2.5))
+    rng = np.random.default_rng(7)
     c = rng.normal(size=40) + 1j * rng.normal(size=40)
     c /= np.linalg.norm(c)
-    out = evolve(ctx, c, 5.5, max_dim=7000)
-    assert [key[2] for key in qmat_builds] == [2656, 5248, 7040]
-    assert out.size == 6977
-    assert abs(1.0 - np.vdot(out, out).real) <= 4.0 * np.finfo(float).eps * (out.size - 1)
+    out = evolve(ctx, c, 2.0, tail=1e-13)
+    assert [key[2] for key in qmat_builds] == [544, 1024, 1984]
+    assert np.vdot(out[961:], out[961:]).real > 1e-13
+    assert np.vdot(out[-64:], out[-64:]).real <= 1e-13
+
+
+def test_cold_sigma_row_builds_only_the_rows_it_reads(qmat_builds):
+    # t = 7.5 on Laguerre(0.8) needs a rule of thousands of nodes for 16
+    # rows; the rows of that rule's full matrix would take ~170 MB
+    ctx = build_context(laguerre_data(0.8))
+    nodes, _ = ctx.rule(15 + 64 + ctx.pd.spread(7.5))  # the rule is built cold once
+    tracemalloc.start()
+    try:
+        row = sigma_row(ctx, 2, 7.5, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (16,) and qmat_builds == []
+    assert nodes.size > 4000 and peak < 8 * 16 * nodes.nbytes
 
 
 def test_hermite_rule_size_is_gauge_free():
