@@ -8,14 +8,19 @@ with the fixed representative weight (``PearsonData.weight``)
     Jacobi  : w = (omega - a)^(mu-1) * (b - omega)^(nu-1)
 
 ``normalize`` picks C so the total mass is 1 (closed Gamma/Beta forms);
-``gauss_rule`` produces the Gaussian quadrature of the measure from the
-truncated recurrence matrix (Golub-Welsch).
+``moment`` reads the moments off the Pearson equation: multiplying
+(w*B)' = w*A by omega^j and integrating over the support, where w*B
+vanishes at both ends, gives
+
+    (a1 + j*b2) m_{j+1} = -(a0 + j*b1) m_j - j*b0 m_{j-1},
+
+started from the total mass; ``gauss_rule`` produces the Gaussian quadrature
+of the measure from the truncated recurrence matrix (Golub-Welsch).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,32 +82,19 @@ def normalize(pd: PearsonData) -> SpectralMeasure:
 
 
 def moment(sm: SpectralMeasure, k: int) -> float:
-    """k-th moment int omega^k dsigma by adaptive quadrature.
+    """k-th moment int omega^k dsigma from the Pearson recurrence.
 
-    A weight with algebraic edges (``PearsonData.alg_exponents``) is the
-    weight of QUADPACK's QAWS rule, which integrates the edge singularities
-    exactly.  Any other enters the integrand as the scalar C * w(omega),
-    split at omega = 0; quad samples the open pieces, but a node of a tiny
-    subinterval can round onto a support edge, where w may be singular;
-    like ``density``, it counts 0 there.
+    (a1 + j*b2) m_{j+1} = -(a0 + j*b1) m_j - j*b0 m_{j-1} from m_0 = mass;
+    it holds because w*B vanishes at both ends of the support, and
+    a1 + j*b2 < 0 for every j >= 0 in the normalized gauge.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    from scipy.integrate import IntegrationWarning, quad  # slow import, used only here
-
-    lo, hi = sm.pd.support
-    C, weight, alg = sm.C, sm.pd.weight, sm.pd.alg_exponents
-    opts = dict(epsabs=0.0, epsrel=1e-12, limit=400)
-
-    def g(w):
-        return w**k * (C * weight(w)) if lo < w < hi else 0.0
-
-    pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if alg is not None:
-            return C * quad(lambda w: w**k, lo, hi, weight="alg", wvar=alg, **opts)[0]
-        return sum(quad(g, a, b, **opts)[0] for a, b in pieces)
+    pd = sm.pd
+    prev, cur = 0.0, sm.mass
+    for j in range(k):
+        prev, cur = cur, -((pd.a0 + j * pd.b1) * cur + j * pd.b0 * prev) / (pd.a1 + j * pd.b2)
+    return cur
 
 
 def _log_sum_poly_sq(b: np.ndarray, h: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -59,25 +59,19 @@ __all__ = [
     "strong_field",
 ]
 
-HERMITE = "hermite"
-LAGUERRE = "laguerre"
-JACOBI = "jacobi"
-
 
 @dataclass(frozen=True)
 class PearsonData:
     """A classified Pearson pair A = a1*omega + a0, B = b2*omega^2 + b1*omega + b0.
 
     Coefficients are stored in the normalized sign gauge (see module
-    docstring); ``support`` is the open interval carrying the weight and
-    ``family`` is one of "hermite", "laguerre", "jacobi".
+    docstring); ``support`` is the open interval carrying the weight.
 
     Each family subclass derives its shape parameters once and holds the
     closed forms, named after the functions that call them; methods taking
     ``ctx`` read ``ctx.sm.C`` and ``ctx.rule(N)`` of a PropagatorContext.
     ``strip_edge`` is the upper edge of the coherent-label strip,
-    ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form,
-    and ``alg_exponents`` the (alpha, beta) of a weight (omega-a)^alpha (b-omega)^beta.
+    and ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form.
     """
 
     a0: float
@@ -86,10 +80,8 @@ class PearsonData:
     b1: float
     b2: float
     support: tuple[float, float]
-    family: ClassVar[str]
     closed_max_degree: ClassVar[int]
     strip_edge: ClassVar[float] = math.inf
-    alg_exponents: ClassVar[tuple[float, float] | None] = None
 
     def A(self, omega):
         return self.a1 * omega + self.a0
@@ -194,7 +186,6 @@ def _hyp1f1_pos(a: float, c: float, w: float) -> float:
 class _Hermite(PearsonData):
     """Hermite class: B = b0 > 0, support the whole line."""
 
-    family = HERMITE
     closed_max_degree = 24
 
     def ladder_b(self, n):
@@ -284,7 +275,6 @@ class _Hermite(PearsonData):
 class _Laguerre(PearsonData):
     """Laguerre class: B = b1*(omega + beta), b1 > 0, gamma = -a1/b1 > 0."""
 
-    family = LAGUERRE
     closed_max_degree = 24
 
     def __post_init__(self):
@@ -409,7 +399,6 @@ class _Laguerre(PearsonData):
 class _Jacobi(PearsonData):
     """Jacobi class: B = b2_factored*(omega - a)*(b - omega) on (a, b)."""
 
-    family = JACOBI
     closed_max_degree = 18  # at 20-24 the sums cancel past 1e-8
 
     def __post_init__(self):
@@ -417,7 +406,7 @@ class _Jacobi(PearsonData):
         b2f = -self.b2
         mu = (a * self.a1 + self.a0) / (b2f * (b - a))
         nu = (b * self.a1 + self.a0) / (b2f * (a - b))
-        self.__dict__.update(b2_factored=b2f, mu=mu, nu=nu, alg_exponents=(mu - 1.0, nu - 1.0))
+        self.__dict__.update(b2_factored=b2f, mu=mu, nu=nu)
 
     def ladder_b(self, n):
         a, bb = self.support

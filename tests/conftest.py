@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from qladder import propagator
-from qladder.orthopoly import hermite_data, jacobi_data, laguerre_data
+from qladder.orthopoly import _Hermite, _Laguerre, hermite_data, jacobi_data, laguerre_data
 from qladder.propagator import build_context
 
 CANONICAL = {
@@ -52,13 +52,13 @@ def _mp_orthonormal(pd, n, x, d=0):
     recurrence; no code from this package is involved.
     """
     with mp.workdps(40):
-        if pd.family == "hermite":
+        if isinstance(pd, _Hermite):
             mean = -mp.mpf(pd.a0) / pd.a1
             c = 1 / mp.sqrt(-2 * mp.mpf(pd.b0) / pd.a1)
 
             def f(k, t):
                 return mp.hermite(k, c * (t - mean)) / mp.sqrt(2**k * mp.factorial(k))
-        elif pd.family == "laguerre":
+        elif isinstance(pd, _Laguerre):
             mu, gamma, beta = mp.mpf(pd.mu), mp.mpf(pd.gamma), mp.mpf(pd.beta)
 
             def f(k, t):

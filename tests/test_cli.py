@@ -333,12 +333,26 @@ def test_unknown_family_kind_is_exit_2(tmp_path):
     assert json.loads(err)["error"] == "config-field"
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's qladder."""
+    src = str(SCENARIOS.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, qladder.cli; assert 'scipy.integrate' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    _run_python("import sys, qladder.cli; assert 'scipy.integrate' not in sys.modules")
+
+
+def test_spectrum_leaves_scipy_integrate_unloaded():
+    # moments come from the Pearson recurrence, with no quadrature
+    cfg = str(SCENARIOS / "hermite_spectrum.ini")
+    _run_python(
+        "import sys, qladder.cli\n"
+        f"assert qladder.cli.main(['spectrum', '--config', {cfg!r}]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules"
+    )
 
 
 _HERMITE = "[scenario]\nschema_version = 1\n\n[family]\nkind = hermite\n\n"

@@ -20,6 +20,8 @@ from qladder.errors import ConvergenceError, StripError, Unsupported
 from qladder.measure import normalize
 from qladder.observables import derivative_matrix
 from qladder.orthopoly import (
+    _Hermite,
+    _Laguerre,
     hermite_data,
     jacobi_data,
     laguerre_data,
@@ -158,9 +160,9 @@ def test_completeness_identity(pd):
     lo, hi = pd.support
     lo = max(lo, -1.5)
     hi = min(hi, lo + 4.0)
-    if pd.family == "laguerre":
+    if isinstance(pd, _Laguerre):
         y0, y1 = -math.inf, 0.5 * (-pd.a1 / pd.b1)
-    elif pd.family == "hermite":
+    elif isinstance(pd, _Hermite):
         y0, y1 = -40.0, 40.0  # Gaussian density: truncation ~ e^{-1600}
     else:
         y0, y1 = -25.0, 25.0  # Whittaker decay e^{-2(b-a)|y|} and safe args

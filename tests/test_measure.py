@@ -1,13 +1,17 @@
 """Normalized measures, quadrature rules and moment behavior."""
 
 import math
+import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qladder.measure import gauss_rule, moment, normalize
 from qladder.orthopoly import (
+    _Jacobi,
     hermite_data,
     jacobi_data,
     laguerre_data,
@@ -68,17 +72,15 @@ def test_moment_integrates_the_weight_without_density(monkeypatch):
 
     monkeypatch.setattr(SpectralMeasure, "density", refuse)
     assert moment(normalize(hermite_data()), 2) == pytest.approx(0.5, rel=1e-9)
-    # Beta(0.1, 0.2) on (0.5, 2): quad rounds a node onto the singular edge 2
+    # Beta(0.1, 0.2) on (0.5, 2), singular at both edges
     sm = normalize(jacobi_data(0.5, 2.0, 0.1, 0.2))
     beta = [math.prod((0.1 + i) / (0.3 + i) for i in range(j)) for j in range(5)]
     want = sum(math.comb(4, j) * 0.5 ** (4 - j) * 1.5**j * beta[j] for j in range(5))
-    assert moment(sm, 4) == pytest.approx(want, rel=1e-7)  # quad: ~1e-8 at singular edges
+    assert moment(sm, 4) == pytest.approx(want, rel=1e-7)
 
 
 def test_jacobi_moments_match_closed_beta_moments():
     """Singular or asymmetric edges, against moments in exact arithmetic."""
-    from fractions import Fraction
-
     for a, b, mu, nu in [(0.5, 2.0, 0.1, 0.2), (-1.0, 1.0, 0.3, 2.5), (0.0, 3.0, 2.0, 1.5),
                          (-2.0, 5.0, 0.7, 0.9), (-1.0, 1.0, 2.0, 1.5), (1.0, 4.0, 0.5, 0.5)]:
         sm = normalize(jacobi_data(a, b, mu, nu))
@@ -90,6 +92,83 @@ def test_jacobi_moments_match_closed_beta_moments():
             want = sum(math.comb(k, j) * a ** (k - j) * (b - a) ** j * beta[j]
                        for j in range(k + 1))
             assert moment(sm, k) == pytest.approx(float(want), rel=1e-13)
+
+
+def _rising(x, j):
+    return math.prod((x + i for i in range(j)), start=Fraction(1))
+
+
+def _shifted_moments(loc, scale, std, kmax=10):
+    """Exact moments of loc + scale*Y, given E[Y^j] = std[j]."""
+    return [sum(math.comb(k, j) * loc ** (k - j) * scale**j * std[j] for j in range(k + 1))
+            for k in range(kmax + 1)]
+
+
+def _exact_hermite(rng, draw):
+    pd = hermite_data(a1=-rng.uniform(0.5, 2.0), a0=rng.uniform(-2.0, 2.0),
+                      b0=rng.uniform(0.5, 2.0))
+    mean, var = -Fraction(pd.a0) / Fraction(pd.a1), -Fraction(pd.b0) / Fraction(pd.a1)
+    # centered Gaussian moments: var^(j/2) (j - 1)!! at even j
+    cen = [var ** (j // 2) * math.prod(range(j - 1, 0, -2)) if j % 2 == 0 else 0
+           for j in range(11)]
+    return pd, _shifted_moments(mean, 1, cen)
+
+
+def _exact_laguerre(rng, draw):
+    mu = (0.13, 0.5)[draw % 2] if draw < 60 else rng.uniform(0.05, 4.0)
+    pd = laguerre_data(mu, a1=-rng.uniform(0.5, 2.0), b1=rng.uniform(0.5, 2.0),
+                       b0=rng.uniform(-1.0, 1.0))
+    a0, a1, b0, b1 = map(Fraction, (pd.a0, pd.a1, pd.b0, pd.b1))
+    # omega = -beta + Y/gamma with Y ~ Gamma(mu), E[Y^j] = mu (mu + 1) ... (mu + j - 1)
+    mu = (a0 * b1 - b0 * a1) / b1**2
+    return pd, _shifted_moments(-b0 / b1, -b1 / a1, [_rising(mu, j) for j in range(11)])
+
+
+def _exact_jacobi(rng, draw):
+    a = rng.uniform(-3.0, 3.0)
+    b, mu, nu = a + rng.uniform(0.3, 4.0), rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
+    pd = jacobi_data(a, b, mu, nu, scale=rng.uniform(0.5, 2.0))
+    a, b, mu, nu = map(Fraction, (a, b, mu, nu))
+    # omega = a + (b - a) Y with Y ~ Beta(mu, nu)
+    return pd, _shifted_moments(a, b - a, [_rising(mu, j) / _rising(mu + nu, j) for j in range(11)])
+
+
+@pytest.mark.parametrize(
+    "exact", [_exact_hermite, _exact_laguerre, _exact_jacobi], ids=["hermite", "laguerre", "jacobi"]
+)
+def test_moments_match_exact_moments_over_family_parameters(exact):
+    """120 seeded draws per family, k <= 10, against moments in exact
+    arithmetic: shifted Gaussians, Laguerre mu in {0.13, 0.5} (a singular
+    edge) and beyond with b0 in [-1, 1], Jacobi mu, nu < 1 on shifted
+    intervals."""
+    rng = random.Random(2024)
+    for draw in range(120):
+        pd, want = exact(rng, draw)
+        sm = normalize(pd)
+        for k, m in enumerate(want):
+            m = float(m)
+            assert abs(moment(sm, k) - m) <= 1e-13 * max(1.0, abs(m)), (pd, k)
+
+
+def test_density_integrates_to_the_moments(family_ctx):
+    """quad over C * w(omega), which the moment recurrence never reads: this
+    checks ``weight`` and ``log_mass`` against each other.  The Jacobi weight
+    is QUADPACK's algebraic-endpoint weight, divided out of the density."""
+    pd, sm = family_ctx.pd, family_ctx.sm
+    lo, hi = pd.support
+    alg = (pd.mu - 1.0, pd.nu - 1.0) if isinstance(pd, _Jacobi) else None
+
+    def unweighted(w, k):  # C * omega^k; QAWS also samples the edges themselves
+        w = min(max(w, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        return w**k * sm.density(w) / ((w - lo) ** alg[0] * (hi - w) ** alg[1])
+
+    for k in range(7):
+        if alg:
+            got = quad(unweighted, lo, hi, args=(k,), weight="alg", wvar=alg,
+                       epsabs=0.0, epsrel=1e-12)[0]
+        else:
+            got = quad(lambda w: w**k * sm.density(w), lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+        assert abs(got - moment(sm, k)) <= 1e-9 * max(1.0, abs(got))
 
 
 def test_jacobi_first_moment_closed():
@@ -166,7 +245,7 @@ def test_scaled_sweep_matches_the_scalar_table(pd, mp_orthonormal):
     zeros of P_k."""
     js = recurrence(pd)
     kmax = 60
-    x = np.array([-0.9, -0.3, 0.05, 0.4, 0.95]) * (1.0 if pd.family == "jacobi" else 4.0)
+    x = np.array([-0.9, -0.3, 0.05, 0.4, 0.95]) * (1.0 if isinstance(pd, _Jacobi) else 4.0)
     b, h = js.arrays(kmax)
     with mp.workdps(40):
         exact = [np.array([mp.mpf(float(v)) for v in a], dtype=object) for a in (b, h, x)]

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from qladder.orthopoly import (
-    HERMITE,
-    JACOBI,
-    LAGUERRE,
+    _Hermite,
+    _Jacobi,
+    _Laguerre,
     classify,
     derivative_pearson,
     eval_poly,
@@ -63,10 +63,10 @@ _JACOBI_B = [
 
 
 def test_classification_families():
-    assert hermite_data().family == HERMITE
-    assert laguerre_data(2.5).family == LAGUERRE
-    assert jacobi_data(-1, 1, 2, 1.5).family == JACOBI
-    assert legendre_data().family == JACOBI
+    assert isinstance(hermite_data(), _Hermite)
+    assert isinstance(laguerre_data(2.5), _Laguerre)
+    assert isinstance(jacobi_data(-1, 1, 2, 1.5), _Jacobi)
+    assert isinstance(legendre_data(), _Jacobi)
 
 
 def test_classify_rejects_bad_pairs():
@@ -80,6 +80,18 @@ def test_classify_rejects_bad_pairs():
         classify(0.0, -1.0, -1.0, 0.0, -1.0)  # B < 0 everywhere
     with pytest.raises(ValueError, match="b1"):
         laguerre_data(2.5, b1=0.0)  # deg B = 0: no Laguerre pair
+    with pytest.raises(ValueError, match="B vanishes identically"):
+        classify(0.0, -1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="a1/b1 must be negative"):
+        classify(0.0, 1.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="a1/b1 must be negative"):
+        classify(0.0, -1.0, 0.0, -1.0, 0.0)  # after the gauge flip
+    with pytest.raises(ValueError, match=r"Laguerre-class: mu = .* must be positive"):
+        classify(0.0, -1.0, 0.0, 1.0, 0.0)  # mu = 0
+    with pytest.raises(ValueError, match=r"Jacobi-class: mu = .* must be positive"):
+        classify(-1.0, -1.0, 1.0, 0.0, -1.0)  # mu = 0 on (-1, 1)
+    with pytest.raises(ValueError, match=r"Jacobi-class: nu = .* must be positive"):
+        classify(1.0, -1.0, 1.0, 0.0, -1.0)  # nu = 0 on (-1, 1)
 
 
 @pytest.mark.parametrize(
@@ -144,9 +156,9 @@ def test_eval_poly_matches_table(family_ctx, mp_orthonormal):
 
 
 def _weight_fn(pd):
-    if pd.family == HERMITE:
+    if isinstance(pd, _Hermite):
         return lambda x: mp.exp((pd.a1 * x**2 / 2 + pd.a0 * x) / pd.b0)
-    if pd.family == LAGUERRE:
+    if isinstance(pd, _Laguerre):
         gamma = -pd.a1 / pd.b1
         beta = pd.b0 / pd.b1
         return lambda x: (x + beta) ** (pd.mu - 1) * mp.exp(-gamma * x)

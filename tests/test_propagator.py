@@ -12,7 +12,7 @@ import pytest
 from qladder import propagator
 from qladder.errors import ConvergenceError, StripError, Unsupported
 from qladder.fockoracle import expm_evolve, truncated_h
-from qladder.orthopoly import JacobiSystem, hermite_data, jacobi_data, laguerre_data
+from qladder.orthopoly import JacobiSystem, _Laguerre, hermite_data, jacobi_data, laguerre_data
 from qladder.propagator import (
     PropagatorContext,
     _rule_size,
@@ -63,7 +63,7 @@ def test_char_fn_laguerre_strip_rejection():
 
 
 def test_symmetry_in_indices(family_ctx):
-    for z in (0.8, 1.0 + 0.2j if family_ctx.pd.family != "laguerre" else 1.0):
+    for z in (0.8, 1.0 + 0.2j if not isinstance(family_ctx.pd, _Laguerre) else 1.0):
         a = sigma_mn(family_ctx, 2, 5, z)
         b = sigma_mn(family_ctx, 5, 2, z)
         assert a == pytest.approx(b, rel=1e-12)
@@ -159,6 +159,18 @@ def test_evolve_refuses_a_first_size_above_max_dim():
     # a vector longer than max_dim + 1 must not reach the matrix product
     with pytest.raises(ConvergenceError, match="max_dim = 16"):
         evolve(ctx, np.ones(40) / np.sqrt(40), 0.5, max_dim=16)
+
+
+def test_evolve_names_the_deficit_at_the_level_cap():
+    # e_40 on Laguerre(0.8) at t = 1 starts at K = 256 and doubles to the
+    # cap, K = 288 under max_dim = 300, where ~6e-8 still leaks past it;
+    # under max_dim = 400 the cap is K = 384, enough
+    ctx = build_context(laguerre_data(0.8))
+    c = np.zeros(41)
+    c[40] = 1.0
+    with pytest.raises(ConvergenceError, match=r"more than 300 ladder levels \(unitarity deficit"):
+        evolve(ctx, c, 1.0, max_dim=300)
+    assert evolve(ctx, c, 1.0, max_dim=400).size == 385
 
 
 def test_evolve_stops_at_the_rounding_floor_of_its_deficit(qmat_builds):

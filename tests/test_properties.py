@@ -4,7 +4,9 @@ over family parameters.
 Parameters are drawn from the ranges the benchmark uses: Hermite
 a1 in [-3, -1], b0 in [0.5, 2]; Laguerre and Jacobi mu, nu in [0.6, 4];
 times t in [0.1, 3].  The closed-form tests also shift the Hermite and
-Laguerre weights (a0, resp. b0, in [-1, 1]).
+Laguerre weights (a0, resp. b0, in [-1, 1]); the sign-gauge test also draws
+Jacobi weights with mu, nu in [0.05, 4] and b2 in [-2, -0.5] on intervals
+[a, a + w], a in [-3, 3], w in [0.3, 4].
 """
 
 import numpy as np
@@ -39,8 +41,22 @@ SHIFTED_HERMITE = st.builds(
 SHIFTED_LAGUERRE = st.builds(
     lambda mu, b0: laguerre_data(mu, b0=b0), st.floats(0.6, 4.0), st.floats(-1.0, 1.0)
 )
+SHIFTED_JACOBI = st.builds(
+    lambda a, width, mu, nu, scale: jacobi_data(a, a + width, mu, nu, scale),
+    st.floats(-3.0, 3.0), st.floats(0.3, 4.0), st.floats(0.05, 4.0), st.floats(0.05, 4.0),
+    st.floats(0.5, 2.0),
+)
 PEARSON = st.one_of(SHIFTED_HERMITE, SHIFTED_LAGUERRE, JACOBI)
 TIMES = st.floats(0.1, 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd=st.one_of(SHIFTED_HERMITE, SHIFTED_LAGUERRE, SHIFTED_JACOBI))
+def test_classify_is_invariant_under_the_sign_gauge(pd):
+    """(A, B) and (-A, -B) are one Pearson pair: both classify to pd."""
+    raw = (pd.a0, pd.a1, pd.b0, pd.b1, pd.b2)
+    assert classify(*raw) == pd
+    assert classify(*(-c for c in raw)) == pd
 
 
 @settings(max_examples=12, deadline=None)
