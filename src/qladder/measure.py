@@ -16,6 +16,12 @@ vanishes at both ends, gives
 
 started from the total mass; ``gauss_rule`` produces the Gaussian quadrature
 of the measure from the truncated recurrence matrix (Golub-Welsch).
+
+Its weights are Christoffel sums over one pass of ``scaled_sweep`` at the
+nodes, and the same pass writes the weighted rows sqrt(w_i) P_k(x_i) a
+caller asks for beside the rule; ``weighted_rows`` runs that pass over the
+nodes of a rule already built, so there is one sweep consumer for rules and
+rows alike.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "normalize",
     "moment",
     "gauss_rule",
+    "weighted_rows",
 ]
 
 
@@ -68,12 +75,15 @@ class QuadratureRule:
     ``log_weights`` carries the weights in log form; on unbounded supports
     the far weights underflow double precision while still mattering for
     integrands that grow against the measure, so downstream code assembling
-    such integrands per node should prefer the logs.
+    such integrands per node should prefer the logs.  ``rows``, when asked
+    of ``gauss_rule``, holds the weighted rows sqrt(w_i) P_k(x_i) its sweep
+    wrote.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     log_weights: np.ndarray
+    rows: np.ndarray | None = None
 
 
 def normalize(pd: PearsonData) -> SpectralMeasure:
@@ -97,43 +107,103 @@ def moment(sm: SpectralMeasure, k: int) -> float:
     return cur
 
 
-def _log_sum_poly_sq(b: np.ndarray, h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """log of sum_{k<N} P_k(x_i)^2 for the ladder arrays b, h of length N.
+_BLOCK = 64  # rows per block of _sweep_rows, at most
 
-    Summed in the sweep's own scaled frame, sum_k u_k^2 = exp(-2 s) sum_k
-    P_k^2, with no per-step log: where the sweep rescales a node by f the
-    partial sum is multiplied by 1/f^2.  Terms stay below 1e240, and those
-    that underflow after a rescale are negligible next to the current one
-    (~1), so far nodes whose sums span thousands of orders stay accurate.
+
+def _sweep_rows(b, h, x, nrows, logw=None, log_mass=0.0):
+    """(logw, Q) with Q[k] = sqrt(w_i) P_k(x_i), k < nrows, from one scaled_sweep pass.
+
+    With ``logw`` None the pass runs over every k < len(b) and the weights
+    are Christoffel's, w_i = exp(log_mass) / sum_k P_k(x_i)^2; given ``logw``
+    it only builds the rows (b, h then need no more than nrows entries).
+
+    Rows are stored as the sweep yields them, in its scaled frame.  A block
+    of rows ends at each multiple of _BLOCK and at each rescale event, so
+    its rows share one frame and none is ever corrected.  A block below
+    nrows is written into Q, any other into a rolling buffer, whose kept
+    rows are copied out when it ends.  An ended block's column sums of
+    squares join the running sum, which an event moves to the new frame at
+    the rescaled nodes only: terms that underflow there are negligible next
+    to the current ~1, so sums spanning thousands of orders stay accurate.
+    Once the weights are known, each block of Q is multiplied by
+    exp(log sqrt(w_i) + s_i) of its frame s.  Blocks end where they would
+    for any nrows, so rows and weights do not depend on nrows, bit for bit.
     """
-    x = np.asarray(nodes, dtype=float)
+    n = len(b)
+    if not 0 <= nrows <= n:
+        raise ValueError(f"rows 0..{nrows - 1} are not within the {n} levels swept")
     s = np.zeros_like(x)
-    seen = np.zeros_like(x)  # the log scale acc is expressed in
-    acc = np.ones_like(x)  # P_0^2
-    sq = np.empty_like(x)
+    frame = np.zeros_like(x)  # s of the open block
+    acc = np.zeros_like(x)  # the ended blocks' sum of u_k^2, in that frame
+    Q = np.empty((nrows, x.size))
+    buf = np.empty((min(_BLOCK, n), x.size))
+    kept = []  # (k0, k1, change) per block of Q; change: the (nodes, frame) of its opening event
+    k0, blk, change = 0, Q[:_BLOCK] if _BLOCK <= nrows else buf, None
+
+    def end(k):  # the open block holds rows k0..k - 1
+        rows = blk[: k - k0]
+        if logw is None:
+            np.add(acc, np.einsum("ij,ij->j", rows, rows), out=acc)
+        if k0 < nrows:
+            if blk is buf:
+                Q[k0 : min(k, nrows)] = rows[: nrows - k0]
+            kept.append((k0, min(k, nrows), change))
+
     for k, u, rescaled in scaled_sweep(b, h, x, s):
-        if rescaled is not None:
-            acc[rescaled] *= np.exp(2.0 * (seen[rescaled] - s[rescaled]))
-            seen[rescaled] = s[rescaled]
-        if k:
-            acc += np.multiply(u, u, out=sq)
-    return np.log(acc) + 2.0 * s
+        if k and (k % _BLOCK == 0 or rescaled is not None):
+            end(k)
+            change = None
+            if rescaled is not None:
+                idx = rescaled.nonzero()[0]
+                change = (idx, s[idx])
+                acc[idx] *= np.exp(2.0 * (frame[idx] - change[1]))
+                frame[idx] = change[1]
+            k0 = k
+            top = k - k % _BLOCK + _BLOCK
+            blk = Q[k:top] if top <= nrows else buf
+        blk[k - k0] = u
+    end(n)
+    if logw is None:
+        logw = log_mass - np.log(acc) - 2.0 * frame
+    half = 0.5 * logw
+    scale = np.exp(half)
+    for k0, k1, change in kept:
+        if change is not None:
+            idx, new = change
+            scale[idx] = np.exp(half[idx] + new)
+        Q[k0:k1] *= scale
+    return logw, Q
 
 
-def gauss_rule(sm: SpectralMeasure, N: int) -> QuadratureRule:
-    """N-point Gaussian rule of the measure.
+def gauss_rule(sm: SpectralMeasure, N: int, rows: int = 0) -> QuadratureRule:
+    """N-point Gaussian rule of the measure, with its first ``rows`` weighted rows.
 
     Nodes are the eigenvalues of the order-N truncation of the recurrence
     matrix.  Weights come from the Christoffel identity
     w_i = mass / sum_{k<N} P_k(x_i)^2, summed in the sweep's scaled frame
     and only then taken to logs; unlike the squared first eigenvector
     components this stays relatively accurate for the extremely small far
-    weights of unbounded supports.
+    weights of unbounded supports.  The same sweep writes the rows
+    sqrt(w_i) P_k(x_i), k < ``rows``, into ``rule.rows`` (None for 0 rows);
+    ``weighted_rows`` gives the same rows of a rule built without them.
     """
     if N < 1:
         raise ValueError("N must be positive")
     b, h = recurrence(sm.pd).arrays(N - 1)
     nodes = eigh_tridiagonal(h, b[1:], eigvals_only=True)
-    logw = math.log(sm.mass) - _log_sum_poly_sq(b, h, nodes)
-    return QuadratureRule(nodes=nodes, weights=np.exp(logw), log_weights=logw)
+    logw, Q = _sweep_rows(b, h, nodes, rows, log_mass=math.log(sm.mass))
+    return QuadratureRule(nodes, np.exp(logw), logw, Q if rows else None)
 
+
+def weighted_rows(sm: SpectralMeasure, rule: QuadratureRule, nrows: int) -> np.ndarray:
+    """Rows sqrt(w_i) P_k(x_i), k < nrows, of a rule of ``sm``.
+
+    The sweep of ``gauss_rule`` over rows 0..nrows - 1 alone, with the
+    rule's log-weights: bit for bit the rows ``gauss_rule(sm, N, nrows)``
+    returns.  They are exactly orthonormal under plain summation over the
+    nodes, and bounded by 1.
+    """
+    if nrows < 1:
+        raise ValueError("nrows must be positive")
+    b, h = recurrence(sm.pd).arrays(nrows - 1)
+    return _sweep_rows(b, h, rule.nodes, nrows, logw=rule.log_weights)[1]

@@ -779,7 +779,7 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray):
         np.subtract(tmp, u_prev, out=u_prev)
         u_next = np.divide(u_prev, b[k + 1], out=u_prev)
         rescaled = None
-        if np.abs(u_next, out=tmp).max(initial=0.0) > 1e120:
+        if np.maximum.reduce(np.abs(u_next, out=tmp)) > 1e120:
             rescaled = tmp > 1e120
             f = tmp[rescaled]
             u_next[rescaled] /= f

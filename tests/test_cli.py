@@ -81,9 +81,9 @@ def test_repeated_propagate_builds_no_rule(monkeypatch, qmat_builds):
     built = []
     build = propagator.gauss_rule
 
-    def counted(sm, N):
+    def counted(sm, N, rows=0):
         built.append(N)
-        return build(sm, N)
+        return build(sm, N, rows)
 
     monkeypatch.setattr(propagator, "_RULES", propagator._LRU(propagator._RULES.slots))
     monkeypatch.setattr(propagator, "gauss_rule", counted)

@@ -361,6 +361,66 @@ def test_lru_evicts_the_least_recently_used_at_its_bound():
     assert calls == [1] and cache.get("d") is None  # the miss built once and evicted "d"
 
 
+def test_lru_keeps_its_values_within_a_byte_budget():
+    assert propagator._QMATS.max_bytes == propagator._QMATS_BYTES
+    cache = propagator._LRU(12, max_bytes=100)
+    cache.put("a", np.zeros(5))  # 40 bytes
+    cache.put("b", np.zeros(5))
+    assert cache.get("a") is not None  # refreshes "a", so "b" is now the oldest
+    cache.put("c", np.zeros(5))  # 120 bytes in all: "b" goes
+    assert (cache.get("b"), cache.nbytes) == (None, 80)
+    big = np.zeros(13)
+    assert cache.get_or_build("d", lambda: big) is big  # over the budget: returned, not kept
+    assert cache.get("d") is None and cache.nbytes == 80
+
+
+def test_doubling_evolve_keeps_its_matrices_within_the_byte_budget(monkeypatch, qmat_builds):
+    ctx = build_context(laguerre_data(0.8))
+    c = np.random.default_rng(3).standard_normal(40)
+    c /= np.linalg.norm(c)
+    want = evolve(ctx, c, 2.5)
+    assert len(qmat_builds) == 3  # 2.7, 11.6 and 56.6 MiB
+    budget = 12 * 2**20  # the second evicts the first, the third is used uncached
+    small = propagator._LRU(12, max_bytes=budget)
+    monkeypatch.setattr(propagator, "_QMATS", small)
+    got = evolve(ctx, c, 2.5)
+    assert 0 < small.nbytes <= budget
+    np.testing.assert_array_equal(got, want)
+
+
+def test_a_cold_request_sweeps_each_rule_it_builds_once(monkeypatch, qmat_builds):
+    """The rows of a cold rule come from the sweep that builds it."""
+    from qladder import measure
+
+    ctx = build_context(laguerre_data(0.8))
+    passes, built = [], []
+    sweep, build = measure.scaled_sweep, propagator.gauss_rule
+
+    def counted_sweep(*args):
+        passes.append(1)
+        return sweep(*args)
+
+    def counted_build(sm, N, rows=0):
+        built.append(N)
+        return build(sm, N, rows)
+
+    for mod in (measure, propagator):
+        monkeypatch.setattr(mod, "scaled_sweep", counted_sweep)
+    monkeypatch.setattr(propagator, "gauss_rule", counted_build)
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
+    evolve(ctx, [1.0], 1.0)
+    assert built and len(passes) == len(built)
+    # a cached rule whose matrix is not: one sweep, over the cached nodes
+    passes.clear(), built.clear(), qmat_builds.clear()
+    monkeypatch.setattr(propagator, "_QMATS", type(propagator._QMATS)(12))  # empty, still recording
+    evolve(ctx, [1.0], 1.0)
+    assert built == [] and len(passes) == len(qmat_builds) == 1
+    passes.clear()
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
+    sigma_row(ctx, 3, 1.0, 40)
+    assert len(built) == len(passes) == 1
+
+
 def test_rule_size_rounds_to_the_nearest_multiple_of_32():
     sizes = np.array([_rule_size(N) for N in range(1, 9000)])
     N = np.arange(1, 9000)
@@ -375,10 +435,10 @@ def test_every_quadrature_caller_keeps_48_nodes_above_its_highest_row(pd, monkey
     sizes = []
     rule = PropagatorContext.rule
 
-    def recorded(self, N):
-        nodes, logw = rule(self, N)
-        sizes.append(nodes.size)
-        return nodes, logw
+    def recorded(self, N, rows=0):
+        out = rule(self, N, rows)
+        sizes.append(out[0].size)
+        return out
 
     monkeypatch.setattr(PropagatorContext, "rule", recorded)
     for t in (0.0, 0.3, 2.0):
