@@ -6,6 +6,17 @@ tridiagonal Hamiltonian, and multi-mode operators applied exactly to sparse
 occupation-basis states (dict occupation-tuple -> amplitude, the same
 pattern as a hand-written Fock simulator).
 
+Multi-mode evolution works by structure.  ``interaction_evolve`` builds H_I
+on a basis as sparse entries, by index arithmetic over the occupation
+array, splits it into the connected components of its pattern (the
+invariant sectors, found without any sector labels, so the oracle stays
+independent of :mod:`qladder.reduction`) and diagonalizes each block.  The
+block eigendecompositions are cached under the system and the basis
+parameters; the two-mode amplifier at truncation 34 is 69 blocks of at
+most 35 levels instead of one dense 1,225-level matrix.  ``eigh_evolve``
+runs a dense Hermitian matrix through the same block eigensolver, and
+``dense_matrix`` keeps the dict route as the independent reference.
+
 Truncation policy: multi-mode bases are cut by total occupation (simplex);
 states whose support gets within |l|_1 * (number of applications) of the
 cut are contaminated and the strict application mode refuses to produce
@@ -14,8 +25,6 @@ them.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,10 +45,16 @@ __all__ = [
     "commutator_norm",
     "dense_matrix",
     "eigh_evolve",
+    "interaction_evolve",
     "state_norm",
 ]
 
-_EIGS = _LRU(64)  # the bench scenarios workload uses 52: 24 ladders at 2 truncations, 4 amplifiers
+# The bench scenarios workload keeps 48 ladder decompositions in _EIGS (24
+# families at the propagate and expect truncations, 200 and 400 levels:
+# 36 MiB) and the blocks of 4 amplifiers in _BLOCKS (truncations 20, 25, 29
+# and 34: 1.0 MiB).
+_EIGS = _LRU(64)
+_BLOCKS = _LRU(64, 32 * 2**20)
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,8 @@ class MultiModeBasis:
     """Enumerated occupation basis with an index lookup.
 
     ``max_total`` cuts by total occupation (simplex); ``max_local`` cuts each
-    mode separately (box).  At least one must be given.
+    mode separately (box).  At least one must be given.  ``occupations`` holds
+    the states as rows of an integer array, in the order of ``states``.
     """
 
     def __init__(self, modes: int, max_total: int | None = None,
@@ -98,11 +114,13 @@ class MultiModeBasis:
         self.modes = modes
         self.max_total = max_total
         self.max_local = max_local
-        cap = min(c for c in (max_total, max_local) if c is not None)
-        self.states = [  # product yields the tuples in sorted order
-            occ for occ in itertools.product(range(cap + 1), repeat=modes)
-            if max_total is None or sum(occ) <= max_total
-        ]
+        self._radix = min(c for c in (max_total, max_local) if c is not None) + 1
+        occ = np.indices((self._radix,) * modes).reshape(modes, -1).T  # sorted, like product
+        if max_total is not None:
+            occ = occ[occ.sum(axis=1) <= max_total]
+        self.occupations = occ
+        self._codes = self._code(occ)
+        self.states = list(map(tuple, occ.tolist()))
         self.index = {s: i for i, s in enumerate(self.states)}
 
     def __len__(self):
@@ -110,6 +128,16 @@ class MultiModeBasis:
 
     def __contains__(self, occ):
         return tuple(occ) in self.index
+
+    def _code(self, occ: np.ndarray) -> np.ndarray:
+        return occ @ self._radix ** np.arange(self.modes - 1, -1, -1)
+
+    def locate(self, occ: np.ndarray) -> np.ndarray:
+        """Index of each row of ``occ`` in the basis, -1 where it is not a state."""
+        inside = np.all((occ >= 0) & (occ < self._radix), axis=1)
+        code = np.where(inside, self._code(occ), -1)
+        i = np.minimum(np.searchsorted(self._codes, code), len(self._codes) - 1)
+        return np.where(inside & (self._codes[i] == code), i, -1)
 
 
 def _amp_raise(occ, l):
@@ -220,13 +248,92 @@ def dense_matrix(sys: MultiModeSystem, term, basis: MultiModeBasis) -> np.ndarra
     return mat
 
 
-def eigh_evolve(h: np.ndarray, t: float | np.ndarray, vec) -> np.ndarray:
-    """exp(-i h t) @ vec for a dense Hermitian h, eigendecomposition cached.
+def _interaction_entries(sys: MultiModeSystem, basis: MultiModeBasis):
+    """(rows, cols, values) of the nonzero entries of P H_I P on ``basis``.
 
-    ``t`` is a time or a 1-d array of times; an array gives one row per time.
+    The A* entry from each state to its image one step up, the adjoint A
+    entry back, and the diagonal: the same amplitudes as ``multimode_apply``,
+    found by index arithmetic over ``basis.occupations``.
     """
-    key = hashlib.sha1(np.ascontiguousarray(h)).hexdigest()
-    w, v = _EIGS.get_or_build(key, lambda: eigh(h))
-    coef = (np.asarray(vec, dtype=complex).conj() @ v).conj()  # v^H vec, no copy of v
-    x = np.exp(-1j * np.multiply.outer(t, w)) * coef
-    return v @ x if x.ndim == 1 else x @ v.T
+    occ = basis.occupations
+    up_index = basis.locate(occ + np.asarray(sys.l))
+    src = np.flatnonzero(up_index >= 0)
+    dst = up_index[src]
+    amp2 = np.ones(src.size)
+    for m, lj in zip(occ[src].T, sys.l):
+        for k in range(1, lj + 1) if lj > 0 else range(0, lj, -1):
+            amp2 *= m + k  # lj < 0 annihilates: factors m, m - 1, ..
+    if callable(sys.g):
+        g = np.array([sys.g_at(o) for o in occ[src].tolist()], dtype=complex)
+    else:
+        g = complex(sys.g)
+    up = np.conjugate(g) * np.sqrt(amp2)
+    if callable(sys.h_diag):
+        diag = np.array([sys.h_at(o) for o in occ.tolist()])
+    else:
+        diag = np.full(len(basis), float(sys.h_diag))
+    rows = np.concatenate((dst, src, np.arange(len(basis))))
+    cols = np.concatenate((src, dst, np.arange(len(basis))))
+    vals = np.concatenate((up, np.conjugate(up), diag))
+    keep = vals != 0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _eigh_blocks(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list:
+    """Eigendecomposition of an n x n Hermitian matrix given by its nonzero
+    entries, one (indices, eigenvalues, eigenvectors) per connected block."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    count, label = connected_components(
+        coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)), directed=False)
+    order = np.argsort(label, kind="stable")  # each block's indices ascending
+    starts = np.searchsorted(label[order], np.arange(count + 1))
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n) - starts[label[order]]
+    by_block = np.argsort(label[rows], kind="stable")
+    ends = np.searchsorted(label[rows][by_block], np.arange(count + 1))
+    blocks = []
+    for b in range(count):
+        idx, e = order[starts[b]: starts[b + 1]], by_block[ends[b]: ends[b + 1]]
+        m = np.zeros((idx.size, idx.size), dtype=vals.dtype)
+        m[pos[rows[e]], pos[cols[e]]] = vals[e]
+        blocks.append((idx, *eigh(m)))
+    return blocks
+
+
+def _evolve_blocks(blocks: list, t, vec) -> np.ndarray:
+    """exp(-i h t) @ vec on the eigendecomposed blocks of h; a 1-d ``t`` gives one row per time."""
+    vec = np.asarray(vec, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape + vec.shape, dtype=complex)
+    for idx, w, v in blocks:
+        coef = (vec[idx].conj() @ v).conj()  # v^H vec without forming v^H
+        out[..., idx] = (np.exp(-1j * np.multiply.outer(t, w)) * coef) @ v.T
+    return out
+
+
+def eigh_evolve(h: np.ndarray, t: float | np.ndarray, vec) -> np.ndarray:
+    """exp(-i h t) @ vec for a dense Hermitian h, one eigendecomposition per block.
+
+    The blocks are the connected components of h's nonzero pattern; nothing
+    is cached, since a dense h has no key cheaper than itself.  ``t`` is a
+    time or a 1-d array of times; an array gives one row per time.
+    """
+    rows, cols = np.nonzero(h)
+    return _evolve_blocks(_eigh_blocks(len(h), rows, cols, h[rows, cols]), t, vec)
+
+
+def interaction_evolve(sys: MultiModeSystem, basis: MultiModeBasis,
+                       t: float | np.ndarray, vec) -> np.ndarray:
+    """exp(-i P H_I P t) @ vec on ``basis``, H_I never formed as a dense matrix.
+
+    The block eigendecompositions are cached under the system and the basis
+    parameters (H_I does not depend on ``sys.alpha``).  ``t`` is a time or a
+    1-d array of times; an array gives one row per time.
+    """
+    key = (tuple(sys.omega), tuple(sys.l), sys.g, sys.h_diag,
+           basis.modes, basis.max_total, basis.max_local)
+    blocks = _BLOCKS.get_or_build(
+        key, lambda: _eigh_blocks(len(basis), *_interaction_entries(sys, basis)))
+    return _evolve_blocks(blocks, t, vec)

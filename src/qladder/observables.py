@@ -30,7 +30,7 @@ import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
 from .orthopoly import derivative_matrix
-from .propagator import PropagatorContext, _real_matvec, evolve
+from .propagator import _LRU, PropagatorContext, _real_matvec, evolve
 from .reduction import MultiModeSystem, Sector, beta_offsets
 
 __all__ = [
@@ -318,6 +318,17 @@ def _alpha_series(D: np.ndarray, c: np.ndarray, l: int) -> list:
     return out
 
 
+# The CLI oracle's 400-level matrix takes 1.3 MB.  The bench scenarios stream
+# asks for 63-68 keys, 27-28 MiB: one oracle matrix per family (24) and the
+# library's short ones, one per family and start-vector length.
+_DERIVS = _LRU(256, 64 * 2**20)
+
+
+def _derivative(ctx: PropagatorContext, K: int) -> np.ndarray:
+    """derivative_matrix(ctx.js, K), cached by (family, K) for the library and the CLI oracle."""
+    return _DERIVS.get_or_build((ctx.pd, K), lambda: derivative_matrix(ctx.js, K))
+
+
 def _alpha_moments_now(ctx, state, l: int) -> list:
     """<alpha^k> at t = 0 for k = 0..l."""
     if isinstance(state, Number):
@@ -327,7 +338,7 @@ def _alpha_moments_now(ctx, state, l: int) -> list:
         z = complex(state.z)
         return [z**k for k in range(l + 1)]
     c = _state_coeffs(state)
-    return _alpha_series(derivative_matrix(ctx.js, c.size), c, l)
+    return _alpha_series(_derivative(ctx, c.size), c, l)
 
 
 def _alpha_law(mom: list, l: int, t: float) -> complex:

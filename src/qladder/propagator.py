@@ -140,39 +140,53 @@ def _check_char_domain(ctx: PropagatorContext, z: complex) -> None:
 class _LRU:
     """Map keeping its ``slots`` most recently used entries, under one lock.
 
-    With ``max_bytes`` it also keeps the ``nbytes`` of its values within that
-    budget, evicting the least recently used; a larger value is not kept.
+    With ``max_bytes`` it also keeps the bytes of its values (arrays, or
+    tuples and lists of them) within that budget, evicting the least recently
+    used; a larger value is not kept.  With ``admit_window`` = W > 0 a key's
+    value is kept only on its second ``put`` within W first puts: a first
+    put remembers the key alone, among the W most recent, so a value built
+    once, or again only after W other cold builds, is not held.
     """
 
-    def __init__(self, slots: int, max_bytes: int | None = None):
-        self.slots, self.max_bytes = slots, max_bytes
-        self._data, self._lock = OrderedDict(), threading.Lock()
+    def __init__(self, slots: int, max_bytes: int | None = None, admit_window: int = 0):
+        self.slots, self.max_bytes, self.admit_window = slots, max_bytes, admit_window
+        self._data, self._lock = OrderedDict(), threading.Lock()  # key -> (value, bytes)
+        self._bytes = 0
+        self._seen = OrderedDict()  # keys of first puts, the admit_window most recent
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the values held (arrays only)."""
+        """Bytes of the values held."""
         with self._lock:
-            return self._nbytes()
-
-    def _nbytes(self) -> int:
-        return sum(v.nbytes for v in self._data.values())
+            return self._bytes
 
     def get(self, key):
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-            return self._data.get(key)
+            if key not in self._data:
+                return None
+            self._data.move_to_end(key)
+            return self._data[key][0]
 
     def put(self, key, val) -> None:
-        if self.max_bytes is not None and val.nbytes > self.max_bytes:
+        size = _nbytes(val)
+        if self.max_bytes is not None and size > self.max_bytes:
             return
         with self._lock:
-            self._data[key] = val
-            self._data.move_to_end(key)
+            if self.admit_window and key not in self._data:
+                if key not in self._seen:  # first put: remember the key only
+                    self._seen[key] = None
+                    if len(self._seen) > self.admit_window:
+                        self._seen.popitem(last=False)
+                    return
+                del self._seen[key]
+            if key in self._data:
+                self._bytes -= self._data.pop(key)[1]
+            self._data[key] = (val, size)
+            self._bytes += size
             while len(self._data) > self.slots or (
-                self.max_bytes is not None and self._nbytes() > self.max_bytes
+                self.max_bytes is not None and self._bytes > self.max_bytes
             ):
-                self._data.popitem(last=False)
+                self._bytes -= self._data.popitem(last=False)[1][1]
 
     def get_or_build(self, key, build):
         """The value at ``key``, from ``build()`` (run outside the lock) on a miss."""
@@ -183,17 +197,31 @@ class _LRU:
         return val
 
 
+def _nbytes(val) -> int:
+    """Bytes of the arrays in ``val``: an array, or a tuple or list of such values."""
+    if isinstance(val, (tuple, list)):
+        return sum(_nbytes(v) for v in val)
+    return getattr(val, "nbytes", 0)
+
+
 # A rule holds 24 B per node (nodes, log-weights, weights).  evolve at its
 # default max_dim asks for at most 8,256 nodes and sigma_mn_quad's default
 # for at most 6,144, so 128 such rules take at most ~25 MB.  sigma_row and
 # the Jacobi shifted transforms size their rules from n and |z| without a
 # cap, so the slot count bounds the number of rules, not their bytes.  Only
 # evolve fills _QMATS; a slot holds the (S - 63) x S polynomial matrix of an
-# S-node rule, about 540 MB at evolve's largest default rule, S = 8,256, so
-# the matrices share a byte budget too, and a larger one is not kept.
+# S-node rule, from 67 kB at evolve's smallest rule, S = 128, to about
+# 540 MB at its largest default rule, S = 8,256.  The byte budget binds
+# before the slots do (4,096 of the smallest take 272 MB), and a larger
+# matrix is not kept.  A matrix is kept on its key's second miss within 512
+# cold builds.  Measured as the number of distinct keys between two lookups
+# of one key: the bench scenarios stream revisits its 76 keys (29 MB) within
+# at most 75, so each is kept after one rebuild; the bench sweep stream has
+# 2,402 distinct keys in its 4,000 requests and repeats one only when the
+# stream starts over, 2,401 keys later, so it holds none.
 _RULES = _LRU(128)
 _QMATS_BYTES = 256 * 2**20
-_QMATS = _LRU(12, _QMATS_BYTES)
+_QMATS = _LRU(4096, _QMATS_BYTES, admit_window=512)
 
 
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
@@ -207,13 +235,8 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     N = _rule_size(N)
     if nmax > N - 64:
         raise ValueError(f"a {N}-node rule carries rows 0..{N - 64}, not {nmax}")
-    key = (ctx.pd, ctx.sm.C, N)
-    Q = _QMATS.get(key)
-    if Q is None:
-        nodes, _, Q = ctx.rule(N, N - 63)
-        _QMATS.put(key, Q)
-    else:
-        nodes, _ = ctx.rule(N)
+    Q = _QMATS.get_or_build((ctx.pd, ctx.sm.C, N), lambda: ctx.rule(N, N - 63)[2])
+    nodes, _ = ctx.rule(N)
     return nodes, Q[: nmax + 1]
 
 

@@ -29,15 +29,19 @@ def family_ctx(family_name):
 def qmat_builds(monkeypatch):
     """Keys (pd, C, nodes) of the polynomial matrices built during the test.
 
-    The test runs on an empty matrix cache of the same slot count, so what
-    it builds is dropped afterwards.
+    The test runs on an empty matrix cache of the same slot count that keeps
+    every matrix from its first build, so what it builds is dropped
+    afterwards.  Builds are recorded where they run, not where they are kept.
     """
     built = []
 
     class Recording(propagator._LRU):
-        def put(self, key, val):
-            built.append(key)
-            super().put(key, val)
+        def get_or_build(self, key, build):
+            def recorded():
+                built.append(key)
+                return build()
+
+            return super().get_or_build(key, recorded)
 
     monkeypatch.setattr(propagator, "_QMATS", Recording(propagator._QMATS.slots))
     return built

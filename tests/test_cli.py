@@ -345,6 +345,11 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     _run_python("import sys, qladder.cli; assert 'scipy.integrate' not in sys.modules")
 
 
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the block oracle imports scipy.sparse on its first cold build
+    _run_python("import sys, qladder.cli; assert 'scipy.sparse' not in sys.modules")
+
+
 def test_spectrum_leaves_scipy_integrate_unloaded():
     # moments come from the Pearson recurrence, with no quadrature
     cfg = str(SCENARIOS / "hermite_spectrum.ini")
@@ -406,6 +411,7 @@ def test_expect_oracle_builds_the_derivative_matrix_once(tmp_path, monkeypatch):
         return build(js, K)
 
     monkeypatch.setattr(ob, "derivative_matrix", counted)
+    monkeypatch.setattr(ob, "_DERIVS", ob._LRU(ob._DERIVS.slots))  # empty: earlier tests fill it
     cfgp = write_config(
         tmp_path,
         _HERMITE + "[state]\nkind = gaussian\nzeta = 0.4+0.2j\n\n"
@@ -443,17 +449,65 @@ def test_amplifier_evolves_its_grid_in_one_call(monkeypatch):
     import qladder.cli as cli
 
     calls = []
-    evolve = cli.eigh_evolve
+    evolve = cli.interaction_evolve
 
-    def counted(h, t, vec):
+    def counted(sys, basis, t, vec):
         calls.append(np.shape(t))
-        return evolve(h, t, vec)
+        return evolve(sys, basis, t, vec)
 
-    monkeypatch.setattr(cli, "eigh_evolve", counted)
+    monkeypatch.setattr(cli, "interaction_evolve", counted)
     code, out, err = run_cli(["amplifier", "--config", str(SCENARIOS / "amplifier.ini")])
     assert code == 0, err
     assert len(parse_sections(out)[0]) == 1 + 6
     assert calls == [(6,)]
+
+
+def test_warm_amplifier_runs_no_dense_matrix_hash_or_eigensolver(monkeypatch):
+    import hashlib
+
+    import qladder.cli as cli
+    from qladder import fockoracle
+
+    argv = ["amplifier", "--config", str(SCENARIOS / "amplifier.ini"), "--truncation", "34"]
+    assert run_cli(argv)[0] == 0  # cold: builds and caches the blocks
+    calls = []
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((fockoracle, "dense_matrix"), (fockoracle, "eigh"),
+                      (fockoracle, "eigh_tridiagonal"), (hashlib, "sha1")):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert calls == [] and not hasattr(cli, "dense_matrix")
+
+
+def test_two_expect_oracle_requests_build_each_derivative_once(tmp_path, monkeypatch):
+    import qladder.observables as ob
+
+    sizes = []
+    build = ob.derivative_matrix
+
+    def counted(js, K):
+        sizes.append(K)
+        return build(js, K)
+
+    monkeypatch.setattr(ob, "derivative_matrix", counted)
+    monkeypatch.setattr(ob, "_DERIVS", ob._LRU(ob._DERIVS.slots))
+    cfgp = write_config(
+        tmp_path,
+        "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = 1.5\n\n"
+        "[state]\nkind = fock\ncoeffs = 0.6, 0.8j, 0.1\n\n"
+        "[expect]\nobservables = alpha_moment:2, alpha_dispersion\ntruncation = 150\n\n"
+        "[grid]\nt0 = 0.0\nt1 = 1.0\nsteps = 5\n",
+    )
+    outs = [run_cli(["expect", "--config", cfgp, "--oracle"]) for _ in range(2)]
+    assert [code for code, _, _ in outs] == [0, 0] and outs[0][1] == outs[1][1]
+    assert sorted(sizes) == [3, 150]  # the library's 3-level one and the oracle's, once each
 
 
 def test_every_readme_invocation_parses():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qladder.errors import CutoffOverflow
 from qladder.fockoracle import (
@@ -13,6 +14,7 @@ from qladder.fockoracle import (
     dense_matrix,
     eigh_evolve,
     expm_evolve,
+    interaction_evolve,
     multimode_apply,
     state_norm,
     truncated_h,
@@ -201,3 +203,62 @@ def test_dense_matrix_is_projection_consistent():
     j = basis.index[(2, 0)]
     i = basis.index[(3, 1)]
     assert hi[i, j] == pytest.approx(math.sqrt(3.0))
+
+
+def _dense_route(h, ts, vec):
+    """exp(-i h t) vec for each t through one eigendecomposition of all of h."""
+    w, v = scipy.linalg.eigh(h)
+    return (np.exp(-1j * np.multiply.outer(ts, w)) * (v.conj().T @ vec)) @ v.T
+
+
+@pytest.mark.parametrize("sys, basis", [
+    *[(MultiModeSystem(omega=(1.0, 1.0), l=(1, 1), g=-0.9j), MultiModeBasis(2, max_local=n))
+      for n in (20, 25, 29, 34)],
+    (MultiModeSystem(omega=(1.3, 0.7), l=(1, 1), g=-1j), MultiModeBasis(2, max_total=40)),
+], ids=["box20", "box25", "box29", "box34", "simplex40"])
+def test_block_route_equals_the_dense_route(sys, basis):
+    from qladder.fockoracle import _interaction_entries
+
+    h = dense_matrix(sys, "HI", basis)
+    rows, cols, vals = _interaction_entries(sys, basis)
+    sparse = np.zeros_like(h)
+    sparse[rows, cols] = vals
+    np.testing.assert_array_equal(sparse, h)  # the same entries as the dict route
+    rng = np.random.default_rng(len(basis))
+    vec = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    vec /= np.linalg.norm(vec)
+    ts = np.array([0.0, 0.3, 0.8])
+    want = _dense_route(h, ts, vec)
+    assert np.max(np.abs(interaction_evolve(sys, basis, ts, vec) - want)) < 1e-12
+    assert np.max(np.abs(eigh_evolve(h, ts, vec) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("l", [(1, -1), (2, 1), (2, -1, 1)])
+def test_interaction_entries_match_the_dict_route_for_occupation_maps(l):
+    from qladder.fockoracle import _interaction_entries
+
+    sys = MultiModeSystem(omega=(1.0,) * len(l), l=l, g=lambda occ: 0.3 + 0.1j * occ[0],
+                          h_diag=lambda occ: 0.5 * occ[-1])
+    for basis in (MultiModeBasis(len(l), max_total=9), MultiModeBasis(len(l), max_local=5)):
+        h = dense_matrix(sys, "HI", basis)
+        rows, cols, vals = _interaction_entries(sys, basis)
+        sparse = np.zeros_like(h)
+        sparse[rows, cols] = vals
+        np.testing.assert_array_equal(sparse, h)
+
+
+@pytest.mark.parametrize("other", [{"g": 0.7}, {"h_diag": 0.25}])
+def test_systems_differing_in_one_coupling_do_not_share_blocks(other, monkeypatch):
+    from qladder import fockoracle
+
+    monkeypatch.setattr(fockoracle, "_BLOCKS", type(fockoracle._BLOCKS)(64))
+    basis = MultiModeBasis(2, max_local=8)
+    vec = np.zeros(len(basis), dtype=complex)
+    vec[basis.index[(1, 0)]] = 1.0
+    base = MultiModeSystem(omega=(1.3, 0.7), l=(1, 1), g=0.5)
+    changed = MultiModeSystem(omega=(1.3, 0.7), l=(1, 1), **{"g": 0.5, **other})
+    for sys in (base, changed):
+        got = interaction_evolve(sys, basis, 0.9, vec)
+        want = _dense_route(dense_matrix(sys, "HI", basis), 0.9, vec)
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert len(fockoracle._BLOCKS._data) == 2

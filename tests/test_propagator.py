@@ -340,7 +340,7 @@ def test_lru_evicts_the_least_recently_used_at_its_bound():
     from qladder import fockoracle, propagator
 
     slots = (propagator._RULES.slots, propagator._QMATS.slots, fockoracle._EIGS.slots)
-    assert slots == (128, 12, 64)
+    assert slots == (128, 4096, 64)
     cache = propagator._LRU(2)
     cache.put("a", 1)
     cache.put("b", 2)
@@ -372,6 +372,52 @@ def test_lru_keeps_its_values_within_a_byte_budget():
     big = np.zeros(13)
     assert cache.get_or_build("d", lambda: big) is big  # over the budget: returned, not kept
     assert cache.get("d") is None and cache.nbytes == 80
+
+
+def test_lru_counts_the_bytes_of_lists_of_blocks():
+    cache = propagator._LRU(4, max_bytes=1000)
+    blocks = [(np.arange(3), np.zeros(3), np.zeros((3, 3), dtype=complex)) for _ in range(2)]
+    cache.put("blocks", blocks)  # 2 x (24 + 24 + 144) bytes
+    cache.put("pair", (np.zeros(10), np.zeros(10)))
+    assert cache.get("blocks") is blocks and cache.nbytes == 384 + 160  # refreshes "blocks"
+    cache.put("more", [np.zeros(60)])  # 480 bytes: "pair" goes
+    assert cache.get("pair") is None and cache.nbytes == 384 + 480
+
+
+def test_lru_admits_a_key_on_its_second_put_within_its_window():
+    cache = propagator._LRU(8, admit_window=2)
+    cache.put("a", 1)  # remembered, not kept
+    assert cache.get("a") is None
+    cache.put("a", 1)
+    assert cache.get("a") == 1
+    cache.put("a", 2)  # a kept key is replaced at once
+    assert cache.get("a") == 2
+    for key in "bcd":  # "b" leaves the window of two first puts
+        cache.put(key, 3)
+    cache.put("d", 3)
+    cache.put("b", 3)
+    assert (cache.get("b"), cache.get("c"), cache.get("d")) == (None, None, 3)
+
+
+def test_qmats_keeps_a_matrix_on_its_second_miss_only(monkeypatch):
+    ctx = build_context(laguerre_data(2.5))
+    c = np.array([0.6, 0.8j, 0.0])
+    window = propagator._QMATS.admit_window
+    assert window > 0
+    admitting = propagator._LRU(propagator._QMATS.slots, propagator._QMATS_BYTES, window)
+    monkeypatch.setattr(propagator, "_QMATS", admitting)
+    first = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
+    assert admitting.nbytes == 0  # built and used, not kept
+    second = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
+    held = admitting.nbytes
+    assert held > 0
+    third = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
+    assert admitting.nbytes == held  # a hit builds nothing new
+    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(propagator._QMATS.slots))
+    plain = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
+    for got in (second, third, plain):
+        for a, b in zip(got, first, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_doubling_evolve_keeps_its_matrices_within_the_byte_budget(monkeypatch, qmat_builds):
