@@ -302,9 +302,12 @@ def _eigh_blocks(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -
     return blocks
 
 
-def _evolve_blocks(blocks: list, t, vec) -> np.ndarray:
-    """exp(-i h t) @ vec on the eigendecomposed blocks of h; a 1-d ``t`` gives one row per time."""
+def _evolve_blocks(n: int, blocks: list, t, vec) -> np.ndarray:
+    """exp(-i h t) @ vec on the eigendecomposed blocks of the n x n h; a 1-d
+    ``t`` gives one row per time."""
     vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (n,):
+        raise ValueError(f"vector shape {vec.shape} does not match dim {n}")
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape + vec.shape, dtype=complex)
     for idx, w, v in blocks:
@@ -321,7 +324,7 @@ def eigh_evolve(h: np.ndarray, t: float | np.ndarray, vec) -> np.ndarray:
     time or a 1-d array of times; an array gives one row per time.
     """
     rows, cols = np.nonzero(h)
-    return _evolve_blocks(_eigh_blocks(len(h), rows, cols, h[rows, cols]), t, vec)
+    return _evolve_blocks(len(h), _eigh_blocks(len(h), rows, cols, h[rows, cols]), t, vec)
 
 
 def interaction_evolve(sys: MultiModeSystem, basis: MultiModeBasis,
@@ -336,4 +339,4 @@ def interaction_evolve(sys: MultiModeSystem, basis: MultiModeBasis,
            basis.modes, basis.max_total, basis.max_local)
     blocks = _BLOCKS.get_or_build(
         key, lambda: _eigh_blocks(len(basis), *_interaction_entries(sys, basis)))
-    return _evolve_blocks(blocks, t, vec)
+    return _evolve_blocks(len(basis), blocks, t, vec)

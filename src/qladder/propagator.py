@@ -142,27 +142,32 @@ class _LRU:
 
     With ``max_bytes`` it also keeps the bytes of its values (arrays, or
     tuples and lists of them) within that budget, evicting the least recently
-    used; a larger value is not kept.  With ``admit_window`` = W > 0 a key's
-    value is kept only on its second ``put`` within W first puts: a first
-    put remembers the key alone, among the W most recent, so a value built
-    once, or again only after W other cold builds, is not held.
+    used; a larger value is not kept.  With ``probation`` = P > 0 a new key's
+    value goes to a probation segment of its own P slots, and only a ``get``
+    that finds it there moves it to the main ``slots``: a value read twice
+    within P newer first puts is built once and then kept, a value read once
+    leaves with the P-th first put after it.  Both segments share the byte
+    budget, and the probation segment gives up its entries first.
     """
 
-    def __init__(self, slots: int, max_bytes: int | None = None, admit_window: int = 0):
-        self.slots, self.max_bytes, self.admit_window = slots, max_bytes, admit_window
+    def __init__(self, slots: int, max_bytes: int | None = None, probation: int = 0):
+        self.slots, self.max_bytes, self.probation = slots, max_bytes, probation
         self._data, self._lock = OrderedDict(), threading.Lock()  # key -> (value, bytes)
+        self._trial = OrderedDict()  # the probation segment, key -> (value, bytes)
         self._bytes = 0
-        self._seen = OrderedDict()  # keys of first puts, the admit_window most recent
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the values held."""
+        """Bytes of the values held, in both segments."""
         with self._lock:
             return self._bytes
 
     def get(self, key):
         with self._lock:
-            if key not in self._data:
+            if key in self._trial:  # a second read: promote
+                self._data[key] = self._trial.pop(key)
+                self._evict(key)
+            elif key not in self._data:
                 return None
             self._data.move_to_end(key)
             return self._data[key][0]
@@ -172,21 +177,25 @@ class _LRU:
         if self.max_bytes is not None and size > self.max_bytes:
             return
         with self._lock:
-            if self.admit_window and key not in self._data:
-                if key not in self._seen:  # first put: remember the key only
-                    self._seen[key] = None
-                    if len(self._seen) > self.admit_window:
-                        self._seen.popitem(last=False)
-                    return
-                del self._seen[key]
-            if key in self._data:
-                self._bytes -= self._data.pop(key)[1]
-            self._data[key] = (val, size)
+            for seg in (self._data, self._trial):
+                if key in seg:
+                    self._bytes -= seg.pop(key)[1]
+                    break
+            else:
+                seg = self._trial if self.probation else self._data
+            seg[key] = (val, size)
             self._bytes += size
-            while len(self._data) > self.slots or (
-                self.max_bytes is not None and self._bytes > self.max_bytes
-            ):
-                self._bytes -= self._data.popitem(last=False)[1][1]
+            self._evict(key)
+
+    def _evict(self, keep) -> None:
+        """Drop least recently used entries, other than ``keep``, past the bounds."""
+        while len(self._trial) > self.probation:
+            self._bytes -= self._trial.popitem(last=False)[1][1]
+        while len(self._data) > self.slots:
+            self._bytes -= self._data.popitem(last=False)[1][1]
+        while self.max_bytes is not None and self._bytes > self.max_bytes:
+            seg = self._trial if next(iter(self._trial), keep) != keep else self._data
+            self._bytes -= seg.popitem(last=False)[1][1]
 
     def get_or_build(self, key, build):
         """The value at ``key``, from ``build()`` (run outside the lock) on a miss."""
@@ -213,15 +222,18 @@ def _nbytes(val) -> int:
 # S-node rule, from 67 kB at evolve's smallest rule, S = 128, to about
 # 540 MB at its largest default rule, S = 8,256.  The byte budget binds
 # before the slots do (4,096 of the smallest take 272 MB), and a larger
-# matrix is not kept.  A matrix is kept on its key's second miss within 512
-# cold builds.  Measured as the number of distinct keys between two lookups
-# of one key: the bench scenarios stream revisits its 76 keys (29 MB) within
-# at most 75, so each is kept after one rebuild; the bench sweep stream has
-# 2,402 distinct keys in its 4,000 requests and repeats one only when the
-# stream starts over, 2,401 keys later, so it holds none.
+# matrix is not kept.  A new matrix waits in 12 probation slots and moves
+# to the main slots when it is read again, so a request that reads one
+# matrix several times builds it once: `qladder propagate --config
+# scenarios/laguerre_propagate.ini` builds its 8 matrices once each.  A
+# matrix read only once leaves probation after 12 newer builds.  Measured
+# on the bench streams: one pass over the scenarios stream (seed 7) makes
+# 2,518 lookups and 73 builds, and a second pass builds nothing; the sweep
+# stream (seed 1) makes 2,401 lookups of 2,401 distinct keys, so its main
+# slots stay empty and it holds only its last 12 matrices (4.3 MB).
 _RULES = _LRU(128)
 _QMATS_BYTES = 256 * 2**20
-_QMATS = _LRU(4096, _QMATS_BYTES, admit_window=512)
+_QMATS = _LRU(4096, _QMATS_BYTES, probation=12)
 
 
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):

@@ -29,9 +29,9 @@ def family_ctx(family_name):
 def qmat_builds(monkeypatch):
     """Keys (pd, C, nodes) of the polynomial matrices built during the test.
 
-    The test runs on an empty matrix cache of the same slot count that keeps
-    every matrix from its first build, so what it builds is dropped
-    afterwards.  Builds are recorded where they run, not where they are kept.
+    The test runs on an empty matrix cache with the production slots, byte
+    budget and probation, so what it builds is dropped afterwards.  Builds
+    are recorded where they run, not where they are kept.
     """
     built = []
 
@@ -43,7 +43,8 @@ def qmat_builds(monkeypatch):
 
             return super().get_or_build(key, recorded)
 
-    monkeypatch.setattr(propagator, "_QMATS", Recording(propagator._QMATS.slots))
+    q = propagator._QMATS
+    monkeypatch.setattr(propagator, "_QMATS", Recording(q.slots, q.max_bytes, q.probation))
     return built
 
 

@@ -63,6 +63,16 @@ def test_expm_evolve_rejects_wrong_length(family_ctx):
         expm_evolve(op, 0.1, np.zeros(6))
 
 
+def test_block_evolve_rejects_wrong_length():
+    sys, basis = _amplifier(), MultiModeBasis(2, max_local=4)
+    h = dense_matrix(sys, "HI", basis)
+    for vec in (np.zeros(len(h) - 1), np.zeros(len(h) + 1)):
+        with pytest.raises(ValueError, match="does not match dim 25"):
+            eigh_evolve(h, 0.1, vec)
+        with pytest.raises(ValueError, match="does not match dim 25"):
+            interaction_evolve(sys, basis, 0.1, vec)
+
+
 def test_warm_expm_evolve_makes_no_complex_copy_of_the_eigenvectors():
     from qladder.fockoracle import _eig_of
     from qladder.orthopoly import laguerre_data, recurrence
@@ -86,7 +96,9 @@ def test_warm_eigh_evolve_copies_neither_h_nor_its_eigenvectors():
     h = dense_matrix(_amplifier(), "HI", MultiModeBasis(2, max_local=14))
     vec = np.zeros(len(h), dtype=complex)
     vec[:3] = (0.6, 0.8j, 0.0)
-    out = eigh_evolve(h, 1.3, vec)  # cold: diagonalizes and caches
+    # nothing is cached: both calls diagonalize h's blocks afresh, and the
+    # peak stays small because h splits into blocks of at most 15 levels
+    out = eigh_evolve(h, 1.3, vec)
     tracemalloc.start()
     try:
         again = eigh_evolve(h, 1.3, vec)

@@ -384,36 +384,56 @@ def test_lru_counts_the_bytes_of_lists_of_blocks():
     assert cache.get("pair") is None and cache.nbytes == 384 + 480
 
 
-def test_lru_admits_a_key_on_its_second_put_within_its_window():
-    cache = propagator._LRU(8, admit_window=2)
-    cache.put("a", 1)  # remembered, not kept
-    assert cache.get("a") is None
-    cache.put("a", 1)
-    assert cache.get("a") == 1
-    cache.put("a", 2)  # a kept key is replaced at once
-    assert cache.get("a") == 2
-    for key in "bcd":  # "b" leaves the window of two first puts
+def test_lru_promotes_a_key_read_again_while_on_probation():
+    cache = propagator._LRU(8, probation=2)
+    cache.put("a", 1)  # on probation
+    assert list(cache._trial) == ["a"] and not cache._data
+    assert cache.get("a") == 1  # read again: promoted
+    assert list(cache._data) == ["a"] and not cache._trial
+    cache.put("a", 2)  # a kept key is replaced in place
+    assert cache.get("a") == 2 and not cache._trial
+    for key in "bcd":  # "b" leaves probation with the second put after it
         cache.put(key, 3)
-    cache.put("d", 3)
-    cache.put("b", 3)
-    assert (cache.get("b"), cache.get("c"), cache.get("d")) == (None, None, 3)
+    assert cache.get("b") is None and list(cache._trial) == ["c", "d"]
+    assert cache.get("d") == 3 and list(cache._data) == ["a", "d"]
 
 
-def test_qmats_keeps_a_matrix_on_its_second_miss_only(monkeypatch):
+def test_lru_gives_up_probation_first_under_its_byte_budget():
+    cache = propagator._LRU(8, max_bytes=100, probation=4)
+    cache.put("kept", np.zeros(5))
+    cache.get("kept")  # 40 bytes in the main segment
+    cache.put("a", np.zeros(5))
+    cache.put("b", np.zeros(5))  # 120 bytes: "a" goes, though "kept" is older
+    assert cache.get("a") is None and cache.nbytes == 80
+    cache.put("c", np.zeros(10))  # 80 bytes: "b", then "kept" go; "c" stays
+    assert (cache.get("b"), cache.get("kept")) == (None, None)
+    assert cache.nbytes == 80 and list(cache._trial) == ["c"]
+
+
+def test_qmats_builds_a_matrix_read_twice_once_and_keeps_it(monkeypatch):
     ctx = build_context(laguerre_data(2.5))
     c = np.array([0.6, 0.8j, 0.0])
-    window = propagator._QMATS.admit_window
-    assert window > 0
-    admitting = propagator._LRU(propagator._QMATS.slots, propagator._QMATS_BYTES, window)
-    monkeypatch.setattr(propagator, "_QMATS", admitting)
+    q = propagator._QMATS
+    assert q.probation > 0
+    built = []
+
+    class Recording(propagator._LRU):
+        def get_or_build(self, key, build):
+            return super().get_or_build(key, lambda: built.append(key) or build())
+
+    cache = Recording(q.slots, q.max_bytes, q.probation)
+    monkeypatch.setattr(propagator, "_QMATS", cache)
     first = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
-    assert admitting.nbytes == 0  # built and used, not kept
+    assert len(built) == 1 and not cache._data  # built and used, on probation only
     second = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
-    held = admitting.nbytes
-    assert held > 0
+    assert len(built) == 1 and list(cache._data) == built  # read again: kept
+    for mu in np.linspace(1.0, 2.0, 2 * q.probation):  # one-off matrices pass through
+        evolve(build_context(laguerre_data(mu)), c, 1.3)
+    assert len(built) == 1 + 2 * q.probation
+    assert list(cache._data) == built[:1] and len(cache._trial) == q.probation
     third = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
-    assert admitting.nbytes == held  # a hit builds nothing new
-    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(propagator._QMATS.slots))
+    assert len(built) == 1 + 2 * q.probation  # a hit in the main slots
+    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(q.slots))
     plain = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
     for got in (second, third, plain):
         for a, b in zip(got, first, strict=True):
