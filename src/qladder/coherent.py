@@ -105,7 +105,7 @@ def coherent_coeffs(
     ctx: PropagatorContext,
     z: complex,
     tol: float = 1e-12,
-    nmax: int = 4000,
+    nmax: int | None = None,
 ) -> np.ndarray:
     """Ladder coefficients <n|z> = sigma_n(z), truncated by squared tail.
 
@@ -116,12 +116,14 @@ def coherent_coeffs(
     series of the last decay ratio.  Near the Laguerre strip edge that
     ratio approaches 1, so the needed length grows; past ``nmax`` a
     ConvergenceError reports the deficit instead of silently truncating.
+    ``nmax`` defaults to 4,000, then more where the label's closed <N> and <N^2> call for it.
     """
     z = _require_label(ctx, z)
     norm2 = squared_norm(ctx, z)
     out = []
     acc = prev = 0.0
-    for n in range(nmax + 1):
+    n, limit = 0, 4000 if nmax is None else nmax
+    while n <= limit:
         c = sigma_n(ctx, n, z)
         out.append(c)
         term = abs(c) ** 2
@@ -132,9 +134,13 @@ def coherent_coeffs(
         ):
             return np.array(out, dtype=complex)
         prev = term
+        n += 1
+        if n > limit == 4000 and nmax is None and (m1 := ctx.pd.closed_number_moment(z, 1)):
+            var = ctx.pd.closed_number_moment(z, 2) - m1 * m1  # reach: sd (Poisson), var/<N> (NB)
+            limit = int(m1 + math.log(1.0 / max(tol, 1e-16)) * (math.sqrt(max(var, 0.0)) + var / m1))
     edge = ctx.strip.upper - z.imag < 0.1 * ctx.strip.upper
     raise ConvergenceError(
-        f"coherent_coeffs: {nmax + 1} coefficients leave a deficit of "
+        f"coherent_coeffs: {n} coefficients leave a deficit of "
         f"{1.0 - acc / norm2:.3e} of <z|z>"
         + ("; label too close to the strip edge" if edge else "")
     )

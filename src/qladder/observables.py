@@ -159,8 +159,9 @@ def ladder_amplitudes(
     """Coefficients g_k(t) of e^{-i H_I t}|state> in the number basis.
 
     A spectral coherent label z moves to z + t, whose coefficients
-    :func:`.coherent_coeffs` gives to the squared tail ``tail``.  Every
-    other state is its coefficient vector (a number state |n> is e_n),
+    :func:`.coherent_coeffs` gives to the squared tail ``tail``; on a family
+    with a closed occupation law the vacuum, label 0, moves to t, to rounding.
+    Every other state is its coefficient vector (a number state |n> is e_n),
     returned as it is at t = 0 and otherwise propagated by :func:`.evolve`,
     whose output length adapts until the squared tail is below ``tail``
     (read from its last 64 levels where the norm deficit is at rounding).
@@ -173,6 +174,8 @@ def ladder_amplitudes(
     c = _state_coeffs(state)
     if t == 0.0:
         return c
+    if c.size == 1 and ctx.pd.closed_number_moment(t, 1) is not None:  # c_0 |label 0>
+        return c[0] * coherent_coeffs(ctx, t, tol=0.0)
     return evolve(ctx, c, t, tail=tail)
 
 

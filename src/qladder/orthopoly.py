@@ -36,7 +36,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import Unsupported
-from .specfun import hyp1f1, hyp_pfq, ln_gamma, log_whittaker_w
+from .specfun import hyp1f1, ln_gamma, log_whittaker_w
 
 __all__ = [
     "PearsonData",
@@ -96,6 +96,10 @@ class PearsonData:
     def closed_number_moment(self, w: complex, l: int):
         """<N^l> on the spectral coherent state |w>; None without a closed form."""
         return None
+
+    def levels(self, n: int, t: float, tail: float, top: int) -> int:
+        """Level (<= top) past which e^{-iHt}|n> keeps a squared tail < ``tail``: n + spread(t)."""
+        return min(n + self.spread(t), top)
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,22 @@ def _warn_cancellation(ratio: float, peak: float) -> None:
         )
 
 
+def _law_level(n: int, log0: float, ratio: np.ndarray, tail: float) -> int:
+    """n + the last j with p_j + p_{j+1} + ... >= tail, p_j = e^log0 ratio_1 ... ratio_j."""
+    if ratio.size == 0 or ratio[-1] >= 1.0:  # p still rises at the last level
+        return n + ratio.size
+    logp = log0 + np.concatenate(([0.0], np.cumsum(np.log(ratio))))
+    return n + max(0, int(np.count_nonzero(np.logaddexp.accumulate(logp[::-1]) >= math.log(tail))) - 1)
+
+
+def _moment_of(l: int, factorial_moment) -> float:
+    """<N^l> = sum_k S(l, k) <N(N-1)...(N-k+1)>, S the Stirling numbers of the second kind."""
+    row = [1.0]  # S(j, 0..j), j = 0..l
+    for _ in range(l):
+        row = [k * a + b for k, (a, b) in enumerate(zip(row + [0.0], [0.0] + row))]
+    return sum(s * factorial_moment(k) for k, s in enumerate(row) if k)
+
+
 def _snap_unit(x: float) -> float:
     # exponent 1 is a structural boundary (one-sided inversion); the
     # constructors round-trip it with O(eps) noise that must not leak into
@@ -212,6 +232,11 @@ class _Hermite(PearsonData):
         scale = math.sqrt(-self.b0 / self.a1)  # b(n) = scale * sqrt(n)
         return 32 + int(4.0 * t * (1.0 + scale) + 0.5 * (t * scale) ** 2)
 
+    def levels(self, n: int, t: float, tail: float, top: int) -> int:
+        # displaced-number law e^{-lam} lam^j / j! C(n + j, j), lam = (-b0/a1) t^2
+        lam, j = (-self.b0 / self.a1) * t * t, np.arange(1.0, top - n + 1)
+        return _law_level(n, -lam, lam * (n + j) / (j * j), tail) if lam else n
+
     def quad_extra(self, z: complex) -> int:
         if z.imag == 0.0:
             return 0
@@ -251,12 +276,9 @@ class _Hermite(PearsonData):
         return _sum_exp(logs) * self.char(ctx, z)
 
     def closed_number_moment(self, w: complex, l: int) -> float:
-        # l-th moment of a Poisson law with intensity (-b0/a1)|w|^2
+        # Poisson law with intensity xi = (-b0/a1)|w|^2: factorial moments xi^k
         xi = (-self.b0 / self.a1) * abs(w) ** 2
-        if xi == 0.0:
-            return 0.0
-        tailval = hyp_pfq([2.0] * (l - 1), [1.0] * (l - 1), xi)
-        return math.exp(-xi) * xi * complex(tailval).real
+        return _moment_of(l, lambda k: xi**k)
 
     def reproducing_density(self, ctx, y: float) -> float:
         p = -2.0 * self.b0 / self.a1
@@ -310,6 +332,12 @@ class _Laguerre(PearsonData):
         q = t / math.hypot(t, self.gamma)
         return 32 + int(40.0 / max(1e-3, -math.log(q)))
 
+    def levels(self, n: int, t: float, tail: float, top: int) -> int:
+        # su(1,1) law (1 - q2)^mu (mu + n)_j / j! q2^j C(n + j, j), q2 = t^2 / (t^2 + gamma^2)
+        q2, j = t * t / (t * t + self.gamma**2), np.arange(1.0, top - n + 1)
+        ratio = q2 * (self.mu + n + j - 1.0) * (n + j) / (j * j)
+        return _law_level(n, self.mu * math.log1p(-q2), ratio, tail) if q2 else n
+
     def quad_extra(self, z: complex) -> int:
         y = z.imag
         if y <= 0.0:
@@ -361,13 +389,9 @@ class _Laguerre(PearsonData):
         return sign * _sum_exp(logs) * self.char(ctx, z)
 
     def closed_number_moment(self, w: complex, l: int) -> float:
-        # l-th moment of a negative binomial law (mu, q), q = |w|^2 / |w - i gamma|^2 < 1;
-        # the series does not terminate, since mu > 0
-        q = abs(w) ** 2 / abs(w - 1j * self.gamma) ** 2
-        if q == 0.0:
-            return 0.0
-        tailval = hyp_pfq([self.mu + 1.0] + [2.0] * (l - 1), [1.0] * (l - 1), q)
-        return (1.0 - q) ** self.mu * self.mu * q * complex(tailval).real
+        # negative binomial law (mu, q = |w|^2 / |w - i gamma|^2): factorial moments (mu)_k (q/(1-q))^k
+        r = abs(w) ** 2 / (self.gamma * (self.gamma - 2.0 * w.imag))
+        return _moment_of(l, lambda k: math.prod(self.mu + i for i in range(k)) * r**k)
 
     def reproducing_density(self, ctx, y: float) -> float:
         mu = _snap_unit(self.mu)

@@ -105,6 +105,7 @@ class PropagatorContext:
 
 
 _RULE_GRID = 32
+_PACKET_TAIL = 1e-16  # a first rule reads its packet's law to the rounding of a unit norm
 
 
 def _rule_size(N: int) -> int:
@@ -113,7 +114,7 @@ def _rule_size(N: int) -> int:
     Rule sizes depend on the request alone, so a value never depends on what
     the caches hold, and the grid lets nearby requests share one rule.
     ``evolve`` keeps exactly 64 nodes above its highest row, ``sigma_row``
-    at least 80 (it asks for 96 and the rounding takes at most 16).
+    at least 64 (a law-sized rule rounds up, a spread-sized one keeps 80).
     """
     return max(_RULE_GRID, (int(N) + _RULE_GRID // 2) // _RULE_GRID * _RULE_GRID)
 
@@ -218,19 +219,14 @@ def _nbytes(val) -> int:
 # for at most 6,144, so 128 such rules take at most ~25 MB.  sigma_row and
 # the Jacobi shifted transforms size their rules from n and |z| without a
 # cap, so the slot count bounds the number of rules, not their bytes.  Only
-# evolve fills _QMATS; a slot holds the (S - 63) x S polynomial matrix of an
-# S-node rule, from 67 kB at evolve's smallest rule, S = 128, to about
-# 540 MB at its largest default rule, S = 8,256.  The byte budget binds
-# before the slots do (4,096 of the smallest take 272 MB), and a larger
-# matrix is not kept.  A new matrix waits in 12 probation slots and moves
-# to the main slots when it is read again, so a request that reads one
-# matrix several times builds it once: `qladder propagate --config
-# scenarios/laguerre_propagate.ini` builds its 8 matrices once each.  A
-# matrix read only once leaves probation after 12 newer builds.  Measured
-# on the bench streams: one pass over the scenarios stream (seed 7) makes
-# 2,518 lookups and 73 builds, and a second pass builds nothing; the sweep
-# stream (seed 1) makes 2,401 lookups of 2,401 distinct keys, so its main
-# slots stay empty and it holds only its last 12 matrices (4.3 MB).
+# evolve fills _QMATS, with the (S - 63) x S matrix of an S-node rule: 25 kB
+# at its smallest rule, S = 96, about 540 MB at its largest default one,
+# S = 8,256 (not kept).  A new matrix waits in 12 probation slots and is kept
+# when read again, so a request builds each matrix once (`qladder propagate
+# --config scenarios/laguerre_propagate.ini` builds 8).  Measured on the bench
+# streams: a pass over the scenarios stream (seed 7) makes 2,260 lookups and
+# 68 builds, a second none; the sweep stream (seed 1) makes 2,338 lookups of
+# as many keys and holds only its last 12 matrices (2.1 MB).
 _RULES = _LRU(128)
 _QMATS_BYTES = 256 * 2**20
 _QMATS = _LRU(4096, _QMATS_BYTES, probation=12)
@@ -254,7 +250,16 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Q @ f for real Q and complex f, without a complex copy of Q."""
-    return (Q @ np.stack((f.real, f.imag), axis=-1)).view(complex)[:, 0]
+    return (Q @ np.ascontiguousarray(f, dtype=complex).view(float).reshape(-1, 2)).view(complex)[:, 0]
+
+
+def _packet_rule(ctx: PropagatorContext, n: int, t: float, keep: int, base: int) -> int:
+    """First rule for e^{-iHt} on levels up to n: 64 nodes above ``keep`` and the law level
+    (``pd.levels`` at _PACKET_TAIL, from level max(n, 4) so that the low number states a caller
+    takes in turn share one rule), rounded up onto the grid, at most base + spread(t) nodes."""
+    top = _rule_size(base + ctx.pd.spread(abs(t)))
+    L = max(ctx.pd.levels(max(n, 4), abs(t), _PACKET_TAIL, top - 64), keep)
+    return min(top, -(-(L + 64) // _RULE_GRID) * _RULE_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +374,11 @@ def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
 
 
 def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray:
-    """Array of sigma_nk(t) for k = 0..kmax at real time t (its rows uncached)."""
+    """Array of sigma_nk(t), k = 0..kmax, at real t on a rule sized like evolve's (rows uncached)."""
     if n < 0 or kmax < 0:
         raise ValueError("indices must be nonnegative")
     t = float(t)
-    nodes, _, Q = ctx.rule(max(n, kmax) + 64 + ctx.pd.spread(abs(t)), max(n, kmax) + 1)
+    nodes, _, Q = ctx.rule(_packet_rule(ctx, n, t, max(n, kmax), max(n, kmax) + 64), max(n, kmax) + 1)
     f = np.exp(-1j * t * nodes) * Q[n]
     return _real_matvec(Q[: kmax + 1], f)
 
@@ -387,9 +392,10 @@ def evolve(
 ) -> np.ndarray:
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
-    The output keeps the K + 1 rows of a rule's matrix: the first rule has
-    c.size + 128 + spread(t) nodes rounded onto the grid, and each doubling
-    of K moves to the rule of 2K + 64 nodes, also on the grid.  K doubles
+    The output keeps the K + 1 rows of a rule's matrix.  The first K is where the
+    family's closed packet law (``pd.levels``) leaves c's packet at rounding, at least
+    c.size - 1, with K + 64 rounded up onto the grid and at most the rule of c.size +
+    128 + spread(t) nodes; a doubling of K moves to the rule of 2K + 64.  K doubles
     until the unitarity deficit ||c||^2 - ||out||^2 (the weight leaked past
     the kept rows) is below ``tail`` ||c||^2.  Below 4 eps K ||c||^2 the
     deficit is rounding of its K + 1 squares, and the weight of the last 64
@@ -405,7 +411,8 @@ def evolve(
     nrm2 = float(np.vdot(c, c).real)
     if nrm2 == 0.0:
         return np.zeros(c.size, dtype=complex)
-    K = _rule_size(c.size + 128 + ctx.pd.spread(abs(t))) - 64
+    n = int(np.count_nonzero(np.cumsum(abs(c[::-1]) ** 2) > _PACKET_TAIL * nrm2)) - 1  # rounding past n
+    K = _packet_rule(ctx, n, t, c.size - 1, c.size + 128) - 64
     if K > max_dim:
         raise ConvergenceError(
             f"propagation needs {K} ladder levels at first, "

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,8 +50,9 @@ def test_number_amplitudes_are_propagator_rows(family_name, family_ctx):
 
 
 def test_number_amplitudes_build_one_poly_matrix(monkeypatch):
-    # a number state is the vector e_n for evolve, sized once from spread(t),
-    # not a row whose length doubles with a new rule per attempt
+    # a number state is the vector e_n for evolve, sized once from its packet
+    # law, not a row whose length doubles with a new rule per attempt; the
+    # vacuum is the coherent label 0 and builds none
     ctx = build_context(laguerre_data(2.5))
     calls = []
     inner = prop._weighted_poly_matrix
@@ -59,9 +62,33 @@ def test_number_amplitudes_build_one_poly_matrix(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(prop, "_weighted_poly_matrix", counted)
+    g = ladder_amplitudes(ctx, Number(1), 5.0)
+    assert len(calls) == 1
+    assert 1.0 - np.vdot(g, g).real <= 1e-13
     g = ladder_amplitudes(ctx, Number(0), 5.0)
     assert len(calls) == 1
     assert 1.0 - np.vdot(g, g).real <= 1e-13
+
+
+def test_vacuum_moments_take_the_coherent_route():
+    # e^{-iHt}|0> is the coherent label t, whose closed mean is mu t^2 on
+    # Laguerre(2.5); at t = 20 it spreads over ~14,000 levels, past evolve's
+    # max_dim and past 4,000 coefficients, so the closed moments set the budget
+    ctx = build_context(laguerre_data(2.5))
+    for t, want, seconds in ((10.0, 250.0, 0.05), (20.0, 1000.0, 1.0)):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            got = number_moment(ctx, Number(0), 1, t)
+            times.append(time.perf_counter() - start)
+        assert got == pytest.approx(want, rel=1e-9) and min(times) < seconds
+    tracemalloc.start()
+    try:
+        number_moment(ctx, Number(0), 1, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_number_amplitudes_share_one_poly_matrix_per_rule(qmat_builds):

@@ -568,3 +568,66 @@ def test_jacobi_two_index_form_evaluates_m_plus_n_plus_1_transforms(z, monkeypat
     monkeypatch.setattr(type(pd), "_shifted", counted)
     sigma_mn_closed(ctx, 9, 9, z)
     assert sorted(calls) == [(j, 18 - j) for j in range(19)]
+
+
+def test_real_matvec_is_the_stacked_product_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for rows, cols in ((1, 1), (7, 13), (65, 200)):
+        Q = rng.standard_normal((rows, cols))
+        f = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+        for A, v in ((Q, f), (Q.T, f[: 2 * rows : 2])):  # transposed rows, a strided vector
+            want = (A @ np.stack((v.real, v.imag), axis=-1)).view(complex)[:, 0]
+            np.testing.assert_array_equal(propagator._real_matvec(A, v), want)
+
+
+def test_first_rules_come_from_the_packet_law_and_are_never_larger(qmat_builds, monkeypatch):
+    # number states 0-8, Glauber and short Fock vectors at the times and
+    # parameters of a sweep over the three families: evolve's first rule is
+    # the one it needs (one matrix) and never above the spread-sized rule of
+    # c.size + 128 + spread(t) nodes; sigma_row's rule never above that of
+    # max(n, kmax) + 64 + spread(t) nodes; together the first rules come out
+    # well below the spread-sized ones
+    sizes = []
+    rule = PropagatorContext.rule
+
+    def recorded(self, N, rows=0):
+        out = rule(self, N, rows)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(PropagatorContext, "rule", recorded)
+    rng = np.random.default_rng(16)
+    draw = {
+        "hermite": (lambda: hermite_data(rng.uniform(-3, -1), 0.0, rng.uniform(0.5, 2)), 3.0),
+        "laguerre": (lambda: laguerre_data(rng.uniform(1.5, 4)), 2.0),
+        "jacobi": (lambda: jacobi_data(-1, 1, rng.uniform(0.6, 4), rng.uniform(0.6, 4)), 5.0),
+    }
+    single = cases = 0
+    first, caps = [], []
+    for i in range(180):
+        make, tmax = draw[("hermite", "laguerre", "jacobi")[i % 3]]
+        ctx, t = build_context(make()), rng.uniform(0.2, tmax)
+        which = i // 3 % 3
+        if which == 0:
+            c = np.zeros(rng.integers(1, 10))
+            c[-1] = 1.0
+        elif which == 1:
+            z = rng.uniform(0, 2) * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / math.sqrt(2)
+            c = np.exp(-abs(z) ** 2 / 2) * np.array([z**k / math.sqrt(math.factorial(k)) for k in range(40)])
+        else:
+            size = rng.integers(2, 5)
+            c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+        c = c / np.linalg.norm(c)
+        qmat_builds.clear()
+        evolve(ctx, c, t, tail=1e-13)
+        cases, single = cases + 1, single + (len(qmat_builds) == 1)
+        first.append(qmat_builds[0][2])
+        caps.append(_rule_size(c.size + 128 + ctx.pd.spread(t)))
+        assert first[-1] <= caps[-1]
+        n, kmax = int(rng.integers(0, 9)), int(rng.integers(50, 201))
+        sizes.clear()
+        sigma_row(ctx, n, t, kmax)
+        assert sizes == [_rule_size(sizes[0])]
+        assert sizes[0] <= _rule_size(max(n, kmax) + 64 + ctx.pd.spread(t))
+    assert single >= 0.99 * cases
+    assert sum(first) < 0.8 * sum(caps)  # 0.72 when written
