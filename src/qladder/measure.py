@@ -21,7 +21,11 @@ Its weights are Christoffel sums over one pass of ``scaled_sweep`` at the
 nodes, and the same pass writes the weighted rows sqrt(w_i) P_k(x_i) a
 caller asks for beside the rule; ``weighted_rows`` runs that pass over the
 nodes of a rule already built, so there is one sweep consumer for rules and
-rows alike.
+rows alike.  The sweep writes each block of 64 rows straight into the rows
+kept, or into a ring of two blocks past them, from one x - h(k) array per
+block; it measures |u| only when a growth bound from the ladder and the
+nodes says it could pass 2^400, and then rescales the nodes above 2^200 by
+exact powers of two, which add no rounding to the rows.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .orthopoly import PearsonData, log_weight_mass, recurrence, scaled_sweep
+from .orthopoly import _SWEEP_BLOCK, PearsonData, _log_row, log_weight_mass, recurrence, scaled_sweep
 
 __all__ = [
     "SpectralMeasure",
@@ -75,15 +79,22 @@ class QuadratureRule:
     ``log_weights`` carries the weights in log form; on unbounded supports
     the far weights underflow double precision while still mattering for
     integrands that grow against the measure, so downstream code assembling
-    such integrands per node should prefer the logs.  ``rows``, when asked
-    of ``gauss_rule``, holds the weighted rows sqrt(w_i) P_k(x_i) its sweep
-    wrote.
+    such integrands per node should prefer the logs.  ``rows`` and
+    ``log_rows``, when asked of ``gauss_rule``, hold the weighted rows
+    sqrt(w_i) P_k(x_i) and the log-form rows (log|P_k(x_i)|, sign P_k(x_i))
+    its sweep wrote.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     log_weights: np.ndarray
     rows: np.ndarray | None = None
+    log_rows: dict | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the nodes, weights and log-weights (what a rule cache keeps)."""
+        return self.nodes.nbytes + self.weights.nbytes + self.log_weights.nbytes
 
 
 def normalize(pd: PearsonData) -> SpectralMeasure:
@@ -107,50 +118,59 @@ def moment(sm: SpectralMeasure, k: int) -> float:
     return cur
 
 
-_BLOCK = 64  # rows per block of _sweep_rows, at most
-
-
-def _sweep_rows(b, h, x, nrows, logw=None, log_mass=0.0):
-    """(logw, Q) with Q[k] = sqrt(w_i) P_k(x_i), k < nrows, from one scaled_sweep pass.
+def _sweep_rows(b, h, x, nrows, logw=None, log_mass=0.0, log_rows=()):
+    """(logw, Q, logs) with Q[k] = sqrt(w_i) P_k(x_i), k < nrows, from one scaled_sweep pass.
 
     With ``logw`` None the pass runs over every k < len(b) and the weights
     are Christoffel's, w_i = exp(log_mass) / sum_k P_k(x_i)^2; given ``logw``
     it only builds the rows (b, h then need no more than nrows entries).
+    ``logs`` maps each k in ``log_rows`` to (log|P_k(x_i)|, sign P_k(x_i)),
+    read off the same pass with no weight applied, so far nodes never flush
+    to zero.
 
-    Rows are stored as the sweep yields them, in its scaled frame.  A block
-    of rows ends at each multiple of _BLOCK and at each rescale event, so
-    its rows share one frame and none is ever corrected.  A block below
-    nrows is written into Q, any other into a rolling buffer, whose kept
-    rows are copied out when it ends.  An ended block's column sums of
-    squares join the running sum, which an event moves to the new frame at
-    the rescaled nodes only: terms that underflow there are negligible next
-    to the current ~1, so sums spanning thousands of orders stay accurate.
-    Once the weights are known, each block of Q is multiplied by
-    exp(log sqrt(w_i) + s_i) of its frame s.  Blocks end where they would
-    for any nrows, so rows and weights do not depend on nrows, bit for bit.
+    The sweep writes each aligned block of _SWEEP_BLOCK rows straight into
+    Q when the block lies below nrows, and otherwise into one of two ring
+    blocks, whose kept rows are copied out when the block ends.  A frame
+    block of rows ends at each multiple of _SWEEP_BLOCK and at each rescale,
+    so its rows share one frame and none is ever corrected.  An ended
+    block's column sums of squares join the running sum, which a rescale
+    moves to the new frame at the rescaled nodes only: terms that underflow
+    there are negligible next to the current ~1, so sums spanning thousands
+    of orders stay accurate.  Once the weights are known, each block of Q
+    is multiplied by exp(log sqrt(w_i) + s_i) of its frame s.  Blocks end
+    where they would for any nrows, so rows and weights do not depend on
+    nrows, bit for bit.
     """
     n = len(b)
-    if not 0 <= nrows <= n:
-        raise ValueError(f"rows 0..{nrows - 1} are not within the {n} levels swept")
+    if not 0 <= nrows <= n or any(not 0 <= k < n for k in log_rows):
+        raise ValueError(f"rows 0..{nrows - 1} and {tuple(log_rows)} are not within the {n} levels swept")
     s = np.zeros_like(x)
-    frame = np.zeros_like(x)  # s of the open block
+    frame = np.zeros_like(x)  # s of the open frame block
     acc = np.zeros_like(x)  # the ended blocks' sum of u_k^2, in that frame
     Q = np.empty((nrows, x.size))
-    buf = np.empty((min(_BLOCK, n), x.size))
-    kept = []  # (k0, k1, change) per block of Q; change: the (nodes, frame) of its opening event
-    k0, blk, change = 0, Q[:_BLOCK] if _BLOCK <= nrows else buf, None
+    ring = np.empty((2, min(_SWEEP_BLOCK, n), x.size))
+    kept, logs = [], {}  # kept: (k0, k1, change) per block of Q; change: the (nodes, frame) of its opening rescale
+    k0, change = 0, None
 
-    def end(k):  # the open block holds rows k0..k - 1
-        rows = blk[: k - k0]
+    def block(a):  # the rows of the aligned block a..a + _SWEEP_BLOCK - 1
+        return Q[a : a + _SWEEP_BLOCK] if min(a + _SWEEP_BLOCK, n) <= nrows else ring[a // _SWEEP_BLOCK % 2]
+
+    def end(k):  # the open frame block holds rows k0..k - 1
+        a = k0 - k0 % _SWEEP_BLOCK
+        blk = block(a)
+        rows = blk[k0 - a : k - a]
         if logw is None:
             np.add(acc, np.einsum("ij,ij->j", rows, rows), out=acc)
+        for j in log_rows:
+            if k0 <= j < k:
+                logs[j] = _log_row(rows[j - k0], frame)
         if k0 < nrows:
-            if blk is buf:
+            if blk.base is ring:
                 Q[k0 : min(k, nrows)] = rows[: nrows - k0]
             kept.append((k0, min(k, nrows), change))
 
-    for k, u, rescaled in scaled_sweep(b, h, x, s):
-        if k and (k % _BLOCK == 0 or rescaled is not None):
+    for k, _, rescaled in scaled_sweep(b, h, x, s, block):
+        if k and (k % _SWEEP_BLOCK == 0 or rescaled is not None):
             end(k)
             change = None
             if rescaled is not None:
@@ -159,9 +179,6 @@ def _sweep_rows(b, h, x, nrows, logw=None, log_mass=0.0):
                 acc[idx] *= np.exp(2.0 * (frame[idx] - change[1]))
                 frame[idx] = change[1]
             k0 = k
-            top = k - k % _BLOCK + _BLOCK
-            blk = Q[k:top] if top <= nrows else buf
-        blk[k - k0] = u
     end(n)
     if logw is None:
         logw = log_mass - np.log(acc) - 2.0 * frame
@@ -172,10 +189,10 @@ def _sweep_rows(b, h, x, nrows, logw=None, log_mass=0.0):
             idx, new = change
             scale[idx] = np.exp(half[idx] + new)
         Q[k0:k1] *= scale
-    return logw, Q
+    return logw, Q, logs
 
 
-def gauss_rule(sm: SpectralMeasure, N: int, rows: int = 0) -> QuadratureRule:
+def gauss_rule(sm: SpectralMeasure, N: int, rows: int = 0, log_rows=()) -> QuadratureRule:
     """N-point Gaussian rule of the measure, with its first ``rows`` weighted rows.
 
     Nodes are the eigenvalues of the order-N truncation of the recurrence
@@ -184,15 +201,17 @@ def gauss_rule(sm: SpectralMeasure, N: int, rows: int = 0) -> QuadratureRule:
     and only then taken to logs; unlike the squared first eigenvector
     components this stays relatively accurate for the extremely small far
     weights of unbounded supports.  The same sweep writes the rows
-    sqrt(w_i) P_k(x_i), k < ``rows``, into ``rule.rows`` (None for 0 rows);
-    ``weighted_rows`` gives the same rows of a rule built without them.
+    sqrt(w_i) P_k(x_i), k < ``rows``, into ``rule.rows`` (None for 0 rows)
+    and the log-form rows of the degrees in ``log_rows`` into
+    ``rule.log_rows`` (None if none); ``weighted_rows`` gives the same rows
+    of a rule built without them.
     """
     if N < 1:
         raise ValueError("N must be positive")
     b, h = recurrence(sm.pd).arrays(N - 1)
     nodes = eigh_tridiagonal(h, b[1:], eigvals_only=True)
-    logw, Q = _sweep_rows(b, h, nodes, rows, log_mass=math.log(sm.mass))
-    return QuadratureRule(nodes, np.exp(logw), logw, Q if rows else None)
+    logw, Q, logs = _sweep_rows(b, h, nodes, rows, log_mass=math.log(sm.mass), log_rows=log_rows)
+    return QuadratureRule(nodes, np.exp(logw), logw, Q if rows else None, logs if log_rows else None)
 
 
 def weighted_rows(sm: SpectralMeasure, rule: QuadratureRule, nrows: int) -> np.ndarray:

@@ -774,43 +774,98 @@ def classify_ladder(js: JacobiSystem) -> tuple[str, dict]:
 
 # -- evaluation -------------------------------------------------------------
 
-def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray):
+_SWEEP_BLOCK = 64  # levels per block of scaled_sweep
+_CHECK_LOG2 = 400  # |u| is measured once a bound says it could pass 2^400 (~1e120)
+_RESCALE = 2.0**200  # and the nodes above 2^200 are then rescaled
+_LN2 = math.log(2.0)
+
+
+def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, block=None):
     """Run the recurrence at the nodes x, yielding (k, u_k, rescaled), k = 0..kmax.
 
     ``b``, ``h`` are the ladder arrays b(0..kmax), h(0..kmax) (see
     ``JacobiSystem.arrays``); their length fixes kmax.
 
     P_k(x_i) = u_k[i] * exp(s[i] - s_start[i]), where ``s`` is the caller's
-    log-scale array, updated in place: whenever |u_k| grows huge at a node,
-    u_k and u_{k-1} are divided by |u_k| there and its log is added to s.
-    ``rescaled`` is the mask of the nodes rescaled at step k, or None.  The
-    sweep allocates nothing per step, so the yielded u_k is a reused buffer:
-    it is divided in place at the next step's rescaled nodes and overwritten
-    two steps later; consumers must use (or copy) it before advancing.
+    log-scale array, updated in place; ``rescaled`` is the mask of the nodes
+    rescaled at step k, or None.
+
+    The sweep runs in blocks of _SWEEP_BLOCK levels.  A block takes
+    x - h(k) for all its levels as one array and writes its rows u_k,
+    k0 <= k < k0 + _SWEEP_BLOCK, straight into ``block(k0)``, a 2-d array
+    with a row per level (fewer at the end), so a caller keeps rows where it
+    wants them; by default the sweep alternates between two arrays of its
+    own.  ``block`` must not return the array of the block before, whose last
+    row the next step reads.  A level is four in-place ufuncs, in the order
+    ((x - h(k)) u_k - b(k) u_{k-1}) / b(k+1).
+
+    |u| is measured only when a bound says it could pass 2^400 since the
+    last check: log2 of the max then measured over u_k and u_{k-1} plus the
+    sum of log2 max(1, g_j), g_j = (max_i |x_i - h(j)| + b(j)) / b(j+1),
+    over the steps since.  At a check every node with |u_k| > 2^200 is
+    rescaled by the exact power of two 2^-e that takes u_k there into
+    [1/2, 1) (``frexp``), e log 2 is added to s, and the next step reads a
+    copy of u_{k-1} rescaled alike.  So a rescale adds no rounding, a yielded
+    row never changes (it stays valid until its block array is written
+    again, two blocks later by default), and the checks depend on b, h and x
+    alone: rows do not depend on how far the sweep runs.
     """
     kmax = len(b) - 1
-    u_prev = np.ones_like(x)
-    yield 0, u_prev, None
-    if kmax == 0:
-        return
-    u_cur = (x - h[0]) / b[1]
-    yield 1, u_cur, None
+    if block is None:
+        own = np.empty((2, min(_SWEEP_BLOCK, kmax + 1), len(x)), dtype=x.dtype)
+
+        def block(k0):
+            return own[k0 // _SWEEP_BLOCK % 2]
+
+    xf, hf, bf = (np.asarray(a, dtype=float) for a in (x, h[:-1], b))
+    g = (np.maximum(xf.max() - hf, hf - xf.min()) + bf[:-1]) / bf[1:]
+    grow = np.log2(np.maximum(g, 1.0)).tolist()
+    bl = b.tolist()  # ufuncs take Python scalars
+    xh = np.empty((min(_SWEEP_BLOCK, kmax), len(x)), dtype=x.dtype)
     tmp = np.empty_like(x)
-    for k in range(1, kmax):
-        # u_next = ((x - h[k]) * u_cur - b[k] * u_prev) / b[k + 1], into u_prev
-        np.multiply(np.subtract(x, h[k], out=tmp), u_cur, out=tmp)
-        np.multiply(u_prev, b[k], out=u_prev)
-        np.subtract(tmp, u_prev, out=u_prev)
-        u_next = np.divide(u_prev, b[k + 1], out=u_prev)
-        rescaled = None
-        if np.maximum.reduce(np.abs(u_next, out=tmp)) > 1e120:
-            rescaled = tmp > 1e120
-            f = tmp[rescaled]
-            u_next[rescaled] /= f
-            u_cur[rescaled] /= f
-            s[rescaled] += np.log(f)
-        yield k + 1, u_next, rescaled
-        u_prev, u_cur = u_cur, u_next
+    prev, cur, bound = np.zeros_like(x), None, 0.0
+    for k0 in range(0, kmax + 1, _SWEEP_BLOCK):
+        k1 = min(k0 + _SWEEP_BLOCK, kmax + 1)
+        rows = block(k0)[: k1 - k0]
+        if k0 == 0:
+            rows[0] = 1.0
+            cur = rows[0]
+            yield 0, cur, None
+        lo = max(k0, 1)
+        np.subtract(x, h[lo - 1 : k1 - 1, None], out=xh[: k1 - lo])
+        for k, u, xk in zip(range(lo, k1), rows[lo - k0 :], xh):
+            np.multiply(xk, cur, out=u)
+            np.multiply(prev, bl[k - 1], out=tmp)
+            np.subtract(u, tmp, out=u)
+            np.divide(u, bl[k], out=u)
+            bound += grow[k - 1]
+            rescaled = None
+            if bound > _CHECK_LOG2:
+                rescaled, cur, bound = _sweep_check(u, cur, s)
+            yield k, u, rescaled
+            prev, cur = cur, u
+
+
+def _sweep_check(u, prev, s):
+    """scaled_sweep's check at row u after prev: (rescaled mask or None, the prev to read, bound)."""
+    big = np.abs(u) > _RESCALE
+    rescaled = None
+    if big.any():
+        e = np.frexp(np.abs(u[big]).astype(float))[1]
+        f = np.ldexp(1.0, -e)
+        u[big] *= f
+        prev = prev.copy()
+        prev[big] *= f
+        s[big] += e * _LN2
+        rescaled = big
+    top = max(np.max(np.abs(u)), np.max(np.abs(prev)))
+    return rescaled, prev, max(math.frexp(float(top))[1], 0)
+
+
+def _log_row(u, s):
+    """(log|P_k|, sign P_k) at the nodes from a row u_k of ``scaled_sweep`` and its log-scale."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(u)) + s, np.sign(u)
 
 
 def derivative_matrix(js: JacobiSystem, K: int) -> np.ndarray:

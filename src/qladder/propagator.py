@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, StripError, Unsupported
-from .measure import SpectralMeasure, gauss_rule, normalize, weighted_rows
-from .orthopoly import JacobiSystem, PearsonData, _node_sum, recurrence, scaled_sweep
+from .measure import QuadratureRule, SpectralMeasure, gauss_rule, normalize, weighted_rows
+from .orthopoly import JacobiSystem, PearsonData, _log_row, _node_sum, recurrence, scaled_sweep
 
 __all__ = [
     "StripDomain",
@@ -93,15 +93,19 @@ class PropagatorContext:
         that builds a cold rule, or one sweep over a cached rule's nodes.
         """
         N = _rule_size(N)
-        key = (self.pd, self.sm.C, N)
-        rule = _RULES.get(key)
+        rule = _RULES.get((self.pd, self.sm.C, N))
         if rule is None:
-            rule = gauss_rule(self.sm, N, rows)
-            _RULES.put(key, replace(rule, rows=None))
+            rule = self._build(N, rows)
         if not rows:
             return rule.nodes, rule.log_weights
         Q = weighted_rows(self.sm, rule, rows) if rule.rows is None else rule.rows
         return rule.nodes, rule.log_weights, Q
+
+    def _build(self, N: int, *rows) -> QuadratureRule:
+        """``gauss_rule(sm, N, *rows)``, kept in _RULES without the rows its sweep wrote."""
+        rule = gauss_rule(self.sm, N, *rows)
+        _RULES.put((self.pd, self.sm.C, N), replace(rule, rows=None, log_rows=None))
+        return rule
 
 
 _RULE_GRID = 32
@@ -215,10 +219,12 @@ def _nbytes(val) -> int:
 
 
 # A rule holds 24 B per node (nodes, log-weights, weights).  evolve at its
-# default max_dim asks for at most 8,256 nodes and sigma_mn_quad's default
-# for at most 6,144, so 128 such rules take at most ~25 MB.  sigma_row and
-# the Jacobi shifted transforms size their rules from n and |z| without a
-# cap, so the slot count bounds the number of rules, not their bytes.  Only
+# default max_dim asks for at most 8,256 nodes (198 kB) and sigma_mn_quad's
+# default for at most 6,144; sigma_row and the Jacobi shifted transforms size
+# their rules from n and |z| without a cap, so _RULES keeps 128 rules within
+# 4 MiB, and a larger rule is used uncached.  A pass over the scenarios stream
+# holds 68-77 rules of at most 384 nodes, 0.26-0.31 MiB (seeds 3, 7, 11); the
+# sweep stream fills the 128 slots with 0.55 MiB (seed 7).  Only
 # evolve fills _QMATS, with the (S - 63) x S matrix of an S-node rule: 25 kB
 # at its smallest rule, S = 96, about 540 MB at its largest default one,
 # S = 8,256 (not kept).  A new matrix waits in 12 probation slots and is kept
@@ -227,7 +233,7 @@ def _nbytes(val) -> int:
 # streams: a pass over the scenarios stream (seed 7) makes 2,260 lookups and
 # 68 builds, a second none; the sweep stream (seed 1) makes 2,338 lookups of
 # as many keys and holds only its last 12 matrices (2.1 MB).
-_RULES = _LRU(128)
+_RULES = _LRU(128, 4 * 2**20)
 _QMATS_BYTES = 256 * 2**20
 _QMATS = _LRU(4096, _QMATS_BYTES, probation=12)
 
@@ -334,7 +340,9 @@ def sigma_mn_quad(
 
     The rule has N nodes rounded to the nearest multiple of 32: N defaults
     to m + n + 96 plus the family's spread at |z|, and an explicit ``N`` is
-    rounded onto the same grid.
+    rounded onto the same grid.  A cold rule gives the rows P_m, P_n in log
+    form from the sweep that builds it, a cached one from one sweep to
+    max(m, n) over its nodes: the same rows, bit for bit.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -343,13 +351,16 @@ def sigma_mn_quad(
     if N is None:
         N = m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z)
         N = min(N, 6144)
+    N = _rule_size(N)
+    rows = None  # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
+    if max(m, n) < N and _RULES.get((ctx.pd, ctx.sm.C, N)) is None:
+        rows = ctx._build(N, 0, (m, n)).log_rows  # ctx.rule then hits, unless past _RULES' bytes
     nodes, logw = ctx.rule(N)
-    s = np.zeros_like(nodes)
-    rows = {}  # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
-    for k, u, _ in scaled_sweep(*ctx.js.arrays(max(m, n)), nodes, s):
-        if k in (m, n):
-            with np.errstate(divide="ignore"):
-                rows[k] = (np.log(np.abs(u)) + s, np.sign(u))
+    if rows is None:  # a cached rule: one sweep to max(m, n) over its nodes
+        rows, s = {}, np.zeros_like(nodes)
+        for k, u, _ in scaled_sweep(*ctx.js.arrays(max(m, n)), nodes, s):
+            if k in (m, n):
+                rows[k] = _log_row(u, s)
     (lam, sm_), (lan, sn_) = rows[m], rows[n]
     M, V = _node_sum(logw + lam + lan + z.imag * nodes, sm_ * sn_, nodes, z.real)
     return V * math.exp(M)

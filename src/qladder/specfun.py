@@ -74,6 +74,8 @@ def hyp_pfq(num, den, x):
     A terminating series (some a_i a nonpositive integer) stops at its first
     zero term at the latest and skips the divergence checks.
     Nonterminating p > q+1 is rejected, and p = q+1 requires |x| < 1.
+    1F0(a;;x) is summed in closed form, (1 - x)^(-a) on the principal branch:
+    near |x| = 1 its series needs ever more terms.
     """
     num = list(num)
     den = list(den)
@@ -87,6 +89,8 @@ def hyp_pfq(num, den, x):
             raise DivergenceError(f"{p}F{q} diverges for x != 0")
         if p == q + 1 and abs(x) >= 1.0:
             raise DivergenceError(f"{p}F{q} requires |x| < 1, got |x| = {abs(x)}")
+    if (p, q) == (1, 0):
+        return complex(1.0 - x) ** -num[0]
     term = 1.0 + 0.0j
     total = term
     growing = 0

@@ -259,6 +259,59 @@ def test_scaled_sweep_matches_the_scalar_table(pd, mp_orthonormal):
     assert np.all(np.abs(rows - closed) <= 1e-13 * np.sqrt(np.cumsum(closed**2, axis=0)))
 
 
+def _shifts(s_before, s, rescaled):
+    """Whole powers of two of a rescale: log2 of the frame shift at each rescaled node."""
+    e = (s[rescaled] - s_before[rescaled]) / math.log(2.0)
+    assert np.all(np.abs(e - np.round(e)) <= 1e-9 * np.abs(e)) and np.all(e >= 200)
+    return np.round(e).astype(int)
+
+
+def test_rescaled_rows_match_the_40_digit_recurrence_at_far_nodes():
+    """At the far nodes of a 1,024-node Laguerre(0.8) rule the sweep rescales
+    many times; with each frame shift an exact power of two, the rows times
+    2^(sum of shifts) are the recurrence itself, measured as in
+    test_scaled_sweep_matches_the_scalar_table."""
+    pd, N = laguerre_data(0.8), 1024
+    b, h = recurrence(pd).arrays(N - 1)
+    nodes = gauss_rule(normalize(pd), N).nodes
+    x = nodes[[N // 2, -3, -2, -1]]
+    s, E, rows, shifts = np.zeros_like(x), np.zeros(x.size, dtype=int), [], []
+    before = s.copy()
+    for _, u, rescaled in scaled_sweep(b, h, x, s):
+        if rescaled is not None:
+            E[rescaled] += _shifts(before, s, rescaled)
+        before = s.copy()
+        rows.append([(float(v), int(e)) for v, e in zip(u, E)])
+        shifts.append(rescaled is not None)
+    assert sum(shifts) >= 4 and np.all(E[1:] > 2000)
+    with mp.workdps(40):
+        for i, xi in enumerate(x):
+            exact = _mp_recurrence(b, h, xi)
+            norm2 = mp.mpf(0)
+            for k, p in enumerate(exact):
+                norm2 += p * p
+                v, e = rows[k][i]
+                assert abs(mp.ldexp(v, e) - p) <= 1e-13 * mp.sqrt(norm2), (i, k)
+
+
+def test_a_2048_node_rule_stays_finite_with_whole_power_of_two_shifts():
+    pd, N = laguerre_data(0.8), 2048
+    sm = normalize(pd)
+    rule = gauss_rule(sm, N, N)
+    assert np.all(np.isfinite(rule.rows)) and np.all(np.isfinite(rule.log_weights))
+    b, h = recurrence(pd).arrays(N - 1)
+    s = np.zeros_like(rule.nodes)
+    before, events = s.copy(), 0
+    for _, u, rescaled in scaled_sweep(b, h, rule.nodes, s):
+        assert np.all(np.isfinite(u)) and np.abs(u).max() < 2.0**500
+        if rescaled is not None:
+            events += 1
+            _shifts(before, s, rescaled)
+            assert np.all((np.abs(u[rescaled]) >= 0.5) & (np.abs(u[rescaled]) < 1.0))
+        before = s.copy()
+    assert events and np.all(np.isfinite(s))
+
+
 def test_gauss_rule_rejects_empty():
     with pytest.raises(ValueError):
         gauss_rule(normalize(laguerre_data(1.0)), 0)

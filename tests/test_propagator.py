@@ -487,6 +487,59 @@ def test_a_cold_request_sweeps_each_rule_it_builds_once(monkeypatch, qmat_builds
     assert len(built) == len(passes) == 1
 
 
+def test_a_cold_sigma_mn_quad_sweeps_once(monkeypatch):
+    """The log-form rows m, n of a cold rule come from the sweep that builds it."""
+    from qladder import measure
+
+    ctx = build_context(laguerre_data(2.5))
+    passes = []
+    sweep = measure.scaled_sweep
+
+    def counted_sweep(*args):
+        passes.append(1)
+        return sweep(*args)
+
+    for mod in (measure, propagator):
+        monkeypatch.setattr(mod, "scaled_sweep", counted_sweep)
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
+    cold = sigma_mn_quad(ctx, 30, 31, 1.3)
+    assert len(passes) == 1
+    # the value of a rule sweep followed by a second sweep to degree 31
+    two_pass = -0.06045064432793105 - 0.0006389633039241275j
+    assert abs(cold - two_pass) <= 1e-13 * abs(two_pass)
+    passes.clear()
+    assert sigma_mn_quad(ctx, 30, 31, 1.3) == cold and len(passes) == 1  # cached: one sweep to 31
+
+
+def test_the_rule_cache_keeps_its_rules_within_its_byte_budget(monkeypatch):
+    from qladder import measure
+
+    ctx = build_context(hermite_data())
+    budget = propagator._RULES.max_bytes
+    rules = propagator._LRU(propagator._RULES.slots, budget)  # empty, with the production bounds
+    built = []
+
+    def stub(sm, N, rows=0):  # a rule of 24 B per node, without the O(N^2) build
+        built.append(N)
+        z = np.zeros(N)
+        return measure.QuadratureRule(z, z, z)
+
+    monkeypatch.setattr(propagator, "_RULES", rules)
+    monkeypatch.setattr(propagator, "gauss_rule", stub)
+    assert budget is not None
+    sizes = [_rule_size(budget // 24 // k) for k in (7, 5, 3, 6, 4, 2, 9)]
+    for N in sizes:
+        assert ctx.rule(N)[0].size == N
+        assert rules.nbytes <= budget
+    assert 0 < len(rules._data) < len(sizes)  # the stream did not fit
+    built.clear()
+    ctx.rule(sizes[-1])  # the newest is kept
+    assert built == []
+    huge = _rule_size(budget // 24 + 64)
+    assert ctx.rule(huge)[0].size == huge and rules.get((ctx.pd, ctx.sm.C, huge)) is None
+    assert built == [huge] and rules.nbytes <= budget
+
+
 def test_rule_size_rounds_to_the_nearest_multiple_of_32():
     sizes = np.array([_rule_size(N) for N in range(1, 9000)])
     N = np.arange(1, 9000)

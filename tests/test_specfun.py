@@ -56,6 +56,15 @@ def test_hyp_pfq_terminating_is_exact_polynomial():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("a,x", [(3.5, 0.9975), (0.75, 0.999 + 0.02j), (-4.0, 2.5)])
+def test_hyp_pfq_1f0_is_the_closed_power_near_and_past_the_unit_circle(a, x):
+    """1F0(a;;x) = (1 - x)^(-a): at |x| -> 1 the series needs ever more terms,
+    and a terminating a is a polynomial valid at any x."""
+    got = hyp_pfq([a], [], x)
+    want = complex(mp.hyper([a], [], x))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_hyp_pfq_divergence_detection():
     with pytest.raises(DivergenceError):
         hyp_pfq([1.0, 1.0, 1.0], [2.0], 0.5)   # 3F1 diverges
