@@ -368,12 +368,12 @@ def cmd_propagate(cfg, args):
     if args.oracle:
         columns += [f"oracle_re_{m}_{n}" for m, n in pairs] + ["max_deviation"]
         oracle = _Oracle(ctx, trunc)
-        starts = {m: oracle.start(ob.Number(m)) for m in rows_m}
+        go = {m: expm_evolve(oracle.op, ts, oracle.start(ob.Number(m))) for m in rows_m}
 
     rows = []
     worst_uni = 0.0
     worst_dev = 0.0
-    for t in ts:
+    for i, t in enumerate(ts):
         row = [float(t)]
         if imag_t == 0.0:
             amp = {m: ob.ladder_amplitudes(ctx, ob.Number(m), float(t)) for m in rows_m}
@@ -391,8 +391,7 @@ def cmd_propagate(cfg, args):
                 worst_uni = max(worst_uni, abs(u - 1.0))
                 row.append(u)
         if args.oracle:
-            go = {m: expm_evolve(oracle.op, float(t), v) for m, v in starts.items()}
-            ovals = [_at(go[m], n) for m, n in pairs]
+            ovals = [_at(go[m][i], n) for m, n in pairs]
             dev = max([0.0] + [abs(vals[p] - o) for p, o in zip(pairs, ovals)])
             row += [o.real for o in ovals] + [dev]
             worst_dev = max(worst_dev, dev)
@@ -423,19 +422,17 @@ def cmd_expect(cfg, args):
     if args.oracle:
         columns += [f"oracle_{spec.replace(':', '_')}" for spec, _, _ in specs] + ["max_deviation"]
         oracle = _Oracle(ctx, trunc)
-        start = oracle.start(state)
+        gs = expm_evolve(oracle.op, ts, oracle.start(state))
 
     rows = []
     worst = 0.0
-    for t in ts:
-        t = float(t)
+    for i, t in enumerate(map(float, ts)):
         row = [t]
         vals = [obs.series(ctx, state, idx, t, picture) for _, obs, idx in specs]
         for (_, obs, _), v in zip(specs, vals):
             row += [complex(v).real, complex(v).imag] if obs.is_complex else [float(v)]
         if args.oracle:
-            g = expm_evolve(oracle.op, t, start)
-            ovals = [obs.oracle(oracle, g, idx, t, picture) for _, obs, idx in specs]
+            ovals = [obs.oracle(oracle, gs[i], idx, t, picture) for _, obs, idx in specs]
             dev = max([0.0] + [abs(complex(v) - complex(o)) for v, o in zip(vals, ovals)])
             row += [complex(o).real if obs.is_complex else float(o)
                     for (_, obs, _), o in zip(specs, ovals)] + [dev]

@@ -6,15 +6,16 @@ tridiagonal Hamiltonian, and multi-mode operators applied exactly to sparse
 occupation-basis states (dict occupation-tuple -> amplitude, the same
 pattern as a hand-written Fock simulator).
 
-Multi-mode evolution works by structure.  ``interaction_evolve`` builds H_I
-on a basis as sparse entries, by index arithmetic over the occupation
-array, splits it into the connected components of its pattern (the
-invariant sectors, found without any sector labels, so the oracle stays
-independent of :mod:`qladder.reduction`) and diagonalizes each block.  The
-block eigendecompositions are cached under the system and the basis
-parameters; the two-mode amplifier at truncation 34 is 69 blocks of at
-most 35 levels instead of one dense 1,225-level matrix.  ``eigh_evolve``
-runs a dense Hermitian matrix through the same block eigensolver, and
+Every evolution runs through one kernel, ``_evolve_blocks``: exp(-iHt) on
+eigendecomposed blocks, at a time or over a 1-d grid of times, the blocks
+kept in one byte-bounded cache.  ``expm_evolve`` is one block, the
+truncated ladder.  ``interaction_evolve`` builds multi-mode H_I on a basis
+as sparse entries, by index arithmetic over the occupation array, and
+splits it into the connected components of its pattern (the invariant
+sectors, found without any sector labels, so the oracle stays independent
+of :mod:`qladder.reduction`); the two-mode amplifier at truncation 34 is 69
+blocks of at most 35 levels instead of one dense 1,225-level matrix.
+``eigh_evolve`` splits a dense Hermitian matrix the same way, uncached, and
 ``dense_matrix`` keeps the dict route as the independent reference.
 
 Truncation policy: multi-mode bases are cut by total occupation (simplex);
@@ -49,12 +50,10 @@ __all__ = [
     "state_norm",
 ]
 
-# The bench scenarios workload keeps 48 ladder decompositions in _EIGS (24
-# families at the propagate and expect truncations, 200 and 400 levels:
-# 36 MiB) and the blocks of 4 amplifiers in _BLOCKS (truncations 20, 25, 29
-# and 34: 1.0 MiB).
-_EIGS = _LRU(64)
-_BLOCKS = _LRU(64, 32 * 2**20)
+# Ladder blocks (keyed by the bytes of diag and off) and multi-mode blocks.  A
+# pass over the bench scenarios stream (seed 7) keeps 47 ladders of 200 and 400
+# levels and 4 amplifiers, 38.3 MB: 32 MiB would thrash, 64 MiB holds them all.
+_BLOCKS = _LRU(64, 64 * 2**20)
 
 
 @dataclass(frozen=True)
@@ -83,18 +82,12 @@ def truncated_h(js: JacobiSystem, N: int) -> TruncatedOperator:
     return TruncatedOperator(dim=N, diag=h, off=b[1:])
 
 
-def _eig_of(op: TruncatedOperator):
+def expm_evolve(op: TruncatedOperator, t: float | np.ndarray, vec) -> np.ndarray:
+    """exp(-i H t) @ vec on H's cached eigendecomposition; a 1-d ``t`` gives one row per time."""
     key = (op.diag.tobytes(), op.off.tobytes())
-    return _EIGS.get_or_build(key, lambda: eigh_tridiagonal(op.diag, op.off))
-
-
-def expm_evolve(op: TruncatedOperator, t: float, vec) -> np.ndarray:
-    """exp(-i H t) @ vec through the cached eigendecomposition."""
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (op.dim,):
-        raise ValueError(f"vector length {vec.shape} does not match dim {op.dim}")
-    w, v = _eig_of(op)
-    return _real_matvec(v, np.exp(-1j * w * t) * _real_matvec(v.T, vec))
+    blocks = _BLOCKS.get_or_build(
+        key, lambda: [(np.arange(op.dim), *eigh_tridiagonal(op.diag, op.off))])
+    return _evolve_blocks(op.dim, blocks, t, vec)
 
 
 # -- multi-mode sparse states ----------------------------------------------
@@ -311,8 +304,12 @@ def _evolve_blocks(n: int, blocks: list, t, vec) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape + vec.shape, dtype=complex)
     for idx, w, v in blocks:
-        coef = (vec[idx].conj() @ v).conj()  # v^H vec without forming v^H
-        out[..., idx] = (np.exp(-1j * np.multiply.outer(t, w)) * coef) @ v.T
+        phase = np.exp(-1j * np.multiply.outer(t, w))
+        if v.dtype.kind == "f":  # no complex copy of a real v
+            out[..., idx] = _real_matvec(v, (phase * _real_matvec(v.T, vec[idx])).T).T
+        else:
+            coef = (vec[idx].conj() @ v).conj()  # v^H vec without forming v^H
+            out[..., idx] = (phase * coef) @ v.T
     return out
 
 

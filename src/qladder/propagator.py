@@ -145,9 +145,9 @@ def _check_char_domain(ctx: PropagatorContext, z: complex) -> None:
 class _LRU:
     """Map keeping its ``slots`` most recently used entries, under one lock.
 
-    With ``max_bytes`` it also keeps the bytes of its values (arrays, or
-    tuples and lists of them) within that budget, evicting the least recently
-    used; a larger value is not kept.  With ``probation`` = P > 0 a new key's
+    It also keeps the bytes of its values (arrays, or tuples and lists of
+    them) within ``max_bytes``, evicting the least recently used; a larger
+    value is not kept.  With ``probation`` = P > 0 a new key's
     value goes to a probation segment of its own P slots, and only a ``get``
     that finds it there moves it to the main ``slots``: a value read twice
     within P newer first puts is built once and then kept, a value read once
@@ -155,7 +155,7 @@ class _LRU:
     budget, and the probation segment gives up its entries first.
     """
 
-    def __init__(self, slots: int, max_bytes: int | None = None, probation: int = 0):
+    def __init__(self, slots: int, max_bytes: int, probation: int = 0):
         self.slots, self.max_bytes, self.probation = slots, max_bytes, probation
         self._data, self._lock = OrderedDict(), threading.Lock()  # key -> (value, bytes)
         self._trial = OrderedDict()  # the probation segment, key -> (value, bytes)
@@ -179,7 +179,7 @@ class _LRU:
 
     def put(self, key, val) -> None:
         size = _nbytes(val)
-        if self.max_bytes is not None and size > self.max_bytes:
+        if size > self.max_bytes:
             return
         with self._lock:
             for seg in (self._data, self._trial):
@@ -198,7 +198,7 @@ class _LRU:
             self._bytes -= self._trial.popitem(last=False)[1][1]
         while len(self._data) > self.slots:
             self._bytes -= self._data.popitem(last=False)[1][1]
-        while self.max_bytes is not None and self._bytes > self.max_bytes:
+        while self._bytes > self.max_bytes:
             seg = self._trial if next(iter(self._trial), keep) != keep else self._data
             self._bytes -= seg.popitem(last=False)[1][1]
 
@@ -255,8 +255,9 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Q @ f for real Q and complex f, without a complex copy of Q."""
-    return (Q @ np.ascontiguousarray(f, dtype=complex).view(float).reshape(-1, 2)).view(complex)[:, 0]
+    """Q @ f for real Q and a complex vector or matrix f, without a complex copy of Q."""
+    f = np.ascontiguousarray(f, dtype=complex)
+    return (Q @ f.view(float).reshape(len(f), -1)).view(complex).reshape(len(Q), *f.shape[1:])
 
 
 def _packet_rule(ctx: PropagatorContext, n: int, t: float, keep: int, base: int) -> int:

@@ -16,6 +16,9 @@ def _hooks() -> dict:
         "measure.eigh_tridiagonal": measure.eigh_tridiagonal,
         "fockoracle.eigh": fockoracle.eigh,
         "fockoracle.eigh_tridiagonal": fockoracle.eigh_tridiagonal,
+        # the eigendecomposition lookups behind fockoracle.eig_hit_frac
+        "fockoracle.expm_evolve": fockoracle.expm_evolve,
+        "fockoracle.eigh_evolve": fockoracle.eigh_evolve,
         "orthopoly.recurrence": orthopoly.recurrence,
         "fockoracle.MultiModeBasis.__init__": fockoracle.MultiModeBasis.__init__,
     }

@@ -85,7 +85,7 @@ def test_repeated_propagate_builds_no_rule(monkeypatch, qmat_builds):
         built.append(N)
         return build(sm, N, rows)
 
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(propagator._RULES.slots))
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(propagator._RULES.slots, propagator._RULES.max_bytes))
     monkeypatch.setattr(propagator, "gauss_rule", counted)
     assert run_cli(argv)[0] == 0
     assert built and all(N % 32 == 0 for N in built)
@@ -411,7 +411,7 @@ def test_expect_oracle_builds_the_derivative_matrix_once(tmp_path, monkeypatch):
         return build(js, K)
 
     monkeypatch.setattr(ob, "derivative_matrix", counted)
-    monkeypatch.setattr(ob, "_DERIVS", ob._LRU(ob._DERIVS.slots))  # empty: earlier tests fill it
+    monkeypatch.setattr(ob, "_DERIVS", ob._LRU(ob._DERIVS.slots, ob._DERIVS.max_bytes))  # empty: earlier tests fill it
     cfgp = write_config(
         tmp_path,
         _HERMITE + "[state]\nkind = gaussian\nzeta = 0.4+0.2j\n\n"
@@ -424,17 +424,22 @@ def test_expect_oracle_builds_the_derivative_matrix_once(tmp_path, monkeypatch):
     assert len(sizes) > 1  # the library series still builds its own, smaller ones
 
 
-def test_propagate_oracle_evolves_each_row_once_per_step(tmp_path, monkeypatch):
+def _count_expm_evolve(monkeypatch) -> list:
     import qladder.cli as cli
 
     calls = []
     evolve = cli.expm_evolve
 
     def counted(op, t, vec):
-        calls.append(t)
+        calls.append(np.shape(t))
         return evolve(op, t, vec)
 
     monkeypatch.setattr(cli, "expm_evolve", counted)
+    return calls
+
+
+def test_propagate_oracle_evolves_each_row_once(tmp_path, monkeypatch):
+    calls = _count_expm_evolve(monkeypatch)
     cfgp = write_config(
         tmp_path,
         "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = 2.5\n\n"
@@ -442,7 +447,19 @@ def test_propagate_oracle_evolves_each_row_once_per_step(tmp_path, monkeypatch):
     )
     code, out, err = run_cli(["propagate", "--config", cfgp, "--oracle"])
     assert code == 0, err
-    assert len(calls) == 2 * 3  # rows m = 0 and 1, three time steps
+    assert calls == [(3,), (3,)]  # rows m = 0 and 1, each over the three time steps
+
+
+def test_expect_oracle_evolves_its_start_once(tmp_path, monkeypatch):
+    calls = _count_expm_evolve(monkeypatch)
+    cfgp = write_config(
+        tmp_path,
+        _HERMITE + "[state]\nkind = gaussian\nzeta = 0.4+0.2j\n\n"
+        "[expect]\nobservables = number_moment:1, alpha_moment:1\ntruncation = 80\n\n" + _GRID,
+    )
+    code, out, err = run_cli(["expect", "--config", cfgp, "--oracle"])
+    assert code == 0, err
+    assert calls == [(3,)]
 
 
 def test_amplifier_evolves_its_grid_in_one_call(monkeypatch):
@@ -468,8 +485,11 @@ def test_warm_amplifier_runs_no_dense_matrix_hash_or_eigensolver(monkeypatch):
     import qladder.cli as cli
     from qladder import fockoracle
 
-    argv = ["amplifier", "--config", str(SCENARIOS / "amplifier.ini"), "--truncation", "34"]
-    assert run_cli(argv)[0] == 0  # cold: builds and caches the blocks
+    argvs = [["amplifier", "--config", str(SCENARIOS / "amplifier.ini"), "--truncation", "34"],
+             ["propagate", "--config", str(SCENARIOS / "laguerre_propagate.ini"), "--oracle"],
+             ["expect", "--config", str(SCENARIOS / "gaussian_expect.ini"), "--oracle"]]
+    for argv in argvs:
+        assert run_cli(argv)[0] == 0  # cold: builds and caches the blocks
     calls = []
 
     def counting(name, f):
@@ -481,8 +501,9 @@ def test_warm_amplifier_runs_no_dense_matrix_hash_or_eigensolver(monkeypatch):
     for mod, name in ((fockoracle, "dense_matrix"), (fockoracle, "eigh"),
                       (fockoracle, "eigh_tridiagonal"), (hashlib, "sha1")):
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
-    code, out, err = run_cli(argv)
-    assert code == 0, err
+    for argv in argvs:
+        code, out, err = run_cli(argv)
+        assert code == 0, err
     assert calls == [] and not hasattr(cli, "dense_matrix")
 
 
@@ -497,7 +518,7 @@ def test_two_expect_oracle_requests_build_each_derivative_once(tmp_path, monkeyp
         return build(js, K)
 
     monkeypatch.setattr(ob, "derivative_matrix", counted)
-    monkeypatch.setattr(ob, "_DERIVS", ob._LRU(ob._DERIVS.slots))
+    monkeypatch.setattr(ob, "_DERIVS", ob._LRU(ob._DERIVS.slots, ob._DERIVS.max_bytes))
     cfgp = write_config(
         tmp_path,
         "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = 1.5\n\n"

@@ -19,6 +19,7 @@ from qladder.fockoracle import (
     state_norm,
     truncated_h,
 )
+from qladder.orthopoly import laguerre_data, recurrence
 from qladder.reduction import MultiModeSystem
 
 
@@ -74,14 +75,13 @@ def test_block_evolve_rejects_wrong_length():
 
 
 def test_warm_expm_evolve_makes_no_complex_copy_of_the_eigenvectors():
-    from qladder.fockoracle import _eig_of
-    from qladder.orthopoly import laguerre_data, recurrence
+    from qladder import fockoracle
 
     op = truncated_h(recurrence(laguerre_data(2.5)), 1000)
     vec = np.zeros(op.dim, dtype=complex)
     vec[:3] = (0.6, 0.8j, 0.0)
     out = expm_evolve(op, 1.3, vec)  # cold: diagonalizes and caches
-    _, v = _eig_of(op)
+    [(_, _, v)] = fockoracle._BLOCKS.get((op.diag.tobytes(), op.off.tobytes()))
     tracemalloc.start()
     try:
         again = expm_evolve(op, 1.3, vec)
@@ -109,15 +109,52 @@ def test_warm_eigh_evolve_copies_neither_h_nor_its_eigenvectors():
     assert peak < h.nbytes / 4  # the eigenvector matrix has h's shape and dtype
 
 
-def test_eigh_evolve_gives_one_row_per_time():
-    h = dense_matrix(_amplifier(), "HI", MultiModeBasis(2, max_local=6))
-    vec = np.zeros(len(h), dtype=complex)
+def test_block_evolve_of_a_real_block_makes_no_complex_copy():
+    from qladder.fockoracle import _evolve_blocks
+
+    op = truncated_h(recurrence(laguerre_data(2.5)), 1000)
+    w, v = scipy.linalg.eigh_tridiagonal(op.diag, op.off)
+    blocks = [(np.arange(op.dim), w, v)]
+    vec = np.zeros(op.dim, dtype=complex)
+    vec[:3] = (0.6, 0.8j, 0.0)
+    for t in (1.3, np.linspace(0.0, 1.4, 8)):
+        out = _evolve_blocks(op.dim, blocks, t, vec)
+        tracemalloc.start()
+        try:
+            again = _evolve_blocks(op.dim, blocks, t, vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(again, out)
+        assert peak < v.nbytes / 4
+        want = (np.exp(-1j * np.multiply.outer(t, w)) * (v.T @ vec)) @ v.T.astype(complex)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
+
+
+def _routes():
+    sys, basis = _amplifier(), MultiModeBasis(2, max_local=6)
+    h = dense_matrix(sys, "HI", basis)
+    op = truncated_h(recurrence(laguerre_data(2.5)), len(h))
+    return {
+        "expm_evolve": lambda t, vec: expm_evolve(op, t, vec),
+        "eigh_evolve": lambda t, vec: eigh_evolve(h, t, vec),
+        "interaction_evolve": lambda t, vec: interaction_evolve(sys, basis, t, vec),
+    }, len(h)
+
+
+@pytest.mark.parametrize("route", ["expm_evolve", "eigh_evolve", "interaction_evolve"])
+def test_oracle_routes_give_one_row_per_time(route):
+    routes, dim = _routes()
+    evolve = routes[route]
+    vec = np.zeros(dim, dtype=complex)
     vec[4] = 1.0
     ts = np.array([0.0, 0.4, 1.1])
-    rows = eigh_evolve(h, ts, vec)
-    assert rows.shape == (3, len(h))
+    rows = evolve(ts, vec)
+    assert rows.shape == (3, dim)
     for t, row in zip(ts, rows):
-        np.testing.assert_allclose(row, eigh_evolve(h, t, vec), rtol=0, atol=1e-15)
+        one = evolve(float(t), vec)  # a scalar time gives one state, as bench/worker.py asks
+        assert one.shape == (dim,)
+        np.testing.assert_allclose(row, one, rtol=0, atol=1e-15)
 
 
 def test_basis_counts():
@@ -263,7 +300,7 @@ def test_interaction_entries_match_the_dict_route_for_occupation_maps(l):
 def test_systems_differing_in_one_coupling_do_not_share_blocks(other, monkeypatch):
     from qladder import fockoracle
 
-    monkeypatch.setattr(fockoracle, "_BLOCKS", type(fockoracle._BLOCKS)(64))
+    monkeypatch.setattr(fockoracle, "_BLOCKS", type(fockoracle._BLOCKS)(64, fockoracle._BLOCKS.max_bytes))
     basis = MultiModeBasis(2, max_local=8)
     vec = np.zeros(len(basis), dtype=complex)
     vec[basis.index[(1, 0)]] = 1.0

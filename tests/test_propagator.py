@@ -339,9 +339,9 @@ def test_warm_evolve_makes_no_complex_copy_of_the_poly_matrix():
 def test_lru_evicts_the_least_recently_used_at_its_bound():
     from qladder import fockoracle, propagator
 
-    slots = (propagator._RULES.slots, propagator._QMATS.slots, fockoracle._EIGS.slots)
+    slots = (propagator._RULES.slots, propagator._QMATS.slots, fockoracle._BLOCKS.slots)
     assert slots == (128, 4096, 64)
-    cache = propagator._LRU(2)
+    cache = propagator._LRU(2, max_bytes=1000)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1  # refreshes "a", so "b" is now the oldest
@@ -385,7 +385,7 @@ def test_lru_counts_the_bytes_of_lists_of_blocks():
 
 
 def test_lru_promotes_a_key_read_again_while_on_probation():
-    cache = propagator._LRU(8, probation=2)
+    cache = propagator._LRU(8, max_bytes=1000, probation=2)
     cache.put("a", 1)  # on probation
     assert list(cache._trial) == ["a"] and not cache._data
     assert cache.get("a") == 1  # read again: promoted
@@ -433,7 +433,7 @@ def test_qmats_builds_a_matrix_read_twice_once_and_keeps_it(monkeypatch):
     assert list(cache._data) == built[:1] and len(cache._trial) == q.probation
     third = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
     assert len(built) == 1 + 2 * q.probation  # a hit in the main slots
-    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(q.slots))
+    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(q.slots, q.max_bytes))
     plain = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
     for got in (second, third, plain):
         for a, b in zip(got, first, strict=True):
@@ -473,16 +473,16 @@ def test_a_cold_request_sweeps_each_rule_it_builds_once(monkeypatch, qmat_builds
     for mod in (measure, propagator):
         monkeypatch.setattr(mod, "scaled_sweep", counted_sweep)
     monkeypatch.setattr(propagator, "gauss_rule", counted_build)
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
     evolve(ctx, [1.0], 1.0)
     assert built and len(passes) == len(built)
     # a cached rule whose matrix is not: one sweep, over the cached nodes
     passes.clear(), built.clear(), qmat_builds.clear()
-    monkeypatch.setattr(propagator, "_QMATS", type(propagator._QMATS)(12))  # empty, still recording
+    monkeypatch.setattr(propagator, "_QMATS", type(propagator._QMATS)(12, propagator._QMATS_BYTES))  # empty, still recording
     evolve(ctx, [1.0], 1.0)
     assert built == [] and len(passes) == len(qmat_builds) == 1
     passes.clear()
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
     sigma_row(ctx, 3, 1.0, 40)
     assert len(built) == len(passes) == 1
 
@@ -501,7 +501,7 @@ def test_a_cold_sigma_mn_quad_sweeps_once(monkeypatch):
 
     for mod in (measure, propagator):
         monkeypatch.setattr(mod, "scaled_sweep", counted_sweep)
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
     cold = sigma_mn_quad(ctx, 30, 31, 1.3)
     assert len(passes) == 1
     # the value of a rule sweep followed by a second sweep to degree 31
@@ -589,8 +589,8 @@ def test_quadrature_values_do_not_depend_on_the_cache_history(monkeypatch):
     for size, t in ((4, 1.7), (1, 1.75)):
         spread = ctx.pd.spread(t)
         assert _rule_size(size + 128 + spread) == _rule_size(10 + 128 + spread)
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
-    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(12))
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
+    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(12, propagator._QMATS_BYTES))
     cold = values()
     # unrelated requests on the same grid rules, with more rows, and on other families
     for t in (1.6, 1.7, 1.75, 3.0):

@@ -75,7 +75,7 @@ def test_weighted_rows_orthonormal_where_the_rescale_fires(pd):
 
 def test_weighted_rows_orthonormal_with_rescales_on_both_sides_of_the_last_row(monkeypatch):
     ctx = build_context(laguerre_data(0.8))
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128))
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
     N, rows = 1024, 101
     nodes, _, Q = ctx.rule(N, rows)  # cold: the rows come from the rule's own sweep
     s = np.zeros_like(nodes)
