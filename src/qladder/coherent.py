@@ -9,7 +9,9 @@ the one-index propagator coefficients,
 
 so overlaps never need a mode sum.  Time evolution only shifts the label,
 |z> -> |z + t|, which makes these states the natural probes of the closed
-forms in :mod:`qladder.propagator`.
+forms in :mod:`qladder.propagator`.  Coefficient vectors read the family's
+``sigma_seq``: the closed amplitude ratio sigma_n / sigma_{n-1} on Hermite
+and Laguerre pairs, the scalar ``sigma_n`` per level on Jacobi pairs.
 
 The family is overcomplete; completeness is expressed by a planar measure
 mu(y) dx dy / (2 pi) (y = Im z) against which the |z><z| resolve the
@@ -109,10 +111,14 @@ def coherent_coeffs(
 ) -> np.ndarray:
     """Ladder coefficients <n|z> = sigma_n(z), truncated by squared tail.
 
-    The returned vector c satisfies ||c||^2 >= (1 - tol) <z|z>, or stops
-    earlier once the remaining tail can no longer change ||c||^2 in double
-    precision (a tol below rounding cannot be met: the sum and the closed
-    <z|z> differ by a few ulps).  The tail is bounded by the geometric
+    sigma_0 comes from ``sigma_n``, the rest from the family's ``sigma_seq``:
+    the closed amplitude ratio (w / sqrt(n) for Hermite, w sqrt((mu + n -
+    1) / n) for Laguerre), one complex multiply per level, or on Jacobi
+    pairs the scalar ``sigma_n`` per level.  The returned vector c
+    satisfies ||c||^2 >= (1 - tol) <z|z>, or stops earlier once the
+    remaining tail can no longer change ||c||^2 in double precision (a tol
+    below rounding cannot be met: the sum and the closed <z|z> differ by
+    a few ulps).  The tail is bounded by the geometric
     series of the last decay ratio.  Near the Laguerre strip edge that
     ratio approaches 1, so the needed length grows; past ``nmax`` a
     ConvergenceError reports the deficit instead of silently truncating.
@@ -120,11 +126,12 @@ def coherent_coeffs(
     """
     z = _require_label(ctx, z)
     norm2 = squared_norm(ctx, z)
+    seq = ctx.pd.sigma_seq(ctx, z, sigma_n(ctx, 0, z))
     out = []
     acc = prev = 0.0
     n, limit = 0, 4000 if nmax is None else nmax
     while n <= limit:
-        c = sigma_n(ctx, n, z)
+        c = next(seq)
         out.append(c)
         term = abs(c) ** 2
         acc += term
@@ -157,7 +164,8 @@ def holomorphic_transform(
     """Evaluate F_psi(z) = <psi|z> for a ladder state psi.
 
     ``state`` is either a vector of ladder coefficients c_n (then
-    F(z) = sum conj(c_n) sigma_n(z)) or a callable psi(omega) giving the
+    F(z) = sum conj(c_n) sigma_n(z), with the sigma_n of ``coherent_coeffs``
+    up to the last nonzero c_n) or a callable psi(omega) giving the
     frequency-space wavefunction (then F(z) = int conj(psi) e^{-i z omega}
     dsigma by the cached 256-point Gauss rule).  F is holomorphic on the
     state strip and satisfies the reproducing property
@@ -175,12 +183,9 @@ def holomorphic_transform(
         vals = np.conj(np.asarray(state(nodes), dtype=complex))
         M, V = _node_sum(logw + z.imag * nodes, vals, nodes, z.real)
         return math.exp(M) * V
-    coeffs = np.asarray(state, dtype=complex)
-    total = 0.0 + 0.0j
-    for n, c in enumerate(coeffs):
-        if c != 0.0:
-            total += c.conjugate() * sigma_n(ctx, n, z)
-    return total
+    coeffs = np.trim_zeros(np.asarray(state, dtype=complex), "b")
+    seq = ctx.pd.sigma_seq(ctx, z, sigma_n(ctx, 0, z))
+    return sum((c.conjugate() * s for c, s in zip(coeffs, seq) if c != 0.0), 0j)
 
 
 # ---------------------------------------------------------------------------

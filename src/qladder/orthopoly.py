@@ -28,9 +28,10 @@ arguments and call the method.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -101,6 +102,11 @@ class PearsonData:
         """Level (<= top) past which e^{-iHt}|n> keeps a squared tail < ``tail``: n + spread(t)."""
         return min(n + self.spread(t), top)
 
+    def sigma_seq(self, ctx, z: complex, c0: complex):
+        """sigma_0(z) = c0, sigma_1(z), ...; by default the scalar ``sigma_n`` per level."""
+        yield c0
+        yield from (self.sigma_n(ctx, n, z) if z else 0j for n in itertools.count(1))
+
 
 @dataclass(frozen=True)
 class JacobiSystem:
@@ -119,11 +125,16 @@ class JacobiSystem:
     h: Callable
     dim: float = math.inf
     gamma0: float = 0.0
+    _prefix: tuple = field(default=(np.zeros(0), np.zeros(0)), init=False, compare=False, repr=False)
 
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(b(0..n), h(0..n)) as float arrays, from one call of each function."""
-        k = np.arange(n + 1)
-        return np.asarray(self.b(k), dtype=float), np.asarray(self.h(k), dtype=float)
+        """(b(0..n), h(0..n)), copied from the kept prefix, which one call of each function extends."""
+        b, h = self._prefix
+        if n >= b.size:
+            k = np.arange(n + 1)
+            b, h = np.asarray(self.b(k), dtype=float), np.asarray(self.h(k), dtype=float)
+            object.__setattr__(self, "_prefix", (b, h))
+        return b[:n + 1].copy(), h[:n + 1].copy()
 
 
 def _sum_exp(logs) -> complex:
@@ -180,6 +191,38 @@ def _law_level(n: int, log0: float, ratio: np.ndarray, tail: float) -> int:
     return n + max(0, int(np.count_nonzero(np.logaddexp.accumulate(logp[::-1]) >= math.log(tail))) - 1)
 
 
+_LOW, _PLAIN = -1000, 32
+_LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # k * _LN2_HI is exact for |k| < 2^20
+
+
+class _ClosedRatio:
+    """Families with sigma_n = sigma_{n-1} w sqrt(beta + gap / n), ``_ratio(z)`` = (w, w in long
+    double, beta, gap): Poisson (0, 1) for Hermite, negative binomial (1, mu - 1) for Laguerre."""
+
+    def char(self, ctx, z: complex) -> complex:
+        return cmath.exp(self._log_char(z))
+
+    def sigma_seq(self, ctx, z: complex, c0: complex):
+        """c0, sigma_1(z), ... by one complex multiply per level.  w rounded once leaves level n
+        off by (1 + eps)^n, eps its relative remainder in long double, so levels from _PLAIN on are
+        emitted times 1 + n eps; where c0 underflows, sigma_n 2^-k runs from log c0 until 2^_LOW."""
+        w, w_exact, beta, gap = self._ratio(z)
+        c, k, eps = c0, 0, 0j
+        if abs(c0) < 2.0**_LOW:
+            L = rodrigues_log_norm(self, 0, ctx.sm.C) + self._log_char(z)
+            k = math.floor(L.real / _LN2)
+            c = cmath.exp(L - k * _LN2_HI - k * _LN2_LO)
+        for n in itertools.count(1):
+            v = c * (1.0 + (n - 1) * eps) if eps else c
+            yield v * 2.0**k if k else v
+            if n == _PLAIN and w:
+                eps = complex((w_exact() - w) / w)
+            c *= w * math.sqrt(beta + gap / n)
+            if k:  # exact powers of two: keep |c| ~ 1 until sigma_n passes 2^_LOW
+                e = math.frexp(abs(c))[1]
+                c, k = (c * 2.0**k, 0) if k + e > _LOW else (c * 2.0**-e, k + e)
+
+
 def _moment_of(l: int, factorial_moment) -> float:
     """<N^l> = sum_k S(l, k) <N(N-1)...(N-k+1)>, S the Stirling numbers of the second kind."""
     row = [1.0]  # S(j, 0..j), j = 0..l
@@ -203,7 +246,7 @@ def _hyp1f1_pos(a: float, c: float, w: float) -> float:
 
 
 @dataclass(frozen=True)
-class _Hermite(PearsonData):
+class _Hermite(_ClosedRatio, PearsonData):
     """Hermite class: B = b0 > 0, support the whole line."""
 
     closed_max_degree = 24
@@ -243,10 +286,13 @@ class _Hermite(PearsonData):
         tau = -self.a1 / (2.0 * self.b0)
         return 32 + int(abs(z) ** 2 / (2.0 * tau))
 
-    def char(self, ctx, z: complex) -> complex:
-        return cmath.exp(
-            (self.b0 / (2.0 * self.a1)) * z * z + 1j * (self.a0 / self.a1) * z
-        )
+    def _log_char(self, z: complex) -> complex:
+        return (self.b0 / (2.0 * self.a1)) * z * z + 1j * (self.a0 / self.a1) * z
+
+    def _ratio(self, z: complex):
+        return (-1j * self.b0 * z / math.sqrt(-self.a1 * self.b0),
+                lambda: -1j * self.b0 * np.clongdouble(z) / np.sqrt(np.longdouble(-self.a1) * self.b0),
+                0.0, 1.0)
 
     def sigma_n(self, ctx, n: int, z: complex) -> complex:
         lc = rodrigues_log_norm(self, n, ctx.sm.C)
@@ -294,7 +340,7 @@ class _Hermite(PearsonData):
 
 
 @dataclass(frozen=True)
-class _Laguerre(PearsonData):
+class _Laguerre(_ClosedRatio, PearsonData):
     """Laguerre class: B = b1*(omega + beta), b1 > 0, gamma = -a1/b1 > 0."""
 
     closed_max_degree = 24
@@ -351,9 +397,12 @@ class _Laguerre(PearsonData):
         n_osc = 0.61 * omega_need * z.real**2 / self.gamma
         return int(max(n_range, n_osc))
 
-    def char(self, ctx, z: complex) -> complex:
-        p = 1.0 + 1j * z / self.gamma
-        return cmath.exp(-self.mu * cmath.log(p) + 1j * self.beta * z)
+    def _log_char(self, z: complex) -> complex:
+        return -self.mu * cmath.log(1.0 + 1j * z / self.gamma) + 1j * self.beta * z
+
+    def _ratio(self, z: complex):
+        return (-z / (z - 1j * self.gamma),
+                lambda: -np.clongdouble(z) / (z - 1j * np.longdouble(self.gamma)), 1.0, self.mu - 1.0)
 
     def sigma_n(self, ctx, n: int, z: complex) -> complex:
         expo = (rodrigues_log_norm(self, n, ctx.sm.C) + ln_gamma(self.mu + n) - ln_gamma(self.mu)

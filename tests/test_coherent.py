@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qladder import coherent, orthopoly
 from qladder.coherent import (
     coherent_coeffs,
     holomorphic_transform,
@@ -18,7 +19,7 @@ from qladder.coherent import (
 )
 from qladder.errors import ConvergenceError, StripError, Unsupported
 from qladder.measure import normalize
-from qladder.observables import derivative_matrix
+from qladder.observables import Number, derivative_matrix, ladder_amplitudes
 from qladder.orthopoly import (
     _Hermite,
     _Laguerre,
@@ -96,6 +97,82 @@ def test_coeffs_stop_when_the_tail_drops_below_rounding():
     norm2 = squared_norm(ctx, z)
     assert c.size < 100
     assert abs(float(np.vdot(c, c).real) - norm2) <= 1e-14 * norm2
+
+
+def _worst_relative_error(ctx, c, z, mp_sigma_n, samples=40):
+    levels = np.unique(np.linspace(0, c.size - 1, samples).astype(int))
+    worst = 0.0
+    for n in levels:
+        want = mp_sigma_n(ctx.pd, ctx.sm.C, int(n), z)
+        if abs(want) > 1e-250:
+            worst = max(worst, abs(c[n] - want) / abs(want))
+    return worst
+
+
+@pytest.mark.parametrize("z", [2.0 + 0.475j, -1.5 + 0.48j, -2.0 + 0.485j])
+def test_coeffs_match_the_40_digit_closed_form_near_the_strip_edge(z, mp_sigma_n):
+    # thousands of levels: a ratio rounded once would drift by n ulps
+    ctx = build_context(laguerre_data(1.7))
+    c = coherent_coeffs(ctx, z)
+    assert c.size > 1500
+    assert _worst_relative_error(ctx, c, z, mp_sigma_n) < 2e-14
+
+
+def test_vacuum_amplitudes_match_the_40_digit_closed_form(mp_sigma_n):
+    ctx = build_context(laguerre_data(2.5))
+    g = ladder_amplitudes(ctx, Number(0), 10.0)
+    assert g.size > 3000
+    assert _worst_relative_error(ctx, g, 10.0, mp_sigma_n) < 2e-14
+
+
+@pytest.mark.parametrize(
+    "pd, z",
+    [(hermite_data(-1.0, 0.0, 1.0), 38.0), (hermite_data(-1.0, 0.0, 1.0), 45.0),
+     (laguerre_data(2.5), 1.0 + 0.48j)],
+    ids=["hermite-38", "hermite-45", "laguerre-edge"],
+)
+def test_coeffs_at_large_labels_and_near_the_strip_edge(pd, z, mp_sigma_n):
+    # Hermite: |sigma_0(38)| = e^-722 is subnormal and |sigma_0(45)| =
+    # e^-1012.5 is 0 in double, while the peak coefficients are of order 0.1;
+    # Laguerre: 4% below the edge |sigma_n|^2 decays only by q = 0.969 per level
+    ctx = build_context(pd)
+    tol = 1e-12
+    c = coherent_coeffs(ctx, z, tol=tol)
+    norm2 = squared_norm(ctx, z)
+    assert (1.0 - tol) * norm2 <= float(np.vdot(c, c).real) <= (1.0 + 1e-10) * norm2
+    assert _worst_relative_error(ctx, c, z, mp_sigma_n) < 2e-14
+
+
+@pytest.mark.parametrize(
+    "pd, z, per_level",
+    [(hermite_data(-1.0, 0.0, 1.0), 45.0, False), (laguerre_data(2.5), 3.0 + 0.2j, False),
+     (jacobi_data(-1.0, 1.0, 2.0, 1.5), 0.8 + 0.2j, True)],
+    ids=["hermite", "laguerre", "jacobi"],
+)
+def test_coeffs_call_the_scalar_coefficient_once_where_a_ratio_is_closed(
+    monkeypatch, pd, z, per_level
+):
+    calls = {"sigma_n": 0, "family": 0, "rodrigues": 0}
+
+    def counted(f, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(coherent, "sigma_n", counted(sigma_n, "sigma_n"))
+    monkeypatch.setattr(type(pd), "sigma_n", counted(type(pd).sigma_n, "family"))
+    monkeypatch.setattr(
+        orthopoly, "rodrigues_log_norm", counted(orthopoly.rodrigues_log_norm, "rodrigues")
+    )
+    c = coherent_coeffs(build_context(pd), z)
+    assert c.size > 40 or per_level
+    assert calls["sigma_n"] == 1
+    if per_level:
+        assert calls["family"] == c.size
+    else:
+        assert calls["family"] == 1 and calls["rodrigues"] <= 2
 
 
 def test_evolution_shifts_the_label(family_ctx):

@@ -250,3 +250,33 @@ def test_ladder_arrays_call_each_coefficient_function_once(name):
     b, h = js.arrays(200)
     assert b.shape == h.shape == (201,)
     assert calls == {"b": 1, "h": 1}
+
+
+@pytest.mark.parametrize("name", ["jacobi", "jacobi_s1", "jacobi_s2"])
+def test_short_ladders_are_copied_from_the_kept_prefix(name):
+    # derivative_matrix asks a context's ladder for a few levels per call
+    calls = Counter()
+    base = _LADDERS[name]()
+
+    def counted(f, key):
+        def wrapper(n):
+            calls[key] += 1
+            return f(n)
+
+        return wrapper
+
+    js = dataclasses.replace(base, b=counted(base.b, "b"), h=counted(base.h, "h"))
+    b, h = js.arrays(2000)
+    np.testing.assert_array_max_ulp(b, [base.b(k) for k in range(2001)], maxulp=2)
+    np.testing.assert_array_max_ulp(h, [base.h(k) for k in range(2001)], maxulp=2)
+    b[:] = h[:] = np.nan  # each caller owns its arrays
+    b3, h3 = js.arrays(3)
+    assert calls == {"b": 1, "h": 1}
+    np.testing.assert_array_equal(b3, [base.b(k) for k in range(4)])
+    np.testing.assert_array_equal(h3, [base.h(k) for k in range(4)])
+    pd = base.b.__self__
+    s = pd.mu + pd.nu
+    if name == "jacobi_s2":  # mu + nu = 2: h(0) is the mean of the weight
+        assert h3[0] == pytest.approx(-1.0 + 2.0 * pd.mu / s, rel=1e-15)
+    if name == "jacobi_s1":  # mu + nu = 1: b(1) is the limit of the cancelled pair
+        assert b3[1] == pytest.approx(2.0 * math.sqrt(pd.mu * pd.nu / (s * s * (s + 1.0))), rel=1e-15)

@@ -11,7 +11,7 @@ Jacobi weights with mu, nu in [0.05, 4] and b2 in [-2, -0.5] on intervals
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qladder import propagator
 from qladder.coherent import mean_energy, omega_density, reproducing_density
@@ -156,3 +156,20 @@ def test_closed_two_index_coefficients_match_quadrature(pd, t):
         for n in range(m, 7):
             closed, quad = sigma_mn_closed(ctx, m, n, t), sigma_mn_quad(ctx, m, n, t)
             assert abs(closed - quad) < 1e-9, (m, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pd=st.one_of(HERMITE, LAGUERRE), x=st.floats(-3.0, 3.0), frac=st.floats(-2.0, 0.95))
+def test_amplitude_ratio_sequence_is_the_scalar_coefficients(pd, x, frac, mp_sigma_n):
+    # sigma_seq multiplies one closed ratio per level; the scalar sigma_n
+    # assembles each level from its own Rodrigues logs
+    z = complex(x, frac * min(pd.strip_edge, 0.75))
+    assume(abs(z) > 1e-3)
+    ctx = build_context(pd)
+    seq = pd.sigma_seq(ctx, z, sigma_n(ctx, 0, z))
+    for n, got in zip(range(61), seq):
+        want = mp_sigma_n(pd, ctx.sm.C, n, z)
+        if abs(want) < 1e-250:
+            continue
+        assert abs(got - sigma_n(ctx, n, z)) <= 5e-13 * abs(want), n
+        assert abs(got - want) <= 2e-14 * abs(want), n
