@@ -296,8 +296,7 @@ class _Hermite(_ClosedRatio, PearsonData):
 
     def sigma_n(self, ctx, n: int, z: complex) -> complex:
         lc = rodrigues_log_norm(self, n, ctx.sm.C)
-        expo = lc + n * cmath.log(-1j * self.b0 * z)
-        return cmath.exp(expo) * self.char(ctx, z)
+        return cmath.exp(lc + n * cmath.log(-1j * self.b0 * z) + self._log_char(z))
 
     def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
         C = ctx.sm.C
@@ -407,7 +406,7 @@ class _Laguerre(_ClosedRatio, PearsonData):
     def sigma_n(self, ctx, n: int, z: complex) -> complex:
         expo = (rodrigues_log_norm(self, n, ctx.sm.C) + ln_gamma(self.mu + n) - ln_gamma(self.mu)
                 + n * cmath.log(-self.b1 * z / (z - 1j * self.gamma)))
-        return cmath.exp(expo) * self.char(ctx, z)
+        return cmath.exp(expo + self._log_char(z))
 
     def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
         mu = self.mu
@@ -596,6 +595,17 @@ class _Jacobi(PearsonData):
         )
         entries = []
         shifted = {}
+        # (lgl, gl) of each l: binomial and Pochhammer logs that do not depend on k
+        lterms = [
+            (
+                ln_gamma(n + 1.0) - ln_gamma(l + 1.0) - ln_gamma(n - l + 1.0),
+                ln_gamma(mu + n)
+                - ln_gamma(mu + l)
+                + ln_gamma(nu + n)
+                - ln_gamma(nu + n - l),
+            )
+            for l in range(n + 1)
+        ]
         for k in range(m + 1):
             lgk = ln_gamma(m + 1.0) - ln_gamma(k + 1.0) - ln_gamma(m - k + 1.0)
             gk = (
@@ -604,14 +614,7 @@ class _Jacobi(PearsonData):
                 + ln_gamma(nu + m)
                 - ln_gamma(nu + m - k)
             )
-            for l in range(n + 1):
-                lgl = ln_gamma(n + 1.0) - ln_gamma(l + 1.0) - ln_gamma(n - l + 1.0)
-                gl = (
-                    ln_gamma(mu + n)
-                    - ln_gamma(mu + l)
-                    + ln_gamma(nu + n)
-                    - ln_gamma(nu + n - l)
-                )
+            for l, (lgl, gl) in enumerate(lterms):
                 j = k + l
                 if j not in shifted:
                     shifted[j] = self._shifted(ctx, z, j, m + n - j)

@@ -4,7 +4,7 @@ must fail here, not only in traced benchmark runs."""
 import importlib.util
 from pathlib import Path
 
-from qladder import fockoracle, measure, orthopoly, propagator
+from qladder import fockoracle, measure, orthopoly, propagator, specfun
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -20,6 +20,10 @@ def _hooks() -> dict:
         "fockoracle.expm_evolve": fockoracle.expm_evolve,
         "fockoracle.eigh_evolve": fockoracle.eigh_evolve,
         "orthopoly.recurrence": orthopoly.recurrence,
+        # the span behind specfun.self_s, and the binding the Jacobi
+        # reproducing density calls
+        "specfun.log_whittaker_w": specfun.log_whittaker_w,
+        "orthopoly.log_whittaker_w": orthopoly.log_whittaker_w,
         "fockoracle.MultiModeBasis.__init__": fockoracle.MultiModeBasis.__init__,
     }
 

@@ -143,6 +143,18 @@ def test_coeffs_at_large_labels_and_near_the_strip_edge(pd, z, mp_sigma_n):
     assert _worst_relative_error(ctx, c, z, mp_sigma_n) < 2e-14
 
 
+def test_scalar_sigma_n_at_the_peak_level_of_a_large_hermite_label(mp_sigma_n):
+    # char(38) = e^-722 is subnormal while sigma_1444(38) ~ 0.1: the scalar
+    # route must add log char to the exponent, not multiply by char(z) after
+    # an exp that overflows; its rounding is that of a log sum of size ~5e3
+    ctx = build_context(hermite_data(-1.0, 0.0, 1.0))
+    got = sigma_n(ctx, 1444, 38.0)
+    want = mp_sigma_n(ctx.pd, ctx.sm.C, 1444, 38.0)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    c = coherent_coeffs(ctx, 38.0)
+    assert abs(got - c[1444]) <= 1e-12 * abs(c[1444])
+
+
 @pytest.mark.parametrize(
     "pd, z, per_level",
     [(hermite_data(-1.0, 0.0, 1.0), 45.0, False), (laguerre_data(2.5), 3.0 + 0.2j, False),

@@ -1,11 +1,17 @@
 """Special-function scalars against the mpmath reference implementation."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import qladder
 from qladder.errors import ConvergenceError, DivergenceError, Unsupported
 from qladder.specfun import hyp1f1, hyp_pfq, ln_gamma, log_whittaker_w, whittaker_w
 
@@ -90,7 +96,7 @@ def test_ln_gamma_rejects_nonpositive_argument():
         (0.25, 0.75, 5.0),
         (-1.5, 0.5, 0.3),
         (0.25, -0.75, 5.0),   # reflection lam -> |lam|
-        (0.0, 0.5, 1e-7),     # below x = 1e-3 the Euler tail reaches t ~ 1/x
+        (0.0, 0.5, 1e-7),     # the Euler integrand's e^{-xt} cutoff sits at t ~ 1/x
         (0.35, 0.15, 1e-12),
         (-0.4, 0.6, 1e-5),
     ],
@@ -130,3 +136,92 @@ def test_whittaker_boundary_case_is_closed_form():
 def test_whittaker_unrepresentable_raises():
     with pytest.raises(Unsupported):
         whittaker_w(3.0, 0.5, 1.0)
+
+
+def _log_w_error(kappa, lam, x):
+    # error of log W against 30-digit mpmath, in units of max(1, |log W|);
+    # any RuntimeWarning (an overflowing exp) fails the case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_whittaker_w(kappa, lam, x)
+    want = float(mp.log(mp.whitw(kappa, lam, x)))
+    return abs(got - want) / max(1.0, abs(want))
+
+
+def _jacobi_box(count, seed=11):
+    # (kappa, lam, x) as Jacobi reproducing_density forms them on [-1, 1]:
+    # mu, nu in [1, 4] with mu + nu > 3, heights y in [-1, 1]
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        mu, nu, y = rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)
+        if mu + nu <= 3.0 or y == 0.0:
+            continue
+        edge, other = (nu, mu) if y > 0.0 else (mu, nu)
+        cases.append((0.5 * (edge - other), 0.5 * ((edge - 3.0) + other), 4.0 * abs(y)))
+    return cases
+
+
+def _broad_box(count, seed=12):
+    # a = lam - kappa + 1/2 log-uniform in [1e-15, 6], lam in [0, 4],
+    # x log-uniform in [5e-324, 1e3]
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        a = 10.0 ** rng.uniform(-15.0, math.log10(6.0))
+        lam = rng.uniform(0.0, 4.0)
+        x = max(5e-324, 10.0 ** rng.uniform(-323.5, 3.0))
+        cases.append((lam + 0.5 - a, lam, x))
+    return cases
+
+
+@pytest.mark.parametrize("kappa,lam,x", _jacobi_box(40))
+def test_log_whittaker_w_on_the_jacobi_reproducing_box(kappa, lam, x):
+    assert _log_w_error(kappa, lam, x) <= 1e-13
+
+
+@pytest.mark.parametrize("kappa,lam,x", _broad_box(40))
+def test_log_whittaker_w_on_a_broad_box(kappa, lam, x):
+    assert _log_w_error(kappa, lam, x) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "a,lam,x",
+    [
+        (1e-9, 0.3, 1.0),      # t^a reaches e^-60 only at t ~ e^-6e10: the grid's left end
+        (1e-9, 1.7, 1e-7),
+        (1e-15, 0.3, 2.5),
+        (1e-15, 2.0, 5e-324),
+        (0.7, 0.5, 1e-7),      # the e^{-xt} cutoff at t ~ 1/x, far out on the nodes
+        (2.3, 1.2, 5e-324),
+        (2.5, 0.5, 300.0),     # a coarser step than 1/16 loses digits near x = 300
+        (0.9, 1.4, 297.3),
+        (30.0, 5.0, 300.0),    # narrow peaks: the step is halved until the sum settles
+        (50.0, 10.0, 1e3),
+    ],
+)
+def test_log_whittaker_w_at_the_ends_of_the_node_window(a, lam, x):
+    assert _log_w_error(lam + 0.5 - a, lam, x) <= 1e-13
+
+
+def test_log_whittaker_w_names_a_trapezoid_that_does_not_settle():
+    # at x = 1e300 the peak near t = 1/x is narrower than the node spacing
+    # there even at step 1/512
+    with pytest.raises(ConvergenceError, match="trapezoid"):
+        log_whittaker_w(0.0, 0.0, 1e300)
+
+
+def test_the_library_never_imports_scipy_integrate():
+    code = (
+        "import sys\n"
+        "import qladder\n"
+        "from qladder.orthopoly import jacobi_data\n"
+        "from qladder.propagator import build_context\n"
+        "pd = jacobi_data(-1.0, 1.0, 2.5, 1.8)\n"
+        "assert pd.reproducing_density(build_context(pd), 0.3) > 0.0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'\n"
+    )
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
