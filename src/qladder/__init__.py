@@ -10,7 +10,6 @@ from .errors import (
     ConstraintViolated,
     ConvergenceError,
     CutoffOverflow,
-    DivergenceError,
     NoPseudoVacuum,
     QladderError,
     Singular,
@@ -34,7 +33,6 @@ from .propagator import (
     build_context,
     char_fn,
     evolve,
-    require_selfadjoint,
     sigma_mn,
     sigma_n,
     sigma_row,

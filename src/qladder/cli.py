@@ -25,6 +25,7 @@ import argparse
 import configparser
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -34,12 +35,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import observables as ob
+from .coherent import squared_norm
 from .errors import QladderError
 from .fockoracle import MultiModeBasis, expm_evolve, interaction_evolve, truncated_h
 from .measure import moment, normalize
 from .orthopoly import (classify, classify_ladder, hermite_data, jacobi_data, laguerre_data,
                         legendre_data)
-from .propagator import build_context, sigma_mn
+from .propagator import build_context, sigma_mn, sigma_n
 from .reduction import MultiModeSystem, beta_offsets, reduce as reduce_sector
 
 SCHEMA_VERSION = 1
@@ -256,13 +258,21 @@ class _Oracle:
         self.ctx, self.N, self.op = ctx, N, truncated_h(ctx.js, N)
 
     def start(self, state) -> np.ndarray:
-        # 1e-15 squared tail for a spectral label (other states are their
-        # exact vectors at t = 0): the alpha observables amplify a
-        # coefficient truncation of size eps into an error of order sqrt(eps).
-        c0 = ob.ladder_amplitudes(self.ctx, state, 0.0, tail=1e-15)
-        if c0.size > self.N:
-            raise CliError("truncation", f"state needs more than {self.N} oracle levels")
-        return np.pad(c0, (0, self.N - c0.size))
+        if isinstance(state, ob.SpectralCoherent):
+            # all N levels of the label: a vector stopped where its squared tail
+            # reaches rounding leaves out amplitudes of ~1e-8, which the alpha
+            # observables' derivative series amplify past the oracle tolerance
+            z = complex(state.z)
+            nrm = math.sqrt(squared_norm(self.ctx, z))
+            seq = self.ctx.pd.sigma_seq(self.ctx, z, sigma_n(self.ctx, 0, z))
+            c0 = np.fromiter(itertools.islice(seq, self.N), complex, self.N) / nrm
+            if abs(c0[-1]) <= 1e-15:
+                return c0
+        else:
+            c0 = ob._state_coeffs(state)  # its exact vector at t = 0
+            if c0.size <= self.N:
+                return np.pad(c0, (0, self.N - c0.size))
+        raise CliError("truncation", f"state needs more than {self.N} oracle levels")
 
     @cached_property
     def derivative(self) -> np.ndarray:
@@ -538,6 +548,8 @@ def _report(status: int, **doc) -> int:
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    if args.gnuplot and not args.out:
+        return _report(2, error="usage", detail="--gnuplot needs --out")
     try:
         cfg = load_config(args.config)
         float_mode = _get(cfg, "scenario", "float_format", str, "fixed17")
@@ -562,8 +574,6 @@ def main(argv=None) -> int:
             write_gnuplot(args.out, tables, args.out + ".gp")
     else:
         sys.stdout.write(payload)
-        if args.gnuplot:
-            return _report(2, error="usage", detail="--gnuplot needs --out")
 
     if any(not c["passed"] for c in checks):
         return _report(1, error="tolerance", checks=checks)

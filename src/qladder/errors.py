@@ -9,10 +9,6 @@ class ConvergenceError(QladderError):
     """A series or iteration failed to converge within its budget."""
 
 
-class DivergenceError(ConvergenceError):
-    """A series was detected to diverge for the given argument."""
-
-
 class Unsupported(QladderError):
     """The requested quantity exists but is outside the implemented range."""
 

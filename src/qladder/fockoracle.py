@@ -119,9 +119,6 @@ class MultiModeBasis:
     def __len__(self):
         return len(self.states)
 
-    def __contains__(self, occ):
-        return tuple(occ) in self.index
-
     def _code(self, occ: np.ndarray) -> np.ndarray:
         return occ @ self._radix ** np.arange(self.modes - 1, -1, -1)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, StripError, Unsupported
+from .errors import ConvergenceError, StripError
 from .measure import QuadratureRule, SpectralMeasure, gauss_rule, normalize, weighted_rows
 from .orthopoly import JacobiSystem, PearsonData, _log_row, _node_sum, recurrence, scaled_sweep
 
@@ -53,7 +53,6 @@ __all__ = [
     "sigma_mn_quad",
     "sigma_row",
     "evolve",
-    "require_selfadjoint",
 ]
 
 
@@ -447,24 +446,3 @@ def evolve(
             )
         K = min(2 * K, kcap)  # 2K + 64 = 2S - 64 stays on the grid
 
-
-def require_selfadjoint(js: JacobiSystem) -> None:
-    """Certify essential self-adjointness of an infinite ladder.
-
-    Divergence of sum 1/b(n) is sufficient; it holds whenever the couplings
-    grow at most linearly.  Superlinear growth cannot be certified by this
-    criterion and raises ``Unsupported`` rather than silently propagating a
-    possibly non-unique dynamics.
-    """
-    if js.dim != math.inf:
-        return
-    b1 = js.b(1024)
-    b2 = js.b(2048)
-    if not (b1 > 0.0 and b2 > 0.0):
-        return
-    growth = math.log(b2 / b1) / math.log(2.0)
-    if growth > 1.0 + 1e-6:
-        raise Unsupported(
-            "cannot certify essential self-adjointness: ladder couplings "
-            f"grow like n^{growth:.3g}, so sum 1/b(n) may converge"
-        )

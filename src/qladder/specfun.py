@@ -13,13 +13,11 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, Unsupported
+from .errors import ConvergenceError, Unsupported
 
 __all__ = [
     "ln_gamma",
     "hyp1f1",
-    "hyp_pfq",
-    "whittaker_w",
     "log_whittaker_w",
 ]
 
@@ -76,57 +74,6 @@ def hyp1f1(a, b, z):
     )
 
 
-def hyp_pfq(num, den, x):
-    """Generalized hypergeometric pFq(num; den; x) with divergence detection.
-
-    Standard normalization: sum_n [prod (a_i)_n / prod (b_j)_n] x^n / n!.
-    A terminating series (some a_i a nonpositive integer) stops at its first
-    zero term at the latest and skips the divergence checks.
-    Nonterminating p > q+1 is rejected, and p = q+1 requires |x| < 1.
-    1F0(a;;x) is summed in closed form, (1 - x)^(-a) on the principal branch:
-    near |x| = 1 its series needs ever more terms.
-    """
-    num = list(num)
-    den = list(den)
-    for b in den:
-        if _is_nonpositive_int(b):
-            raise ValueError(f"pFq pole: denominator parameter {b}")
-    terminating = any(_is_nonpositive_int(a) for a in num)
-    p, q = len(num), len(den)
-    if not terminating:
-        if p > q + 1:
-            raise DivergenceError(f"{p}F{q} diverges for x != 0")
-        if p == q + 1 and abs(x) >= 1.0:
-            raise DivergenceError(f"{p}F{q} requires |x| < 1, got |x| = {abs(x)}")
-    if (p, q) == (1, 0):
-        return complex(1.0 - x) ** -num[0]
-    term = 1.0 + 0.0j
-    total = term
-    growing = 0
-    for n in range(_MAX_TERMS):
-        ratio = x / (n + 1)
-        for a in num:
-            ratio *= a + n
-        for b in den:
-            ratio /= b + n
-        new = term * ratio
-        if not terminating and abs(new) > abs(term):
-            growing += 1
-            if growing > 12 and abs(new) > 1e6 * max(1.0, abs(total)):
-                raise DivergenceError(
-                    f"{p}F{q} terms growing without bound at n = {n}"
-                )
-        else:
-            growing = 0
-        term = new
-        total += term
-        if abs(term) <= _REL_TOL * abs(total):
-            return total
-    raise ConvergenceError(
-        f"{p}F{q} did not converge in {_MAX_TERMS} terms"
-    )
-
-
 def _log_hyperu(a: float, b: float, x: float) -> float:
     # log U(a, b, x) = log int_0^inf e^{-xt} t^{a-1} (1+t)^c dt - lgamma(a), c = b - a - 1
     # (DLMF 13.4.4), for a > 0, x > 0 and b >= 1, so that -c <= a.  Every term is positive.
@@ -162,11 +109,6 @@ def _log_hyperu(a: float, b: float, x: float) -> float:
     return float(m) + math.log(s) - math.lgamma(a)
 
 
-def whittaker_w(kappa: float, lam: float, x: float) -> float:
-    """Whittaker's W_{kappa,lambda}(x) for x > 0; exp of ``log_whittaker_w``."""
-    return math.exp(log_whittaker_w(kappa, lam, x))
-
-
 def log_whittaker_w(kappa: float, lam: float, x: float) -> float:
     """log of Whittaker's W_{kappa,lambda}(x) for x > 0.
 
@@ -191,7 +133,7 @@ def log_whittaker_w(kappa: float, lam: float, x: float) -> float:
     a = 0 has U = 1 exactly and is returned in closed form.
     """
     if x <= 0.0:
-        raise ValueError("whittaker_w requires x > 0")
+        raise ValueError("log_whittaker_w requires x > 0")
     lam = abs(lam)
     a = lam - kappa + 0.5
     b = 1.0 + 2.0 * lam
@@ -200,6 +142,6 @@ def log_whittaker_w(kappa: float, lam: float, x: float) -> float:
         return log_pref
     if a < 0.0:
         raise Unsupported(
-            f"whittaker_w: lambda - kappa + 1/2 = {a} < 0 outside integral route"
+            f"log_whittaker_w: lambda - kappa + 1/2 = {a} < 0 outside integral route"
         )
     return log_pref + _log_hyperu(a, b, x)

@@ -2,8 +2,10 @@
 must fail here, not only in traced benchmark runs."""
 
 import importlib.util
+import pkgutil
 from pathlib import Path
 
+import qladder
 from qladder import fockoracle, measure, orthopoly, propagator, specfun
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -40,3 +42,14 @@ def test_tracer_wraps_its_hooks_and_puts_the_originals_back():
     finally:
         tr.uninstall()
     assert [k for k, f in _hooks().items() if f is not before[k]] == []
+
+
+def test_every_exported_name_resolves():
+    # the tracer reads __all__ through getattr(mod, name, None), so a stale
+    # entry would drop a layer hook without a failure
+    stale = []
+    for info in pkgutil.iter_modules(qladder.__path__):
+        if info.name != "__main__":
+            mod = importlib.import_module(f"qladder.{info.name}")
+            stale += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert stale == []

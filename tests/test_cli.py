@@ -150,6 +150,30 @@ def test_expect_oracle_on_a_label_whose_tail_is_below_rounding(tmp_path):
     assert code == 0, err
 
 
+_SPECTRAL_ALPHA = (
+    "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = 1.6133253262458596\n\n"
+    "[state]\nkind = spectral\nz = 0.4606359959751021-0.094104506089270346j\n\n"
+    "[expect]\nobservables = alpha_dispersion, alpha_moment:1, cluster_correlation:1:1, h_expectation\n"
+    "picture = interaction\ntruncation = 400\n\n"
+    "[grid]\nt0 = 0.0\nt1 = 0.7764389376252727\nsteps = 5\n"
+)
+
+
+def test_expect_spectral_oracle_starts_from_every_level_of_the_label(tmp_path):
+    # a start vector cut where its squared tail reaches rounding leaves
+    # amplitudes of ~1e-8 out, and alpha_dispersion then misses 1e-7
+    code, out, err = run_cli(["expect", "--config", write_config(tmp_path, _SPECTRAL_ALPHA), "--oracle"])
+    assert code == 0, err
+
+
+def test_expect_spectral_oracle_reports_a_short_truncation():
+    code, out, err = run_cli(
+        ["expect", "--config", str(SCENARIOS / "spectral_expect.ini"), "--oracle", "--truncation", "20"]
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "truncation"
+
+
 _COMPLEX_TIME = (
     "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = 2.5\n\n"
     "[propagate]\npairs = 0:0, 0:1, 1:1, 2:4\nimag_t = {imag_t}\n\n"
@@ -264,6 +288,7 @@ def test_gnuplot_requires_out():
         ["spectrum", "--config", str(SCENARIOS / "hermite_spectrum.ini"), "--gnuplot"]
     )
     assert code == 2
+    assert out == ""
     assert json.loads(err)["error"] == "usage"
 
 

@@ -160,11 +160,11 @@ def test_oracle_routes_give_one_row_per_time(route):
 def test_basis_counts():
     b = MultiModeBasis(2, max_total=3)
     assert len(b) == 10  # (3+2 choose 2)
-    assert (0, 0) in b and (3, 0) in b and (2, 2) not in b
+    assert b.locate(np.array([[0, 0], [3, 0], [2, 2]])).tolist() == [0, 9, -1]
     box = MultiModeBasis(2, max_local=2)
     assert len(box) == 9
     both = MultiModeBasis(2, max_total=3, max_local=2)
-    assert len(both) == 8 and (2, 2) not in both
+    assert len(both) == 8 and both.locate(np.array([[2, 2]])).tolist() == [-1]
     with pytest.raises(ValueError):
         MultiModeBasis(2)
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from qladder import propagator
-from qladder.errors import ConvergenceError, StripError, Unsupported
+from qladder.errors import ConvergenceError, StripError
 from qladder.fockoracle import expm_evolve, truncated_h
-from qladder.orthopoly import JacobiSystem, _Laguerre, hermite_data, jacobi_data, laguerre_data
+from qladder.orthopoly import _Laguerre, hermite_data, jacobi_data, laguerre_data
 from qladder.propagator import (
     PropagatorContext,
     _rule_size,
@@ -20,7 +20,6 @@ from qladder.propagator import (
     build_context,
     char_fn,
     evolve,
-    require_selfadjoint,
     sigma_mn,
     sigma_mn_closed,
     sigma_mn_quad,
@@ -309,16 +308,6 @@ def test_jacobi_transforms_match_mpmath_where_the_series_gives_way(params, mp_or
         P = np.polynomial.Polynomial.fit(xs, table[:, n], 5)
         want = transform(30 + 0.2j, lambda x: P(float(x)))
         assert abs(sigma_n(ctx, n, 30 + 0.2j) - want) < 1e-10
-
-
-def test_selfadjointness_certificate():
-    js_lin = JacobiSystem(b=lambda n: float(n), h=lambda n: 0.0)
-    require_selfadjoint(js_lin)  # linear growth: fine
-    js_fast = JacobiSystem(b=lambda n: float(n) ** 1.6, h=lambda n: 0.0)
-    with pytest.raises(Unsupported):
-        require_selfadjoint(js_fast)
-    finite = JacobiSystem(b=lambda n: 1.0, h=lambda n: 0.0, dim=5)
-    require_selfadjoint(finite)  # finite matrices are always fine
 
 
 def test_warm_evolve_makes_no_complex_copy_of_the_poly_matrix():

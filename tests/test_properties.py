@@ -21,6 +21,7 @@ from qladder.propagator import (
     _weighted_poly_matrix,
     build_context,
     char_fn,
+    evolve,
     sigma_mn_closed,
     sigma_mn_quad,
     sigma_n,
@@ -93,6 +94,25 @@ def test_sigma_row_time_reversal(pd, t, n, kmax):
     fwd = sigma_row(ctx, n, t, kmax)
     back = sigma_row(ctx, n, -t, kmax)
     assert np.abs(back - np.conj(fwd)).max() < 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(pd=FAMILIES, t=TIMES, m=st.integers(0, 20), n=st.integers(0, 20), extra=st.integers(0, 30))
+def test_sigma_row_index_symmetry(pd, t, m, n, extra):
+    # sigma_mn = sigma_nm (real polynomials); the two rows take rules sized
+    # for different packets, so the two sums really differ
+    ctx = build_context(pd)
+    kmax = max(m, n) + extra
+    assert abs(sigma_row(ctx, m, t, kmax)[n] - sigma_row(ctx, n, t, kmax)[m]) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(pd=FAMILIES, t=TIMES, size=st.integers(1, 31), seed=st.integers(0, 2**32 - 1))
+def test_evolve_is_unitary(pd, t, size, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    out = evolve(build_context(pd), c / np.linalg.norm(c), t)
+    assert abs(1.0 - float(np.vdot(out, out).real)) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
