@@ -179,7 +179,8 @@ def holomorphic_transform(
     """
     z = _require_label(ctx, z)
     if callable(state):
-        nodes, logw = ctx.rule(_TRANSFORM_NODES)
+        xh, logw = ctx.rule(_TRANSFORM_NODES)
+        nodes = ctx.nodes(xh)
         vals = np.conj(np.asarray(state(nodes), dtype=complex))
         M, V = _node_sum(logw + z.imag * nodes, vals, nodes, z.real)
         return math.exp(M) * V

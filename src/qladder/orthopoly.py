@@ -73,6 +73,8 @@ class PearsonData:
     ``ctx`` read ``ctx.sm.C`` and ``ctx.rule(N)`` of a PropagatorContext.
     ``strip_edge`` is the upper edge of the coherent-label strip,
     and ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form.
+    ``shape()`` gives (key, h0, s): the ladder is h0 + s times that of
+    ``canonical()``, the pair of the key in canonical gauge, so nodes map as h0 + s x^.
     """
 
     a0: float
@@ -257,6 +259,12 @@ class _Hermite(_ClosedRatio, PearsonData):
     def ladder_h(self, n):
         return np.full(np.shape(n), -self.a0 / self.a1)[()]
 
+    def shape(self) -> tuple:
+        return ("hermite", ()), -self.a0 / self.a1, math.sqrt(-self.b0 / self.a1)
+
+    def canonical(self) -> PearsonData:
+        return hermite_data(-1.0, 0.0, 1.0)
+
     def log_mass(self) -> float:
         return -self.a0**2 / (2.0 * self.a1 * self.b0) + 0.5 * math.log(
             2.0 * math.pi * self.b0 / (-self.a1)
@@ -356,6 +364,12 @@ class _Laguerre(_ClosedRatio, PearsonData):
     def ladder_h(self, n):
         s = -self.b1 / self.a1
         return s * (2.0 * n + self.mu) - self.beta
+
+    def shape(self) -> tuple:
+        return ("laguerre", (self.mu,)), -self.beta, -self.b1 / self.a1
+
+    def canonical(self) -> PearsonData:
+        return laguerre_data(self.mu)  # a1 = -1, b1 = 1, b0 = 0: its mu is a0, exactly
 
     def log_mass(self) -> float:
         return self.gamma * self.beta + ln_gamma(self.mu) - self.mu * math.log(self.gamma)
@@ -513,6 +527,15 @@ class _Jacobi(PearsonData):
             # the mean of the Beta-type weight
             return np.where(n == 0, a + (bb - a) * mu / s, num / ((s + n2 - 2.0) * (s + n2)))[()]
 
+    def shape(self) -> tuple:
+        a, b = self.support
+        return ("jacobi", (self.mu, self.nu)), 0.5 * (a + b), 0.5 * (b - a)
+
+    def canonical(self) -> PearsonData:
+        pd = jacobi_data(-1.0, 1.0, self.mu, self.nu)
+        pd.__dict__.update(mu=self.mu, nu=self.nu)  # the key's exponents, not their re-derivation
+        return pd
+
     def log_mass(self) -> float:
         a, b = self.support
         mu, nu = self.mu, self.nu
@@ -566,14 +589,16 @@ class _Jacobi(PearsonData):
             return L, F * cmath.exp(-1j * a * z)
         # oscillatory regime: quadrature in the base measure with the index
         # shift carried as a polynomial factor, assembled per node in logs
+        # on the canonical nodes x^ of (-1, 1): (x - a) / hw = 1 + x^, (b - x) / hw = 1 - x^
         N = 64 + int(2.0 * abs(w)) + dmu + dnu
-        nodes, logw = ctx.rule(N)
+        xh, logw = ctx.rule(N)
+        nodes = ctx.nodes(xh)
         hw = 0.5 * (b - a)
         logs = logw + z.imag * nodes
         if dmu:
-            logs = logs + dmu * np.log((nodes - a) / hw)
+            logs = logs + dmu * np.log(1.0 + xh)
         if dnu:
-            logs = logs + dnu * np.log((b - nodes) / hw)
+            logs = logs + dnu * np.log(1.0 - xh)
         M, V = _node_sum(logs, 1.0, nodes, z.real)
         return M + (dmu + dnu) * math.log(hw), V
 

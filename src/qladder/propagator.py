@@ -35,6 +35,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +77,9 @@ class PropagatorContext:
     """Bundle of spectral data for one classified Pearson pair.
 
     ``sm`` is probability normalized; all sigma coefficients below refer to
-    the orthonormal polynomial system of that unit-mass measure.
+    the orthonormal polynomial system of that unit-mass measure.  Gauss rules
+    belong to the ladder shape ``shape`` of ``pd.shape()``, and ``nodes`` maps
+    theirs to the pair's by ``affine`` = (h0, s), None for the identity.
     """
 
     pd: PearsonData
@@ -84,26 +87,40 @@ class PropagatorContext:
     js: JacobiSystem
     strip: StripDomain
 
-    def rule(self, N: int, rows: int = 0):
-        """Gauss nodes and log-weights of the ``_rule_size(N)`` point rule (cached).
+    def __post_init__(self):
+        key, h0, s = self.pd.shape()
+        self.__dict__.update(shape=key, affine=None if (h0, s) == (0.0, 1.0) else (h0, s))
 
-        With ``rows`` = R > 0 it returns (nodes, log-weights, Q), Q the
-        uncached weighted rows sqrt(w_i) P_k(omega_i), k < R: from the sweep
-        that builds a cold rule, or one sweep over a cached rule's nodes.
+    @cached_property
+    def base(self) -> PropagatorContext:
+        """The context of ``pd.canonical()``: every rule of ``shape`` comes from its ladder."""
+        return build_context(self.pd.canonical())
+
+    def nodes(self, xh: np.ndarray) -> np.ndarray:
+        """The pair's nodes h0 + s x^ of canonical nodes x^ (``xh`` itself under the identity)."""
+        return xh if self.affine is None else self.affine[0] + self.affine[1] * xh
+
+    def rule(self, N: int, rows: int = 0):
+        """Canonical nodes x^ and log-weights of the shape's ``_rule_size(N)`` point rule (cached).
+
+        The pair's nodes are ``nodes(x^)`` with the same weights.  With ``rows``
+        = R > 0 it returns (x^, log-weights, Q), Q the uncached weighted rows
+        sqrt(w_i) P_k, k < R: from the sweep that builds a cold rule, or one
+        sweep of the canonical ladder over a cached rule's nodes.
         """
         N = _rule_size(N)
-        rule = _RULES.get((self.pd, self.sm.C, N))
+        rule = _RULES.get(self.shape + (N,))
         if rule is None:
             rule = self._build(N, rows)
         if not rows:
             return rule.nodes, rule.log_weights
-        Q = weighted_rows(self.sm, rule, rows) if rule.rows is None else rule.rows
+        Q = weighted_rows(self.base.sm, rule, rows) if rule.rows is None else rule.rows
         return rule.nodes, rule.log_weights, Q
 
     def _build(self, N: int, *rows) -> QuadratureRule:
-        """``gauss_rule(sm, N, *rows)``, kept in _RULES without the rows its sweep wrote."""
-        rule = gauss_rule(self.sm, N, *rows)
-        _RULES.put((self.pd, self.sm.C, N), replace(rule, rows=None, log_rows=None))
+        """``gauss_rule`` of the canonical measure, kept in _RULES without the rows its sweep wrote."""
+        rule = gauss_rule(self.base.sm, N, *rows)
+        _RULES.put(self.shape + (N,), replace(rule, rows=None, log_rows=None))
         return rule
 
 
@@ -217,28 +234,20 @@ def _nbytes(val) -> int:
     return getattr(val, "nbytes", 0)
 
 
-# A rule holds 24 B per node (nodes, log-weights, weights).  evolve at its
-# default max_dim asks for at most 8,256 nodes (198 kB) and sigma_mn_quad's
-# default for at most 6,144; sigma_row and the Jacobi shifted transforms size
-# their rules from n and |z| without a cap, so _RULES keeps 128 rules within
-# 4 MiB, and a larger rule is used uncached.  A pass over the scenarios stream
-# holds 68-77 rules of at most 384 nodes, 0.26-0.31 MiB (seeds 3, 7, 11); the
-# sweep stream fills the 128 slots with 0.55 MiB (seed 7).  Only
-# evolve fills _QMATS, with the (S - 63) x S matrix of an S-node rule: 25 kB
-# at its smallest rule, S = 96, about 540 MB at its largest default one,
-# S = 8,256 (not kept).  A new matrix waits in 12 probation slots and is kept
-# when read again, so a request builds each matrix once (`qladder propagate
-# --config scenarios/laguerre_propagate.ini` builds 8).  Measured on the bench
-# streams: a pass over the scenarios stream (seed 7) makes 2,260 lookups and
-# 68 builds, a second none; the sweep stream (seed 1) makes 2,338 lookups of
-# as many keys and holds only its last 12 matrices (2.1 MB).
+# Rules and their polynomial matrices are keyed shape + (N,): the pairs of
+# one ladder shape share them.  A rule holds 24 B per node, and sigma_row
+# and the Jacobi shifted transforms size theirs without a cap, so _RULES
+# keeps 128 rules within 4 MiB; a larger rule is used uncached.  Only evolve
+# fills _QMATS, with the (N - 63) x N matrix of an N-node rule.  A new matrix
+# waits in 12 probation slots and is kept when read again, so a request
+# builds each matrix once and one-off shapes leave after 12 newer ones.
 _RULES = _LRU(128, 4 * 2**20)
 _QMATS_BYTES = 256 * 2**20
 _QMATS = _LRU(4096, _QMATS_BYTES, probation=12)
 
 
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
-    """Rows Q_k(omega_i) = sqrt(w_i) P_k(omega_i), k = 0..nmax, on ``ctx.rule(N)``.
+    """The pair's nodes omega_i and rows sqrt(w_i) P_k(omega_i), k = 0..nmax, of ``ctx.rule(N)``.
 
     A rule of S nodes has one cached matrix, rows 0..S - 64, and every
     caller (``evolve``, which reads them all) gets a slice of it; nmax >
@@ -248,9 +257,8 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     N = _rule_size(N)
     if nmax > N - 64:
         raise ValueError(f"a {N}-node rule carries rows 0..{N - 64}, not {nmax}")
-    Q = _QMATS.get_or_build((ctx.pd, ctx.sm.C, N), lambda: ctx.rule(N, N - 63)[2])
-    nodes, _ = ctx.rule(N)
-    return nodes, Q[: nmax + 1]
+    Q = _QMATS.get_or_build(ctx.shape + (N,), lambda: ctx.rule(N, N - 63)[2])
+    return ctx.nodes(ctx.rule(N)[0]), Q[: nmax + 1]
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -324,25 +332,19 @@ def sigma_mn_quad(
 ) -> complex:
     """sigma_mn by Gauss quadrature in the spectral measure.
 
-    The sum is assembled per node in log space: for complex z the integrand
-    grows against the measure, so far nodes (whose sqrt-weights underflow in
-    the weighted rows of ``sigma_row``) can carry the entire mass.  For real
-    arguments the error is a few 1e-14 (up to 1e-13 on Laguerre(0.8)).  On
-    Laguerre pairs the oscillatory sum grows ill conditioned with Im z and
-    the degree.  Measured against exact values on Laguerre(2.5) and
-    Laguerre(0.8) at Re z = 1 and 5, as absolute errors: up to (m, n) =
-    (10, 12) they stay below 1e-11 for Im z up to 0.3 of the strip edge.
-    At (40, 41) they reach 1e-12 at 0.05 of the edge, 5e-11 at 0.1 and
-    7e-5 to 6e-4 at 0.3: at z = 5 + 0.15i on Laguerre(2.5), 6e-4 of
-    |sigma| = 0.053, so 2 digits are left.  Near the transform
-    boundary only the closed form remains meaningful (``sigma_mn`` routes
-    there above 0.9 of the edge).
+    The sum is assembled per node in log space, so far nodes, whose
+    sqrt-weights underflow, still carry the mass of an integrand that grows
+    against the measure at complex z.  For real z the error is a few 1e-14;
+    on Laguerre pairs the sum grows ill conditioned with Im z and the degree
+    (2 digits are left at (40, 41) and 0.3 of the strip edge), and
+    ``sigma_mn`` routes to the closed form above 0.9 of the edge.
 
     The rule has N nodes rounded to the nearest multiple of 32: N defaults
     to m + n + 96 plus the family's spread at |z|, and an explicit ``N`` is
-    rounded onto the same grid.  A cold rule gives the rows P_m, P_n in log
-    form from the sweep that builds it, a cached one from one sweep to
-    max(m, n) over its nodes: the same rows, bit for bit.
+    rounded onto the same grid.  The rows P_m, P_n come in log form from
+    the canonical ladder over the canonical nodes: from the sweep that
+    builds a cold rule, or one sweep to max(m, n) over a cached one, the
+    same rows bit for bit.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -353,15 +355,16 @@ def sigma_mn_quad(
         N = min(N, 6144)
     N = _rule_size(N)
     rows = None  # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
-    if max(m, n) < N and _RULES.get((ctx.pd, ctx.sm.C, N)) is None:
+    if max(m, n) < N and _RULES.get(ctx.shape + (N,)) is None:
         rows = ctx._build(N, 0, (m, n)).log_rows  # ctx.rule then hits, unless past _RULES' bytes
-    nodes, logw = ctx.rule(N)
+    xh, logw = ctx.rule(N)
     if rows is None:  # a cached rule: one sweep to max(m, n) over its nodes
-        rows, s = {}, np.zeros_like(nodes)
-        for k, u, _ in scaled_sweep(*ctx.js.arrays(max(m, n)), nodes, s):
+        rows, s = {}, np.zeros_like(xh)
+        for k, u, _ in scaled_sweep(*ctx.base.js.arrays(max(m, n)), xh, s):
             if k in (m, n):
                 rows[k] = _log_row(u, s)
     (lam, sm_), (lan, sn_) = rows[m], rows[n]
+    nodes = ctx.nodes(xh)
     M, V = _node_sum(logw + lam + lan + z.imag * nodes, sm_ * sn_, nodes, z.real)
     return V * math.exp(M)
 
@@ -389,8 +392,8 @@ def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray
     if n < 0 or kmax < 0:
         raise ValueError("indices must be nonnegative")
     t = float(t)
-    nodes, _, Q = ctx.rule(_packet_rule(ctx, n, t, max(n, kmax), max(n, kmax) + 64), max(n, kmax) + 1)
-    f = np.exp(-1j * t * nodes) * Q[n]
+    xh, _, Q = ctx.rule(_packet_rule(ctx, n, t, max(n, kmax), max(n, kmax) + 64), max(n, kmax) + 1)
+    f = np.exp(-1j * t * ctx.nodes(xh)) * Q[n]
     return _real_matvec(Q[: kmax + 1], f)
 
 

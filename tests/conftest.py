@@ -27,7 +27,7 @@ def family_ctx(family_name):
 
 @pytest.fixture
 def qmat_builds(monkeypatch):
-    """Keys (pd, C, nodes) of the polynomial matrices built during the test.
+    """Keys (family, shape parameters, nodes) of the polynomial matrices built during the test.
 
     The test runs on an empty matrix cache with the production slots, byte
     budget and probation, so what it builds is dropped afterwards.  Builds

@@ -93,12 +93,13 @@ def test_vacuum_moments_take_the_coherent_route():
 
 def test_number_amplitudes_share_one_poly_matrix_per_rule(qmat_builds):
     # the CLI propagates rows m = 0..4 in turn; at one t they land on one
-    # rule, whose single matrix carries the rows every one of them keeps
+    # rule, whose single matrix carries the rows every one of them keeps;
+    # matrices are keyed by the ladder shape, then the rule size
     ctxs = [build_context(laguerre_data(2.5)), HCTX]
     for ctx in ctxs:
         for n in range(5):
             ladder_amplitudes(ctx, Number(n), 1.0)
-    assert [key[0] for key in qmat_builds] == [ctx.pd for ctx in ctxs]
+    assert [key[:2] for key in qmat_builds] == [ctx.shape for ctx in ctxs]
 
 
 def test_large_glauber_label_has_unit_norm():

@@ -227,6 +227,64 @@ def test_cold_sigma_row_builds_only_the_rows_it_reads(qmat_builds):
     assert nodes.size > 4000 and peak < 8 * 16 * nodes.nbytes
 
 
+def _direct_values(ctx, t, c, row_rule, out_size):
+    """sigma_mn_quad(5, 8, t, N=160), sigma_row(2, t, 40) and evolve(c, t) of an
+    ``out_size``-level output, by the library's operations on rules that
+    ``measure.gauss_rule(ctx.sm, N)`` builds for the pair itself."""
+    from qladder.measure import gauss_rule
+    from qladder.orthopoly import _node_sum
+
+    z = complex(t)
+    rule = gauss_rule(ctx.sm, 160, 0, (5, 8))
+    (la, sa), (lb, sb) = rule.log_rows[5], rule.log_rows[8]
+    M, V = _node_sum(rule.log_weights + la + lb + z.imag * rule.nodes, sa * sb, rule.nodes, z.real)
+    rule = gauss_rule(ctx.sm, row_rule, 41)
+    row = propagator._real_matvec(rule.rows, np.exp(-1j * t * rule.nodes) * rule.rows[2])
+    rule = gauss_rule(ctx.sm, out_size + 63, out_size)
+    Q = rule.rows
+    out = propagator._real_matvec(Q, np.exp(-1j * t * rule.nodes) * propagator._real_matvec(Q[: c.size].T, c))
+    return np.array([V * math.exp(M)]), row, out
+
+
+def test_pairs_of_one_shape_share_one_rule(monkeypatch):
+    # every Hermite pair is an affine image of the one oscillator ladder: five
+    # pairs at one t build each rule size once, and their values are those of
+    # rules built for each pair itself, up to the rounding the map adds to
+    # each node; pairs in canonical gauge, mapped by the identity, give the
+    # values of their own rules bit for bit
+    from qladder import measure
+
+    built = []
+
+    def counted(sm, N, *rows):
+        built.append(N)
+        return measure.gauss_rule(sm, N, *rows)
+
+    monkeypatch.setattr(propagator, "gauss_rule", counted)
+    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
+    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(12, propagator._QMATS_BYTES))
+    t, c = 1.3, np.array([0.6, 0.8j, 0.0])
+
+    def check(pd, rel):
+        ctx = build_context(pd)
+        row_rule = propagator._packet_rule(ctx, 2, t, 40, 104)  # sigma_row's rule size
+        got = (np.array([sigma_mn_quad(ctx, 5, 8, t, N=160)]), sigma_row(ctx, 2, t, 40), evolve(ctx, c, t))
+        want = _direct_values(ctx, t, c, row_rule, got[2].size)
+        for g, w in zip(got, want, strict=True):
+            if rel:
+                assert g.shape == w.shape and np.abs(g - w).max() <= rel * np.abs(w).max()
+            else:
+                np.testing.assert_array_equal(g, w)
+        return {160, row_rule, got[2].size + 63}
+
+    used = set()
+    for a1, a0, b0 in ((-1.0, 0.0, 1.0), (-2.0, 0.0, 2.0), (-3.0, 1.5, 3.0), (-2.0, 0.7, 1.0), (-0.5, -0.4, 2.0)):
+        used |= check(hermite_data(a1, a0, b0), 1e-13)
+    assert sorted(built) == sorted(used) and len(used) < 3 * 5
+    for pd in (laguerre_data(2.5), jacobi_data(-1.0, 1.0, 2.0, 1.5)):
+        check(pd, 0)
+
+
 def test_hermite_rule_size_is_gauge_free():
     # (a1, b0) and lambda * (a1, b0) give the same measure and ladder
     # (variance -b0/a1 = 8), so the same row; at t = 5 its packet lies past
@@ -525,7 +583,7 @@ def test_the_rule_cache_keeps_its_rules_within_its_byte_budget(monkeypatch):
     ctx.rule(sizes[-1])  # the newest is kept
     assert built == []
     huge = _rule_size(budget // 24 + 64)
-    assert ctx.rule(huge)[0].size == huge and rules.get((ctx.pd, ctx.sm.C, huge)) is None
+    assert ctx.rule(huge)[0].size == huge and rules.get(ctx.shape + (huge,)) is None
     assert built == [huge] and rules.nbytes <= budget
 
 
@@ -638,6 +696,7 @@ def test_first_rules_come_from_the_packet_law_and_are_never_larger(qmat_builds, 
         return out
 
     monkeypatch.setattr(PropagatorContext, "rule", recorded)
+    q = propagator._QMATS
     rng = np.random.default_rng(16)
     draw = {
         "hermite": (lambda: hermite_data(rng.uniform(-3, -1), 0.0, rng.uniform(0.5, 2)), 3.0),
@@ -660,7 +719,8 @@ def test_first_rules_come_from_the_packet_law_and_are_never_larger(qmat_builds, 
             size = rng.integers(2, 5)
             c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
         c = c / np.linalg.norm(c)
-        qmat_builds.clear()
+        qmat_builds.clear()  # Hermite pairs share matrices: each case starts empty, still recording
+        monkeypatch.setattr(propagator, "_QMATS", type(propagator._QMATS)(q.slots, q.max_bytes, q.probation))
         evolve(ctx, c, t, tail=1e-13)
         cases, single = cases + 1, single + (len(qmat_builds) == 1)
         first.append(qmat_builds[0][2])
