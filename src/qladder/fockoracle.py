@@ -50,9 +50,8 @@ __all__ = [
     "state_norm",
 ]
 
-# Ladder blocks (keyed by the bytes of diag and off) and multi-mode blocks.  A
-# pass over the bench scenarios stream (seed 7) keeps 47 ladders of 200 and 400
-# levels and 4 amplifiers, 38.3 MB: 32 MiB would thrash, 64 MiB holds them all.
+# Ladder blocks (keyed by the bytes of diag and off) and multi-mode blocks,
+# the most recently used within 64 slots and 64 MiB.
 _BLOCKS = _LRU(64, 64 * 2**20)
 
 

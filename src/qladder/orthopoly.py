@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
@@ -37,7 +38,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import Unsupported
-from .specfun import hyp1f1, ln_gamma, log_whittaker_w
+from .specfun import hyp1f1, hyp1f1_row, ln_gamma, log_whittaker_w
 
 __all__ = [
     "PearsonData",
@@ -139,18 +140,26 @@ class JacobiSystem:
         return b[:n + 1].copy(), h[:n + 1].copy()
 
 
-def _sum_exp(logs) -> complex:
-    """sum_k exp(L_k) for complex exponents, normalized by the largest.
+def _products(ratios) -> list:
+    """1, r_0, r_0 r_1, ...: the terms of a sum from their exact ratios, with no log round trip."""
+    return [*itertools.accumulate(ratios, operator.mul, initial=1.0)]
 
+
+def _ratio_sum(L: complex, ratios: list) -> complex:
+    """sum_j T_j, T_0 = e^L and T_{j+1} = T_j ratios_j, normalized by the largest |T_j|.
+
+    |ratios_j| must fall with j; where the last exceeds 1 the terms are built down from the last one.
     Warns when the alternating sum cancels away more than ~13 digits, since
     the returned value then carries almost no significant figures.
     """
-    m = max((L.real for L in logs), default=-math.inf)
-    if m == -math.inf:
-        return 0j
-    acc = sum(cmath.exp(L - m) for L in logs)
-    _warn_cancellation(abs(acc), m)
-    return acc * math.exp(m)
+    if ratios and abs(ratios[-1]) > 1.0:
+        L += sum(map(cmath.log, ratios))
+        ratios = [1.0 / q for q in reversed(ratios)]
+    t = _products(ratios)
+    peak = max(map(abs, t))
+    acc = sum(t) / peak
+    _warn_cancellation(abs(acc), L.real + math.log(peak))
+    return acc * cmath.exp(L + math.log(peak))
 
 
 def _node_sum(logs: np.ndarray, f, nodes: np.ndarray, x: float) -> tuple[float, complex]:
@@ -307,26 +316,10 @@ class _Hermite(_ClosedRatio, PearsonData):
         return cmath.exp(lc + n * cmath.log(-1j * self.b0 * z) + self._log_char(z))
 
     def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
-        C = ctx.sm.C
-        base = (
-            rodrigues_log_norm(self, m, C)
-            + rodrigues_log_norm(self, n, C)
-            + ln_gamma(m + 1.0)
-            + ln_gamma(n + 1.0)
-            + (m + n) * math.log(self.b0)
-        )
-        lr = math.log(-self.a1 / self.b0)
-        lz = cmath.log(-1j * z)
-        logs = [
-            base
-            + j * lr
-            - ln_gamma(j + 1.0)
-            - ln_gamma(m - j + 1.0)
-            - ln_gamma(n - j + 1.0)
-            + (m + n - 2 * j) * lz
-            for j in range(m + 1)
-        ]
-        return _sum_exp(logs) * self.char(ctx, z)
+        # T_0 = c_m c_n (b0 u)^{m+n} and T_{j+1} / T_j = r (m - j)(n - j) / ((j + 1) u^2), j < m <= n
+        C, r, u = ctx.sm.C, -self.a1 / self.b0, -1j * z
+        L = rodrigues_log_norm(self, m, C) + rodrigues_log_norm(self, n, C) + (m + n) * cmath.log(self.b0 * u)
+        return _ratio_sum(L, [r * (m - j) * (n - j) / ((j + 1) * u * u) for j in range(m)]) * self.char(ctx, z)
 
     def closed_number_moment(self, w: complex, l: int) -> float:
         # Poisson law with intensity xi = (-b0/a1)|w|^2: factorial moments xi^k
@@ -423,32 +416,12 @@ class _Laguerre(_ClosedRatio, PearsonData):
         return cmath.exp(expo + self._log_char(z))
 
     def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
-        mu = self.mu
-        C = ctx.sm.C
-        s = 1j * z / self.gamma
-        base = (
-            rodrigues_log_norm(self, m, C)
-            + rodrigues_log_norm(self, n, C)
-            + (m + n) * math.log(self.b1)
-            + ln_gamma(mu + m)
-            + ln_gamma(mu + n)
-            - 2.0 * ln_gamma(mu)
-            - (m + n) * cmath.log(1.0 + s)
-        )
-        ls = cmath.log(s)
-        logs = [
-            base
-            + ln_gamma(m + 1.0)
-            - ln_gamma(m - k + 1.0)
-            + ln_gamma(n + 1.0)
-            - ln_gamma(n - k + 1.0)
-            - (ln_gamma(mu + k) - ln_gamma(mu))
-            - ln_gamma(k + 1.0)
-            + (m + n - 2 * k) * ls
-            for k in range(m + 1)
-        ]
-        sign = -1.0 if (m + n) % 2 else 1.0
-        return sign * _sum_exp(logs) * self.char(ctx, z)
+        # T_0 = c_m c_n (mu)_m (mu)_n (-b1 s / (1 + s))^{m+n} and T_{k+1} / T_k = (m - k)(n - k) / ((mu + k)(k + 1) s^2),
+        # k < m <= n, s = iz / gamma
+        mu, C, s = self.mu, ctx.sm.C, 1j * z / self.gamma
+        L = (rodrigues_log_norm(self, m, C) + rodrigues_log_norm(self, n, C) + ln_gamma(mu + m) + ln_gamma(mu + n)
+             - 2.0 * ln_gamma(mu) + (m + n) * cmath.log(-self.b1 * s / (1.0 + s)))
+        return _ratio_sum(L, [(m - k) * (n - k) / ((mu + k) * (k + 1) * s * s) for k in range(m)]) * self.char(ctx, z)
 
     def closed_number_moment(self, w: complex, l: int) -> float:
         # negative binomial law (mu, q = |w|^2 / |w - i gamma|^2): factorial moments (mu)_k (q/(1-q))^k
@@ -479,6 +452,11 @@ class _Laguerre(_ClosedRatio, PearsonData):
 
     def omega_density(self, y: float) -> float:
         return -2.0 * self.mu / (self.gamma - 2.0 * y) ** 2
+
+
+# |w| = (b - a)|z| up to which the Jacobi transforms sum their confluent series; past it
+# the series' terms cancel (sigma_n lost 4e-10 at |w| = 20) and a Gauss rule takes over
+_SERIES_W = 12.0
 
 
 @dataclass(frozen=True)
@@ -566,41 +544,52 @@ class _Jacobi(PearsonData):
         L, V = self._shifted(ctx, z, 0, 0)
         return math.exp(L) * V
 
-    def _shifted(self, ctx, z: complex, dmu: int, dnu: int):
-        """Transform of the weight with indices raised to mu+dmu, nu+dnu.
+    def _beta_log(self, ctx, mup: float, nup: float) -> float:
+        """log of C times the mass (b - a)^{mup+nup-1} B(mup, nup) of the weight with indices mup, nup."""
+        a, b = self.support
+        return (math.log(ctx.sm.C) + (mup + nup - 1.0) * math.log(b - a)
+                + ln_gamma(mup) + ln_gamma(nup) - ln_gamma(mup + nup))
 
-        Returns ``(L, V)`` with the value equal to exp(L) * V; keeping the
-        positive magnitude in log form lets callers combine it with Rodrigues
+    def _shifted(self, ctx, z: complex, dmu: int, dnu: int):
+        """Transform of the weight with indices raised to mu+dmu, nu+dnu: ``(L, V)``, the value
+        exp(L) * V; row 0 of ``_shifted_row``, by the scalar series where that applies."""
+        a, b = self.support
+        mup, nup = self.mu + dmu, self.nu + dnu
+        w = -1j * (b - a) * z
+        if abs(w) <= _SERIES_W:
+            return self._beta_log(ctx, mup, nup), hyp1f1(mup, mup + nup, w) * cmath.exp(-1j * a * z)
+        L, _, V = self._shifted_row(ctx, z, dmu, dnu, 1)
+        return L, complex(V[0])
+
+    def _shifted_row(self, ctx, z: complex, dmu: int, dnu: int, rows: int):
+        """Transforms of the weight with indices raised to mu+dmu+i, nu+dnu-i, i < ``rows``.
+
+        Returns ``(L, g, V)`` with the values exp(L) * g_i * V_i: g_0 = 1 and
+        g > 0 the magnitudes relative to row 0, from their exact ratios on the
+        series.  Keeping L in log form lets callers combine it with Rodrigues
         normalizations of arbitrary order without overflow.
         """
         a, b = self.support
         mup, nup = self.mu + dmu, self.nu + dnu
         w = -1j * (b - a) * z
-        if abs(w) <= 12.0 + dmu + dnu:
-            # confluent series: int_0^1 e^{su} u^{m-1} (1-u)^{n-1} du
-            L = (
-                math.log(ctx.sm.C)
-                + (mup + nup - 1.0) * math.log(b - a)
-                + ln_gamma(mup)
-                + ln_gamma(nup)
-                - ln_gamma(mup + nup)
-            )
-            F = hyp1f1(mup, mup + nup, w)
-            return L, F * cmath.exp(-1j * a * z)
+        if abs(w) <= _SERIES_W:
+            # confluent series: int_0^1 e^{su} u^{m-1} (1-u)^{n-1} du, one Kummer row over i
+            g = np.array(_products([(mup + i) / (nup - i - 1.0) for i in range(rows - 1)]))
+            F = hyp1f1_row(mup + np.arange(rows), mup + nup, w)
+            return self._beta_log(ctx, mup, nup), g, F * cmath.exp(-1j * a * z)
         # oscillatory regime: quadrature in the base measure with the index
-        # shift carried as a polynomial factor, assembled per node in logs
-        # on the canonical nodes x^ of (-1, 1): (x - a) / hw = 1 + x^, (b - x) / hw = 1 - x^
+        # shift carried as a polynomial factor, one log-sum per row over the
+        # canonical nodes x^ of (-1, 1): (x - a) / hw = 1 + x^, (b - x) / hw = 1 - x^
         N = 64 + int(2.0 * abs(w)) + dmu + dnu
         xh, logw = ctx.rule(N)
         nodes = ctx.nodes(xh)
-        hw = 0.5 * (b - a)
-        logs = logw + z.imag * nodes
-        if dmu:
-            logs = logs + dmu * np.log(1.0 + xh)
-        if dnu:
-            logs = logs + dnu * np.log(1.0 - xh)
-        M, V = _node_sum(logs, 1.0, nodes, z.real)
-        return M + (dmu + dnu) * math.log(hw), V
+        logs = (logw + z.imag * nodes)[None]
+        if dmu + dnu:
+            i = np.arange(rows)[:, None]
+            logs = logs + (dmu + i) * np.log(1.0 + xh) + (dnu - i) * np.log(1.0 - xh)
+        M = logs.max(axis=1)
+        V = np.sum(np.exp(logs - M[:, None]) * np.exp(-1j * z.real * nodes), axis=1)
+        return M[0] + (dmu + dnu) * math.log(0.5 * (b - a)), np.exp(M - M[0]), V
 
     def sigma_n(self, ctx, n: int, z: complex) -> complex:
         lc = rodrigues_log_norm(self, n, ctx.sm.C)
@@ -609,52 +598,21 @@ class _Jacobi(PearsonData):
         return cmath.exp(expo) * V
 
     def sigma_mn_closed(self, ctx, m: int, n: int, z: complex) -> complex:
-        # double Leibniz expansion over shifted weight transforms; the
-        # transform depends on k + l only, so m + n + 1 of them are evaluated
-        mu, nu = self.mu, self.nu
-        C = ctx.sm.C
-        pre = (
-            rodrigues_log_norm(self, m, C)
-            + rodrigues_log_norm(self, n, C)
-            + (m + n) * math.log(self.b2_factored)
-        )
-        entries = []
-        shifted = {}
-        # (lgl, gl) of each l: binomial and Pochhammer logs that do not depend on k
-        lterms = [
-            (
-                ln_gamma(n + 1.0) - ln_gamma(l + 1.0) - ln_gamma(n - l + 1.0),
-                ln_gamma(mu + n)
-                - ln_gamma(mu + l)
-                + ln_gamma(nu + n)
-                - ln_gamma(nu + n - l),
-            )
-            for l in range(n + 1)
-        ]
-        for k in range(m + 1):
-            lgk = ln_gamma(m + 1.0) - ln_gamma(k + 1.0) - ln_gamma(m - k + 1.0)
-            gk = (
-                ln_gamma(mu + m)
-                - ln_gamma(mu + k)
-                + ln_gamma(nu + m)
-                - ln_gamma(nu + m - k)
-            )
-            for l, (lgl, gl) in enumerate(lterms):
-                j = k + l
-                if j not in shifted:
-                    shifted[j] = self._shifted(ctx, z, j, m + n - j)
-                L, V = shifted[j]
-                if V == 0:
-                    continue
-                sign = -1.0 if j % 2 else 1.0
-                entries.append((pre + lgk + gk + lgl + gl + L, sign * V))
-        if not entries:
-            return 0j
-        M = max(L for L, _ in entries)
-        acc = sum(V * math.exp(L - M) for L, V in entries)
-        _warn_cancellation(abs(acc) / max(abs(V) for _, V in entries), M)
-        sign = -1.0 if (m + n) % 2 else 1.0
-        return sign * acc * math.exp(M)
+        # double Leibniz expansion over the m + n + 1 shifted transforms j = k + l, one row:
+        # entry (k, l) is A_k B_l g_j V_j, A_k = C(m, k) (mu + k)_{m-k} (nu + m - k)_k / (mu)_m from
+        # its ratios, B_l alike for n; the cancellation check divides by the largest entry and max |V_j|
+        mu, nu, C = self.mu, self.nu, ctx.sm.C
+        L, g, V = self._shifted_row(ctx, z, 0, m + n, m + n + 1)
+        A, B = (np.array(_products([(d - k) * (nu + d - k - 1.0) / ((k + 1.0) * (mu + k)) for k in range(d)]))
+                for d in (m, n))
+        peak = (A[:, None] * B * g[np.arange(m + 1)[:, None] + np.arange(n + 1)]).max()
+        c = np.convolve(A, B) * g
+        c[1::2] *= -1.0
+        acc = complex(np.dot(c, V)) / peak
+        M = (L + math.log(peak) + rodrigues_log_norm(self, m, C) + rodrigues_log_norm(self, n, C)
+             + (m + n) * math.log(self.b2_factored) + ln_gamma(mu + m) + ln_gamma(mu + n) - 2.0 * ln_gamma(mu))
+        _warn_cancellation(abs(acc) / np.abs(V).max(), M)
+        return (-1.0 if (m + n) % 2 else 1.0) * acc * math.exp(M)
 
     def reproducing_density(self, ctx, y: float) -> float:
         mu, nu = _snap_unit(self.mu), _snap_unit(self.nu)

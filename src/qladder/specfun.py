@@ -1,10 +1,10 @@
-"""Scalar special functions used by the closed-form spectral formulas.
+"""Special functions used by the closed-form spectral formulas.
 
-Each takes and returns scalars: hypergeometric series with explicit
-convergence control, and Whittaker W from the Euler integral of U, summed
+Hypergeometric series with explicit convergence control, scalar or one
+Kummer row at a time, and Whittaker W from the Euler integral of U, summed
 on fixed double-exponential nodes (numpy over one node window per call, no
-adaptive quadrature).  Vectorized callers loop.  ``log_whittaker_w`` is on
-the hot path of the Jacobi reproducing density.
+adaptive quadrature).  ``log_whittaker_w`` is on the hot path of the Jacobi
+reproducing density.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import ConvergenceError, Unsupported
 __all__ = [
     "ln_gamma",
     "hyp1f1",
+    "hyp1f1_row",
     "log_whittaker_w",
 ]
 
@@ -72,6 +73,26 @@ def hyp1f1(a, b, z):
     raise ConvergenceError(
         f"1F1({a}, {b}, {z}) did not converge in {_MAX_TERMS} terms"
     )
+
+
+def hyp1f1_row(a: np.ndarray, b: float, z: complex) -> np.ndarray:
+    """1F1(a_j; b; z) for an array of 0 < a_j < b, all K series terms of each row at once.
+
+    Term k of row j is z^k times the real (a_j)_k / ((b)_k k!), one cumulative product.  Past
+    k = |z| the terms fall, so the stop test of ``hyp1f1``, two terms within _REL_TOL of the sum,
+    holds in every row once the last but one term does; K, 32 + 3|z| at first, doubles until
+    then, and past _MAX_TERMS ConvergenceError is raised.
+    """
+    K = 32 + int(3.0 * abs(z))
+    while K <= _MAX_TERMS:
+        i = np.arange(K - 1.0)
+        P = ((a[:, None] + i) / ((b + i) * (i + 1.0))).cumprod(axis=1)
+        zk = z ** (i + 1.0)
+        total = 1.0 + P @ zk
+        if (P[:, -2] * abs(zk[-2]) <= _REL_TOL * abs(total)).all():
+            return total
+        K *= 2
+    raise ConvergenceError(f"1F1(a, {b}, {z}) row did not converge in {_MAX_TERMS} terms")
 
 
 def _log_hyperu(a: float, b: float, x: float) -> float:

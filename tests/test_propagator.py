@@ -368,6 +368,15 @@ def test_jacobi_transforms_match_mpmath_where_the_series_gives_way(params, mp_or
         assert abs(sigma_n(ctx, n, 30 + 0.2j) - want) < 1e-10
 
 
+@pytest.mark.parametrize("t", [10.0, 20.0])
+def test_jacobi_one_index_form_holds_at_large_t(t):
+    # |w| = 2t is past the confluent series' safe range; the Gauss-rule
+    # route of the shifted transform keeps sigma_n to quadrature's digits
+    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
+    for n in range(25):
+        assert abs(sigma_n(ctx, n, t) - sigma_mn_quad(ctx, n, 0, t)) < 1e-12, n
+
+
 def test_warm_evolve_makes_no_complex_copy_of_the_poly_matrix():
     ctx = build_context(laguerre_data(2.5))
     out = evolve(ctx, [1.0], 2.0)  # cold: builds and caches the matrix
@@ -658,16 +667,24 @@ def test_quadrature_values_do_not_depend_on_the_cache_history(monkeypatch):
 def test_jacobi_two_index_form_evaluates_m_plus_n_plus_1_transforms(z, monkeypatch):
     pd = jacobi_data(-1.0, 1.0, 2.0, 1.5)
     ctx = build_context(pd)
-    calls = []
-    shifted = type(pd)._shifted
+    calls, rows = [], []
+    shifted_row = type(pd)._shifted_row
 
-    def counted(self, ctx, z, dmu, dnu):
-        calls.append((dmu, dnu))
-        return shifted(self, ctx, z, dmu, dnu)
+    def counted(self, ctx, z, dmu, dnu, count):
+        # one call evaluates the row of transforms (dmu + i, dnu - i), i < count
+        calls.extend((dmu + i, dnu - i) for i in range(count))
+        out = shifted_row(self, ctx, z, dmu, dnu, count)
+        rows.append(out)
+        return out
 
-    monkeypatch.setattr(type(pd), "_shifted", counted)
+    monkeypatch.setattr(type(pd), "_shifted_row", counted)
     sigma_mn_closed(ctx, 9, 9, z)
     assert sorted(calls) == [(j, 18 - j) for j in range(19)]
+    # each entry of the row is the transform of its own shift
+    (L, g, V), = rows
+    for j in range(19):
+        L1, V1 = pd._shifted(ctx, z, j, 18 - j)
+        assert math.exp(L) * g[j] * V[j] == pytest.approx(math.exp(L1) * V1, rel=1e-12)
 
 
 def test_real_matvec_is_the_stacked_product_bit_for_bit():

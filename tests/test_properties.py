@@ -13,6 +13,7 @@ Laguerre weights (a1 in [-3, -1], b1 in [0.5, 2]).
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -201,6 +202,60 @@ def test_closed_two_index_coefficients_match_quadrature(pd, t):
             assert abs(closed - quad) < 1e-9, (m, n)
 
 
+# Re z in [0.1, 3], Im z 0 or in [-0.5, 0.4]: the z of the closed benchmark workload
+CLOSED_Z = st.builds(complex, st.floats(0.1, 3.0), st.one_of(st.just(0.0), st.floats(-0.5, 0.4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd=JACOBI, z=CLOSED_Z, total=st.integers(0, 18), split=st.floats(0.0, 1.0))
+def test_jacobi_closed_two_index_form_matches_quadrature_to_its_routing_degree(pd, z, total, split):
+    # worst |closed - quad| / max(1, |sigma|) of 4,000 seeded draws: 3.4e-10 (at m + n = 18)
+    ctx = build_context(pd)
+    m = round(split * total)
+    want = sigma_mn_quad(ctx, m, total - m, z)
+    assert abs(sigma_mn_closed(ctx, m, total - m, z) - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def test_jacobi_closed_box_raises_no_warning():
+    # the closed workload's Jacobi sigma_mn box, half the draws in its corner
+    # mu, nu >= 3, m + n >= 14, where the sums cancel most (normalizing by the
+    # largest j-grouped term, not the largest single entry, warns in 2.5% of
+    # those); a warning is an error under the suite's filters, as it is a
+    # failed benchmark request
+    rng = np.random.default_rng(2311)
+    for draw in range(2000):
+        corner = draw % 2
+        mu, nu = rng.uniform(3.0 if corner else 0.6, 4.0, 2)
+        total = int(rng.integers(14 if corner else 0, 19))
+        m = int(rng.integers(0, total + 1))
+        z = complex(rng.uniform(0.1, 3.0), 0.0 if rng.random() < 0.5 else rng.uniform(-0.5, 0.4))
+        sigma_mn_closed(build_context(jacobi_data(-1.0, 1.0, mu, nu)), m, total - m, z)
+
+
+def _mp_displacement(pd, m, n, z):
+    """sigma_mn(z) of a Hermite pair at 40 digits from e^{-iz(a + a^+)} = e^{-z^2/2} e^{-iz a^+} e^{-iz a}.
+
+    On the pair's nodes h0 + s x^ the ladder is h0 + s (a + a^+), so sigma_mn(z) = e^{-izh0} <m| ... |n> at sz.
+    """
+    with mp.workdps(40):
+        h0, s = mp.mpf(-pd.a0) / pd.a1, mp.sqrt(mp.mpf(-pd.b0) / pd.a1)
+        u = -1j * s * mp.mpc(z)
+        terms = (u ** (m - n + 2 * k) * mp.sqrt(mp.factorial(m) * mp.factorial(n))
+                 / (mp.factorial(k) * mp.factorial(m - n + k) * mp.factorial(n - k))
+                 for k in range(max(0, n - m), n + 1))
+        return complex(mp.exp(-1j * mp.mpc(z) * h0 + u * u / 2) * mp.fsum(terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd=SHIFTED_HERMITE, z=CLOSED_Z, total=st.integers(0, 24), split=st.floats(0.0, 1.0))
+@example(pd=hermite_data(-1.0, 0.0, 1.0), z=2.8, total=23, split=0.48)
+def test_hermite_closed_two_index_form_is_the_displacement_operator(pd, z, total, split):
+    ctx = build_context(pd)
+    m = round(split * total)
+    want = _mp_displacement(pd, m, total - m, z)
+    assert abs(sigma_mn_closed(ctx, m, total - m, z) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 @settings(max_examples=25, deadline=None)
 @given(pd=st.one_of(HERMITE, LAGUERRE), x=st.floats(-3.0, 3.0), frac=st.floats(-2.0, 0.95))
 def test_amplitude_ratio_sequence_is_the_scalar_coefficients(pd, x, frac, mp_sigma_n):
@@ -236,10 +291,9 @@ AFFINE_IMAGES = st.one_of(
     ),
 )
 # the closed sums lose digits with m + n; worst |difference| / max(1, |sigma|)
-# of 9,000 random draws per family: Hermite 4.1e-11 (both sides are 2e-11 off
-# a 40-digit value at m + n = 23), Laguerre 2.8e-12, Jacobi 6.9e-9 (its double
-# Leibniz sum is 1e-10 off quadrature at m + n = 18 on (-1, 1) already)
-_AFFINE_TOL = {"_Hermite": 2e-10, "_Laguerre": 2e-10, "_Jacobi": 5e-8}
+# of 3,000 seeded draws per family: Hermite 9.8e-13, Laguerre 4.7e-14, Jacobi
+# 1.0e-9 (its Leibniz sum is up to 3e-10 off quadrature at m + n = 18 on (-1, 1))
+_AFFINE_TOL = {"_Hermite": 1e-11, "_Laguerre": 1e-12, "_Jacobi": 1e-8}
 
 
 @settings(max_examples=40, deadline=None)

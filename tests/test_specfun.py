@@ -9,11 +9,12 @@ import warnings
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import qladder
 from qladder.errors import ConvergenceError, Unsupported
-from qladder.specfun import hyp1f1, ln_gamma, log_whittaker_w
+from qladder.specfun import hyp1f1, hyp1f1_row, ln_gamma, log_whittaker_w
 
 mp.mp.dps = 30
 
@@ -42,6 +43,21 @@ def test_hyp1f1_rejects_denominator_pole():
 def test_series_control_budget():
     with pytest.raises(ConvergenceError):
         hyp1f1(1.0, 2.0, 2e4)
+
+
+@pytest.mark.parametrize("mu,nu,total,w", [(0.6, 4.0, 18, 6.1j), (2.0, 1.5, 9, -0.4 - 3.0j), (3.9, 0.61, 0, 12j)])
+def test_hyp1f1_row_matches_mpmath_in_every_row(mu, nu, total, w):
+    # the Kummer row of the Jacobi shifted transforms: a_j = mu + j, b = mu + nu + total; at
+    # |w| = 12 the terms outgrow the sum by ~1e4, so the row, like hyp1f1, keeps ~12 digits
+    a = mu + np.arange(total + 1)
+    got = hyp1f1_row(a, mu + nu + total, w)
+    want = [complex(mp.hyp1f1(x, mu + nu + total, w)) for x in a]
+    assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
+
+
+def test_hyp1f1_row_series_control_budget():
+    with pytest.raises(ConvergenceError):
+        hyp1f1_row(np.array([1.0, 2.0]), 3.0, 2e4)
 
 
 def test_ln_gamma_rejects_nonpositive_argument():
