@@ -102,7 +102,8 @@ class PearsonData:
         return None
 
     def levels(self, n: int, t: float, tail: float, top: int) -> int:
-        """Level (<= top) past which e^{-iHt}|n> keeps a squared tail < ``tail``: n + spread(t)."""
+        """Level (<= top) past which e^{-iHt}|n> keeps a squared tail < ``tail``: n + spread(t).
+        ``evolve`` and ``sigma_row`` size their rules from it at t, ``sigma_mn_quad`` at |t|/2."""
         return min(n + self.spread(t), top)
 
     def sigma_seq(self, ctx, z: complex, c0: complex):

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, StripError
-from .measure import QuadratureRule, SpectralMeasure, gauss_rule, normalize, weighted_rows
+from .measure import SpectralMeasure, gauss_rule, normalize, weighted_rows
 from .orthopoly import JacobiSystem, PearsonData, _log_row, _node_sum, recurrence, scaled_sweep
 
 __all__ = [
@@ -100,28 +100,29 @@ class PropagatorContext:
         """The pair's nodes h0 + s x^ of canonical nodes x^ (``xh`` itself under the identity)."""
         return xh if self.affine is None else self.affine[0] + self.affine[1] * xh
 
-    def rule(self, N: int, rows: int = 0):
+    def rule(self, N: int, rows: int | tuple = 0):
         """Canonical nodes x^ and log-weights of the shape's ``_rule_size(N)`` point rule (cached).
 
         The pair's nodes are ``nodes(x^)`` with the same weights.  With ``rows``
         = R > 0 it returns (x^, log-weights, Q), Q the uncached weighted rows
         sqrt(w_i) P_k, k < R: from the sweep that builds a cold rule, or one
-        sweep of the canonical ladder over a cached rule's nodes.
+        sweep of the canonical ladder over a cached rule's nodes.  With a tuple
+        of degrees it returns (x^, log-weights, L): L the ``log_rows`` of a
+        cold rule's sweep, None for a cached rule.  Each call reads _RULES
+        once, so a rule that one request alone uses stays on probation.
         """
         N = _rule_size(N)
         rule = _RULES.get(self.shape + (N,))
-        if rule is None:
-            rule = self._build(N, rows)
+        logs = isinstance(rows, tuple)
+        if rule is None:  # kept without the rows its sweep wrote
+            rule = gauss_rule(self.base.sm, N, 0, rows) if logs else gauss_rule(self.base.sm, N, rows)
+            _RULES.put(self.shape + (N,), replace(rule, rows=None, log_rows=None))
+        if logs:
+            return rule.nodes, rule.log_weights, rule.log_rows
         if not rows:
             return rule.nodes, rule.log_weights
         Q = weighted_rows(self.base.sm, rule, rows) if rule.rows is None else rule.rows
         return rule.nodes, rule.log_weights, Q
-
-    def _build(self, N: int, *rows) -> QuadratureRule:
-        """``gauss_rule`` of the canonical measure, kept in _RULES without the rows its sweep wrote."""
-        rule = gauss_rule(self.base.sm, N, *rows)
-        _RULES.put(self.shape + (N,), replace(rule, rows=None, log_rows=None))
-        return rule
 
 
 _RULE_GRID = 32
@@ -237,11 +238,13 @@ def _nbytes(val) -> int:
 # Rules and their polynomial matrices are keyed shape + (N,): the pairs of
 # one ladder shape share them.  A rule holds 24 B per node, and sigma_row
 # and the Jacobi shifted transforms size theirs without a cap, so _RULES
-# keeps 128 rules within 4 MiB; a larger rule is used uncached.  Only evolve
-# fills _QMATS, with the (N - 63) x N matrix of an N-node rule.  A new matrix
-# waits in 12 probation slots and is kept when read again, so a request
+# keeps 128 rules within 4 MiB; a larger rule is used uncached.  A new rule
+# waits in 128 probation slots, and only a second read keeps it in the main
+# ones, so one-off shapes never evict the rules that many pairs read.  Only
+# evolve fills _QMATS, with the (N - 63) x N matrix of an N-node rule.  A new
+# matrix waits in 12 probation slots and is kept when read again, so a request
 # builds each matrix once and one-off shapes leave after 12 newer ones.
-_RULES = _LRU(128, 4 * 2**20)
+_RULES = _LRU(128, 4 * 2**20, probation=128)
 _QMATS_BYTES = 256 * 2**20
 _QMATS = _LRU(4096, _QMATS_BYTES, probation=12)
 
@@ -257,8 +260,9 @@ def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     N = _rule_size(N)
     if nmax > N - 64:
         raise ValueError(f"a {N}-node rule carries rows 0..{N - 64}, not {nmax}")
-    Q = _QMATS.get_or_build(ctx.shape + (N,), lambda: ctx.rule(N, N - 63)[2])
-    return ctx.nodes(ctx.rule(N)[0]), Q[: nmax + 1]
+    cold = []  # the rule read by a matrix build: each call reads the rule once
+    Q = _QMATS.get_or_build(ctx.shape + (N,), lambda: cold.append(ctx.rule(N, N - 63)) or cold[0][2])
+    return ctx.nodes((cold[0] if cold else ctx.rule(N))[0]), Q[: nmax + 1]
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -337,27 +341,31 @@ def sigma_mn_quad(
     against the measure at complex z.  For real z the error is a few 1e-14;
     on Laguerre pairs the sum grows ill conditioned with Im z and the degree
     (2 digits are left at (40, 41) and 0.3 of the strip edge), and
-    ``sigma_mn`` routes to the closed form above 0.9 of the edge.
+    ``sigma_mn`` routes to the closed form above 0.2 of the edge.
 
-    The rule has N nodes rounded to the nearest multiple of 32: N defaults
-    to m + n + 96 plus the family's spread at |z|, and an explicit ``N`` is
-    rounded onto the same grid.  The rows P_m, P_n come in log form from
-    the canonical ladder over the canonical nodes: from the sweep that
-    builds a cold rule, or one sweep to max(m, n) over a cached one, the
-    same rows bit for bit.
+    The N-node sum is exactly [e^{-itJ_N}]_mn of the N-level ladder J_N
+    (Golub & Welsch).  By Duhamel's formula its error at real z = t is the
+    integral over 0 < s < t of b_N <N|e^{-i(t-s)J}|m> <N-1|e^{-isJ_N}|n>, and
+    as s or t - s is at most t/2, one factor is the reach of a packet to
+    level N within half the time.  So at real z, N defaults to 32 levels above
+    where the packet law ``pd.levels`` leaves max(m, n) at |z|/2 a squared
+    tail of 1e-16, at most the complex-z default m + n + 96 + spread(|z|)
+    (+ ``quad_extra(z)``); N, an explicit one too, is rounded to a multiple
+    of 32.  The rows P_m, P_n come in log form from the canonical ladder
+    over the canonical nodes: from the sweep that builds a cold rule, or
+    one sweep to max(m, n) over a cached one, the same rows bit for bit.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     z = complex(z)
     _check_char_domain(ctx, z)
     if N is None:
-        N = m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z)
-        N = min(N, 6144)
+        N = min(m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z), 6144)
+        if z.imag == 0.0:  # the packet law at half time, 32 levels of margin
+            N = min(N, ctx.pd.levels(max(m, n), abs(z) / 2, _PACKET_TAIL, N) + 32)
     N = _rule_size(N)
-    rows = None  # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
-    if max(m, n) < N and _RULES.get(ctx.shape + (N,)) is None:
-        rows = ctx._build(N, 0, (m, n)).log_rows  # ctx.rule then hits, unless past _RULES' bytes
-    xh, logw = ctx.rule(N)
+    # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
+    xh, logw, rows = ctx.rule(N, (m, n) if max(m, n) < N else ())
     if rows is None:  # a cached rule: one sweep to max(m, n) over its nodes
         rows, s = {}, np.zeros_like(xh)
         for k, u, _ in scaled_sweep(*ctx.base.js.arrays(max(m, n)), xh, s):
@@ -375,14 +383,14 @@ def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
     Closed forms up to m + n = ``ctx.pd.closed_max_degree`` (24 for Hermite
     and Laguerre, 18 for Jacobi); beyond that their alternating sums lose
     precision and the quadrature route is both faster and more accurate.
-    Exception: for a Laguerre pair with Im z beyond the square-integrable
-    strip (above ~0.45 * gamma) the discrete sum is dominated by an
-    exponentially larger envelope and only the closed form remains
-    meaningful, so it is used for every degree there (it warns if its own
-    cancellation becomes severe).
+    Exception: for a Laguerre pair with Im z above 0.2 of the strip edge
+    (0.1 * gamma) the discrete sum is dominated by an exponentially larger
+    envelope (up to ~1e-11 off at 0.2, 5e-10 at 0.3, 5e-5 at 0.5) while the
+    closed form stays within ~1e-11, so it is used for every degree there
+    (it warns if its own cancellation becomes severe).
     """
     z = complex(z)
-    if m + n <= ctx.pd.closed_max_degree or z.imag > 0.9 * ctx.strip.upper:
+    if m + n <= ctx.pd.closed_max_degree or z.imag > 0.2 * ctx.strip.upper:
         return sigma_mn_closed(ctx, m, n, z)
     return sigma_mn_quad(ctx, m, n, z)
 

@@ -560,8 +560,8 @@ def test_a_cold_sigma_mn_quad_sweeps_once(monkeypatch):
     monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
     cold = sigma_mn_quad(ctx, 30, 31, 1.3)
     assert len(passes) == 1
-    # the value of a rule sweep followed by a second sweep to degree 31
-    two_pass = -0.06045064432793105 - 0.0006389633039241275j
+    # the value of a 224-node rule sweep followed by a second sweep to degree 31
+    two_pass = -0.060450644327933935 - 0.0006389633039322759j
     assert abs(cold - two_pass) <= 1e-13 * abs(two_pass)
     passes.clear()
     assert sigma_mn_quad(ctx, 30, 31, 1.3) == cold and len(passes) == 1  # cached: one sweep to 31
@@ -750,3 +750,178 @@ def test_first_rules_come_from_the_packet_law_and_are_never_larger(qmat_builds, 
         assert sizes[0] <= _rule_size(max(n, kmax) + 64 + ctx.pd.spread(t))
     assert single >= 0.99 * cases
     assert sum(first) < 0.8 * sum(caps)  # 0.72 when written
+
+
+def _degree_sized_rule(ctx, m, n, t):
+    """The rule size sigma_mn_quad takes at complex z, and at most at real z."""
+    return _rule_size(min(m + n + 96 + ctx.pd.spread(abs(t)), 6144))
+
+
+def _two_index_draws(box, rng, count):
+    """(pd, m, n, t) at real t: the benchmark's quadrature sigma_mn box, or a broader one
+    (Hermite t <= 8 at scales up to 3, Laguerre mu <= 6 and t <= 6 in other gauges,
+    Jacobi t <= 20 on intervals up to 4 wide, m + n up to 96)."""
+    out = []
+    for i in range(count):
+        fam = i % 3
+        if box == "sweep":
+            total = int(rng.integers(25, 49))
+            pd, t = (
+                (hermite_data(rng.uniform(-3, -1), 0.0, rng.uniform(0.5, 2)), rng.uniform(0.2, 3)),
+                (laguerre_data(rng.uniform(0.6, 4)), rng.uniform(0.2, 2)),
+                (jacobi_data(-1, 1, rng.uniform(0.6, 4), rng.uniform(0.6, 4)), rng.uniform(0.2, 5)),
+            )[fam]
+        else:
+            total = int(rng.integers(25, 97))
+            a1, s, a, w = rng.uniform(-3, -1), rng.uniform(0.3, 3), rng.uniform(-2, 1), rng.uniform(0.5, 4)
+            pd, t = (
+                (hermite_data(a1, rng.uniform(-1, 1), -a1 * s * s), rng.uniform(0.2, 8)),
+                (laguerre_data(rng.uniform(0.6, 6), rng.uniform(-2, -1), rng.uniform(0.5, 1), rng.uniform(-1, 1)),
+                 rng.uniform(0.2, 6)),
+                (jacobi_data(a, a + w, rng.uniform(0.6, 4), rng.uniform(0.6, 4)), rng.uniform(0.2, 20)),
+            )[fam]
+        m = int(rng.integers(0, total + 1))
+        out.append((pd, m, total - m, t if rng.random() < 0.5 else -t))
+    return out
+
+
+@pytest.mark.parametrize("box", ["sweep", "broad"])
+def test_real_t_two_index_rules_from_the_packet_law_at_half_time_are_accurate(box):
+    # the reference is the rule of twice the degree-sized nodes; over 240 draws
+    # per box the default rule was at worst 7.7e-14 (sweep) and 1.2e-13 (broad)
+    # off it, the degree-sized rule 8.2e-14 and 9.2e-14, and the reference itself
+    # moves by up to 2.3e-13 at 256 more nodes, so the bound is set there
+    rng = np.random.default_rng(11 if box == "sweep" else 12)
+    for pd, m, n, t in _two_index_draws(box, rng, 24):
+        ctx = build_context(pd)
+        want = sigma_mn_quad(ctx, m, n, t, N=2 * _degree_sized_rule(ctx, m, n, t))
+        assert abs(sigma_mn_quad(ctx, m, n, t) - want) <= 2.5e-13, (pd, m, n, t)
+
+
+@pytest.mark.parametrize("pd, m, n, t, nodes", [
+    (laguerre_data(2.5), 30, 31, 1.3, 224),  # degree-sized: 352
+    (laguerre_data(0.8), 0, 48, 0.5, 160),  # 224
+    (hermite_data(), 20, 30, 2.0, 96),  # 192
+    (jacobi_data(-1, 1, 2, 1.5), 40, 8, 4.0, 128),  # 192
+])
+def test_the_real_t_two_index_rule_size_is_pinned(pd, m, n, t, nodes, monkeypatch):
+    sizes = []
+    rule = PropagatorContext.rule
+
+    def recorded(self, N, rows=0):
+        out = rule(self, N, rows)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(PropagatorContext, "rule", recorded)
+    ctx = build_context(pd)
+    sigma_mn_quad(ctx, m, n, t)
+    sigma_mn_quad(ctx, m, n, t + 0.05j)  # complex z keeps the degree-sized rule
+    assert sizes == [nodes, _rule_size(m + n + 96 + pd.spread(abs(t + 0.05j)) + pd.quad_extra(t + 0.05j))]
+
+
+def test_closed_forms_match_the_half_time_rules_up_to_the_routing_degree():
+    # worst |closed - quad| / max(1, |sigma|) over these 90 draws: Hermite 1.2e-14,
+    # Laguerre 8.6e-15, Jacobi 5.1e-11 (its alternating sums cancel most at m + n = 18)
+    rng = np.random.default_rng(24)
+    bound = (1e-12, 1e-12, 1e-9)
+    for i in range(90):
+        pd = (
+            hermite_data(rng.uniform(-3, -1), rng.uniform(-1, 1), rng.uniform(0.5, 2)),
+            laguerre_data(rng.uniform(0.6, 4), b0=rng.uniform(-1, 1)),
+            jacobi_data(-1, 1, rng.uniform(0.6, 4), rng.uniform(0.6, 4)),
+        )[i % 3]
+        ctx = build_context(pd)
+        total = int(rng.integers(13, pd.closed_max_degree + 1))
+        m, t = int(rng.integers(0, total + 1)), rng.uniform(0.1, 3)
+        quad = sigma_mn_quad(ctx, m, total - m, t)
+        err = abs(sigma_mn_closed(ctx, m, total - m, t) - quad)
+        assert err <= bound[i % 3] * max(1.0, abs(quad)), (pd, m, total - m, t)
+
+
+def test_shared_rules_outlive_a_stream_of_one_off_shapes(monkeypatch):
+    """Rules read by one request wait on probation, so 300 one-off Laguerre
+    and Jacobi shapes, 150 of them between two uses of a Hermite rule, evict
+    none of the Hermite rules that several requests read."""
+    built = []
+    build = propagator.gauss_rule
+
+    def counted(sm, N, *rows):
+        built.append(sm.pd.shape()[0] + (N,))
+        return build(sm, N, *rows)
+
+    q = propagator._RULES
+    rules = propagator._LRU(q.slots, q.max_bytes, q.probation)
+    monkeypatch.setattr(propagator, "_RULES", rules)
+    monkeypatch.setattr(propagator, "gauss_rule", counted)
+    hermite = build_context(hermite_data())
+    rng = np.random.default_rng(73)
+    for i in range(301):
+        if i % 150 == 0:  # a Hermite step: two rows from one rule at each of three sizes
+            for t, kmax in ((0.4, 20), (1.1, 100), (2.3, 200)):
+                sigma_row(hermite, 0, t, kmax)
+                sigma_row(hermite, 3, t, kmax)
+        mu, nu, t = rng.uniform(0.6, 4), rng.uniform(0.6, 4), rng.uniform(0.2, 2)
+        ctx = build_context(laguerre_data(mu) if i % 2 else jacobi_data(-1, 1, mu, nu))
+        if i % 3:
+            sigma_mn_quad(ctx, 2, 3, t)
+        else:
+            evolve(ctx, [1.0], t)
+    herm = [key for key in built if key[0] == "hermite"]
+    assert len(herm) == len(set(herm)) == 3  # each Hermite rule built once
+    assert sorted(key[:-1] for key in rules._data) == [("hermite", ())] * 3  # no one-off rule was kept
+    assert len(built) == 3 + 301
+
+
+# Laguerre pairs at m + n >= 25 and Im z in [0.3, 0.85] of the strip edge, the
+# first five where the quadrature sum is 3.6e-7 to 6.1e-2 off, relatively
+_STRIP_POINTS = [
+    (0.642, 12, 13, 2.097, 0.8),
+    (2.5, 28, 19, 1.3, 0.86),
+    (3.3, 15, 30, 2.5, 0.5),
+    (0.9, 24, 24, 1.8, 0.7),
+    (1.2, 17, 23, 3.0, 0.4),
+    (1.7, 20, 22, 0.7, 0.3),
+]
+
+
+def _mp_laguerre_sigma_mn(mu, m, n, z):
+    """sigma_mn(z) of laguerre_data(mu) by a 30-digit mpmath.quad of its integral.
+
+    (1 / Gamma(mu)) int_0^inf e^{-wx} x^{mu-1} P_m(x) P_n(x) dx, w = 1 + iz, with
+    P_m P_n expanded in powers of x from the recurrence b_k = sqrt(k (k + mu - 1)),
+    h_k = 2k + mu.  The integrand is analytic in Re x > 0, so the path turns
+    onto the ray x = r |w| / w, where e^{-wx} = e^{-|w| r} no longer oscillates.
+    At the points above it agrees with a 60-digit run to rounding.
+    """
+    with mp.workdps(30):
+        mu, w = mp.mpf(mu), 1 + 1j * mp.mpc(z)
+        b = [mp.sqrt(k * (k + mu - 1)) for k in range(max(m, n) + 2)]
+        P = [[mp.mpf(1)], [-mu / b[1], 1 / b[1]]]  # coefficients of P_k, lowest power first
+        for k in range(1, max(m, n)):
+            nxt = [0] * (k + 2)
+            for i, c in enumerate(P[k]):
+                nxt[i + 1] += c
+                nxt[i] -= (2 * k + mu) * c
+            for i, c in enumerate(P[k - 1]):
+                nxt[i] -= b[k] * c
+            P.append([c / b[k + 1] for c in nxt])
+        prod = [0] * (m + n + 1)
+        for i, a in enumerate(P[m]):
+            for j, c in enumerate(P[n]):
+                prod[i + j] += a * c
+        u = abs(w) / w
+        coef = [c * u**k for k, c in enumerate(prod)][::-1]
+        f = mp.quad(lambda r: mp.exp(-abs(w) * r) * r ** (mu - 1) * mp.polyval(coef, r), [0, mp.inf])
+        return complex(f * u**mu / mp.gamma(mu))
+
+
+@pytest.mark.parametrize("mu, m, n, re, height", _STRIP_POINTS)
+def test_laguerre_sigma_mn_inside_the_strip_matches_mpmath(mu, m, n, re, height):
+    ctx = build_context(laguerre_data(mu))
+    z = complex(re, height * ctx.strip.upper)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigma_mn(ctx, m, n, z)
+    want = _mp_laguerre_sigma_mn(mu, m, n, z)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))

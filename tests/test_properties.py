@@ -202,6 +202,25 @@ def test_closed_two_index_coefficients_match_quadrature(pd, t):
             assert abs(closed - quad) < 1e-9, (m, n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(pd=PEARSON, t=st.floats(-8.0, 8.0), m=st.integers(0, 96), n=st.integers(0, 96))
+def test_the_real_t_two_index_rule_is_never_larger_than_the_degree_sized_one(pd, t, m, n):
+    """At real t the packet-law rule is at most the m + n + 96 + spread(|t|) nodes
+    complex z takes, and still carries rows m and n."""
+    ctx, sizes = build_context(pd), []
+    rule = propagator.PropagatorContext.rule
+
+    def recorded(self, N, rows=0):
+        out = rule(self, N, rows)
+        sizes.append(out[0].size)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagator.PropagatorContext, "rule", recorded)
+        sigma_mn_quad(ctx, m, n, t)
+    assert max(m, n) + 16 <= sizes[0] <= propagator._rule_size(m + n + 96 + pd.spread(abs(t)))
+
+
 # Re z in [0.1, 3], Im z 0 or in [-0.5, 0.4]: the z of the closed benchmark workload
 CLOSED_Z = st.builds(complex, st.floats(0.1, 3.0), st.one_of(st.just(0.0), st.floats(-0.5, 0.4)))
 
