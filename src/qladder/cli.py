@@ -16,7 +16,11 @@ uses RFC-4180 quoting with deterministic 17-significant-digit floats, so
 identical configs produce byte-identical files.  ``--oracle`` appends
 independently computed truncated-Fock columns and a deviation column;
 the exit status is 0 only when every requested tolerance holds, otherwise
-a machine-readable JSON report goes to stderr.
+a machine-readable JSON report goes to stderr.  Each ``expect`` observable
+is one series over number-basis amplitudes: the oracle column applies it to
+the truncated-Fock ones, the library column to the library's, computed at
+most once per time step, unless the library has a closed law (<H_I>, the
+alpha moments by the Heisenberg shift).
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import itertools
 import json
 import math
 import sys
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -251,70 +255,64 @@ def write_gnuplot(csv_path: str, tables, script_path: str) -> None:
 # oracle and observables
 
 
-class _Oracle:
-    """Independent truncated-Fock route of one request, built once."""
+def _oracle_start(ctx, state, N: int) -> np.ndarray:
+    """Start vector of the independent truncated-Fock route on N levels."""
+    if isinstance(state, ob.SpectralCoherent):
+        # all N levels of the label: a vector stopped where its squared tail
+        # reaches rounding leaves out amplitudes of ~1e-8, which the alpha
+        # observables' derivative series amplify past the oracle tolerance
+        z = complex(state.z)
+        nrm = math.sqrt(squared_norm(ctx, z))
+        seq = ctx.pd.sigma_seq(ctx, z, sigma_n(ctx, 0, z))
+        c0 = np.fromiter(itertools.islice(seq, N), complex, N) / nrm
+        if abs(c0[-1]) <= 1e-15:
+            return c0
+    else:
+        c0 = ob._state_coeffs(state)  # its exact vector at t = 0
+        if c0.size <= N:
+            return np.pad(c0, (0, N - c0.size))
+    raise CliError("truncation", f"state needs more than {N} oracle levels")
 
-    def __init__(self, ctx, N: int):
-        self.ctx, self.N, self.op = ctx, N, truncated_h(ctx.js, N)
 
-    def start(self, state) -> np.ndarray:
-        if isinstance(state, ob.SpectralCoherent):
-            # all N levels of the label: a vector stopped where its squared tail
-            # reaches rounding leaves out amplitudes of ~1e-8, which the alpha
-            # observables' derivative series amplify past the oracle tolerance
-            z = complex(state.z)
-            nrm = math.sqrt(squared_norm(self.ctx, z))
-            seq = self.ctx.pd.sigma_seq(self.ctx, z, sigma_n(self.ctx, 0, z))
-            c0 = np.fromiter(itertools.islice(seq, self.N), complex, self.N) / nrm
-            if abs(c0[-1]) <= 1e-15:
-                return c0
-        else:
-            c0 = ob._state_coeffs(state)  # its exact vector at t = 0
-            if c0.size <= self.N:
-                return np.pad(c0, (0, self.N - c0.size))
-        raise CliError("truncation", f"state needs more than {self.N} oracle levels")
-
-    @cached_property
-    def derivative(self) -> np.ndarray:
-        return ob._derivative(self.ctx, self.N)
-
-    def alpha_series(self, g: np.ndarray, l: int) -> list:
-        """<alpha^k>, k = 0..l, on the normalized oracle amplitudes g."""
-        return ob._alpha_series(self.derivative, g / float(np.linalg.norm(g)), l)
+def _alpha(ctx, g: np.ndarray, l: int) -> list:
+    """<alpha^k>, k = 0..l, on the amplitudes g taken to unit norm."""
+    return ob._alpha_series(ctx, g / float(np.linalg.norm(g)), l)
 
 
 class _Observable(NamedTuple):
     nidx: int  # number of ":"-separated indices after the name
     lowest: int  # smallest admissible index
     is_complex: bool
-    series: Callable  # (ctx, state, idx, t, picture) -> library value
-    oracle: Callable  # (_Oracle, amplitudes, idx, t, picture) -> oracle value
+    series: Callable  # (ctx, amplitudes, idx, t, picture) -> value on the amplitudes at t
+    # (ctx, state, amps, idx, t) -> library value from a closed law or check, amps()
+    # the library's amplitudes at t; None: the library value is series on amps()
+    library: Callable | None = None
 
 
 _OBSERVABLES = {
     "number_moment": _Observable(1, 1, False,
-        lambda ctx, st, i, t, p: ob.number_moment(ctx, st, i[0], t),
-        lambda o, g, i, t, p: ob._occupation_series(g, i[0])),
+        lambda ctx, g, i, t, p: ob._occupation_series(g, i[0]),
+        lambda ctx, st, amps, i, t: ob._checked_moment(ctx, st, amps(), i[0], t)),
     "h_expectation": _Observable(0, 0, False,
-        lambda ctx, st, i, t, p: ob.h_expectation(ctx, st),
-        lambda o, g, i, t, p: ob._tridiagonal_mean(o.ctx.js, g)),
+        lambda ctx, g, i, t, p: ob._tridiagonal_mean(ctx.js, g),
+        lambda ctx, st, amps, i, t: ob.h_expectation(ctx, st)),
     "correlation": _Observable(2, 0, True,
-        lambda ctx, st, i, t, p: ob.correlation(ctx, st, *i, t),
-        lambda o, g, i, t, p: ob._correlation_series(g, *i)),
+        lambda ctx, g, i, t, p: ob._correlation_series(g, *i)),
     "cluster_correlation": _Observable(2, 0, True,
-        lambda ctx, st, i, t, p: ob.cluster_correlation(ctx, st, *i, t, picture=p),
-        lambda o, g, i, t, p: ob._cluster_series(o.ctx.js, g, *i, t, p)),
-    # the oracle evolves the amplitudes, so its alpha law is taken at t = 0
+        lambda ctx, g, i, t, p: ob._cluster_series(ctx.js, g, *i, t, p)),
+    # amplitudes at t already carry the Heisenberg shift alpha + t: the law at t = 0
     "alpha_moment": _Observable(1, 1, True,
-        lambda ctx, st, i, t, p: ob.alpha_moment(ctx, st, i[0], t),
-        lambda o, g, i, t, p: ob._alpha_law(o.alpha_series(g, i[0]), i[0], 0.0)),
+        lambda ctx, g, i, t, p: ob._alpha_law(_alpha(ctx, g, i[0]), i[0], 0.0),
+        lambda ctx, st, amps, i, t: ob.alpha_moment(ctx, st, i[0], t)),
     "alpha_dispersion": _Observable(0, 0, True,
-        lambda ctx, st, i, t, p: ob.alpha_dispersion(ctx, st, t),
-        lambda o, g, i, t, p: ob._alpha_spread(o.alpha_series(g, 2), 0.0)),
+        lambda ctx, g, i, t, p: ob._alpha_spread(_alpha(ctx, g, 2), 0.0),
+        lambda ctx, st, amps, i, t: ob.alpha_dispersion(ctx, st, t)),
+    # gamma0 <N(t)> + <H_I>: the conserved <H_I> from its law in the library column
     "total_energy": _Observable(0, 0, False,
-        lambda ctx, st, i, t, p: ob.total_energy(ctx, st, t),
-        lambda o, g, i, t, p: o.ctx.js.gamma0 * ob._occupation_series(g, 1)
-        + ob._tridiagonal_mean(o.ctx.js, g)),
+        lambda ctx, g, i, t, p: ctx.js.gamma0 * ob._occupation_series(g, 1)
+        + ob._tridiagonal_mean(ctx.js, g),
+        lambda ctx, st, amps, i, t: ctx.js.gamma0 * ob._checked_moment(ctx, st, amps(), 1, t)
+        + ob.h_expectation(ctx, st)),
 }
 
 
@@ -377,8 +375,8 @@ def cmd_propagate(cfg, args):
         columns += [f"unitarity_row_{m}" for m in rows_m]
     if args.oracle:
         columns += [f"oracle_re_{m}_{n}" for m, n in pairs] + ["max_deviation"]
-        oracle = _Oracle(ctx, trunc)
-        go = {m: expm_evolve(oracle.op, ts, oracle.start(ob.Number(m))) for m in rows_m}
+        op = truncated_h(ctx.js, trunc)
+        go = {m: expm_evolve(op, ts, _oracle_start(ctx, ob.Number(m), trunc)) for m in rows_m}
 
     rows = []
     worst_uni = 0.0
@@ -431,18 +429,19 @@ def cmd_expect(cfg, args):
         columns += [f"re_{label}", f"im_{label}"] if obs.is_complex else [label]
     if args.oracle:
         columns += [f"oracle_{spec.replace(':', '_')}" for spec, _, _ in specs] + ["max_deviation"]
-        oracle = _Oracle(ctx, trunc)
-        gs = expm_evolve(oracle.op, ts, oracle.start(state))
+        gs = expm_evolve(truncated_h(ctx.js, trunc), ts, _oracle_start(ctx, state, trunc))
 
     rows = []
     worst = 0.0
     for i, t in enumerate(map(float, ts)):
         row = [t]
-        vals = [obs.series(ctx, state, idx, t, picture) for _, obs, idx in specs]
+        amps = functools.cache(functools.partial(ob.ladder_amplitudes, ctx, state, t))
+        vals = [obs.series(ctx, amps(), idx, t, picture) if obs.library is None
+                else obs.library(ctx, state, amps, idx, t) for _, obs, idx in specs]
         for (_, obs, _), v in zip(specs, vals):
             row += [complex(v).real, complex(v).imag] if obs.is_complex else [float(v)]
         if args.oracle:
-            ovals = [obs.oracle(oracle, gs[i], idx, t, picture) for _, obs, idx in specs]
+            ovals = [obs.series(ctx, gs[i], idx, t, picture) for _, obs, idx in specs]
             dev = max([0.0] + [abs(complex(v) - complex(o)) for v, o in zip(vals, ovals)])
             row += [complex(o).real if obs.is_complex else float(o)
                     for (_, obs, _), o in zip(specs, ovals)] + [dev]

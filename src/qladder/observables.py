@@ -210,20 +210,11 @@ def _occupation_series(g: np.ndarray, l: int) -> float:
     return float(np.sum(k**l * np.abs(g) ** 2))
 
 
-def number_moment(
-    ctx: PropagatorContext, state: QuantumState, l: int, t: float
-) -> float:
-    """<N^l(t)>, the l-th moment of the ladder occupation at time t.
-
-    Evaluated as the normative series sum_k k^l |g_k(t)|^2.  For spectral
-    coherent states of the Hermite and Laguerre families the closed form
-    is computed as a cross check; a deviation beyond 1e-7 (relative to
-    the series) is surfaced as a RuntimeWarning, never silently adopted.
-    """
-    l = int(l)
-    if l < 1:
-        raise ValueError("moment order l must be >= 1")
-    series = _occupation_series(ladder_amplitudes(ctx, state, t), l)
+def _checked_moment(ctx, state, g: np.ndarray, l: int, t: float) -> float:
+    """sum_k k^l |g_k|^2 on the amplitudes g of state at t.  For a spectral label
+    on a family with a closed occupation law (Hermite, Laguerre), a deviation
+    of that law beyond 1e-7 of the series is a RuntimeWarning, never adopted."""
+    series = _occupation_series(g, l)
     if isinstance(state, SpectralCoherent):
         closed = ctx.pd.closed_number_moment(complex(state.z) + float(t), l)
         if closed is not None and abs(closed - series) > 1e-7 * max(1.0, series):
@@ -231,9 +222,20 @@ def number_moment(
                 f"closed-form occupation moment {closed!r} deviates from the "
                 f"normative series {series!r} (l={l}); series retained",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     return series
+
+
+def number_moment(
+    ctx: PropagatorContext, state: QuantumState, l: int, t: float
+) -> float:
+    """<N^l(t)>, the l-th moment of the ladder occupation at time t: the
+    normative series sum_k k^l |g_k(t)|^2, checked by :func:`_checked_moment`."""
+    l = int(l)
+    if l < 1:
+        raise ValueError("moment order l must be >= 1")
+    return _checked_moment(ctx, state, ladder_amplitudes(ctx, state, t), l, t)
 
 
 def _pair_series(g: np.ndarray, L: np.ndarray, r: int, s: int) -> complex:
@@ -310,26 +312,21 @@ def cluster_correlation(
 # alpha moments
 
 
-def _alpha_series(D: np.ndarray, c: np.ndarray, l: int) -> list:
+# one derivative matrix per family and coefficient-vector length: 256 slots within 64 MiB
+_DERIVS = _LRU(256, 64 * 2**20)
+
+
+def _alpha_series(ctx: PropagatorContext, c: np.ndarray, l: int) -> list:
     """<alpha^k>, k = 0..l, on coefficients c: alpha = i d/domega acts as i D,
-    D = derivative_matrix(js, c.size) the exact triangular derivative."""
+    D = derivative_matrix(js, c.size) the exact triangular derivative, cached
+    by (family, c.size) for the library and the CLI oracle."""
+    D = _DERIVS.get_or_build((ctx.pd, c.size), lambda: derivative_matrix(ctx.js, c.size))
     out = [complex(np.vdot(c, c))]
     psi = c
     for k in range(1, l + 1):
         psi = _real_matvec(D, psi)
         out.append((1j) ** k * complex(np.vdot(c, psi)))
     return out
-
-
-# The CLI oracle's 400-level matrix takes 1.3 MB.  The bench scenarios stream
-# asks for 63-68 keys, 27-28 MiB: one oracle matrix per family (24) and the
-# library's short ones, one per family and start-vector length.
-_DERIVS = _LRU(256, 64 * 2**20)
-
-
-def _derivative(ctx: PropagatorContext, K: int) -> np.ndarray:
-    """derivative_matrix(ctx.js, K), cached by (family, K) for the library and the CLI oracle."""
-    return _DERIVS.get_or_build((ctx.pd, K), lambda: derivative_matrix(ctx.js, K))
 
 
 def _alpha_moments_now(ctx, state, l: int) -> list:
@@ -340,8 +337,7 @@ def _alpha_moments_now(ctx, state, l: int) -> list:
     if isinstance(state, SpectralCoherent):
         z = complex(state.z)
         return [z**k for k in range(l + 1)]
-    c = _state_coeffs(state)
-    return _alpha_series(_derivative(ctx, c.size), c, l)
+    return _alpha_series(ctx, _state_coeffs(state), l)
 
 
 def _alpha_law(mom: list, l: int, t: float) -> complex:

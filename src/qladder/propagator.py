@@ -338,9 +338,11 @@ def sigma_mn_quad(
 
     The sum is assembled per node in log space, so far nodes, whose
     sqrt-weights underflow, still carry the mass of an integrand that grows
-    against the measure at complex z.  For real z the error is a few 1e-14;
-    on Laguerre pairs the sum grows ill conditioned with Im z and the degree
-    (2 digits are left at (40, 41) and 0.3 of the strip edge), and
+    against the measure at complex z.  At real z its rounding grows with the
+    rule size: on Jacobi (mu, nu) = (0.63, 1.29) over (0.96, 3.60) at
+    (m, n) = (11, 76), t = 12.13, rules of 96 to 864 nodes scatter by up to
+    2.7e-13.  On Laguerre pairs the sum grows ill conditioned with Im z and
+    the degree (2 digits are left at (40, 41) and 0.3 of the strip edge), and
     ``sigma_mn`` routes to the closed form above 0.2 of the edge.
 
     The N-node sum is exactly [e^{-itJ_N}]_mn of the N-level ladder J_N

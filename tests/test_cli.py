@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qladder.cli import main
+from qladder.propagator import build_context
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -554,6 +555,91 @@ def test_two_expect_oracle_requests_build_each_derivative_once(tmp_path, monkeyp
     outs = [run_cli(["expect", "--config", cfgp, "--oracle"]) for _ in range(2)]
     assert [code for code, _, _ in outs] == [0, 0] and outs[0][1] == outs[1][1]
     assert sorted(sizes) == [3, 150]  # the library's 3-level one and the oracle's, once each
+
+
+def test_expect_reads_library_amplitudes_once_per_step(tmp_path, monkeypatch):
+    import qladder.observables as ob
+
+    calls = []
+    amplitudes = ob.ladder_amplitudes
+
+    def counted(ctx, state, t, *args, **kwargs):
+        calls.append(t)
+        return amplitudes(ctx, state, t, *args, **kwargs)
+
+    monkeypatch.setattr(ob, "ladder_amplitudes", counted)
+    cfgp = write_config(
+        tmp_path,
+        _HERMITE + "[state]\nkind = gaussian\nzeta = 0.4+0.2j\n\n[expect]\nobservables = "
+        "number_moment:1, number_moment:2, correlation:0:1, cluster_correlation:1:1, total_energy\n\n"
+        + _GRID,
+    )
+    code, out, err = run_cli(["expect", "--config", cfgp])
+    assert code == 0, err
+    assert calls == [0.0, 0.25, 0.5]
+
+
+_ALL_OBSERVABLES = ("h_expectation, number_moment:1, number_moment:2, correlation:0:1, "
+                    "cluster_correlation:1:1, alpha_moment:1, alpha_dispersion, total_energy")
+_JACOBI = "[scenario]\nschema_version = 1\n\n[family]\nkind = jacobi\na = -1.0\nb = 1.0\nmu = 2.0\nnu = 1.5\n\n"
+
+
+def _library_value(ctx, state, spec, t, picture):
+    import qladder.observables as ob
+
+    name, *idx = spec.split(":")
+    idx = [int(i) for i in idx]
+    if name == "h_expectation":
+        return ob.h_expectation(ctx, state)
+    if name == "cluster_correlation":
+        return ob.cluster_correlation(ctx, state, *idx, t, picture=picture)
+    return getattr(ob, name)(ctx, state, *idx, t)
+
+
+@pytest.mark.parametrize("config", [
+    (SCENARIOS / "gaussian_expect.ini").read_text(),
+    (SCENARIOS / "spectral_expect.ini").read_text(),
+    _JACOBI + "[state]\nkind = number\nn = 2\n\n[expect]\npicture = full\n\n" + _GRID,
+    _JACOBI + "[state]\nkind = fock\ncoeffs = 0.6, 0.8j, 0.1\n\n[expect]\n\n" + _GRID,
+], ids=["gaussian_expect", "spectral_expect", "jacobi-number", "jacobi-fock"])
+def test_expect_library_columns_equal_the_library_functions(tmp_path, config):
+    import configparser
+
+    import qladder.cli as cli
+
+    cfg = configparser.ConfigParser()
+    cfg.read_string(config)
+    cfg.set("expect", "observables", _ALL_OBSERVABLES)
+    path = tmp_path / "scenario.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cfg.write(fh)
+    code, out, err = run_cli(["expect", "--config", str(path), "--format", "json"])
+    assert code == 0, err
+    (table,) = json.loads(out)["tables"]
+    ctx, state = build_context(cli.family_from(cfg)), cli.state_from(cfg)
+    picture = cfg.get("expect", "picture", fallback="interaction")
+    specs = [spec.strip() for spec in _ALL_OBSERVABLES.split(",")]
+    for row in table["rows"]:
+        cells = dict(zip(table["columns"], row))
+        t = row[0]
+        for spec in specs:
+            label = f"{spec.replace(':', '_')}@{picture}"
+            want = _library_value(ctx, state, spec, t, picture)
+            if isinstance(want, complex):
+                assert complex(cells[f"re_{label}"], cells[f"im_{label}"]) == want, (spec, t)
+            else:
+                assert cells[label] == want, (spec, t)
+
+
+def test_python_m_qladder_matches_in_process_main():
+    argv = ["expect", "--config", "scenarios/gaussian_expect.ini", "--oracle"]
+    root = SCENARIOS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "qladder", *argv], cwd=root, env=env,
+                          capture_output=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli([argv[0], "--config", str(SCENARIOS / "gaussian_expect.ini"), "--oracle"])
+    assert code == 0 and proc.stdout == out.encode("utf-8")
 
 
 def test_every_readme_invocation_parses():

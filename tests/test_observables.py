@@ -1,14 +1,17 @@
 """Time-dependent expectation values against closed forms and the oracle."""
 
 import cmath
+import io
 import math
 import time
 import tracemalloc
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+from qladder.cli import main
 from qladder.coherent import mean_energy
 from qladder.fockoracle import expm_evolve, truncated_h
 from qladder.observables import (
@@ -180,10 +183,17 @@ def test_laguerre_geometric_moments():
     assert got == pytest.approx(want, rel=1e-8)
 
 
-def test_closed_series_guard_warns_on_mismatch(monkeypatch):
+def test_closed_series_guard_warns_on_mismatch(monkeypatch, tmp_path):
     monkeypatch.setattr(type(HCTX.pd), "closed_number_moment", lambda *a: 99.0)
     with pytest.warns(RuntimeWarning, match="deviates from the normative"):
         number_moment(HCTX, SpectralCoherent(0.2 + 0.1j), 1, 0.5)
+    # the CLI's library column runs the same check on the same label
+    cfg = tmp_path / "spectral.ini"
+    cfg.write_text("[scenario]\nschema_version = 1\n\n[family]\nkind = hermite\n\n"
+                   "[state]\nkind = spectral\nz = 0.2+0.1j\n\n"
+                   "[expect]\nobservables = number_moment:1\n\n[grid]\nt0 = 0.5\nsteps = 1\n")
+    with pytest.warns(RuntimeWarning, match="deviates from the normative"), redirect_stdout(io.StringIO()):
+        assert main(["expect", "--config", str(cfg)]) == 0
 
 
 def test_moment_order_validation(family_ctx):
