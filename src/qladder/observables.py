@@ -122,6 +122,10 @@ def _gaussian_coeffs(zeta: complex) -> np.ndarray:
     return np.exp(logmag[: nmax + 1] + 1j * cmath.phase(zeta) * n[: nmax + 1])
 
 
+# Glauber vectors by label: every time step of a request reads its state's vector
+_GLAUBER = _LRU(256, 16 * 2**20)
+
+
 def _check_level(n: int) -> int:
     n = int(n)
     if n < 0:
@@ -141,7 +145,8 @@ def _state_coeffs(state: QuantumState) -> np.ndarray:
         c[-1] = 1.0
         return c
     if isinstance(state, GaussianCoherent):
-        return _gaussian_coeffs(state.zeta)
+        zeta = complex(state.zeta)
+        return _GLAUBER.get_or_build(zeta, lambda: _gaussian_coeffs(zeta)).copy()
     if not isinstance(state, Fock):
         raise TypeError(f"not a ladder state: {state!r}")
     c = np.asarray(state.coeffs, dtype=complex)
@@ -159,12 +164,11 @@ def ladder_amplitudes(
     """Coefficients g_k(t) of e^{-i H_I t}|state> in the number basis.
 
     A spectral coherent label z moves to z + t, whose coefficients
-    :func:`.coherent_coeffs` gives to the squared tail ``tail``; on a family
-    with a closed occupation law the vacuum, label 0, moves to t, to rounding.
-    Every other state is its coefficient vector (a number state |n> is e_n),
-    returned as it is at t = 0 and otherwise propagated by :func:`.evolve`,
-    whose output length adapts until the squared tail is below ``tail``
-    (read from its last 64 levels where the norm deficit is at rounding).
+    :func:`.coherent_coeffs` gives to the squared tail ``tail``.  Every other
+    state is its coefficient vector (a number state |n> is e_n), returned as
+    it is at t = 0 and otherwise propagated by :func:`.evolve`: on Hermite and
+    Laguerre pairs sized once from the packet law, to a squared tail of at
+    most 1e-16, on Jacobi pairs until the squared tail is below ``tail``.
     """
     t = float(t)
     if isinstance(state, SpectralCoherent):
@@ -172,11 +176,7 @@ def ladder_amplitudes(
         g = coherent_coeffs(ctx, z + t, tol=tail)
         return g / math.sqrt(squared_norm(ctx, z))
     c = _state_coeffs(state)
-    if t == 0.0:
-        return c
-    if c.size == 1 and ctx.pd.closed_number_moment(t, 1) is not None:  # c_0 |label 0>
-        return c[0] * coherent_coeffs(ctx, t, tol=0.0)
-    return evolve(ctx, c, t, tail=tail)
+    return c if t == 0.0 else evolve(ctx, c, t, tail=tail)
 
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,7 @@ class PearsonData:
     and ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form.
     ``shape()`` gives (key, h0, s): the ladder is h0 + s times that of
     ``canonical()``, the pair of the key in canonical gauge, so nodes map as h0 + s x^.
+    ``dual`` is None for a family whose real-t dynamics has no discrete dual (Jacobi).
     """
 
     a0: float
@@ -86,6 +87,7 @@ class PearsonData:
     support: tuple[float, float]
     closed_max_degree: ClassVar[int]
     strip_edge: ClassVar[float] = math.inf
+    dual: ClassVar = None
 
     def A(self, omega):
         return self.a1 * omega + self.a0
@@ -103,7 +105,8 @@ class PearsonData:
 
     def levels(self, n: int, t: float, tail: float, top: int) -> int:
         """Level (<= top) past which e^{-iHt}|n> keeps a squared tail < ``tail``: n + spread(t).
-        ``evolve`` and ``sigma_row`` size their rules from it at t, ``sigma_mn_quad`` at |t|/2."""
+        ``evolve`` sizes its output from it at t, ``sigma_row`` its rule (Jacobi), and
+        ``sigma_mn_quad`` its real-t rule at |t|/2."""
         return min(n + self.spread(t), top)
 
     def sigma_seq(self, ctx, z: complex, c0: complex):
@@ -209,7 +212,14 @@ _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # k * _LN2_HI is 
 
 class _ClosedRatio:
     """Families with sigma_n = sigma_{n-1} w sqrt(beta + gap / n), ``_ratio(z)`` = (w, w in long
-    double, beta, gap): Poisson (0, 1) for Hermite, negative binomial (1, mu - 1) for Laguerre."""
+    double, beta, gap): Poisson (0, 1) for Hermite, negative binomial (1, mu - 1) for Laguerre.
+
+    At real t, e^{-itJ} is a group element (the Heisenberg-Weyl displacement, a parabolic
+    su(1,1) element), and its number-basis entries have a discrete dual: with q = |w|^2,
+    <m|e^{-itJ}|j> = sigma_m(t) (-theta)^j p_j(m), theta = w / |w|, and p_j the orthonormal
+    polynomials of the law |sigma_m(t)|^2 on the integers m, whose ladder ``dual_ladder(q, n)``
+    gives: Charlier for Hermite (Koekoek, Lesky & Swarttouw 2010, 9.14), Meixner for Laguerre
+    (9.10).  Column 0 is the label-t coherent vector sigma_m(t)."""
 
     def char(self, ctx, z: complex) -> complex:
         return cmath.exp(self._log_char(z))
@@ -233,6 +243,17 @@ class _ClosedRatio:
             if k:  # exact powers of two: keep |c| ~ 1 until sigma_n passes 2^_LOW
                 e = math.frexp(abs(c))[1]
                 c, k = (c * 2.0**k, 0) if k + e > _LOW else (c * 2.0**-e, k + e)
+
+    def dual(self, t: float, K: int, n: int):
+        """(b, h, sigma, col) at real t != 0: the dual ladder arrays of degrees 0..n, column 0
+        sigma_m(t), m = 0..K (the label-t coherent vector: sigma_0 times a cumulative product of
+        the closed amplitude ratio, in long double so that level m is not off by m eps, as one
+        rounding of w would leave it), and the column phases col_j = (-theta)^j, j = 0..n."""
+        w, w_exact, beta, gap = self._ratio(t)
+        ratio = w_exact() * np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble))
+        sigma = np.cumprod(np.concatenate(([np.exp(np.clongdouble(self._log_char(t)))], ratio)))
+        col = np.exp(1j * cmath.phase(-w) * np.arange(n + 1))
+        return (*self.dual_ladder(abs(w) ** 2, n), sigma, col)
 
 
 def _moment_of(l: int, factorial_moment) -> float:
@@ -293,14 +314,17 @@ class _Hermite(_ClosedRatio, PearsonData):
         scale = math.sqrt(-self.b0 / self.a1)  # b(n) = scale * sqrt(n)
         return 32 + int(4.0 * t * (1.0 + scale) + 0.5 * (t * scale) ** 2)
 
+    def dual_ladder(self, q: float, n: int):
+        # orthonormal Charlier polynomials of the Poisson law with intensity q
+        j = np.arange(n + 1.0)
+        return np.sqrt(q * j), j + q
+
     def levels(self, n: int, t: float, tail: float, top: int) -> int:
         # displaced-number law e^{-lam} lam^j / j! C(n + j, j), lam = (-b0/a1) t^2
         lam, j = (-self.b0 / self.a1) * t * t, np.arange(1.0, top - n + 1)
         return _law_level(n, -lam, lam * (n + j) / (j * j), tail) if lam else n
 
     def quad_extra(self, z: complex) -> int:
-        if z.imag == 0.0:
-            return 0
         tau = -self.a1 / (2.0 * self.b0)
         return 32 + int(abs(z) ** 2 / (2.0 * tau))
 
@@ -384,6 +408,11 @@ class _Laguerre(_ClosedRatio, PearsonData):
         # one-index coefficients decay like q^k
         q = t / math.hypot(t, self.gamma)
         return 32 + int(40.0 / max(1e-3, -math.log(q)))
+
+    def dual_ladder(self, q: float, n: int):
+        # orthonormal Meixner polynomials of the negative binomial law, beta = mu and c = q
+        j = np.arange(n + 1.0)
+        return np.sqrt(q * j * (j + self.mu - 1.0)) / (1.0 - q), (j + q * (j + self.mu)) / (1.0 - q)
 
     def levels(self, n: int, t: float, tail: float, top: int) -> int:
         # su(1,1) law (1 - q2)^mu (mu + n)_j / j! q2^j C(n + j, j), q2 = t^2 / (t^2 + gamma^2)
@@ -853,13 +882,18 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
         def block(k0):
             return own[k0 // _SWEEP_BLOCK % 2]
 
+    if kmax == 0:  # P_0 = 1 alone: no recurrence to bound
+        row = block(0)[0]
+        row[...] = 1.0
+        yield 0, row, None
+        return
     xf, hf, bf = (np.asarray(a, dtype=float) for a in (x, h[:-1], b))
     g = (np.maximum(xf.max() - hf, hf - xf.min()) + bf[:-1]) / bf[1:]
     grow = np.log2(np.maximum(g, 1.0)).tolist()
     bl = b.tolist()  # ufuncs take Python scalars
     xh = np.empty((min(_SWEEP_BLOCK, kmax), len(x)), dtype=x.dtype)
-    tmp = np.empty_like(x)
-    prev, cur, bound = np.zeros_like(x), None, 0.0
+    tmp = np.empty(x.shape, x.dtype)
+    prev, cur, bound = np.zeros(x.shape, x.dtype), None, 0.0
     for k0 in range(0, kmax + 1, _SWEEP_BLOCK):
         k1 = min(k0 + _SWEEP_BLOCK, kmax + 1)
         rows = block(k0)[: k1 - k0]

@@ -12,21 +12,29 @@ normalized.  The one-index coefficients sigma_n = sigma_0n and the
 characteristic function sigma(z) = sigma_00(z) extend to complex arguments
 on a horizontal strip.
 
-Two independent evaluation routes are provided on purpose:
+Three independent evaluation routes are provided on purpose:
 
 * closed forms coming from the Rodrigues representation (``char_fn``,
   ``sigma_n``, ``sigma_mn_closed``), assembled in log space so large
   indices do not overflow;
 * Gauss quadrature in the spectral measure itself (``sigma_mn_quad``,
-  ``sigma_row``, ``evolve``).  The quadrature route uses weight-damped
-  polynomial rows which are exactly orthonormal under the discrete rule,
-  so propagating a coefficient vector is unitary up to the reported tail
-  deficit.
+  ``sigma_row``, ``evolve`` at complex z or on Jacobi pairs).  It uses
+  weight-damped polynomial rows which are exactly orthonormal under the
+  discrete rule, so propagating a coefficient vector is unitary up to the
+  reported tail deficit;
+* integer nodes, for Hermite and Laguerre pairs at real t (the same three
+  functions).  There e^{-itJ} is a group element, the Heisenberg-Weyl
+  displacement or a parabolic su(1,1) element, and its number-basis entries
+  are sigma_m(t) (-theta)^j p_j(m): p_j the Charlier or Meixner polynomials
+  (Koekoek, Lesky & Swarttouw 2010, 9.14 and 9.10) of the Poisson or negative
+  binomial law |sigma_m(t)|^2 on the integers m.  One scaled sweep of their
+  ladder over the nodes m = 0..K gives a block of columns, with K sized once
+  from the packet law; no rule, no eigenvalues, no cache.
 
-Each route is used to cross-check the other in the test-suite.  The
-per-family closed forms and rule sizes live on the PearsonData subclasses
-of :mod:`qladder.orthopoly`; the functions here check their arguments and
-the strip, then call them.
+The routes cross-check one another in the test-suite.  The per-family closed
+forms, duals and rule sizes live on the PearsonData subclasses of
+:mod:`qladder.orthopoly`; the functions here check their arguments and the
+strip, then call them.
 """
 
 from __future__ import annotations
@@ -41,7 +49,16 @@ import numpy as np
 
 from .errors import ConvergenceError, StripError
 from .measure import SpectralMeasure, gauss_rule, normalize, weighted_rows
-from .orthopoly import JacobiSystem, PearsonData, _log_row, _node_sum, recurrence, scaled_sweep
+from .orthopoly import (
+    _LN2,
+    _SWEEP_BLOCK,
+    JacobiSystem,
+    PearsonData,
+    _log_row,
+    _node_sum,
+    recurrence,
+    scaled_sweep,
+)
 
 __all__ = [
     "StripDomain",
@@ -108,8 +125,7 @@ class PropagatorContext:
         sqrt(w_i) P_k, k < R: from the sweep that builds a cold rule, or one
         sweep of the canonical ladder over a cached rule's nodes.  With a tuple
         of degrees it returns (x^, log-weights, L): L the ``log_rows`` of a
-        cold rule's sweep, None for a cached rule.  Each call reads _RULES
-        once, so a rule that one request alone uses stays on probation.
+        cold rule's sweep, None for a cached rule.
         """
         N = _rule_size(N)
         rule = _RULES.get(self.shape + (N,))
@@ -236,15 +252,16 @@ def _nbytes(val) -> int:
 
 
 # Rules and their polynomial matrices are keyed shape + (N,): the pairs of
-# one ladder shape share them.  A rule holds 24 B per node, and sigma_row
-# and the Jacobi shifted transforms size theirs without a cap, so _RULES
-# keeps 128 rules within 4 MiB; a larger rule is used uncached.  A new rule
-# waits in 128 probation slots, and only a second read keeps it in the main
-# ones, so one-off shapes never evict the rules that many pairs read.  Only
-# evolve fills _QMATS, with the (N - 63) x N matrix of an N-node rule.  A new
-# matrix waits in 12 probation slots and is kept when read again, so a request
-# builds each matrix once and one-off shapes leave after 12 newer ones.
-_RULES = _LRU(128, 4 * 2**20, probation=128)
+# one ladder shape share them.  Real-t requests on Hermite and Laguerre pairs
+# read neither (they take the integer-node route), so rules serve complex z
+# and Jacobi pairs, and matrices Jacobi evolve alone.  A rule holds 24 B per
+# node, and sigma_row and the Jacobi shifted transforms size theirs without a
+# cap, so _RULES keeps 128 rules within 4 MiB; a larger rule is used uncached.
+# _QMATS holds the (N - 63) x N matrix of an N-node rule.  A new matrix waits
+# in 12 probation slots and is kept when read again, so a request builds each
+# matrix once and one-off shapes leave after 12 newer ones, not holding up to
+# the 256 MiB budget.
+_RULES = _LRU(128, 4 * 2**20)
 _QMATS_BYTES = 256 * 2**20
 _QMATS = _LRU(4096, _QMATS_BYTES, probation=12)
 
@@ -269,6 +286,48 @@ def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Q @ f for real Q and a complex vector or matrix f, without a complex copy of Q."""
     f = np.ascontiguousarray(f, dtype=complex)
     return (Q @ f.view(float).reshape(len(f), -1)).view(complex).reshape(len(Q), *f.shape[1:])
+
+
+def _dual_rows(ctx: PropagatorContext, t: float, K: int, n: int, first: int = 0):
+    """The block <m|e^{-itJ}|j>, m = first..K, j = 0..n, at real t on a pair with a discrete dual.
+
+    Returns (U, r, col): entry (m, j) is r[m - first] U[j, m - first] col[j] for m >= j, that is
+    sigma_m(t) (-theta)^j p_j(m) of ``pd.dual``.  U holds one ``scaled_sweep`` of the dual ladder
+    over degrees 0..n at the integer nodes m, all in the sweep's final frame, and r is sigma_m(t)
+    in that frame, which sets the law's weight |sigma_m|^2.  Below the degree, m < j, the forward
+    recurrence is unstable: U is 0 there, and those entries are sigma_mj = sigma_jm, read at
+    m' = j and j' = m.
+    """
+    if t == 0.0:
+        return np.eye(n + 1, K + 1 - first, -first), np.ones(K + 1 - first, dtype=complex), np.ones(n + 1)
+    b, h, sigma, col = ctx.pd.dual(t, K, n)
+    x = np.arange(first, K + 1.0)
+    U, s, seen = np.empty((n + 1, x.size)), np.zeros(x.size), None
+    for k, u, rescaled in scaled_sweep(b, h, x, s, lambda k0: U[k0 : k0 + _SWEEP_BLOCK]):
+        if k > first:
+            u[: k - first] = 0.0
+        if rescaled is not None:  # the rows before k move to the new frame, exactly
+            i, seen = rescaled.nonzero()[0], np.zeros(x.size) if seen is None else seen
+            U[:k, i] *= np.ldexp(1.0, np.rint((seen[i] - s[i]) / _LN2).astype(int))
+            seen[i] = s[i]
+    sigma = sigma[first:]
+    if seen is not None:  # the frame's exact powers of two, within sigma_m's long-double range
+        sigma = sigma * np.exp2(np.rint(s / _LN2).astype(np.longdouble))
+    return U, sigma.astype(complex), col
+
+
+def _law_size(ctx: PropagatorContext, n: int, t: float, tail: float, max_dim: float) -> int:
+    """Level past which the packet law ``pd.levels`` leaves e^{-iHt} on levels <= n a squared
+    tail < ``tail``; ConvergenceError if that is above ``max_dim``."""
+    top = n + 64 + ctx.pd.spread(abs(t))
+    while True:
+        top = min(top, max_dim + 1)
+        K = ctx.pd.levels(n, abs(t), tail, top)
+        if K < top:
+            return K
+        if top > max_dim:
+            raise ConvergenceError(f"propagation needs more than max_dim = {max_dim} ladder levels")
+        top *= 2
 
 
 def _packet_rule(ctx: PropagatorContext, n: int, t: float, keep: int, base: int) -> int:
@@ -334,9 +393,12 @@ def sigma_mn_closed(ctx: PropagatorContext, m: int, n: int, z: complex) -> compl
 def sigma_mn_quad(
     ctx: PropagatorContext, m: int, n: int, z: complex, N: int | None = None
 ) -> complex:
-    """sigma_mn by Gauss quadrature in the spectral measure.
+    """sigma_mn by Gauss quadrature in the spectral measure, or on integer nodes.
 
-    The sum is assembled per node in log space, so far nodes, whose
+    At real z on a Hermite or Laguerre pair, and N not given, it is one sweep
+    of the dual ladder over min(m, n) degrees at the single node max(m, n),
+    so sigma_mn and sigma_nm are the same number.  Otherwise the sum is
+    assembled per node in log space, so far nodes, whose
     sqrt-weights underflow, still carry the mass of an integrand that grows
     against the measure at complex z.  At real z its rounding grows with the
     rule size: on Jacobi (mu, nu) = (0.63, 1.29) over (0.96, 3.60) at
@@ -361,6 +423,10 @@ def sigma_mn_quad(
         raise ValueError("indices must be nonnegative")
     z = complex(z)
     _check_char_domain(ctx, z)
+    if N is None and z.imag == 0.0 and ctx.pd.dual is not None:
+        lo, hi = sorted((m, n))
+        U, r, col = _dual_rows(ctx, z.real, hi, lo, hi)
+        return complex(r[0] * U[lo, 0] * col[lo])
     if N is None:
         N = min(m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z), 6144)
         if z.imag == 0.0:  # the packet law at half time, 32 levels of margin
@@ -398,10 +464,20 @@ def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
 
 
 def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray:
-    """Array of sigma_nk(t), k = 0..kmax, at real t on a rule sized like evolve's (rows uncached)."""
+    """Array of sigma_nk(t), k = 0..kmax, at real t.
+
+    The entries are the first kmax + 1 matrix elements themselves, whatever kmax:
+    ||row||^2 < 1 is the mass the row leaves past kmax (0.519 for the vacuum of
+    ``hermite_data()`` at t = 20, kmax = 200), not an error in what it keeps.  On
+    Hermite and Laguerre pairs they come off integer nodes (one sweep of n + 1
+    degrees from node n on), otherwise off a rule sized like evolve's (rows uncached).
+    """
     if n < 0 or kmax < 0:
         raise ValueError("indices must be nonnegative")
     t = float(t)
+    if ctx.pd.dual is not None:  # sigma_nk, k < n, at node n; then column n from node n on
+        U, r, col = _dual_rows(ctx, t, max(n, kmax), n, n)
+        return np.concatenate((r[0] * U[:n, 0] * col[:n], r * U[n] * col[n]))[: kmax + 1]
     xh, _, Q = ctx.rule(_packet_rule(ctx, n, t, max(n, kmax), max(n, kmax) + 64), max(n, kmax) + 1)
     f = np.exp(-1j * t * ctx.nodes(xh)) * Q[n]
     return _real_matvec(Q[: kmax + 1], f)
@@ -412,31 +488,53 @@ def evolve(
     coeffs,
     t: float,
     tail: float = 1e-12,
-    max_dim: int = 8192,
+    max_dim: int | None = None,
 ) -> np.ndarray:
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
-    The output keeps the K + 1 rows of a rule's matrix.  The first K is where the
-    family's closed packet law (``pd.levels``) leaves c's packet at rounding, at least
-    c.size - 1, with K + 64 rounded up onto the grid and at most the rule of c.size +
-    128 + spread(t) nodes; a doubling of K moves to the rule of 2K + 64.  K doubles
-    until the unitarity deficit ||c||^2 - ||out||^2 (the weight leaked past
-    the kept rows) is below ``tail`` ||c||^2.  Below 4 eps K ||c||^2 the
+    ``coeffs`` is a vector, or a matrix whose columns are propagated together.
+    The output keeps K + 1 levels.  On Hermite and Laguerre pairs K is sized once:
+    the level past which the family's closed packet law (``pd.levels``) leaves c's
+    packet a squared tail below min(``tail``, 1e-16), at least c.size - 1, and the
+    block comes off integer nodes; the tail it drops is the law's.  ``max_dim`` caps
+    K there only if given, since the block takes (K + 1) x c.size entries.
+
+    On Jacobi pairs (until their packet bound lands) K + 1 are the rows of a rule's
+    matrix, and K still doubles.  The first K is where the law leaves c's packet at
+    rounding, at least c.size - 1, with K + 64 rounded up onto the grid and at most
+    the rule of c.size + 128 + spread(t) nodes; a doubling of K moves to the rule of
+    2K + 64.  K doubles until the unitarity deficit ||c||^2 - ||out||^2 (the weight
+    leaked past the kept rows) is below ``tail`` ||c||^2.  Below 4 eps K ||c||^2 the
     deficit is rounding of its K + 1 squares, and the weight of the last 64
     kept rows, which is resolved, stands in for the leak.  K is capped at
-    the largest grid level not above ``max_dim``; a first K above it raises
-    ConvergenceError at once, since a smaller rule would measure a deficit
-    it cannot resolve.
+    the largest grid level not above ``max_dim`` (8192 if None); a first K above
+    it raises ConvergenceError at once, since a smaller rule would measure a
+    deficit it cannot resolve.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coeffs must be a nonempty 1-d array")
+    if c.ndim not in (1, 2) or c.size == 0:
+        raise ValueError("coeffs must be a nonempty vector, or a matrix whose columns are vectors")
     t = float(t)
-    nrm2 = float(np.vdot(c, c).real)
-    if nrm2 == 0.0:
-        return np.zeros(c.size, dtype=complex)
-    n = int(np.count_nonzero(np.cumsum(abs(c[::-1]) ** 2) > _PACKET_TAIL * nrm2)) - 1  # rounding past n
-    K = _packet_rule(ctx, n, t, c.size - 1, c.size + 128) - 64
+    w2 = abs(c) ** 2
+    nrm2 = w2.sum(axis=0)
+    if not nrm2.any():
+        return np.zeros(c.shape, dtype=complex)
+    kept = np.cumsum(w2[::-1], axis=0) > _PACKET_TAIL * nrm2
+    n = int(np.count_nonzero(kept if c.ndim == 1 else kept.any(axis=1))) - 1  # rounding past n in every column
+    by_row = (slice(None),) + (None,) * (c.ndim - 1)  # a vector over rows, broadcast over columns
+    if ctx.pd.dual is not None:
+        cap = math.inf if max_dim is None else max_dim
+        if len(c) - 1 > cap:
+            raise ConvergenceError(f"propagation needs more than max_dim = {max_dim} ladder levels")
+        K = max(_law_size(ctx, n, t, min(tail, _PACKET_TAIL), cap), len(c) - 1)
+        U, r, col = _dual_rows(ctx, t, K, len(c) - 1)
+        out = r[by_row] * _real_matvec(U.T, col[by_row] * c)
+        if len(c) > 1:  # the entries m < j, read at m' = j, j' = m
+            T, w = U[:, : len(c)], r[: len(c)][by_row] * c
+            out[: len(c)] += col[by_row] * (_real_matvec(T, w) - T.diagonal()[by_row] * w)
+        return out
+    max_dim = 8192 if max_dim is None else max_dim
+    K = _packet_rule(ctx, n, t, len(c) - 1, len(c) + 128) - 64
     if K > max_dim:
         raise ConvergenceError(
             f"propagation needs {K} ladder levels at first, "
@@ -445,17 +543,17 @@ def evolve(
     kcap = (max_dim + 64) // _RULE_GRID * _RULE_GRID - 64
     while True:
         nodes, Q = _weighted_poly_matrix(ctx, K + 64, K)
-        f = np.exp(-1j * t * nodes) * _real_matvec(Q[: c.size].T, c)
+        f = np.exp(-1j * t * nodes)[by_row] * _real_matvec(Q[: len(c)].T, c)
         out = _real_matvec(Q, f)
-        deficit = nrm2 - float(np.vdot(out, out).real)
-        if deficit <= 4.0 * np.finfo(float).eps * K * nrm2:  # rounding: read the last 64 rows
-            deficit = min(deficit, float(np.vdot(out[-64:], out[-64:]).real))
-        if deficit <= tail * nrm2:
+        deficit = nrm2 - (out.real**2 + out.imag**2).sum(axis=0)
+        floor = deficit <= 4.0 * np.finfo(float).eps * K * nrm2  # rounding: read the last 64 rows
+        deficit = np.where(floor, np.minimum(deficit, (abs(out[-64:]) ** 2).sum(axis=0)), deficit)
+        if np.all(deficit <= tail * nrm2):
             return out
         if K >= kcap:
             raise ConvergenceError(
                 f"propagation needs more than {max_dim} ladder levels "
-                f"(unitarity deficit {deficit:.3e})"
+                f"(unitarity deficit {np.max(deficit):.3e})"
             )
         K = min(2 * K, kcap)  # 2K + 64 = 2S - 64 stays on the grid
 

@@ -25,26 +25,40 @@ def family_ctx(family_name):
     return build_context(CANONICAL[family_name])
 
 
+def _recording(cache, built):
+    """An empty cache with the bounds of ``cache`` that appends to ``built`` the key of every
+    value put into it; so does any cache of its type.
+
+    Every build goes through ``put``, kept or not (a value over the byte budget
+    is built and used, then dropped), so builds are recorded where they run.
+    """
+
+    class Recording(propagator._LRU):
+        def put(self, key, val):
+            built.append(key)
+            super().put(key, val)
+
+    return Recording(cache.slots, cache.max_bytes, cache.probation)
+
+
 @pytest.fixture
 def qmat_builds(monkeypatch):
     """Keys (family, shape parameters, nodes) of the polynomial matrices built during the test.
 
     The test runs on an empty matrix cache with the production slots, byte
-    budget and probation, so what it builds is dropped afterwards.  Builds
-    are recorded where they run, not where they are kept.
+    budget and probation, so what it builds is dropped afterwards.
     """
     built = []
+    monkeypatch.setattr(propagator, "_QMATS", _recording(propagator._QMATS, built))
+    return built
 
-    class Recording(propagator._LRU):
-        def get_or_build(self, key, build):
-            def recorded():
-                built.append(key)
-                return build()
 
-            return super().get_or_build(key, recorded)
-
-    q = propagator._QMATS
-    monkeypatch.setattr(propagator, "_QMATS", Recording(q.slots, q.max_bytes, q.probation))
+@pytest.fixture
+def rule_builds(monkeypatch):
+    """Keys (family, shape parameters, nodes) of the Gauss rules built during the test, on an
+    empty rule cache with the production bounds."""
+    built = []
+    monkeypatch.setattr(propagator, "_RULES", _recording(propagator._RULES, built))
     return built
 
 

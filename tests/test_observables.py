@@ -32,7 +32,7 @@ from qladder.observables import (
     phase_exponentials,
     total_energy,
 )
-from qladder.orthopoly import JacobiSystem, hermite_data, laguerre_data
+from qladder.orthopoly import JacobiSystem, hermite_data, jacobi_data, laguerre_data
 import qladder.propagator as prop
 from qladder.propagator import PropagatorContext, build_context, sigma_row
 from qladder.reduction import MultiModeSystem, reduce
@@ -54,9 +54,9 @@ def test_number_amplitudes_are_propagator_rows(family_name, family_ctx):
 
 def test_number_amplitudes_build_one_poly_matrix(monkeypatch):
     # a number state is the vector e_n for evolve, sized once from its packet
-    # law, not a row whose length doubles with a new rule per attempt; the
-    # vacuum is the coherent label 0 and builds none
-    ctx = build_context(laguerre_data(2.5))
+    # law, not a row whose length doubles with a new rule per attempt; on a
+    # Jacobi pair each state reads one rule's matrix, the vacuum too
+    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
     calls = []
     inner = prop._weighted_poly_matrix
 
@@ -69,14 +69,15 @@ def test_number_amplitudes_build_one_poly_matrix(monkeypatch):
     assert len(calls) == 1
     assert 1.0 - np.vdot(g, g).real <= 1e-13
     g = ladder_amplitudes(ctx, Number(0), 5.0)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert 1.0 - np.vdot(g, g).real <= 1e-13
 
 
 def test_vacuum_moments_take_the_coherent_route():
     # e^{-iHt}|0> is the coherent label t, whose closed mean is mu t^2 on
-    # Laguerre(2.5); at t = 20 it spreads over ~14,000 levels, past evolve's
-    # max_dim and past 4,000 coefficients, so the closed moments set the budget
+    # Laguerre(2.5); at t = 20 it spreads over ~14,000 levels, past the rule
+    # route's level cap: the integer-node route gives the coherent vector as
+    # column 0 of its block, sized once from the packet law
     ctx = build_context(laguerre_data(2.5))
     for t, want, seconds in ((10.0, 250.0, 0.05), (20.0, 1000.0, 1.0)):
         times = []
@@ -94,11 +95,19 @@ def test_vacuum_moments_take_the_coherent_route():
     assert peak < 100 * 2**20
 
 
+def test_vacuum_second_moment_keeps_the_whole_series():
+    # the packet law sizes the vacuum at a squared tail of 1e-16, so k^2 |g_k|^2
+    # keeps the full series: a 1e-13 tail put this moment 1.8e-11 off
+    ctx = build_context(laguerre_data(3.05))
+    got = number_moment(ctx, Number(0), 2, 0.712)
+    assert abs(got - ctx.pd.closed_number_moment(0.712, 2)) <= 1e-13 * got
+
+
 def test_number_amplitudes_share_one_poly_matrix_per_rule(qmat_builds):
-    # the CLI propagates rows m = 0..4 in turn; at one t they land on one
-    # rule, whose single matrix carries the rows every one of them keeps;
-    # matrices are keyed by the ladder shape, then the rule size
-    ctxs = [build_context(laguerre_data(2.5)), HCTX]
+    # number states m = 0..4 taken in turn at one t land on one rule, whose
+    # single matrix carries the rows every one of them keeps; matrices are
+    # keyed by the ladder shape, then the rule size
+    ctxs = [build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5)), build_context(jacobi_data(0.0, 3.0, 0.7, 3.1))]
     for ctx in ctxs:
         for n in range(5):
             ladder_amplitudes(ctx, Number(n), 1.0)

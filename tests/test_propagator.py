@@ -160,56 +160,65 @@ def test_evolve_refuses_a_first_size_above_max_dim():
         evolve(ctx, np.ones(40) / np.sqrt(40), 0.5, max_dim=16)
 
 
+# Only Jacobi pairs still double, and their first K, n + spread(t) levels,
+# holds the packet: the doublings below come from rounding, on tails set
+# below it (the norm's rounding, or the last 64 rows' ~1e-26).
+_WIDE_JACOBI = (-10.0, 10.0, 0.7, 3.1)
+
+
 def test_evolve_names_the_deficit_at_the_level_cap():
-    # e_40 on Laguerre(0.8) at t = 1 starts at K = 256 and doubles to the
-    # cap, K = 288 under max_dim = 300, where ~6e-8 still leaks past it;
-    # under max_dim = 400 the cap is K = 384, enough
-    ctx = build_context(laguerre_data(0.8))
+    # e_40 at t = 3 under a tail of 1e-30 starts at K = 192 and doubles to the
+    # cap, K = 288 under max_dim = 300, where the norm's rounding of 3e-13 is
+    # above 4 eps K; under max_dim = 400 the cap is K = 384, enough
+    ctx = build_context(jacobi_data(*_WIDE_JACOBI))
     c = np.zeros(41)
     c[40] = 1.0
     with pytest.raises(ConvergenceError, match=r"more than 300 ladder levels \(unitarity deficit"):
-        evolve(ctx, c, 1.0, max_dim=300)
-    assert evolve(ctx, c, 1.0, max_dim=400).size == 385
+        evolve(ctx, c, 3.0, tail=1e-30, max_dim=300)
+    assert evolve(ctx, c, 3.0, tail=1e-30, max_dim=400).size == 385
 
 
 def test_evolve_stops_at_the_rounding_floor_of_its_deficit(qmat_builds):
-    # the vacuum on Laguerre(0.8) at t = 5.5 keeps 2,560 levels whose last 64
-    # hold ~1e-25; its deficit of ~1.5e-12 is rounding of the 2,561-term
-    # norm, above the default tail but below 4 eps K, so no doubling follows
-    ctx = build_context(laguerre_data(0.8))
-    out = evolve(ctx, [1.0], 5.5)
-    assert [key[2] for key in qmat_builds] == [out.size + 63] == [2624]
+    # the vacuum at t = 10 keeps 448 levels whose last 64 hold ~1e-26; its
+    # deficit of ~1.5e-14 is rounding of the 449-term norm, above a tail of
+    # 1e-18 but below 4 eps K, so no doubling follows
+    ctx = build_context(jacobi_data(*_WIDE_JACOBI))
+    out = evolve(ctx, [1.0], 10.0, tail=1e-18)
+    assert [key[2] for key in qmat_builds] == [out.size + 63] == [512]
     deficit = 1.0 - np.vdot(out, out).real
     assert deficit <= 4.0 * np.finfo(float).eps * (out.size - 1)
     assert np.vdot(out[-64:], out[-64:]).real < 1e-20
 
 
 def test_evolve_doubles_while_its_deficit_is_resolved(qmat_builds):
-    # 100 random levels at t = 1 leak past 320 and 640 levels, far above the
-    # floor; the second doubling is capped at 992 = 1,056 - 64, the largest
-    # grid level not above max_dim
-    ctx = build_context(laguerre_data(0.8))
+    # 100 random levels at t = 6 under a tail of 1e-30 double from 384 to 768
+    # levels, and the second doubling is capped at 992 = 1,056 - 64, the largest
+    # grid level not above max_dim, where the rounding of the last 64 rows is
+    # still above the tail
+    ctx = build_context(jacobi_data(*_WIDE_JACOBI))
     rng = np.random.default_rng(7)
     c = rng.normal(size=100) + 1j * rng.normal(size=100)
     c /= np.linalg.norm(c)
-    out = evolve(ctx, c, 1.0, max_dim=1000)
-    assert [key[2] for key in qmat_builds] == [384, 704, 1056]
-    assert out.size == 993
-    assert abs(1.0 - np.vdot(out, out).real) <= 1e-12
+    with pytest.raises(ConvergenceError, match="more than 1000 ladder levels"):
+        evolve(ctx, c, 6.0, tail=1e-30, max_dim=1000)
+    assert [key[2] for key in qmat_builds] == [448, 832, 1056]
+
+
+def _below_floor_case():
+    """40 random levels at t = 2: a tail of 1e-27 is below the rounding floor
+    4 eps K of the norm, so the last 64 rows, whose rounding holds ~1e-26,
+    stand in for the leak until K = 640."""
+    rng = np.random.default_rng(0)
+    c = rng.normal(size=40) + 1j * rng.normal(size=40)
+    return build_context(jacobi_data(*_WIDE_JACOBI)), c / np.linalg.norm(c), 2.0, 1e-27
 
 
 def test_evolve_honours_a_tail_below_its_rounding_floor(qmat_builds):
-    # 40 random levels at t = 2 leave a deficit of 6.3e-13 at 960 levels:
-    # below the floor 4 eps K = 8.5e-13 but a real leak, since the levels
-    # past 960 hold 7e-13 once kept; a tail of 1e-13 must double again
-    ctx = build_context(laguerre_data(2.5))
-    rng = np.random.default_rng(7)
-    c = rng.normal(size=40) + 1j * rng.normal(size=40)
-    c /= np.linalg.norm(c)
-    out = evolve(ctx, c, 2.0, tail=1e-13)
-    assert [key[2] for key in qmat_builds] == [544, 1024, 1984]
-    assert np.vdot(out[961:], out[961:]).real > 1e-13
-    assert np.vdot(out[-64:], out[-64:]).real <= 1e-13
+    ctx, c, t, tail = _below_floor_case()
+    out = evolve(ctx, c, t, tail=tail)
+    assert [key[2] for key in qmat_builds] == [224, 384, 704]
+    assert 1.0 - np.vdot(out[:161], out[:161]).real <= 4.0 * np.finfo(float).eps * 160
+    assert np.vdot(out[97:161], out[97:161]).real > tail
 
 
 def test_cold_sigma_row_builds_only_the_rows_it_reads(qmat_builds):
@@ -247,11 +256,11 @@ def _direct_values(ctx, t, c, row_rule, out_size):
 
 
 def test_pairs_of_one_shape_share_one_rule(monkeypatch):
-    # every Hermite pair is an affine image of the one oscillator ladder: five
-    # pairs at one t build each rule size once, and their values are those of
-    # rules built for each pair itself, up to the rounding the map adds to
-    # each node; pairs in canonical gauge, mapped by the identity, give the
-    # values of their own rules bit for bit
+    # every Jacobi pair of exponents (2, 1.5) is an affine image of the one
+    # ladder on (-1, 1): five pairs at one t build each rule size once, and
+    # their values are those of rules built for each pair itself, up to the
+    # rounding the map adds to each node; pairs in canonical gauge, mapped by
+    # the identity, give the values of their own rules bit for bit
     from qladder import measure
 
     built = []
@@ -278,19 +287,20 @@ def test_pairs_of_one_shape_share_one_rule(monkeypatch):
         return {160, row_rule, got[2].size + 63}
 
     used = set()
-    for a1, a0, b0 in ((-1.0, 0.0, 1.0), (-2.0, 0.0, 2.0), (-3.0, 1.5, 3.0), (-2.0, 0.7, 1.0), (-0.5, -0.4, 2.0)):
-        used |= check(hermite_data(a1, a0, b0), 1e-13)
+    for a, b, scale in ((-1.0, 1.0, 1.0), (0.0, 2.0, 1.0), (-3.0, 1.0, 2.0), (-1.0, 3.0, 2.0), (-4.0, 0.0, 0.5)):
+        used |= check(jacobi_data(a, b, 2.0, 1.5, scale), 1e-13)
     assert sorted(built) == sorted(used) and len(used) < 3 * 5
-    for pd in (laguerre_data(2.5), jacobi_data(-1.0, 1.0, 2.0, 1.5)):
+    for pd in (jacobi_data(-1.0, 1.0, 0.7, 3.1), jacobi_data(-1.0, 1.0, 2.0, 1.5)):
         check(pd, 0)
 
 
 def test_hermite_rule_size_is_gauge_free():
     # (a1, b0) and lambda * (a1, b0) give the same measure and ladder
-    # (variance -b0/a1 = 8), so the same row; at t = 5 its packet lies past
-    # level 60 and a rule sized at the smaller gauge misses it
+    # (variance -b0/a1 = 8), so the same elements; at z = 5 + 0.1i the
+    # packet of level 3 lies past level 60 and a rule sized at the smaller
+    # gauge misses it
     rows = [
-        sigma_row(build_context(hermite_data(a1=a1, b0=b0)), 3, 5.0, 60)
+        np.array([sigma_mn_quad(build_context(hermite_data(a1=a1, b0=b0)), 3, k, 5.0 + 0.1j) for k in range(61)])
         for a1, b0 in ((-0.05, 0.4), (-1.0, 8.0))
     ]
     assert np.max(np.abs(rows[0] - rows[1])) < 1e-12
@@ -467,7 +477,7 @@ def test_lru_gives_up_probation_first_under_its_byte_budget():
 
 
 def test_qmats_builds_a_matrix_read_twice_once_and_keeps_it(monkeypatch):
-    ctx = build_context(laguerre_data(2.5))
+    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
     c = np.array([0.6, 0.8j, 0.0])
     q = propagator._QMATS
     assert q.probation > 0
@@ -484,7 +494,7 @@ def test_qmats_builds_a_matrix_read_twice_once_and_keeps_it(monkeypatch):
     second = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
     assert len(built) == 1 and list(cache._data) == built  # read again: kept
     for mu in np.linspace(1.0, 2.0, 2 * q.probation):  # one-off matrices pass through
-        evolve(build_context(laguerre_data(mu)), c, 1.3)
+        evolve(build_context(jacobi_data(-1.0, 1.0, mu, 2.5)), c, 1.3)
     assert len(built) == 1 + 2 * q.probation
     assert list(cache._data) == built[:1] and len(cache._trial) == q.probation
     third = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
@@ -497,15 +507,13 @@ def test_qmats_builds_a_matrix_read_twice_once_and_keeps_it(monkeypatch):
 
 
 def test_doubling_evolve_keeps_its_matrices_within_the_byte_budget(monkeypatch, qmat_builds):
-    ctx = build_context(laguerre_data(0.8))
-    c = np.random.default_rng(3).standard_normal(40)
-    c /= np.linalg.norm(c)
-    want = evolve(ctx, c, 2.5)
-    assert len(qmat_builds) == 3  # 2.7, 11.6 and 56.6 MiB
-    budget = 12 * 2**20  # the second evicts the first, the third is used uncached
+    ctx, c, t, tail = _below_floor_case()
+    want = evolve(ctx, c, t, tail=tail)
+    assert len(qmat_builds) == 3  # 0.28, 0.94 and 3.44 MiB
+    budget = 2**20  # the second evicts the first, the third is used uncached
     small = propagator._LRU(12, max_bytes=budget)
     monkeypatch.setattr(propagator, "_QMATS", small)
-    got = evolve(ctx, c, 2.5)
+    got = evolve(ctx, c, t, tail=tail)
     assert 0 < small.nbytes <= budget
     np.testing.assert_array_equal(got, want)
 
@@ -514,7 +522,7 @@ def test_a_cold_request_sweeps_each_rule_it_builds_once(monkeypatch, qmat_builds
     """The rows of a cold rule come from the sweep that builds it."""
     from qladder import measure
 
-    ctx = build_context(laguerre_data(0.8))
+    ctx = build_context(jacobi_data(-1.0, 1.0, 0.7, 0.8))
     passes, built = [], []
     sweep, build = measure.scaled_sweep, propagator.gauss_rule
 
@@ -558,13 +566,14 @@ def test_a_cold_sigma_mn_quad_sweeps_once(monkeypatch):
     for mod in (measure, propagator):
         monkeypatch.setattr(mod, "scaled_sweep", counted_sweep)
     monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
-    cold = sigma_mn_quad(ctx, 30, 31, 1.3)
+    z = 1.3 + 0.05j  # complex z: real t takes the integer-node route
+    cold = sigma_mn_quad(ctx, 30, 31, z)
     assert len(passes) == 1
-    # the value of a 224-node rule sweep followed by a second sweep to degree 31
-    two_pass = -0.060450644327933935 - 0.0006389633039322759j
+    # the value of a 416-node rule sweep followed by a second sweep to degree 31
+    two_pass = -0.37092981921881074 - 0.2830993581610291j
     assert abs(cold - two_pass) <= 1e-13 * abs(two_pass)
     passes.clear()
-    assert sigma_mn_quad(ctx, 30, 31, 1.3) == cold and len(passes) == 1  # cached: one sweep to 31
+    assert sigma_mn_quad(ctx, 30, 31, z) == cold and len(passes) == 1  # cached: one sweep to 31
 
 
 def test_the_rule_cache_keeps_its_rules_within_its_byte_budget(monkeypatch):
@@ -604,7 +613,9 @@ def test_rule_size_rounds_to_the_nearest_multiple_of_32():
     assert (_rule_size(48), _rule_size(47), _rule_size(8256)) == (64, 32, 8256)  # ties go up
 
 
-@pytest.mark.parametrize("pd", [hermite_data(), laguerre_data(0.8), jacobi_data(-1, 1, 2, 1.5)])
+@pytest.mark.parametrize(
+    "pd", [jacobi_data(0, 3, 0.7, 2.5), jacobi_data(-2, 5, 3.1, 0.8, 0.5), jacobi_data(-1, 1, 2, 1.5)]
+)
 def test_every_quadrature_caller_keeps_48_nodes_above_its_highest_row(pd, monkeypatch):
     ctx = build_context(pd)
     sizes = []
@@ -699,7 +710,8 @@ def test_real_matvec_is_the_stacked_product_bit_for_bit():
 
 def test_first_rules_come_from_the_packet_law_and_are_never_larger(qmat_builds, monkeypatch):
     # number states 0-8, Glauber and short Fock vectors at the times and
-    # parameters of a sweep over the three families: evolve's first rule is
+    # parameters of a sweep over Jacobi pairs, whose real-t route is a Gauss
+    # rule: evolve's first rule is
     # the one it needs (one matrix) and never above the spread-sized rule of
     # c.size + 128 + spread(t) nodes; sigma_row's rule never above that of
     # max(n, kmax) + 64 + spread(t) nodes; together the first rules come out
@@ -715,17 +727,12 @@ def test_first_rules_come_from_the_packet_law_and_are_never_larger(qmat_builds, 
     monkeypatch.setattr(PropagatorContext, "rule", recorded)
     q = propagator._QMATS
     rng = np.random.default_rng(16)
-    draw = {
-        "hermite": (lambda: hermite_data(rng.uniform(-3, -1), 0.0, rng.uniform(0.5, 2)), 3.0),
-        "laguerre": (lambda: laguerre_data(rng.uniform(1.5, 4)), 2.0),
-        "jacobi": (lambda: jacobi_data(-1, 1, rng.uniform(0.6, 4), rng.uniform(0.6, 4)), 5.0),
-    }
     single = cases = 0
     first, caps = [], []
     for i in range(180):
-        make, tmax = draw[("hermite", "laguerre", "jacobi")[i % 3]]
-        ctx, t = build_context(make()), rng.uniform(0.2, tmax)
-        which = i // 3 % 3
+        ctx = build_context(jacobi_data(-1, 1, rng.uniform(0.6, 4), rng.uniform(0.6, 4)))
+        t = rng.uniform(0.2, 5.0)
+        which = i % 3
         if which == 0:
             c = np.zeros(rng.integers(1, 10))
             c[-1] = 1.0
@@ -736,7 +743,7 @@ def test_first_rules_come_from_the_packet_law_and_are_never_larger(qmat_builds, 
             size = rng.integers(2, 5)
             c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
         c = c / np.linalg.norm(c)
-        qmat_builds.clear()  # Hermite pairs share matrices: each case starts empty, still recording
+        qmat_builds.clear()  # each case starts empty, still recording
         monkeypatch.setattr(propagator, "_QMATS", type(propagator._QMATS)(q.slots, q.max_bytes, q.probation))
         evolve(ctx, c, t, tail=1e-13)
         cases, single = cases + 1, single + (len(qmat_builds) == 1)
@@ -799,9 +806,9 @@ def test_real_t_two_index_rules_from_the_packet_law_at_half_time_are_accurate(bo
 
 
 @pytest.mark.parametrize("pd, m, n, t, nodes", [
-    (laguerre_data(2.5), 30, 31, 1.3, 224),  # degree-sized: 352
-    (laguerre_data(0.8), 0, 48, 0.5, 160),  # 224
-    (hermite_data(), 20, 30, 2.0, 96),  # 192
+    (jacobi_data(-8, 8, 0.7, 3.1), 30, 31, 1.3, 128),  # degree-sized: 224
+    (jacobi_data(0, 4, 3.3, 1.2), 0, 48, 6.0, 128),  # 224
+    (jacobi_data(-3, 2, 1.7, 2.9), 20, 30, 2.0, 96),  # 192
     (jacobi_data(-1, 1, 2, 1.5), 40, 8, 4.0, 128),  # 192
 ])
 def test_the_real_t_two_index_rule_size_is_pinned(pd, m, n, t, nodes, monkeypatch):
@@ -837,40 +844,6 @@ def test_closed_forms_match_the_half_time_rules_up_to_the_routing_degree():
         quad = sigma_mn_quad(ctx, m, total - m, t)
         err = abs(sigma_mn_closed(ctx, m, total - m, t) - quad)
         assert err <= bound[i % 3] * max(1.0, abs(quad)), (pd, m, total - m, t)
-
-
-def test_shared_rules_outlive_a_stream_of_one_off_shapes(monkeypatch):
-    """Rules read by one request wait on probation, so 300 one-off Laguerre
-    and Jacobi shapes, 150 of them between two uses of a Hermite rule, evict
-    none of the Hermite rules that several requests read."""
-    built = []
-    build = propagator.gauss_rule
-
-    def counted(sm, N, *rows):
-        built.append(sm.pd.shape()[0] + (N,))
-        return build(sm, N, *rows)
-
-    q = propagator._RULES
-    rules = propagator._LRU(q.slots, q.max_bytes, q.probation)
-    monkeypatch.setattr(propagator, "_RULES", rules)
-    monkeypatch.setattr(propagator, "gauss_rule", counted)
-    hermite = build_context(hermite_data())
-    rng = np.random.default_rng(73)
-    for i in range(301):
-        if i % 150 == 0:  # a Hermite step: two rows from one rule at each of three sizes
-            for t, kmax in ((0.4, 20), (1.1, 100), (2.3, 200)):
-                sigma_row(hermite, 0, t, kmax)
-                sigma_row(hermite, 3, t, kmax)
-        mu, nu, t = rng.uniform(0.6, 4), rng.uniform(0.6, 4), rng.uniform(0.2, 2)
-        ctx = build_context(laguerre_data(mu) if i % 2 else jacobi_data(-1, 1, mu, nu))
-        if i % 3:
-            sigma_mn_quad(ctx, 2, 3, t)
-        else:
-            evolve(ctx, [1.0], t)
-    herm = [key for key in built if key[0] == "hermite"]
-    assert len(herm) == len(set(herm)) == 3  # each Hermite rule built once
-    assert sorted(key[:-1] for key in rules._data) == [("hermite", ())] * 3  # no one-off rule was kept
-    assert len(built) == 3 + 301
 
 
 # Laguerre pairs at m + n >= 25 and Im z in [0.3, 0.85] of the strip edge, the
@@ -925,3 +898,105 @@ def test_laguerre_sigma_mn_inside_the_strip_matches_mpmath(mu, m, n, re, height)
         got = sigma_mn(ctx, m, n, z)
     want = _mp_laguerre_sigma_mn(mu, m, n, z)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# The integer-node route: Hermite and Laguerre pairs at real t
+
+
+def test_real_t_hermite_and_laguerre_requests_build_no_rule(rule_builds, qmat_builds, monkeypatch):
+    from qladder import measure
+
+    calls = []
+    monkeypatch.setattr(propagator, "gauss_rule", lambda *args: calls.append(args) or measure.gauss_rule(*args))
+    for pd in (hermite_data(), hermite_data(-1.3, 0.4, 0.8), laguerre_data(2.5), laguerre_data(0.8, -2.0, 1.5, 0.3)):
+        ctx = build_context(pd)
+        evolve(ctx, [0.6, 0.8j], 1.3)
+        evolve(ctx, np.eye(3), -0.7)
+        sigma_row(ctx, 4, 2.1, 60)
+        sigma_mn_quad(ctx, 30, 12, 1.7)
+        sigma_mn(ctx, 20, 29, -0.9)
+    assert calls == rule_builds == qmat_builds == []
+    # complex z and Jacobi pairs keep their rules
+    sigma_mn_quad(build_context(hermite_data()), 30, 12, 1.7 + 0.1j)
+    evolve(build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5)), [1.0], 1.3)
+    assert len(calls) == len(rule_builds) == 2 and len(qmat_builds) == 1
+
+
+def _dense_row(ctx, n, t, levels):
+    """Row n of exp(-itJ_N) for the N-level truncation J_N of the pair's own ladder, N = levels + 64,
+    by a dense eigendecomposition."""
+    from scipy.linalg import eigh_tridiagonal
+
+    b, h = ctx.js.arrays(levels + 63)
+    lam, V = eigh_tridiagonal(h, b[1:])
+    return (V * np.exp(-1j * t * lam)) @ V[n]
+
+
+@pytest.mark.parametrize("pd, n, t, norm2", [
+    (hermite_data(), 0, 20.0, 0.519),
+    (laguerre_data(2.5), 0, 5.0, 0.9926),
+    (hermite_data(-1.3, 0.4, 0.8), 7, -2.5, None),
+    (laguerre_data(1.4, -2.0, 0.7, 0.5), 3, 1.9, None),
+])
+def test_sigma_row_keeps_the_exact_first_elements_whatever_kmax(pd, n, t, norm2):
+    # the row is the first kmax + 1 matrix elements themselves: what it leaves
+    # out is the mass past kmax, not an error in the elements kept
+    ctx = build_context(pd)
+    levels = pd.levels(n, abs(t), 1e-36, 1 << 14)  # the reference's rows up to here are exact
+    want = _dense_row(ctx, n, t, levels)
+    for kmax in sorted({0, n, n + 1, 50, 200, levels} & set(range(levels + 1))):
+        row = sigma_row(ctx, n, t, kmax)
+        assert row.shape == (kmax + 1,) and np.abs(row - want[: kmax + 1]).max() <= 1e-13, kmax
+    if norm2 is not None:
+        row = sigma_row(ctx, n, t, 200)
+        assert float(np.vdot(row, row).real) == pytest.approx(norm2, abs=5e-4)
+
+
+def _mp_displacement(pd, m, n, t):
+    """<m|e^{-itJ}|n> of a Hermite pair by Cahill & Glauber's displacement element:
+    J = h0 + s (a + a^+), e^{-itJ} = e^{-i t h0} D(-i s t), and for m >= n
+    <m|D(alpha)|n> = sqrt(n!/m!) alpha^{m-n} e^{-|alpha|^2/2} L_n^{(m-n)}(|alpha|^2)."""
+    m, n = max(m, n), min(m, n)
+    with mp.workdps(30):
+        s, h0, t = mp.sqrt(-mp.mpf(pd.b0) / pd.a1), -mp.mpf(pd.a0) / pd.a1, mp.mpf(t)
+        alpha = -1j * s * t
+        x = abs(alpha) ** 2
+        d = mp.sqrt(mp.factorial(n) / mp.factorial(m)) * alpha ** (m - n) * mp.exp(-x / 2) * mp.laguerre(n, m - n, x)
+        return complex(mp.exp(-1j * t * h0) * d)
+
+
+def _mp_su11(pd, m, n, t):
+    """<m|e^{-itJ}|n> of a Laguerre pair from the disentangled parabolic su(1,1) element:
+    J = -beta + (2 K0 + K+ + K-) / gamma with Bargmann index mu / 2, and at tau = t / gamma,
+    e^{-i tau (2 K0 + K+ + K-)} = e^{A K+} B^{K0} e^{A K-}, A = -i tau / (1 + i tau),
+    B = (1 + i tau)^-2: a terminating 2F1 in m, n."""
+    with mp.workdps(30):
+        mu, t = mp.mpf(pd.mu), mp.mpf(t)
+        tau = t / mp.mpf(pd.gamma)
+        A, B = -1j * tau / (1 + 1j * tau), (1 + 1j * tau) ** -2
+        poch = lambda k: mp.rf(mu, k)  # noqa: E731
+        pre = mp.sqrt(mp.factorial(m) * mp.factorial(n) * poch(m) * poch(n))
+        total = sum(B**j * A ** (m + n - 2 * j)
+                    / (mp.factorial(m - j) * mp.factorial(n - j) * mp.factorial(j) * poch(j))
+                    for j in range(min(m, n) + 1))
+        return complex(mp.exp(1j * t * mp.mpf(pd.beta)) * B ** (mu / 2) * pre * total)
+
+
+@pytest.mark.parametrize("pd, m, n, t", [
+    (hermite_data(-2.0, 0.0, 1.0), 12, 13, 1.7),
+    (hermite_data(-1.3, 0.4, 0.8), 30, 18, -2.9),
+    (hermite_data(-3.0, -0.7, 2.0), 0, 25, 0.4),
+    (hermite_data(-1.0, 0.0, 1.0), 24, 24, 2.2),
+    (laguerre_data(0.8), 20, 28, 1.1),
+    (laguerre_data(2.5, b0=0.3), 24, 24, -1.9),
+    (laguerre_data(3.7, -2.0, 1.5, -0.5), 3, 40, 0.6),
+    (laguerre_data(1.4), 17, 9, 2.0),
+])
+def test_real_t_two_index_elements_match_their_30_digit_group_elements(pd, m, n, t):
+    # the sweep workload's degrees m + n = 25..48, against closed group elements
+    # that share nothing with the Gauss rule or the integer-node sweep
+    want = (_mp_su11 if isinstance(pd, _Laguerre) else _mp_displacement)(pd, m, n, t)
+    ctx = build_context(pd)
+    assert abs(sigma_mn_quad(ctx, m, n, t) - want) <= 1e-13
+    assert sigma_mn_quad(ctx, m, n, t) == sigma_mn_quad(ctx, n, m, t)

@@ -16,12 +16,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from qladder import propagator
 from qladder.coherent import mean_energy, omega_density, reproducing_density
 from qladder.errors import Unsupported
-from qladder.orthopoly import classify, hermite_data, jacobi_data, laguerre_data, scaled_sweep
+from qladder.orthopoly import classify, hermite_data, jacobi_data, laguerre_data, recurrence, scaled_sweep
 from qladder.propagator import (
     _weighted_poly_matrix,
     build_context,
@@ -155,6 +155,42 @@ def test_propagator_commutes_with_the_ladder_matrix(pd, t, n, extra):
     assert np.abs(left - right).max() < 1e-11 * (1.0 + b.max() + np.abs(h).max())
 
 
+DUAL_HERMITE = st.builds(
+    lambda a1, a0, b0: hermite_data(a1=a1, a0=a0, b0=b0),
+    st.floats(-3.0, -1.0), st.floats(-1.0, 1.0), st.floats(0.5, 2.0),
+)
+DUAL_LAGUERRE = st.builds(
+    laguerre_data, st.floats(0.6, 4.0), st.floats(-3.0, -1.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0)
+)
+_DENSE_LEVELS = 2000  # a dense eigendecomposition past this takes seconds
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pd=st.one_of(DUAL_HERMITE, DUAL_LAGUERRE), t=st.floats(0.05, 6.0), back=st.booleans(), n=st.integers(0, 60))
+@example(pd=laguerre_data(2.5), t=2.0, back=False, n=20)
+@example(pd=laguerre_data(0.8, -2.0, 0.7, 0.5), t=1.7, back=True, n=60)
+@example(pd=hermite_data(-1.0, 0.5, 2.0), t=6.0, back=True, n=60)
+def test_integer_node_block_matches_a_dense_exponential_in_both_triangles(pd, t, back, n):
+    """evolve of the n + 1 unit vectors is the block <m|e^{-itJ}|j>, j <= n, of the
+    integer-node route, on K + 1 levels from the packet law at 1e-16.  The
+    reference is exp(-itJ_N) of the pair's own ladder truncated where the law
+    leaves a squared tail of 1e-36, so that truncation reaches no entry compared;
+    draws whose reference would pass _DENSE_LEVELS are skipped."""
+    from scipy.linalg import eigh_tridiagonal
+
+    t = -t if back else t
+    N = pd.levels(n, abs(t), 1e-36, 1 << 14) + 64
+    assume(N <= _DENSE_LEVELS)
+    block = evolve(build_context(pd), np.eye(n + 1), t)
+    b, h = recurrence(pd).arrays(N - 1)
+    lam, V = eigh_tridiagonal(h, b[1:])
+    err = np.abs(block - (V[: len(block)] * np.exp(-1j * t * lam)) @ V[: n + 1].T)
+    below = np.tril(np.ones(err.shape, dtype=bool))  # m >= j: read off the sweep
+    assert err[below].max() <= 1e-13
+    if n:  # m < j: read at m' = j, j' = m
+        assert err[~below].max() <= 1e-13
+
+
 def _same(got, want, tol=1e-11):
     got, want = np.asarray(got), np.asarray(want)
     assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
@@ -203,9 +239,10 @@ def test_closed_two_index_coefficients_match_quadrature(pd, t):
 
 
 @settings(max_examples=40, deadline=None)
-@given(pd=PEARSON, t=st.floats(-8.0, 8.0), m=st.integers(0, 96), n=st.integers(0, 96))
+@given(pd=SHIFTED_JACOBI, t=st.floats(-8.0, 8.0), m=st.integers(0, 96), n=st.integers(0, 96))
 def test_the_real_t_two_index_rule_is_never_larger_than_the_degree_sized_one(pd, t, m, n):
-    """At real t the packet-law rule is at most the m + n + 96 + spread(|t|) nodes
+    """At real t the packet-law rule of a Jacobi pair (Hermite and Laguerre pairs take
+    the integer-node route there) is at most the m + n + 96 + spread(|t|) nodes
     complex z takes, and still carries rows m and n."""
     ctx, sizes = build_context(pd), []
     rule = propagator.PropagatorContext.rule
