@@ -45,7 +45,7 @@ from .fockoracle import MultiModeBasis, expm_evolve, interaction_evolve, truncat
 from .measure import moment, normalize
 from .orthopoly import (classify, classify_ladder, hermite_data, jacobi_data, laguerre_data,
                         legendre_data)
-from .propagator import build_context, evolve, sigma_mn, sigma_n
+from .propagator import build_context, sigma_mn, sigma_n
 from .reduction import MultiModeSystem, beta_offsets, reduce as reduce_sector
 
 SCHEMA_VERSION = 1
@@ -356,13 +356,6 @@ def _at(g: np.ndarray, n: int) -> complex:
     return complex(g[n]) if n < g.size else 0j
 
 
-def _number_amplitudes(ctx, levels: list, t: float) -> np.ndarray:
-    """Columns g_k(t) of the number states |m>, m in ``levels``, propagated together: one
-    ``evolve`` of the matrix of their vectors, to the squared tail of ``ladder_amplitudes``."""
-    c = np.eye(levels[-1] + 1)[:, levels]
-    return c if t == 0.0 else evolve(ctx, c, t, tail=1e-13)
-
-
 def cmd_propagate(cfg, args):
     ctx = build_context(family_from(cfg))
     pairs = _get(cfg, "propagate", "pairs", _pairs, [(0, 0), (0, 1), (1, 1)])
@@ -391,7 +384,7 @@ def cmd_propagate(cfg, args):
     for i, t in enumerate(ts):
         row = [float(t)]
         if imag_t == 0.0:
-            amp = dict(zip(rows_m, _number_amplitudes(ctx, rows_m, float(t)).T))
+            amp = {m: ob.ladder_amplitudes(ctx, ob.Number(m), float(t)) for m in rows_m}
             vals = {(m, n): _at(amp[m], n) for m, n in pairs}
         else:
             try:

@@ -122,10 +122,6 @@ def _gaussian_coeffs(zeta: complex) -> np.ndarray:
     return np.exp(logmag[: nmax + 1] + 1j * cmath.phase(zeta) * n[: nmax + 1])
 
 
-# Glauber vectors by label: every time step of a request reads its state's vector
-_GLAUBER = _LRU(256, 16 * 2**20)
-
-
 def _check_level(n: int) -> int:
     n = int(n)
     if n < 0:
@@ -145,8 +141,7 @@ def _state_coeffs(state: QuantumState) -> np.ndarray:
         c[-1] = 1.0
         return c
     if isinstance(state, GaussianCoherent):
-        zeta = complex(state.zeta)
-        return _GLAUBER.get_or_build(zeta, lambda: _gaussian_coeffs(zeta)).copy()
+        return _gaussian_coeffs(state.zeta)
     if not isinstance(state, Fock):
         raise TypeError(f"not a ladder state: {state!r}")
     c = np.asarray(state.coeffs, dtype=complex)

@@ -245,15 +245,25 @@ class _ClosedRatio:
                 c, k = (c * 2.0**k, 0) if k + e > _LOW else (c * 2.0**-e, k + e)
 
     def dual(self, t: float, K: int, n: int):
-        """(b, h, sigma, col) at real t != 0: the dual ladder arrays of degrees 0..n, column 0
-        sigma_m(t), m = 0..K (the label-t coherent vector: sigma_0 times a cumulative product of
-        the closed amplitude ratio, in long double so that level m is not off by m eps, as one
-        rounding of w would leave it), and the column phases col_j = (-theta)^j, j = 0..n."""
+        """(b, h, sigma, e, col) at real t != 0: the dual ladder arrays of degrees 0..n, column 0
+        sigma_m(t) = sigma[m] 2^e[m], m = 0..K (the label-t coherent vector: sigma_0 times a
+        cumulative product of the closed amplitude ratio, in long double so that level m is not
+        off by m eps, as one rounding of w would leave it), and the column phases
+        col_j = (-theta)^j, j = 0..n.  e is 0 while sigma_0 is above 2^_LOW; below, as in
+        ``sigma_seq``, each ratio carries the exact power of two that keeps |sigma[m]| near 1,
+        so that the levels whose amplitudes underflow a float keep their digits."""
         w, w_exact, beta, gap = self._ratio(t)
         ratio = w_exact() * np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble))
-        sigma = np.cumprod(np.concatenate(([np.exp(np.clongdouble(self._log_char(t)))], ratio)))
+        L, e = self._log_char(t), np.zeros(K + 1, dtype=int)
+        if L.real < _LOW * _LN2:
+            log_ratio = np.log(np.abs(ratio).astype(float))
+            e = np.rint((L.real + np.concatenate(([0.0], np.cumsum(log_ratio)))) / _LN2).astype(int)
+            ratio = ratio * np.ldexp(np.longdouble(1.0), -np.diff(e))
+        k = int(e[0])
+        c0 = cmath.exp(L - k * _LN2_HI - k * _LN2_LO)
+        sigma = np.cumprod(np.concatenate(([np.clongdouble(c0)], ratio)))
         col = np.exp(1j * cmath.phase(-w) * np.arange(n + 1))
-        return (*self.dual_ladder(abs(w) ** 2, n), sigma, col)
+        return (*self.dual_ladder(abs(w) ** 2, n), sigma, e, col)
 
 
 def _moment_of(l: int, factorial_moment) -> float:
@@ -882,18 +892,13 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
         def block(k0):
             return own[k0 // _SWEEP_BLOCK % 2]
 
-    if kmax == 0:  # P_0 = 1 alone: no recurrence to bound
-        row = block(0)[0]
-        row[...] = 1.0
-        yield 0, row, None
-        return
     xf, hf, bf = (np.asarray(a, dtype=float) for a in (x, h[:-1], b))
     g = (np.maximum(xf.max() - hf, hf - xf.min()) + bf[:-1]) / bf[1:]
     grow = np.log2(np.maximum(g, 1.0)).tolist()
     bl = b.tolist()  # ufuncs take Python scalars
     xh = np.empty((min(_SWEEP_BLOCK, kmax), len(x)), dtype=x.dtype)
-    tmp = np.empty(x.shape, x.dtype)
-    prev, cur, bound = np.zeros(x.shape, x.dtype), None, 0.0
+    tmp = np.empty_like(x)
+    prev, cur, bound = np.zeros_like(x), None, 0.0
     for k0 in range(0, kmax + 1, _SWEEP_BLOCK):
         k1 = min(k0 + _SWEEP_BLOCK, kmax + 1)
         rows = block(k0)[: k1 - k0]

@@ -294,13 +294,14 @@ def _dual_rows(ctx: PropagatorContext, t: float, K: int, n: int, first: int = 0)
     Returns (U, r, col): entry (m, j) is r[m - first] U[j, m - first] col[j] for m >= j, that is
     sigma_m(t) (-theta)^j p_j(m) of ``pd.dual``.  U holds one ``scaled_sweep`` of the dual ladder
     over degrees 0..n at the integer nodes m, all in the sweep's final frame, and r is sigma_m(t)
-    in that frame, which sets the law's weight |sigma_m|^2.  Below the degree, m < j, the forward
-    recurrence is unstable: U is 0 there, and those entries are sigma_mj = sigma_jm, read at
-    m' = j and j' = m.
+    in that frame, which sets the law's weight |sigma_m|^2: the exact powers of two of both
+    meet before r is rounded to a double, so r holds where sigma_m alone would underflow.
+    Below the degree, m < j, the forward recurrence is unstable: U is 0 there, and those
+    entries are sigma_mj = sigma_jm, read at m' = j and j' = m.
     """
     if t == 0.0:
         return np.eye(n + 1, K + 1 - first, -first), np.ones(K + 1 - first, dtype=complex), np.ones(n + 1)
-    b, h, sigma, col = ctx.pd.dual(t, K, n)
+    b, h, sigma, e, col = ctx.pd.dual(t, K, n)
     x = np.arange(first, K + 1.0)
     U, s, seen = np.empty((n + 1, x.size)), np.zeros(x.size), None
     for k, u, rescaled in scaled_sweep(b, h, x, s, lambda k0: U[k0 : k0 + _SWEEP_BLOCK]):
@@ -310,23 +311,21 @@ def _dual_rows(ctx: PropagatorContext, t: float, K: int, n: int, first: int = 0)
             i, seen = rescaled.nonzero()[0], np.zeros(x.size) if seen is None else seen
             U[:k, i] *= np.ldexp(1.0, np.rint((seen[i] - s[i]) / _LN2).astype(int))
             seen[i] = s[i]
-    sigma = sigma[first:]
-    if seen is not None:  # the frame's exact powers of two, within sigma_m's long-double range
-        sigma = sigma * np.exp2(np.rint(s / _LN2).astype(np.longdouble))
-    return U, sigma.astype(complex), col
+    e = e[first:] + np.rint(s / _LN2).astype(int)  # sigma_m's powers of two and the frame's
+    return U, (sigma[first:] * np.ldexp(np.longdouble(1.0), e)).astype(complex), col
 
 
-def _law_size(ctx: PropagatorContext, n: int, t: float, tail: float, max_dim: float) -> int:
+def _law_size(ctx: PropagatorContext, n: int, t: float, tail: float, kcap: int) -> int | None:
     """Level past which the packet law ``pd.levels`` leaves e^{-iHt} on levels <= n a squared
-    tail < ``tail``; ConvergenceError if that is above ``max_dim``."""
+    tail < ``tail``; None if that is above ``kcap``."""
     top = n + 64 + ctx.pd.spread(abs(t))
     while True:
-        top = min(top, max_dim + 1)
+        top = min(top, kcap + 1)
         K = ctx.pd.levels(n, abs(t), tail, top)
         if K < top:
             return K
-        if top > max_dim:
-            raise ConvergenceError(f"propagation needs more than max_dim = {max_dim} ladder levels")
+        if top > kcap:
+            return None
         top *= 2
 
 
@@ -488,16 +487,18 @@ def evolve(
     coeffs,
     t: float,
     tail: float = 1e-12,
-    max_dim: int | None = None,
+    max_dim: int = 8192,
 ) -> np.ndarray:
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
-    ``coeffs`` is a vector, or a matrix whose columns are propagated together.
     The output keeps K + 1 levels.  On Hermite and Laguerre pairs K is sized once:
     the level past which the family's closed packet law (``pd.levels``) leaves c's
     packet a squared tail below min(``tail``, 1e-16), at least c.size - 1, and the
-    block comes off integer nodes; the tail it drops is the law's.  ``max_dim`` caps
-    K there only if given, since the block takes (K + 1) x c.size entries.
+    block comes off integer nodes; the tail it drops is the law's.  There ``max_dim``
+    caps memory, not levels: the block takes c.size doubles a level, and the law and
+    column 0 about 32 more, and together they may take the (max_dim + 1) x
+    (max_dim + 64) doubles of the rule route's largest matrix (at the default, a
+    one-level vector may keep ~2 million levels, a 60-level one ~735,000).
 
     On Jacobi pairs (until their packet bound lands) K + 1 are the rows of a rule's
     matrix, and K still doubles.  The first K is where the law leaves c's packet at
@@ -507,34 +508,33 @@ def evolve(
     leaked past the kept rows) is below ``tail`` ||c||^2.  Below 4 eps K ||c||^2 the
     deficit is rounding of its K + 1 squares, and the weight of the last 64
     kept rows, which is resolved, stands in for the leak.  K is capped at
-    the largest grid level not above ``max_dim`` (8192 if None); a first K above
-    it raises ConvergenceError at once, since a smaller rule would measure a
-    deficit it cannot resolve.
+    the largest grid level not above ``max_dim``; a first K above it raises
+    ConvergenceError at once, since a smaller rule would measure a deficit
+    it cannot resolve.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
-    if c.ndim not in (1, 2) or c.size == 0:
-        raise ValueError("coeffs must be a nonempty vector, or a matrix whose columns are vectors")
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coeffs must be a nonempty 1-d array")
     t = float(t)
-    w2 = abs(c) ** 2
-    nrm2 = w2.sum(axis=0)
-    if not nrm2.any():
-        return np.zeros(c.shape, dtype=complex)
-    kept = np.cumsum(w2[::-1], axis=0) > _PACKET_TAIL * nrm2
-    n = int(np.count_nonzero(kept if c.ndim == 1 else kept.any(axis=1))) - 1  # rounding past n in every column
-    by_row = (slice(None),) + (None,) * (c.ndim - 1)  # a vector over rows, broadcast over columns
-    if ctx.pd.dual is not None:
-        cap = math.inf if max_dim is None else max_dim
-        if len(c) - 1 > cap:
-            raise ConvergenceError(f"propagation needs more than max_dim = {max_dim} ladder levels")
-        K = max(_law_size(ctx, n, t, min(tail, _PACKET_TAIL), cap), len(c) - 1)
-        U, r, col = _dual_rows(ctx, t, K, len(c) - 1)
-        out = r[by_row] * _real_matvec(U.T, col[by_row] * c)
-        if len(c) > 1:  # the entries m < j, read at m' = j, j' = m
-            T, w = U[:, : len(c)], r[: len(c)][by_row] * c
-            out[: len(c)] += col[by_row] * (_real_matvec(T, w) - T.diagonal()[by_row] * w)
+    nrm2 = float(np.vdot(c, c).real)
+    if nrm2 == 0.0:
+        return np.zeros(c.size, dtype=complex)
+    n = int(np.count_nonzero(np.cumsum(abs(c[::-1]) ** 2) > _PACKET_TAIL * nrm2)) - 1  # rounding past n
+    if ctx.pd.dual is not None:  # the memory of the rule route's largest matrix, in doubles
+        kcap = (max_dim + 1) * (max_dim + 64) // (c.size + 32) - 1
+        K = _law_size(ctx, n, t, min(tail, _PACKET_TAIL), kcap) if c.size - 1 <= kcap else None
+        if K is None:
+            raise ConvergenceError(
+                f"propagation needs more than {kcap} ladder levels, the memory max_dim = {max_dim} allows"
+            )
+        K = max(K, c.size - 1)
+        U, r, col = _dual_rows(ctx, t, K, c.size - 1)
+        out = r * _real_matvec(U.T, col * c)
+        if c.size > 1:  # the entries m < j, read at m' = j, j' = m
+            T, w = U[:, : c.size], r[: c.size] * c
+            out[: c.size] += col * (_real_matvec(T, w) - T.diagonal() * w)
         return out
-    max_dim = 8192 if max_dim is None else max_dim
-    K = _packet_rule(ctx, n, t, len(c) - 1, len(c) + 128) - 64
+    K = _packet_rule(ctx, n, t, c.size - 1, c.size + 128) - 64
     if K > max_dim:
         raise ConvergenceError(
             f"propagation needs {K} ladder levels at first, "
@@ -543,17 +543,17 @@ def evolve(
     kcap = (max_dim + 64) // _RULE_GRID * _RULE_GRID - 64
     while True:
         nodes, Q = _weighted_poly_matrix(ctx, K + 64, K)
-        f = np.exp(-1j * t * nodes)[by_row] * _real_matvec(Q[: len(c)].T, c)
+        f = np.exp(-1j * t * nodes) * _real_matvec(Q[: c.size].T, c)
         out = _real_matvec(Q, f)
-        deficit = nrm2 - (out.real**2 + out.imag**2).sum(axis=0)
-        floor = deficit <= 4.0 * np.finfo(float).eps * K * nrm2  # rounding: read the last 64 rows
-        deficit = np.where(floor, np.minimum(deficit, (abs(out[-64:]) ** 2).sum(axis=0)), deficit)
-        if np.all(deficit <= tail * nrm2):
+        deficit = nrm2 - float(np.vdot(out, out).real)
+        if deficit <= 4.0 * np.finfo(float).eps * K * nrm2:  # rounding: read the last 64 rows
+            deficit = min(deficit, float(np.vdot(out[-64:], out[-64:]).real))
+        if deficit <= tail * nrm2:
             return out
         if K >= kcap:
             raise ConvergenceError(
                 f"propagation needs more than {max_dim} ladder levels "
-                f"(unitarity deficit {np.max(deficit):.3e})"
+                f"(unitarity deficit {deficit:.3e})"
             )
         K = min(2 * K, kcap)  # 2K + 64 = 2S - 64 stays on the grid
 

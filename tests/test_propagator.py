@@ -161,8 +161,9 @@ def test_evolve_refuses_a_first_size_above_max_dim():
 
 
 # Only Jacobi pairs still double, and their first K, n + spread(t) levels,
-# holds the packet: the doublings below come from rounding, on tails set
-# below it (the norm's rounding, or the last 64 rows' ~1e-26).
+# holds the packet: left alone they double only on rounding, on tails set
+# below it (the norm's rounding, or the last 64 rows' ~1e-26).  A real leak
+# takes a first rule smaller than the law's.
 _WIDE_JACOBI = (-10.0, 10.0, 0.7, 3.1)
 
 
@@ -190,18 +191,43 @@ def test_evolve_stops_at_the_rounding_floor_of_its_deficit(qmat_builds):
     assert np.vdot(out[-64:], out[-64:]).real < 1e-20
 
 
-def test_evolve_doubles_while_its_deficit_is_resolved(qmat_builds):
-    # 100 random levels at t = 6 under a tail of 1e-30 double from 384 to 768
-    # levels, and the second doubling is capped at 992 = 1,056 - 64, the largest
-    # grid level not above max_dim, where the rounding of the last 64 rows is
-    # still above the tail
+def _first_rule_covers_the_input_alone(monkeypatch, extra=0):
+    """A Jacobi packet leaks past K only where its law is overridden: the first
+    rule is the one of 64 nodes above c's levels (``extra`` more), on the grid."""
+    monkeypatch.setattr(propagator, "_packet_rule", lambda ctx, n, t, keep, base: -(-(keep + 65) // 32) * 32 + extra)
+
+
+def test_evolve_doubles_while_its_deficit_is_resolved(monkeypatch, qmat_builds):
+    # 40 random levels at t = 10 leak 0.48 past the first 64 levels, then
+    # past 128, far above the floor; under max_dim = 250 the second doubling
+    # is capped at 224 = 288 - 64, the largest grid level not above max_dim
+    _first_rule_covers_the_input_alone(monkeypatch)
     ctx = build_context(jacobi_data(*_WIDE_JACOBI))
     rng = np.random.default_rng(7)
-    c = rng.normal(size=100) + 1j * rng.normal(size=100)
+    c = rng.normal(size=40) + 1j * rng.normal(size=40)
     c /= np.linalg.norm(c)
-    with pytest.raises(ConvergenceError, match="more than 1000 ladder levels"):
-        evolve(ctx, c, 6.0, tail=1e-30, max_dim=1000)
-    assert [key[2] for key in qmat_builds] == [448, 832, 1056]
+    out = evolve(ctx, c, 10.0, max_dim=250)
+    assert [key[2] for key in qmat_builds] == [128, 192, 288]
+    assert out.size == 225
+    assert abs(1.0 - np.vdot(out, out).real) <= 1e-12
+    assert np.vdot(out[-64:], out[-64:]).real <= 1e-12
+    assert np.vdot(out[65:], out[65:]).real > 0.4
+
+
+def test_evolve_honours_a_tail_below_its_rounding_floor(monkeypatch, qmat_builds):
+    # 40 random levels at t = 6.9 leave a deficit of ~8e-14 at 128 levels:
+    # below the floor 4 eps K = 1.1e-13 but a real leak, since the levels
+    # past 128 hold it once kept; a tail of 1e-14 must double again
+    _first_rule_covers_the_input_alone(monkeypatch, 64)
+    ctx = build_context(jacobi_data(*_WIDE_JACOBI))
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=40) + 1j * rng.normal(size=40)
+    c /= np.linalg.norm(c)
+    out = evolve(ctx, c, 6.9, tail=1e-14)
+    assert [key[2] for key in qmat_builds] == [192, 320]
+    assert 1e-14 < np.vdot(out[129:], out[129:]).real < 4.0 * np.finfo(float).eps * 128
+    assert np.vdot(out[-64:], out[-64:]).real <= 1e-14
+    assert abs(1.0 - np.vdot(out, out).real) <= 1e-12
 
 
 def _below_floor_case():
@@ -211,14 +237,6 @@ def _below_floor_case():
     rng = np.random.default_rng(0)
     c = rng.normal(size=40) + 1j * rng.normal(size=40)
     return build_context(jacobi_data(*_WIDE_JACOBI)), c / np.linalg.norm(c), 2.0, 1e-27
-
-
-def test_evolve_honours_a_tail_below_its_rounding_floor(qmat_builds):
-    ctx, c, t, tail = _below_floor_case()
-    out = evolve(ctx, c, t, tail=tail)
-    assert [key[2] for key in qmat_builds] == [224, 384, 704]
-    assert 1.0 - np.vdot(out[:161], out[:161]).real <= 4.0 * np.finfo(float).eps * 160
-    assert np.vdot(out[97:161], out[97:161]).real > tail
 
 
 def test_cold_sigma_row_builds_only_the_rows_it_reads(qmat_builds):
@@ -912,7 +930,7 @@ def test_real_t_hermite_and_laguerre_requests_build_no_rule(rule_builds, qmat_bu
     for pd in (hermite_data(), hermite_data(-1.3, 0.4, 0.8), laguerre_data(2.5), laguerre_data(0.8, -2.0, 1.5, 0.3)):
         ctx = build_context(pd)
         evolve(ctx, [0.6, 0.8j], 1.3)
-        evolve(ctx, np.eye(3), -0.7)
+        evolve(ctx, [0.0, 0.0, 1.0], -0.7)
         sigma_row(ctx, 4, 2.1, 60)
         sigma_mn_quad(ctx, 30, 12, 1.7)
         sigma_mn(ctx, 20, 29, -0.9)
@@ -1000,3 +1018,37 @@ def test_real_t_two_index_elements_match_their_30_digit_group_elements(pd, m, n,
     ctx = build_context(pd)
     assert abs(sigma_mn_quad(ctx, m, n, t) - want) <= 1e-13
     assert sigma_mn_quad(ctx, m, n, t) == sigma_mn_quad(ctx, n, m, t)
+
+
+def test_number_states_keep_their_amplitudes_where_the_vacuum_amplitude_underflows():
+    # on hermite_data() at t = 160 the vacuum amplitude e^{-t^2/2} = e^{-12800}
+    # is below even a long double: the block's column 0 carries exact powers of
+    # two, so the vacuum is still the coherent vector and e_3 the displaced
+    # number state, each of norm 1
+    from qladder.coherent import coherent_coeffs
+
+    pd, t = hermite_data(), 160.0
+    ctx = build_context(pd)
+    vac, e3 = evolve(ctx, [1.0], t), evolve(ctx, [0.0, 0.0, 0.0, 1.0], t)
+    want = coherent_coeffs(ctx, t, tol=0.0)
+    k = min(vac.size, want.size)
+    assert np.abs(vac[:k] - want[:k]).max() <= 1e-13
+    for out in (vac, e3):
+        assert abs(1.0 - np.vdot(out, out).real) <= 1e-13
+    for j in (0, 3, 12000, 12803, 13500):
+        assert abs(e3[j] - _mp_displacement(pd, 3, j, t)) <= 1e-13, j
+
+
+def test_integer_node_evolve_stops_at_the_memory_max_dim_allows():
+    # the vacuum of hermite_data() at t = 3000 spreads over ~9 million levels;
+    # the block is refused before it is allocated, where a rule of max_dim
+    # nodes would stop (its (max_dim + 1) x (max_dim + 64) doubles)
+    ctx = build_context(hermite_data())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="the memory max_dim = 8192 allows"):
+            evolve(ctx, [1.0], 3000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8193 * 8256 * 8 / 4

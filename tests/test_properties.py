@@ -171,8 +171,9 @@ _DENSE_LEVELS = 2000  # a dense eigendecomposition past this takes seconds
 @example(pd=laguerre_data(0.8, -2.0, 0.7, 0.5), t=1.7, back=True, n=60)
 @example(pd=hermite_data(-1.0, 0.5, 2.0), t=6.0, back=True, n=60)
 def test_integer_node_block_matches_a_dense_exponential_in_both_triangles(pd, t, back, n):
-    """evolve of the n + 1 unit vectors is the block <m|e^{-itJ}|j>, j <= n, of the
-    integer-node route, on K + 1 levels from the packet law at 1e-16.  The
+    """evolve of the unit vectors e_j, j <= n, of length n + 1 gives the columns of the
+    block <m|e^{-itJ}|j> of the integer-node route, each on K + 1 levels from the
+    packet law at 1e-16.  The
     reference is exp(-itJ_N) of the pair's own ladder truncated where the law
     leaves a squared tail of 1e-36, so that truncation reaches no entry compared;
     draws whose reference would pass _DENSE_LEVELS are skipped."""
@@ -181,14 +182,15 @@ def test_integer_node_block_matches_a_dense_exponential_in_both_triangles(pd, t,
     t = -t if back else t
     N = pd.levels(n, abs(t), 1e-36, 1 << 14) + 64
     assume(N <= _DENSE_LEVELS)
-    block = evolve(build_context(pd), np.eye(n + 1), t)
+    ctx = build_context(pd)
     b, h = recurrence(pd).arrays(N - 1)
     lam, V = eigh_tridiagonal(h, b[1:])
-    err = np.abs(block - (V[: len(block)] * np.exp(-1j * t * lam)) @ V[: n + 1].T)
-    below = np.tril(np.ones(err.shape, dtype=bool))  # m >= j: read off the sweep
-    assert err[below].max() <= 1e-13
-    if n:  # m < j: read at m' = j, j' = m
-        assert err[~below].max() <= 1e-13
+    for j, e in enumerate(np.eye(n + 1)):
+        col = evolve(ctx, e, t)
+        err = np.abs(col - (V[: col.size] * np.exp(-1j * t * lam)) @ V[j])
+        assert err[j:].max() <= 1e-13  # m >= j: read off the sweep
+        if j:  # m < j: read at m' = j, j' = m
+            assert err[:j].max() <= 1e-13
 
 
 def _same(got, want, tol=1e-11):
