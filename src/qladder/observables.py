@@ -161,9 +161,9 @@ def ladder_amplitudes(
     A spectral coherent label z moves to z + t, whose coefficients
     :func:`.coherent_coeffs` gives to the squared tail ``tail``.  Every other
     state is its coefficient vector (a number state |n> is e_n), returned as
-    it is at t = 0 and otherwise propagated by :func:`.evolve`: on Hermite and
-    Laguerre pairs sized once from the packet law, to a squared tail of at
-    most 1e-16, on Jacobi pairs until the squared tail is below ``tail``.
+    it is at t = 0 and otherwise propagated by :func:`.evolve`, sized once: on
+    Hermite and Laguerre pairs to a squared packet-law tail of at most 1e-16,
+    on Jacobi pairs to a Chebyshev Bessel tail below min(``tail``, 1e-16).
     """
     t = float(t)
     if isinstance(state, SpectralCoherent):

@@ -76,7 +76,7 @@ class PearsonData:
     and ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form.
     ``shape()`` gives (key, h0, s): the ladder is h0 + s times that of
     ``canonical()``, the pair of the key in canonical gauge, so nodes map as h0 + s x^.
-    ``dual`` is None for a family whose real-t dynamics has no discrete dual (Jacobi).
+    ``dual`` is None, and the packet law ``levels`` absent, for a family with no discrete dual (Jacobi).
     """
 
     a0: float
@@ -102,12 +102,6 @@ class PearsonData:
     def closed_number_moment(self, w: complex, l: int):
         """<N^l> on the spectral coherent state |w>; None without a closed form."""
         return None
-
-    def levels(self, n: int, t: float, tail: float, top: int) -> int:
-        """Level (<= top) past which e^{-iHt}|n> keeps a squared tail < ``tail``: n + spread(t).
-        ``evolve`` sizes its output from it at t, ``sigma_row`` its rule (Jacobi), and
-        ``sigma_mn_quad`` its real-t rule at |t|/2."""
-        return min(n + self.spread(t), top)
 
     def sigma_seq(self, ctx, z: complex, c0: complex):
         """sigma_0(z) = c0, sigma_1(z), ...; by default the scalar ``sigma_n`` per level."""

@@ -12,24 +12,27 @@ normalized.  The one-index coefficients sigma_n = sigma_0n and the
 characteristic function sigma(z) = sigma_00(z) extend to complex arguments
 on a horizontal strip.
 
-Three independent evaluation routes are provided on purpose:
+Four independent evaluation routes are provided on purpose:
 
 * closed forms coming from the Rodrigues representation (``char_fn``,
   ``sigma_n``, ``sigma_mn_closed``), assembled in log space so large
   indices do not overflow;
-* Gauss quadrature in the spectral measure itself (``sigma_mn_quad``,
-  ``sigma_row``, ``evolve`` at complex z or on Jacobi pairs).  It uses
-  weight-damped polynomial rows which are exactly orthonormal under the
-  discrete rule, so propagating a coefficient vector is unitary up to the
-  reported tail deficit;
-* integer nodes, for Hermite and Laguerre pairs at real t (the same three
-  functions).  There e^{-itJ} is a group element, the Heisenberg-Weyl
+* Gauss quadrature in the spectral measure itself (``sigma_mn_quad`` at
+  complex z or with an explicit rule size), summed per node in log space;
+* integer nodes, for Hermite and Laguerre pairs at real t (``sigma_mn_quad``,
+  ``sigma_row``, ``evolve``).  There e^{-itJ} is a group element, the Heisenberg-Weyl
   displacement or a parabolic su(1,1) element, and its number-basis entries
   are sigma_m(t) (-theta)^j p_j(m): p_j the Charlier or Meixner polynomials
   (Koekoek, Lesky & Swarttouw 2010, 9.14 and 9.10) of the Poisson or negative
   binomial law |sigma_m(t)|^2 on the integers m.  One scaled sweep of their
   ladder over the nodes m = 0..K gives a block of columns, with K sized once
-  from the packet law; no rule, no eigenvalues, no cache.
+  from the packet law; no rule, no eigenvalues, no cache;
+* a Chebyshev expansion, for Jacobi pairs at real t (the same three functions).
+  The spectrum of the ladder and of its truncations lies in the support [a, b],
+  so e^{-itJ} = e^{-it alpha} sum_k (2 - delta_k0) (-i)^k J_k(t beta) T_k((J - alpha)/beta),
+  alpha and beta its centre and half width, with no spectral estimate (Tal-Ezer &
+  Kosloff, J. Chem. Phys. 81 (1984) 3967).  M terms move a vector up M levels, so
+  the sum is exact there and drops only the Bessel tail past M; no rule, no doubling.
 
 The routes cross-check one another in the test-suite.  The per-family closed
 forms, duals and rule sizes live on the PearsonData subclasses of
@@ -39,11 +42,12 @@ strip, then call them.
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +60,7 @@ from .orthopoly import (
     PearsonData,
     _log_row,
     _node_sum,
+    _products,
     recurrence,
     scaled_sweep,
 )
@@ -142,7 +147,7 @@ class PropagatorContext:
 
 
 _RULE_GRID = 32
-_PACKET_TAIL = 1e-16  # a first rule reads its packet's law to the rounding of a unit norm
+_PACKET_TAIL = 1e-16  # the real-t routes drop a tail at the rounding of a unit norm
 
 
 def _rule_size(N: int) -> int:
@@ -150,8 +155,6 @@ def _rule_size(N: int) -> int:
 
     Rule sizes depend on the request alone, so a value never depends on what
     the caches hold, and the grid lets nearby requests share one rule.
-    ``evolve`` keeps exactly 64 nodes above its highest row, ``sigma_row``
-    at least 64 (a law-sized rule rounds up, a spread-sized one keeps 80).
     """
     return max(_RULE_GRID, (int(N) + _RULE_GRID // 2) // _RULE_GRID * _RULE_GRID)
 
@@ -180,32 +183,23 @@ class _LRU:
 
     It also keeps the bytes of its values (arrays, or tuples and lists of
     them) within ``max_bytes``, evicting the least recently used; a larger
-    value is not kept.  With ``probation`` = P > 0 a new key's
-    value goes to a probation segment of its own P slots, and only a ``get``
-    that finds it there moves it to the main ``slots``: a value read twice
-    within P newer first puts is built once and then kept, a value read once
-    leaves with the P-th first put after it.  Both segments share the byte
-    budget, and the probation segment gives up its entries first.
+    value is not kept.
     """
 
-    def __init__(self, slots: int, max_bytes: int, probation: int = 0):
-        self.slots, self.max_bytes, self.probation = slots, max_bytes, probation
+    def __init__(self, slots: int, max_bytes: int):
+        self.slots, self.max_bytes = slots, max_bytes
         self._data, self._lock = OrderedDict(), threading.Lock()  # key -> (value, bytes)
-        self._trial = OrderedDict()  # the probation segment, key -> (value, bytes)
         self._bytes = 0
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the values held, in both segments."""
+        """Bytes of the values held."""
         with self._lock:
             return self._bytes
 
     def get(self, key):
         with self._lock:
-            if key in self._trial:  # a second read: promote
-                self._data[key] = self._trial.pop(key)
-                self._evict(key)
-            elif key not in self._data:
+            if key not in self._data:
                 return None
             self._data.move_to_end(key)
             return self._data[key][0]
@@ -215,25 +209,12 @@ class _LRU:
         if size > self.max_bytes:
             return
         with self._lock:
-            for seg in (self._data, self._trial):
-                if key in seg:
-                    self._bytes -= seg.pop(key)[1]
-                    break
-            else:
-                seg = self._trial if self.probation else self._data
-            seg[key] = (val, size)
+            if key in self._data:
+                self._bytes -= self._data.pop(key)[1]
+            self._data[key] = (val, size)
             self._bytes += size
-            self._evict(key)
-
-    def _evict(self, keep) -> None:
-        """Drop least recently used entries, other than ``keep``, past the bounds."""
-        while len(self._trial) > self.probation:
-            self._bytes -= self._trial.popitem(last=False)[1][1]
-        while len(self._data) > self.slots:
-            self._bytes -= self._data.popitem(last=False)[1][1]
-        while self._bytes > self.max_bytes:
-            seg = self._trial if next(iter(self._trial), keep) != keep else self._data
-            self._bytes -= seg.popitem(last=False)[1][1]
+            while len(self._data) > self.slots or self._bytes > self.max_bytes:
+                self._bytes -= self._data.popitem(last=False)[1][1]
 
     def get_or_build(self, key, build):
         """The value at ``key``, from ``build()`` (run outside the lock) on a miss."""
@@ -251,35 +232,26 @@ def _nbytes(val) -> int:
     return getattr(val, "nbytes", 0)
 
 
-# Rules and their polynomial matrices are keyed shape + (N,): the pairs of
-# one ladder shape share them.  Real-t requests on Hermite and Laguerre pairs
-# read neither (they take the integer-node route), so rules serve complex z
-# and Jacobi pairs, and matrices Jacobi evolve alone.  A rule holds 24 B per
-# node, and sigma_row and the Jacobi shifted transforms size theirs without a
+# Rules are keyed shape + (N,): the pairs of one ladder shape share them.
+# Real-t requests read none (they take the integer-node or Chebyshev route), so
+# rules serve complex z, an explicit N and the Jacobi shifted transforms.  A
+# rule holds 24 B per node, and the shifted transforms size theirs without a
 # cap, so _RULES keeps 128 rules within 4 MiB; a larger rule is used uncached.
-# _QMATS holds the (N - 63) x N matrix of an N-node rule.  A new matrix waits
-# in 12 probation slots and is kept when read again, so a request builds each
-# matrix once and one-off shapes leave after 12 newer ones, not holding up to
-# the 256 MiB budget.
 _RULES = _LRU(128, 4 * 2**20)
-_QMATS_BYTES = 256 * 2**20
-_QMATS = _LRU(4096, _QMATS_BYTES, probation=12)
 
 
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     """The pair's nodes omega_i and rows sqrt(w_i) P_k(omega_i), k = 0..nmax, of ``ctx.rule(N)``.
 
-    A rule of S nodes has one cached matrix, rows 0..S - 64, and every
-    caller (``evolve``, which reads them all) gets a slice of it; nmax >
-    S - 64 raises ValueError.  On a miss the matrix comes from the sweep that
-    builds the rule, if that is cold too.
+    Uncached rows, from the sweep that builds a cold rule or one sweep over a cached rule's
+    nodes; a rule of S nodes carries rows 0..S - 64, and nmax > S - 64 raises ValueError.
+    The package no longer calls it; the benchmark tracer (``bench/tracer.py``) binds it.
     """
     N = _rule_size(N)
     if nmax > N - 64:
         raise ValueError(f"a {N}-node rule carries rows 0..{N - 64}, not {nmax}")
-    cold = []  # the rule read by a matrix build: each call reads the rule once
-    Q = _QMATS.get_or_build(ctx.shape + (N,), lambda: cold.append(ctx.rule(N, N - 63)) or cold[0][2])
-    return ctx.nodes((cold[0] if cold else ctx.rule(N))[0]), Q[: nmax + 1]
+    xh, _, Q = ctx.rule(N, nmax + 1)
+    return ctx.nodes(xh), Q
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -329,13 +301,87 @@ def _law_size(ctx: PropagatorContext, n: int, t: float, tail: float, kcap: int) 
         top *= 2
 
 
-def _packet_rule(ctx: PropagatorContext, n: int, t: float, keep: int, base: int) -> int:
-    """First rule for e^{-iHt} on levels up to n: 64 nodes above ``keep`` and the law level
-    (``pd.levels`` at _PACKET_TAIL, from level max(n, 4) so that the low number states a caller
-    takes in turn share one rule), rounded up onto the grid, at most base + spread(t) nodes."""
-    top = _rule_size(base + ctx.pd.spread(abs(t)))
-    L = max(ctx.pd.levels(max(n, 4), abs(t), _PACKET_TAIL, top - 64), keep)
-    return min(top, -(-(L + 64) // _RULE_GRID) * _RULE_GRID)
+@lru_cache(maxsize=64)  # the rows of one time step (the CLI's pairs) share t
+def _bessel_row(x: float, tol: float, terms: int = 0) -> tuple:
+    """J_0(x)..J_M(x), M >= ``terms`` the first index where 2 sum_{k > M} |J_k(x)| < ``tol``.
+
+    Miller's backward recurrence on the ratios J_j / J_{j-1} = |x| / (2j - |x| J_{j+1} / J_j), in
+    plain floats that cannot overflow, from the first index past |x| + 8 and ``terms`` + 8 where
+    |J_k(x)| <= (|x|/2)^k / k! is below tol e^-9; products normalized by J_0 + 2 sum J_2k = 1.
+    """
+    ax = abs(x)
+    if ax == 0.0:
+        return (1.0,) + (0.0,) * terms
+    k = max(math.ceil(ax), terms) + 8
+    log_bound, stop = k * math.log(0.5 * ax) - math.lgamma(k + 1.0), math.log(tol) - 9.0
+    while log_bound > stop:
+        k += 1
+        log_bound += math.log(0.5 * ax / k)
+    r, ratio = [0.0] * k, 0.0
+    for j in range(k, 0, -1):
+        ratio = r[j - 1] = ax / (2.0 * j - ax * ratio)
+    row = _products(r)
+    norm = row[0] + 2.0 * math.fsum(row[2::2])
+    M, tail = k, 0.0
+    while M > terms and 2.0 * (tail + abs(row[M])) < tol * abs(norm):
+        tail += abs(row[M])
+        M -= 1
+    return tuple(v / (-norm if j % 2 and x < 0.0 else norm) for j, v in enumerate(row[: M + 1]))  # J_k(-x) = (-1)^k J_k(x)
+
+
+# Chebyshev rows T_k(Jt) X of a pair and a start X: they do not depend on t, so the steps of
+# one request and the requests that revisit a system read them again, and more terms extend
+# them.  Row k does not depend on the rows kept, so no value depends on what the cache holds.
+_CHEB = _LRU(256, 64 * 2**20)
+
+
+def _chebyshev(ctx: PropagatorContext, X: np.ndarray, t: float, tol: float, terms: int = 0,
+               max_dim: int = 8192) -> np.ndarray:
+    """e^{-itJ} X at real t on a pair with compact support, on levels 0..K: a complex array.
+
+    X holds real columns on levels 0..n.  It sums e^{-it alpha} (2 - delta_k0) (-i)^k J_k(t beta)
+    T_k(Jt) X over the M + 1 weights of ``_bessel_row`` (at least ``terms`` + 1), T_k(Jt) X from
+    T_{k+1} = 2 Jt T_k - T_{k-1} on its n + k + 1 levels: exact on K = n + M levels, it leaves
+    out the Bessel tail, below ``tol`` ||X||.  Rows past the doubles of the (max_dim + 1) x
+    (max_dim + 64) rule matrix ``max_dim`` once allowed raise ConvergenceError before anything
+    is allocated, first at the lower bound M >= |t beta|.
+    """
+    a, b = ctx.pd.support
+    alpha, beta = 0.5 * (a + b), 0.5 * (b - a)
+    n, w = X.shape[0] - 1, X.shape[1]
+
+    def check(M: int) -> int:  # the doubles of V, before it is allocated
+        if (M + 1) * (n + M + 3) * w > (max_dim + 1) * (max_dim + 64):
+            raise ConvergenceError(f"propagation needs about {8 * (M + 1) * (n + M + 3) * w:,} bytes for "
+                                   f"{n + M + 1} ladder levels, more than the memory max_dim = {max_dim} allows")
+        return M
+
+    check(math.ceil(abs(t) * beta))
+    J = _bessel_row(t * beta, tol, terms)
+    M = check(len(J) - 1)
+    key = (ctx.pd, X.shape, X.tobytes())
+    V = old = _CHEB.get(key)  # V[k, i + 1] = (T_k(Jt) X)_i, between zeros
+    if old is None or len(old) <= M:
+        bl, hl = ctx.js.arrays(n + M + 1)
+        e = bl * (2.0 / beta)
+        C = np.stack((e[:-1], (hl[:-1] - alpha) * (2.0 / beta), e[1:]), axis=-1)[:, None, :]  # rows of 2 Jt
+        V = np.zeros((M + 1, n + M + 3, w))
+        V[0, 1 : n + 2] = X
+        if old is not None:
+            V[: len(old), : old.shape[1]] = old
+        W = np.lib.stride_tricks.as_strided(V, (M + 1, n + M + 1, w, 3), V.strides + V.strides[1:2], writeable=False)
+        for k in range(0 if old is None else len(old) - 1, M):  # T_{k+1} X
+            row = V[k + 1, 1 : n + k + 3]
+            np.vecdot(C[: n + k + 2], W[k, : n + k + 2], out=row)
+            if k:
+                np.subtract(row, V[k - 1, 1 : n + k + 3], out=row)
+            else:  # T_1 = Jt T_0
+                row *= 0.5
+        _CHEB.put(key, V)
+    wts = 2.0 * np.array(J) * np.array([1.0, -1j, -1.0, 1j])[np.arange(M + 1) % 4] * cmath.exp(-1j * t * alpha)
+    wts[0] /= 2.0
+    Vf = V[: M + 1, 1 : n + M + 2].reshape(M + 1, -1)
+    return (wts.real @ Vf + 1j * (wts.imag @ Vf)).reshape(-1, w)
 
 
 # ---------------------------------------------------------------------------
@@ -392,44 +438,35 @@ def sigma_mn_closed(ctx: PropagatorContext, m: int, n: int, z: complex) -> compl
 def sigma_mn_quad(
     ctx: PropagatorContext, m: int, n: int, z: complex, N: int | None = None
 ) -> complex:
-    """sigma_mn by Gauss quadrature in the spectral measure, or on integer nodes.
+    """sigma_mn by Gauss quadrature in the spectral measure, on integer nodes or by Chebyshev.
 
-    At real z on a Hermite or Laguerre pair, and N not given, it is one sweep
-    of the dual ladder over min(m, n) degrees at the single node max(m, n),
-    so sigma_mn and sigma_nm are the same number.  Otherwise the sum is
-    assembled per node in log space, so far nodes, whose
-    sqrt-weights underflow, still carry the mass of an integrand that grows
-    against the measure at complex z.  At real z its rounding grows with the
-    rule size: on Jacobi (mu, nu) = (0.63, 1.29) over (0.96, 3.60) at
-    (m, n) = (11, 76), t = 12.13, rules of 96 to 864 nodes scatter by up to
-    2.7e-13.  On Laguerre pairs the sum grows ill conditioned with Im z and
-    the degree (2 digits are left at (40, 41) and 0.3 of the strip edge), and
-    ``sigma_mn`` routes to the closed form above 0.2 of the edge.
+    At real z and N not given it reads level max(m, n) off a vector started at e_min(m, n),
+    so sigma_mn and sigma_nm are the same number: one sweep of the dual ladder over min(m, n)
+    degrees at the node max(m, n) (Hermite, Laguerre), or the Chebyshev expansion of
+    e^{-izJ} e_min(m, n) to a Bessel tail below 1e-16, over at least |m - n| terms (Jacobi).
 
-    The N-node sum is exactly [e^{-itJ_N}]_mn of the N-level ladder J_N
-    (Golub & Welsch).  By Duhamel's formula its error at real z = t is the
-    integral over 0 < s < t of b_N <N|e^{-i(t-s)J}|m> <N-1|e^{-isJ_N}|n>, and
-    as s or t - s is at most t/2, one factor is the reach of a packet to
-    level N within half the time.  So at real z, N defaults to 32 levels above
-    where the packet law ``pd.levels`` leaves max(m, n) at |z|/2 a squared
-    tail of 1e-16, at most the complex-z default m + n + 96 + spread(|z|)
-    (+ ``quad_extra(z)``); N, an explicit one too, is rounded to a multiple
-    of 32.  The rows P_m, P_n come in log form from the canonical ladder
-    over the canonical nodes: from the sweep that builds a cold rule, or
-    one sweep to max(m, n) over a cached one, the same rows bit for bit.
+    Otherwise it is the N-node Gauss sum, exactly [e^{-izJ_N}]_mn of the N-level ladder
+    (Golub & Welsch), N by default m + n + 96 + spread(|z|) (+ ``quad_extra(z)``), at most
+    6144, and rounded to a multiple of 32.  It is assembled per node in log space, so far
+    nodes, whose sqrt-weights underflow, still carry the mass of an integrand that grows
+    against the measure at complex z.  On Laguerre pairs the sum grows ill conditioned with
+    Im z and the degree (2 digits are left at (40, 41) and 0.3 of the strip edge), and
+    ``sigma_mn`` routes to the closed form above 0.2 of the edge.  The rows P_m, P_n come in
+    log form from the canonical ladder over the canonical nodes, from the sweep that builds
+    a cold rule or one sweep over a cached one, the same rows bit for bit.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     z = complex(z)
     _check_char_domain(ctx, z)
-    if N is None and z.imag == 0.0 and ctx.pd.dual is not None:
+    if N is None and z.imag == 0.0:
         lo, hi = sorted((m, n))
-        U, r, col = _dual_rows(ctx, z.real, hi, lo, hi)
-        return complex(r[0] * U[lo, 0] * col[lo])
+        if ctx.pd.dual is not None:
+            U, r, col = _dual_rows(ctx, z.real, hi, lo, hi)
+            return complex(r[0] * U[lo, 0] * col[lo])
+        return complex(_chebyshev(ctx, np.eye(lo + 1, 1, -lo), z.real, _PACKET_TAIL, terms=hi - lo)[hi, 0])
     if N is None:
         N = min(m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z), 6144)
-        if z.imag == 0.0:  # the packet law at half time, 32 levels of margin
-            N = min(N, ctx.pd.levels(max(m, n), abs(z) / 2, _PACKET_TAIL, N) + 32)
     N = _rule_size(N)
     # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
     xh, logw, rows = ctx.rule(N, (m, n) if max(m, n) < N else ())
@@ -469,7 +506,8 @@ def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray
     ||row||^2 < 1 is the mass the row leaves past kmax (0.519 for the vacuum of
     ``hermite_data()`` at t = 20, kmax = 200), not an error in what it keeps.  On
     Hermite and Laguerre pairs they come off integer nodes (one sweep of n + 1
-    degrees from node n on), otherwise off a rule sized like evolve's (rows uncached).
+    degrees from node n on); on Jacobi pairs off the Chebyshev expansion of e^{-itJ} e_n,
+    to a Bessel tail below 1e-16 on its n + M levels, and entries past those are 0.
     """
     if n < 0 or kmax < 0:
         raise ValueError("indices must be nonnegative")
@@ -477,9 +515,8 @@ def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray
     if ctx.pd.dual is not None:  # sigma_nk, k < n, at node n; then column n from node n on
         U, r, col = _dual_rows(ctx, t, max(n, kmax), n, n)
         return np.concatenate((r[0] * U[:n, 0] * col[:n], r * U[n] * col[n]))[: kmax + 1]
-    xh, _, Q = ctx.rule(_packet_rule(ctx, n, t, max(n, kmax), max(n, kmax) + 64), max(n, kmax) + 1)
-    f = np.exp(-1j * t * ctx.nodes(xh)) * Q[n]
-    return _real_matvec(Q[: kmax + 1], f)
+    row = _chebyshev(ctx, np.eye(n + 1, 1, -n), t, _PACKET_TAIL)[: kmax + 1, 0]
+    return np.pad(row, (0, kmax + 1 - row.size))
 
 
 def evolve(
@@ -491,26 +528,15 @@ def evolve(
 ) -> np.ndarray:
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
-    The output keeps K + 1 levels.  On Hermite and Laguerre pairs K is sized once:
-    the level past which the family's closed packet law (``pd.levels``) leaves c's
-    packet a squared tail below min(``tail``, 1e-16), at least c.size - 1, and the
-    block comes off integer nodes; the tail it drops is the law's.  There ``max_dim``
-    caps memory, not levels: the block takes c.size doubles a level, and the law and
-    column 0 about 32 more, and together they may take the (max_dim + 1) x
-    (max_dim + 64) doubles of the rule route's largest matrix (at the default, a
-    one-level vector may keep ~2 million levels, a 60-level one ~735,000).
-
-    On Jacobi pairs (until their packet bound lands) K + 1 are the rows of a rule's
-    matrix, and K still doubles.  The first K is where the law leaves c's packet at
-    rounding, at least c.size - 1, with K + 64 rounded up onto the grid and at most
-    the rule of c.size + 128 + spread(t) nodes; a doubling of K moves to the rule of
-    2K + 64.  K doubles until the unitarity deficit ||c||^2 - ||out||^2 (the weight
-    leaked past the kept rows) is below ``tail`` ||c||^2.  Below 4 eps K ||c||^2 the
-    deficit is rounding of its K + 1 squares, and the weight of the last 64
-    kept rows, which is resolved, stands in for the leak.  K is capped at
-    the largest grid level not above ``max_dim``; a first K above it raises
-    ConvergenceError at once, since a smaller rule would measure a deficit
-    it cannot resolve.
+    The output keeps K + 1 levels, K sized once before anything is allocated, and
+    ``max_dim`` caps memory, not levels: past the (max_dim + 1) x (max_dim + 64)
+    doubles of the largest rule matrix it once allowed, ConvergenceError is raised.
+    On Hermite and Laguerre pairs K is where the closed packet law (``pd.levels``)
+    leaves c's packet a squared tail below min(``tail``, 1e-16), at least c.size - 1,
+    and the block comes off integer nodes, c.size + 32 doubles a level (~2 million
+    levels for one level at the default).  On Jacobi pairs K = c.size - 1 + M for
+    the M Chebyshev terms whose Bessel tail is below min(``tail``, 1e-16): exact on
+    those levels, the expansion's error is that tail relative to ||c||.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -519,41 +545,20 @@ def evolve(
     nrm2 = float(np.vdot(c, c).real)
     if nrm2 == 0.0:
         return np.zeros(c.size, dtype=complex)
+    if ctx.pd.dual is None:
+        X = c.view(float).reshape(-1, 2)[:, : 1 + bool(c.imag.any())]  # c's real columns, one if c is real
+        return _chebyshev(ctx, X, t, min(tail, _PACKET_TAIL), max_dim=max_dim) @ np.array([1.0, 1j])[: X.shape[1]]
     n = int(np.count_nonzero(np.cumsum(abs(c[::-1]) ** 2) > _PACKET_TAIL * nrm2)) - 1  # rounding past n
-    if ctx.pd.dual is not None:  # the memory of the rule route's largest matrix, in doubles
-        kcap = (max_dim + 1) * (max_dim + 64) // (c.size + 32) - 1
-        K = _law_size(ctx, n, t, min(tail, _PACKET_TAIL), kcap) if c.size - 1 <= kcap else None
-        if K is None:
-            raise ConvergenceError(
-                f"propagation needs more than {kcap} ladder levels, the memory max_dim = {max_dim} allows"
-            )
-        K = max(K, c.size - 1)
-        U, r, col = _dual_rows(ctx, t, K, c.size - 1)
-        out = r * _real_matvec(U.T, col * c)
-        if c.size > 1:  # the entries m < j, read at m' = j, j' = m
-            T, w = U[:, : c.size], r[: c.size] * c
-            out[: c.size] += col * (_real_matvec(T, w) - T.diagonal() * w)
-        return out
-    K = _packet_rule(ctx, n, t, c.size - 1, c.size + 128) - 64
-    if K > max_dim:
+    kcap = (max_dim + 1) * (max_dim + 64) // (c.size + 32) - 1
+    K = _law_size(ctx, n, t, min(tail, _PACKET_TAIL), kcap) if c.size - 1 <= kcap else None
+    if K is None:
         raise ConvergenceError(
-            f"propagation needs {K} ladder levels at first, "
-            f"more than max_dim = {max_dim}"
+            f"propagation needs more than {kcap} ladder levels, the memory max_dim = {max_dim} allows"
         )
-    kcap = (max_dim + 64) // _RULE_GRID * _RULE_GRID - 64
-    while True:
-        nodes, Q = _weighted_poly_matrix(ctx, K + 64, K)
-        f = np.exp(-1j * t * nodes) * _real_matvec(Q[: c.size].T, c)
-        out = _real_matvec(Q, f)
-        deficit = nrm2 - float(np.vdot(out, out).real)
-        if deficit <= 4.0 * np.finfo(float).eps * K * nrm2:  # rounding: read the last 64 rows
-            deficit = min(deficit, float(np.vdot(out[-64:], out[-64:]).real))
-        if deficit <= tail * nrm2:
-            return out
-        if K >= kcap:
-            raise ConvergenceError(
-                f"propagation needs more than {max_dim} ladder levels "
-                f"(unitarity deficit {deficit:.3e})"
-            )
-        K = min(2 * K, kcap)  # 2K + 64 = 2S - 64 stays on the grid
-
+    K = max(K, c.size - 1)
+    U, r, col = _dual_rows(ctx, t, K, c.size - 1)
+    out = r * _real_matvec(U.T, col * c)
+    if c.size > 1:  # the entries m < j, read at m' = j, j' = m
+        T, w = U[:, : c.size], r[: c.size] * c
+        out[: c.size] += col * (_real_matvec(T, w) - T.diagonal() * w)
+    return out

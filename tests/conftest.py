@@ -38,19 +38,7 @@ def _recording(cache, built):
             built.append(key)
             super().put(key, val)
 
-    return Recording(cache.slots, cache.max_bytes, cache.probation)
-
-
-@pytest.fixture
-def qmat_builds(monkeypatch):
-    """Keys (family, shape parameters, nodes) of the polynomial matrices built during the test.
-
-    The test runs on an empty matrix cache with the production slots, byte
-    budget and probation, so what it builds is dropped afterwards.
-    """
-    built = []
-    monkeypatch.setattr(propagator, "_QMATS", _recording(propagator._QMATS, built))
-    return built
+    return Recording(cache.slots, cache.max_bytes)
 
 
 @pytest.fixture

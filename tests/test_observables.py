@@ -32,8 +32,7 @@ from qladder.observables import (
     phase_exponentials,
     total_energy,
 )
-from qladder.orthopoly import JacobiSystem, hermite_data, jacobi_data, laguerre_data
-import qladder.propagator as prop
+from qladder.orthopoly import JacobiSystem, hermite_data, laguerre_data
 from qladder.propagator import PropagatorContext, build_context, sigma_row
 from qladder.reduction import MultiModeSystem, reduce
 
@@ -50,27 +49,6 @@ def test_number_amplitudes_are_propagator_rows(family_name, family_ctx):
         assert np.max(np.abs(g - row)) < 1e-12
     g0 = ladder_amplitudes(family_ctx, Number(2), 0.0)
     assert g0[2] == 1.0 and np.count_nonzero(g0) == 1
-
-
-def test_number_amplitudes_build_one_poly_matrix(monkeypatch):
-    # a number state is the vector e_n for evolve, sized once from its packet
-    # law, not a row whose length doubles with a new rule per attempt; on a
-    # Jacobi pair each state reads one rule's matrix, the vacuum too
-    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
-    calls = []
-    inner = prop._weighted_poly_matrix
-
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(prop, "_weighted_poly_matrix", counted)
-    g = ladder_amplitudes(ctx, Number(1), 5.0)
-    assert len(calls) == 1
-    assert 1.0 - np.vdot(g, g).real <= 1e-13
-    g = ladder_amplitudes(ctx, Number(0), 5.0)
-    assert len(calls) == 2
-    assert 1.0 - np.vdot(g, g).real <= 1e-13
 
 
 def test_vacuum_moments_take_the_coherent_route():
@@ -101,17 +79,6 @@ def test_vacuum_second_moment_keeps_the_whole_series():
     ctx = build_context(laguerre_data(3.05))
     got = number_moment(ctx, Number(0), 2, 0.712)
     assert abs(got - ctx.pd.closed_number_moment(0.712, 2)) <= 1e-13 * got
-
-
-def test_number_amplitudes_share_one_poly_matrix_per_rule(qmat_builds):
-    # number states m = 0..4 taken in turn at one t land on one rule, whose
-    # single matrix carries the rows every one of them keeps; matrices are
-    # keyed by the ladder shape, then the rule size
-    ctxs = [build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5)), build_context(jacobi_data(0.0, 3.0, 0.7, 3.1))]
-    for ctx in ctxs:
-        for n in range(5):
-            ladder_amplitudes(ctx, Number(n), 1.0)
-    assert [key[:2] for key in qmat_builds] == [ctx.shape for ctx in ctxs]
 
 
 def test_large_glauber_label_has_unit_norm():

@@ -160,86 +160,7 @@ def test_evolve_refuses_a_first_size_above_max_dim():
         evolve(ctx, np.ones(40) / np.sqrt(40), 0.5, max_dim=16)
 
 
-# Only Jacobi pairs still double, and their first K, n + spread(t) levels,
-# holds the packet: left alone they double only on rounding, on tails set
-# below it (the norm's rounding, or the last 64 rows' ~1e-26).  A real leak
-# takes a first rule smaller than the law's.
-_WIDE_JACOBI = (-10.0, 10.0, 0.7, 3.1)
-
-
-def test_evolve_names_the_deficit_at_the_level_cap():
-    # e_40 at t = 3 under a tail of 1e-30 starts at K = 192 and doubles to the
-    # cap, K = 288 under max_dim = 300, where the norm's rounding of 3e-13 is
-    # above 4 eps K; under max_dim = 400 the cap is K = 384, enough
-    ctx = build_context(jacobi_data(*_WIDE_JACOBI))
-    c = np.zeros(41)
-    c[40] = 1.0
-    with pytest.raises(ConvergenceError, match=r"more than 300 ladder levels \(unitarity deficit"):
-        evolve(ctx, c, 3.0, tail=1e-30, max_dim=300)
-    assert evolve(ctx, c, 3.0, tail=1e-30, max_dim=400).size == 385
-
-
-def test_evolve_stops_at_the_rounding_floor_of_its_deficit(qmat_builds):
-    # the vacuum at t = 10 keeps 448 levels whose last 64 hold ~1e-26; its
-    # deficit of ~1.5e-14 is rounding of the 449-term norm, above a tail of
-    # 1e-18 but below 4 eps K, so no doubling follows
-    ctx = build_context(jacobi_data(*_WIDE_JACOBI))
-    out = evolve(ctx, [1.0], 10.0, tail=1e-18)
-    assert [key[2] for key in qmat_builds] == [out.size + 63] == [512]
-    deficit = 1.0 - np.vdot(out, out).real
-    assert deficit <= 4.0 * np.finfo(float).eps * (out.size - 1)
-    assert np.vdot(out[-64:], out[-64:]).real < 1e-20
-
-
-def _first_rule_covers_the_input_alone(monkeypatch, extra=0):
-    """A Jacobi packet leaks past K only where its law is overridden: the first
-    rule is the one of 64 nodes above c's levels (``extra`` more), on the grid."""
-    monkeypatch.setattr(propagator, "_packet_rule", lambda ctx, n, t, keep, base: -(-(keep + 65) // 32) * 32 + extra)
-
-
-def test_evolve_doubles_while_its_deficit_is_resolved(monkeypatch, qmat_builds):
-    # 40 random levels at t = 10 leak 0.48 past the first 64 levels, then
-    # past 128, far above the floor; under max_dim = 250 the second doubling
-    # is capped at 224 = 288 - 64, the largest grid level not above max_dim
-    _first_rule_covers_the_input_alone(monkeypatch)
-    ctx = build_context(jacobi_data(*_WIDE_JACOBI))
-    rng = np.random.default_rng(7)
-    c = rng.normal(size=40) + 1j * rng.normal(size=40)
-    c /= np.linalg.norm(c)
-    out = evolve(ctx, c, 10.0, max_dim=250)
-    assert [key[2] for key in qmat_builds] == [128, 192, 288]
-    assert out.size == 225
-    assert abs(1.0 - np.vdot(out, out).real) <= 1e-12
-    assert np.vdot(out[-64:], out[-64:]).real <= 1e-12
-    assert np.vdot(out[65:], out[65:]).real > 0.4
-
-
-def test_evolve_honours_a_tail_below_its_rounding_floor(monkeypatch, qmat_builds):
-    # 40 random levels at t = 6.9 leave a deficit of ~8e-14 at 128 levels:
-    # below the floor 4 eps K = 1.1e-13 but a real leak, since the levels
-    # past 128 hold it once kept; a tail of 1e-14 must double again
-    _first_rule_covers_the_input_alone(monkeypatch, 64)
-    ctx = build_context(jacobi_data(*_WIDE_JACOBI))
-    rng = np.random.default_rng(7)
-    c = rng.normal(size=40) + 1j * rng.normal(size=40)
-    c /= np.linalg.norm(c)
-    out = evolve(ctx, c, 6.9, tail=1e-14)
-    assert [key[2] for key in qmat_builds] == [192, 320]
-    assert 1e-14 < np.vdot(out[129:], out[129:]).real < 4.0 * np.finfo(float).eps * 128
-    assert np.vdot(out[-64:], out[-64:]).real <= 1e-14
-    assert abs(1.0 - np.vdot(out, out).real) <= 1e-12
-
-
-def _below_floor_case():
-    """40 random levels at t = 2: a tail of 1e-27 is below the rounding floor
-    4 eps K of the norm, so the last 64 rows, whose rounding holds ~1e-26,
-    stand in for the leak until K = 640."""
-    rng = np.random.default_rng(0)
-    c = rng.normal(size=40) + 1j * rng.normal(size=40)
-    return build_context(jacobi_data(*_WIDE_JACOBI)), c / np.linalg.norm(c), 2.0, 1e-27
-
-
-def test_cold_sigma_row_builds_only_the_rows_it_reads(qmat_builds):
+def test_cold_sigma_row_builds_only_the_rows_it_reads(rule_builds):
     # t = 7.5 on Laguerre(0.8) needs a rule of thousands of nodes for 16
     # rows; the rows of that rule's full matrix would take ~170 MB
     ctx = build_context(laguerre_data(0.8))
@@ -250,32 +171,28 @@ def test_cold_sigma_row_builds_only_the_rows_it_reads(qmat_builds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert row.shape == (16,) and qmat_builds == []
+    assert row.shape == (16,) and len(rule_builds) == 1  # the one built above
     assert nodes.size > 4000 and peak < 8 * 16 * nodes.nbytes
 
 
-def _direct_values(ctx, t, c, row_rule, out_size):
-    """sigma_mn_quad(5, 8, t, N=160), sigma_row(2, t, 40) and evolve(c, t) of an
-    ``out_size``-level output, by the library's operations on rules that
-    ``measure.gauss_rule(ctx.sm, N)`` builds for the pair itself."""
+def _direct_values(ctx, z, requests):
+    """sigma_mn_quad(m, n, z, N) for each (m, n, N) of ``requests``, by the library's
+    operations on rules that ``measure.gauss_rule(ctx.sm, N)`` builds for the pair itself."""
     from qladder.measure import gauss_rule
     from qladder.orthopoly import _node_sum
 
-    z = complex(t)
-    rule = gauss_rule(ctx.sm, 160, 0, (5, 8))
-    (la, sa), (lb, sb) = rule.log_rows[5], rule.log_rows[8]
-    M, V = _node_sum(rule.log_weights + la + lb + z.imag * rule.nodes, sa * sb, rule.nodes, z.real)
-    rule = gauss_rule(ctx.sm, row_rule, 41)
-    row = propagator._real_matvec(rule.rows, np.exp(-1j * t * rule.nodes) * rule.rows[2])
-    rule = gauss_rule(ctx.sm, out_size + 63, out_size)
-    Q = rule.rows
-    out = propagator._real_matvec(Q, np.exp(-1j * t * rule.nodes) * propagator._real_matvec(Q[: c.size].T, c))
-    return np.array([V * math.exp(M)]), row, out
+    out = []
+    for m, n, N in requests:
+        rule = gauss_rule(ctx.sm, N, 0, (m, n))
+        (la, sa), (lb, sb) = rule.log_rows[m], rule.log_rows[n]
+        M, V = _node_sum(rule.log_weights + la + lb + z.imag * rule.nodes, sa * sb, rule.nodes, z.real)
+        out.append(np.array([V * math.exp(M)]))
+    return out
 
 
 def test_pairs_of_one_shape_share_one_rule(monkeypatch):
     # every Jacobi pair of exponents (2, 1.5) is an affine image of the one
-    # ladder on (-1, 1): five pairs at one t build each rule size once, and
+    # ladder on (-1, 1): five pairs at one z build each rule size once, and
     # their values are those of rules built for each pair itself, up to the
     # rounding the map adds to each node; pairs in canonical gauge, mapped by
     # the identity, give the values of their own rules bit for bit
@@ -289,20 +206,20 @@ def test_pairs_of_one_shape_share_one_rule(monkeypatch):
 
     monkeypatch.setattr(propagator, "gauss_rule", counted)
     monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
-    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(12, propagator._QMATS_BYTES))
-    t, c = 1.3, np.array([0.6, 0.8j, 0.0])
+    z = 1.3 + 0.1j  # real t takes the Chebyshev route
 
     def check(pd, rel):
         ctx = build_context(pd)
-        row_rule = propagator._packet_rule(ctx, 2, t, 40, 104)  # sigma_row's rule size
-        got = (np.array([sigma_mn_quad(ctx, 5, 8, t, N=160)]), sigma_row(ctx, 2, t, 40), evolve(ctx, c, t))
-        want = _direct_values(ctx, t, c, row_rule, got[2].size)
+        requests = [(5, 8, 160), (5, 8, None), (2, 3, 96)]
+        got = [np.array([sigma_mn_quad(ctx, m, n, z, N=N)]) for m, n, N in requests]
+        requests = [(m, n, N or _rule_size(m + n + 96 + pd.spread(abs(z)))) for m, n, N in requests]
+        want = _direct_values(ctx, z, requests)
         for g, w in zip(got, want, strict=True):
             if rel:
                 assert g.shape == w.shape and np.abs(g - w).max() <= rel * np.abs(w).max()
             else:
                 np.testing.assert_array_equal(g, w)
-        return {160, row_rule, got[2].size + 63}
+        return {N for _, _, N in requests}
 
     used = set()
     for a, b, scale in ((-1.0, 1.0, 1.0), (0.0, 2.0, 1.0), (-3.0, 1.0, 2.0), (-1.0, 3.0, 2.0), (-4.0, 0.0, 0.5)):
@@ -423,8 +340,8 @@ def test_warm_evolve_makes_no_complex_copy_of_the_poly_matrix():
 def test_lru_evicts_the_least_recently_used_at_its_bound():
     from qladder import fockoracle, propagator
 
-    slots = (propagator._RULES.slots, propagator._QMATS.slots, fockoracle._BLOCKS.slots)
-    assert slots == (128, 4096, 64)
+    slots = (propagator._RULES.slots, fockoracle._BLOCKS.slots)
+    assert slots == (128, 64)
     cache = propagator._LRU(2, max_bytes=1000)
     cache.put("a", 1)
     cache.put("b", 2)
@@ -446,7 +363,6 @@ def test_lru_evicts_the_least_recently_used_at_its_bound():
 
 
 def test_lru_keeps_its_values_within_a_byte_budget():
-    assert propagator._QMATS.max_bytes == propagator._QMATS_BYTES
     cache = propagator._LRU(12, max_bytes=100)
     cache.put("a", np.zeros(5))  # 40 bytes
     cache.put("b", np.zeros(5))
@@ -468,75 +384,7 @@ def test_lru_counts_the_bytes_of_lists_of_blocks():
     assert cache.get("pair") is None and cache.nbytes == 384 + 480
 
 
-def test_lru_promotes_a_key_read_again_while_on_probation():
-    cache = propagator._LRU(8, max_bytes=1000, probation=2)
-    cache.put("a", 1)  # on probation
-    assert list(cache._trial) == ["a"] and not cache._data
-    assert cache.get("a") == 1  # read again: promoted
-    assert list(cache._data) == ["a"] and not cache._trial
-    cache.put("a", 2)  # a kept key is replaced in place
-    assert cache.get("a") == 2 and not cache._trial
-    for key in "bcd":  # "b" leaves probation with the second put after it
-        cache.put(key, 3)
-    assert cache.get("b") is None and list(cache._trial) == ["c", "d"]
-    assert cache.get("d") == 3 and list(cache._data) == ["a", "d"]
-
-
-def test_lru_gives_up_probation_first_under_its_byte_budget():
-    cache = propagator._LRU(8, max_bytes=100, probation=4)
-    cache.put("kept", np.zeros(5))
-    cache.get("kept")  # 40 bytes in the main segment
-    cache.put("a", np.zeros(5))
-    cache.put("b", np.zeros(5))  # 120 bytes: "a" goes, though "kept" is older
-    assert cache.get("a") is None and cache.nbytes == 80
-    cache.put("c", np.zeros(10))  # 80 bytes: "b", then "kept" go; "c" stays
-    assert (cache.get("b"), cache.get("kept")) == (None, None)
-    assert cache.nbytes == 80 and list(cache._trial) == ["c"]
-
-
-def test_qmats_builds_a_matrix_read_twice_once_and_keeps_it(monkeypatch):
-    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
-    c = np.array([0.6, 0.8j, 0.0])
-    q = propagator._QMATS
-    assert q.probation > 0
-    built = []
-
-    class Recording(propagator._LRU):
-        def get_or_build(self, key, build):
-            return super().get_or_build(key, lambda: built.append(key) or build())
-
-    cache = Recording(q.slots, q.max_bytes, q.probation)
-    monkeypatch.setattr(propagator, "_QMATS", cache)
-    first = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
-    assert len(built) == 1 and not cache._data  # built and used, on probation only
-    second = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
-    assert len(built) == 1 and list(cache._data) == built  # read again: kept
-    for mu in np.linspace(1.0, 2.0, 2 * q.probation):  # one-off matrices pass through
-        evolve(build_context(jacobi_data(-1.0, 1.0, mu, 2.5)), c, 1.3)
-    assert len(built) == 1 + 2 * q.probation
-    assert list(cache._data) == built[:1] and len(cache._trial) == q.probation
-    third = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
-    assert len(built) == 1 + 2 * q.probation  # a hit in the main slots
-    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(q.slots, q.max_bytes))
-    plain = (evolve(ctx, c, 1.3), sigma_row(ctx, 2, 1.3, 30))
-    for got in (second, third, plain):
-        for a, b in zip(got, first, strict=True):
-            np.testing.assert_array_equal(a, b)
-
-
-def test_doubling_evolve_keeps_its_matrices_within_the_byte_budget(monkeypatch, qmat_builds):
-    ctx, c, t, tail = _below_floor_case()
-    want = evolve(ctx, c, t, tail=tail)
-    assert len(qmat_builds) == 3  # 0.28, 0.94 and 3.44 MiB
-    budget = 2**20  # the second evicts the first, the third is used uncached
-    small = propagator._LRU(12, max_bytes=budget)
-    monkeypatch.setattr(propagator, "_QMATS", small)
-    got = evolve(ctx, c, t, tail=tail)
-    assert 0 < small.nbytes <= budget
-    np.testing.assert_array_equal(got, want)
-
-
-def test_a_cold_request_sweeps_each_rule_it_builds_once(monkeypatch, qmat_builds):
+def test_a_cold_request_sweeps_each_rule_it_builds_once(monkeypatch):
     """The rows of a cold rule come from the sweep that builds it."""
     from qladder import measure
 
@@ -556,16 +404,15 @@ def test_a_cold_request_sweeps_each_rule_it_builds_once(monkeypatch, qmat_builds
         monkeypatch.setattr(mod, "scaled_sweep", counted_sweep)
     monkeypatch.setattr(propagator, "gauss_rule", counted_build)
     monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
-    evolve(ctx, [1.0], 1.0)
+    _weighted_poly_matrix(ctx, 128, 64)
     assert built and len(passes) == len(built)
-    # a cached rule whose matrix is not: one sweep, over the cached nodes
-    passes.clear(), built.clear(), qmat_builds.clear()
-    monkeypatch.setattr(propagator, "_QMATS", type(propagator._QMATS)(12, propagator._QMATS_BYTES))  # empty, still recording
-    evolve(ctx, [1.0], 1.0)
-    assert built == [] and len(passes) == len(qmat_builds) == 1
+    # a cached rule: one sweep, over the cached nodes
+    passes.clear(), built.clear()
+    _weighted_poly_matrix(ctx, 128, 64)
+    assert built == [] and len(passes) == 1
     passes.clear()
     monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
-    sigma_row(ctx, 3, 1.0, 40)
+    _weighted_poly_matrix(ctx, 160, 40)
     assert len(built) == len(passes) == 1
 
 
@@ -645,18 +492,11 @@ def test_every_quadrature_caller_keeps_48_nodes_above_its_highest_row(pd, monkey
         return out
 
     monkeypatch.setattr(PropagatorContext, "rule", recorded)
-    for t in (0.0, 0.3, 2.0):
-        for n, kmax in ((0, 0), (5, 40), (70, 3), (150, 150)):
-            sizes.clear()
-            sigma_row(ctx, n, t, kmax)
-            assert sizes and min(sizes) >= max(n, kmax) + 48
+    for t in (0.0, 0.3, 2.0):  # real t takes the Chebyshev route, with no rule
         for m, n in ((0, 0), (30, 2), (60, 61)):
             sizes.clear()
             sigma_mn_quad(ctx, m, n, t + 0.05j)
             assert sizes == [_rule_size(sizes[0])] and sizes[0] >= max(m, n) + 48
-        sizes.clear()
-        out = evolve(ctx, np.ones(20) / math.sqrt(20), t)
-        assert sizes[-1] >= out.size - 1 + 48
 
 
 def test_quadrature_values_do_not_depend_on_the_cache_history(monkeypatch):
@@ -664,29 +504,25 @@ def test_quadrature_values_do_not_depend_on_the_cache_history(monkeypatch):
 
     def values():
         return (
-            sigma_row(ctx, 3, 1.7, 40),
-            evolve(ctx, [0.6, 0.8j, 0.0, 0.0], 1.7),
-            evolve(ctx, [1.0], 1.75),
-            np.array([sigma_mn_quad(ctx, 4, 30, 1.7), sigma_mn_quad(ctx, 4, 30, 1.7 + 0.1j)]),
+            np.array([sigma_mn_quad(ctx, 4, 30, 1.7 + 0.1j), sigma_mn_quad(ctx, 3, 40, 1.75 + 0.05j)]),
+            np.array([sigma_mn_quad(ctx, 5, 8, 1.7 + 0.1j, N=200)]),
         )
 
-    # a longer c at the same t asks for more levels on the same grid rule
-    for size, t in ((4, 1.7), (1, 1.75)):
-        spread = ctx.pd.spread(t)
-        assert _rule_size(size + 128 + spread) == _rule_size(10 + 128 + spread)
+    # a request with more rows at the same z asks for more nodes on the same grid rule
+    for (m, n), z in (((4, 30), 1.7 + 0.1j), ((3, 40), 1.75 + 0.05j)):
+        size = m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z)
+        assert _rule_size(size) == _rule_size(size + 5)
     monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
-    monkeypatch.setattr(propagator, "_QMATS", propagator._LRU(12, propagator._QMATS_BYTES))
     cold = values()
     # unrelated requests on the same grid rules, with more rows, and on other families
     for t in (1.6, 1.7, 1.75, 3.0):
-        sigma_row(ctx, 9, t, 60)
-        evolve(ctx, np.ones(10) / math.sqrt(10), t)
-        evolve(ctx, np.ones(30), t)
-        sigma_mn_quad(ctx, 1, 33, t)
+        sigma_mn_quad(ctx, 9, 30, t + 0.1j)
+        sigma_mn_quad(ctx, 9, 40, t + 0.05j)
+        sigma_mn_quad(ctx, 1, 60, t + 0.1j, N=200)
     for other in (hermite_data(), jacobi_data(-1, 1, 2, 1.5)):
         octx = build_context(other)
         for t in np.linspace(0.1, 4.0, 20):
-            sigma_row(octx, 2, t, 30)
+            sigma_mn_quad(octx, 2, 30, t + 0.1j)
     for got, want in zip(values(), cold, strict=True):
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -726,59 +562,8 @@ def test_real_matvec_is_the_stacked_product_bit_for_bit():
             np.testing.assert_array_equal(propagator._real_matvec(A, v), want)
 
 
-def test_first_rules_come_from_the_packet_law_and_are_never_larger(qmat_builds, monkeypatch):
-    # number states 0-8, Glauber and short Fock vectors at the times and
-    # parameters of a sweep over Jacobi pairs, whose real-t route is a Gauss
-    # rule: evolve's first rule is
-    # the one it needs (one matrix) and never above the spread-sized rule of
-    # c.size + 128 + spread(t) nodes; sigma_row's rule never above that of
-    # max(n, kmax) + 64 + spread(t) nodes; together the first rules come out
-    # well below the spread-sized ones
-    sizes = []
-    rule = PropagatorContext.rule
-
-    def recorded(self, N, rows=0):
-        out = rule(self, N, rows)
-        sizes.append(out[0].size)
-        return out
-
-    monkeypatch.setattr(PropagatorContext, "rule", recorded)
-    q = propagator._QMATS
-    rng = np.random.default_rng(16)
-    single = cases = 0
-    first, caps = [], []
-    for i in range(180):
-        ctx = build_context(jacobi_data(-1, 1, rng.uniform(0.6, 4), rng.uniform(0.6, 4)))
-        t = rng.uniform(0.2, 5.0)
-        which = i % 3
-        if which == 0:
-            c = np.zeros(rng.integers(1, 10))
-            c[-1] = 1.0
-        elif which == 1:
-            z = rng.uniform(0, 2) * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / math.sqrt(2)
-            c = np.exp(-abs(z) ** 2 / 2) * np.array([z**k / math.sqrt(math.factorial(k)) for k in range(40)])
-        else:
-            size = rng.integers(2, 5)
-            c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
-        c = c / np.linalg.norm(c)
-        qmat_builds.clear()  # each case starts empty, still recording
-        monkeypatch.setattr(propagator, "_QMATS", type(propagator._QMATS)(q.slots, q.max_bytes, q.probation))
-        evolve(ctx, c, t, tail=1e-13)
-        cases, single = cases + 1, single + (len(qmat_builds) == 1)
-        first.append(qmat_builds[0][2])
-        caps.append(_rule_size(c.size + 128 + ctx.pd.spread(t)))
-        assert first[-1] <= caps[-1]
-        n, kmax = int(rng.integers(0, 9)), int(rng.integers(50, 201))
-        sizes.clear()
-        sigma_row(ctx, n, t, kmax)
-        assert sizes == [_rule_size(sizes[0])]
-        assert sizes[0] <= _rule_size(max(n, kmax) + 64 + ctx.pd.spread(t))
-    assert single >= 0.99 * cases
-    assert sum(first) < 0.8 * sum(caps)  # 0.72 when written
-
-
 def _degree_sized_rule(ctx, m, n, t):
-    """The rule size sigma_mn_quad takes at complex z, and at most at real z."""
+    """The rule size sigma_mn_quad takes at complex z."""
     return _rule_size(min(m + n + 96 + ctx.pd.spread(abs(t)), 6144))
 
 
@@ -812,10 +597,9 @@ def _two_index_draws(box, rng, count):
 
 @pytest.mark.parametrize("box", ["sweep", "broad"])
 def test_real_t_two_index_rules_from_the_packet_law_at_half_time_are_accurate(box):
-    # the reference is the rule of twice the degree-sized nodes; over 240 draws
-    # per box the default rule was at worst 7.7e-14 (sweep) and 1.2e-13 (broad)
-    # off it, the degree-sized rule 8.2e-14 and 9.2e-14, and the reference itself
-    # moves by up to 2.3e-13 at 256 more nodes, so the bound is set there
+    # the default real-t route (integer nodes, or Chebyshev on Jacobi pairs) against
+    # the rule of twice the degree-sized nodes; the reference itself moves by up to
+    # 2.3e-13 at 256 more nodes, so the bound is set there
     rng = np.random.default_rng(11 if box == "sweep" else 12)
     for pd, m, n, t in _two_index_draws(box, rng, 24):
         ctx = build_context(pd)
@@ -823,6 +607,8 @@ def test_real_t_two_index_rules_from_the_packet_law_at_half_time_are_accurate(bo
         assert abs(sigma_mn_quad(ctx, m, n, t) - want) <= 2.5e-13, (pd, m, n, t)
 
 
+# nodes: the rules the packet law at half time once chose at real t; the default
+# real-t route is now Chebyshev, and an explicit N keeps its Gauss rule
 @pytest.mark.parametrize("pd, m, n, t, nodes", [
     (jacobi_data(-8, 8, 0.7, 3.1), 30, 31, 1.3, 128),  # degree-sized: 224
     (jacobi_data(0, 4, 3.3, 1.2), 0, 48, 6.0, 128),  # 224
@@ -840,9 +626,11 @@ def test_the_real_t_two_index_rule_size_is_pinned(pd, m, n, t, nodes, monkeypatc
 
     monkeypatch.setattr(PropagatorContext, "rule", recorded)
     ctx = build_context(pd)
-    sigma_mn_quad(ctx, m, n, t)
+    chebyshev = sigma_mn_quad(ctx, m, n, t)  # no rule
+    ruled = sigma_mn_quad(ctx, m, n, t, N=nodes)
     sigma_mn_quad(ctx, m, n, t + 0.05j)  # complex z keeps the degree-sized rule
     assert sizes == [nodes, _rule_size(m + n + 96 + pd.spread(abs(t + 0.05j)) + pd.quad_extra(t + 0.05j))]
+    assert abs(ruled - chebyshev) <= 2.5e-13
 
 
 def test_closed_forms_match_the_half_time_rules_up_to_the_routing_degree():
@@ -922,7 +710,7 @@ def test_laguerre_sigma_mn_inside_the_strip_matches_mpmath(mu, m, n, re, height)
 # The integer-node route: Hermite and Laguerre pairs at real t
 
 
-def test_real_t_hermite_and_laguerre_requests_build_no_rule(rule_builds, qmat_builds, monkeypatch):
+def test_real_t_hermite_and_laguerre_requests_build_no_rule(rule_builds, monkeypatch):
     from qladder import measure
 
     calls = []
@@ -934,11 +722,10 @@ def test_real_t_hermite_and_laguerre_requests_build_no_rule(rule_builds, qmat_bu
         sigma_row(ctx, 4, 2.1, 60)
         sigma_mn_quad(ctx, 30, 12, 1.7)
         sigma_mn(ctx, 20, 29, -0.9)
-    assert calls == rule_builds == qmat_builds == []
-    # complex z and Jacobi pairs keep their rules
+    assert calls == rule_builds == []
+    # complex z keeps its rule
     sigma_mn_quad(build_context(hermite_data()), 30, 12, 1.7 + 0.1j)
-    evolve(build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5)), [1.0], 1.3)
-    assert len(calls) == len(rule_builds) == 2 and len(qmat_builds) == 1
+    assert len(calls) == len(rule_builds) == 1
 
 
 def _dense_row(ctx, n, t, levels):
@@ -1052,3 +839,102 @@ def test_integer_node_evolve_stops_at_the_memory_max_dim_allows():
     finally:
         tracemalloc.stop()
     assert peak < 8193 * 8256 * 8 / 4
+
+
+# ---------------------------------------------------------------------------
+# The Chebyshev route: Jacobi pairs at real t
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-3, 0.5, 5.0, 20.0, 200.0, -1e-3, -5.0, -200.0])
+def test_bessel_row_matches_mpmath(x):
+    row = propagator._bessel_row(x, 1e-16)
+    want = [float(mp.besselj(k, x)) for k in range(len(row) + 20)]
+    assert max(abs(a - b) for a, b in zip(row, want)) <= 1e-15
+    assert 2.0 * sum(map(abs, want[len(row):])) < 1e-16  # the tail left out
+    assert 2.0 * sum(map(abs, want[len(row) - 1:])) >= 1e-16  # and no more terms than that
+    longer = propagator._bessel_row(x, 1e-16, terms=len(row) + 10)
+    assert len(longer) == len(row) + 11
+    assert max(abs(a - b) for a, b in zip(longer, want)) <= 1e-15
+
+
+def test_real_t_jacobi_requests_build_no_rule(rule_builds, monkeypatch):
+    from qladder import measure
+
+    calls = []
+    monkeypatch.setattr(propagator, "gauss_rule", lambda *args: calls.append(args) or measure.gauss_rule(*args))
+    for pd in (jacobi_data(-1.0, 1.0, 2.0, 1.5), jacobi_data(0.96, 3.60, 0.63, 1.29)):
+        ctx = build_context(pd)
+        evolve(ctx, [0.6, 0.8j], 1.3)
+        evolve(ctx, [0.0, 0.0, 1.0], -12.0)
+        sigma_row(ctx, 4, 2.1, 60)
+        sigma_mn_quad(ctx, 30, 12, 1.7)
+        sigma_mn(ctx, 20, 29, -0.9)
+    assert calls == rule_builds == []
+
+
+def test_real_t_jacobi_sigma_mn_matches_a_dense_exponential_at_the_far_corner():
+    # (11, 76) at t = 12.13 lies 65 levels apart, past the reach of the packet:
+    # the element is ~2e-33, which rules of 96 to 864 nodes scattered by 2.7e-13
+    from scipy.linalg import expm
+
+    pd = jacobi_data(0.96, 3.60, 0.63, 1.29)
+    ctx = build_context(pd)
+    t = 12.13
+    got = sigma_mn_quad(ctx, 11, 76, t)
+    assert got == sigma_mn_quad(ctx, 76, 11, t)
+    N = 76 + len(propagator._bessel_row(t * 1.32, 1e-16)) + 32  # sized past the Bessel tail
+    b, h = ctx.js.arrays(N - 1)
+    alpha = 0.5 * sum(pd.support)
+    U = expm(-1j * t * (np.diag(h - alpha) + np.diag(b[1:], 1) + np.diag(b[1:], -1)))
+    assert abs(got - U[11, 76] * cmath.exp(-1j * t * alpha)) <= 1e-15
+
+
+def test_chebyshev_sigma_row_is_zero_past_its_levels():
+    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
+    e = np.zeros(4)
+    e[3] = 1.0
+    out = evolve(ctx, e, 2.0)  # n + M + 1 levels
+    row = sigma_row(ctx, 3, 2.0, out.size + 40)
+    assert row.shape == (out.size + 41,) and not row[out.size :].any()
+    assert np.abs(row[: out.size] - out).max() <= 1e-15
+    assert np.abs(sigma_row(ctx, 3, 2.0, 5) - out[:6]).max() <= 1e-15  # the levels that reach kmax
+
+
+def test_chebyshev_route_refuses_past_the_memory_max_dim_allows():
+    # t = 2e4 on (-1, 1) needs at least 20,001 terms, and its vectors at least
+    # 20,001 x 20,004 doubles: refused from that lower bound, before the Bessel
+    # row or any vector is built
+    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
+    tracemalloc.start()
+    try:
+        for call in (lambda: evolve(ctx, [1.0], 2e4), lambda: sigma_row(ctx, 0, 2e4, 10),
+                     lambda: sigma_mn_quad(ctx, 0, 3, 2e4)):
+            with pytest.raises(ConvergenceError, match=r"needs about 3,200,\d{3},\d{3} bytes .* max_dim = 8192"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+
+def test_chebyshev_rows_cache_gives_the_values_it_is_bypassed_for(monkeypatch):
+    # the rows do not depend on t or on how many are kept: a request reads the
+    # rows an earlier one built, or extends them, and gets the values of an
+    # empty cache bit for bit
+    ctxs = [build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5)), build_context(jacobi_data(0.96, 3.6, 0.63, 1.29))]
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=6) + 1j * rng.normal(size=6)
+    requests = [(ctx, x, t) for ctx in ctxs for x in ([1.0], [0.0, 0.0, 1.0], c) for t in (0.3, 2.5, -1.1, 7.0, 0.9)]
+
+    def values():
+        return [evolve(ctx, x, t) for ctx, x, t in requests] + [
+            np.array([sigma_mn_quad(ctx, 2, 9, t), sigma_mn_quad(ctx, 9, 2, t)]) for ctx, _, t in requests
+        ] + [sigma_row(ctx, 2, t, 30) for ctx, _, t in requests]
+
+    monkeypatch.setattr(propagator, "_CHEB", propagator._LRU(256, 0))  # keeps nothing
+    bypassed = values()
+    monkeypatch.setattr(propagator, "_CHEB", propagator._LRU(256, 64 * 2**20))
+    for got in (values(), values()):  # cold then warm, extending rows as t grows
+        for g, want in zip(got, bypassed, strict=True):
+            np.testing.assert_array_equal(g, want)

@@ -193,6 +193,39 @@ def test_integer_node_block_matches_a_dense_exponential_in_both_triangles(pd, t,
             assert err[:j].max() <= 1e-13
 
 
+WIDE_JACOBI = st.builds(
+    lambda a, width, mu, nu: jacobi_data(a, a + width, mu, nu),
+    st.floats(-3.0, 3.0), st.floats(0.3, 4.0), st.floats(0.6, 4.0), st.floats(0.6, 4.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd=st.one_of(JACOBI, WIDE_JACOBI), t=st.floats(0.05, 20.0), back=st.booleans(), n=st.integers(0, 40),
+       seed=st.integers(0, 2**16))
+@example(pd=jacobi_data(-3.0, 1.0, 0.6, 4.0), t=20.0, back=True, n=40, seed=0)
+def test_chebyshev_route_matches_a_dense_exponential(pd, t, back, n, seed):
+    """evolve of a random c on levels 0..n, sigma_row n and sigma_mn_quad (m, n) of a Jacobi
+    pair at real t, against expm of the pair's ladder centred on its support, truncated
+    32 levels past the n + M that the route keeps, so that truncation reaches no entry
+    compared beyond the Bessel tail."""
+    from scipy.linalg import expm
+
+    t = -t if back else t
+    ctx = build_context(pd)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    c /= np.linalg.norm(c)
+    out = evolve(ctx, c, t)
+    N = out.size + 32
+    b, h = ctx.js.arrays(N - 1)
+    alpha = 0.5 * sum(pd.support)
+    U = expm(-1j * t * (np.diag(h - alpha) + np.diag(b[1:], 1) + np.diag(b[1:], -1))) * cmath.exp(-1j * t * alpha)
+    assert np.abs(out - U[: out.size, : c.size] @ c).max() <= 1e-14
+    assert np.abs(sigma_row(ctx, n, t, N - 1) - U[n]).max() <= 1e-14
+    m = int(rng.integers(0, N))
+    assert abs(sigma_mn_quad(ctx, m, n, t) - U[m, n]) <= 1e-14
+
+
 def _same(got, want, tol=1e-11):
     got, want = np.asarray(got), np.asarray(want)
     assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
@@ -238,26 +271,6 @@ def test_closed_two_index_coefficients_match_quadrature(pd, t):
         for n in range(m, 7):
             closed, quad = sigma_mn_closed(ctx, m, n, t), sigma_mn_quad(ctx, m, n, t)
             assert abs(closed - quad) < 1e-9, (m, n)
-
-
-@settings(max_examples=40, deadline=None)
-@given(pd=SHIFTED_JACOBI, t=st.floats(-8.0, 8.0), m=st.integers(0, 96), n=st.integers(0, 96))
-def test_the_real_t_two_index_rule_is_never_larger_than_the_degree_sized_one(pd, t, m, n):
-    """At real t the packet-law rule of a Jacobi pair (Hermite and Laguerre pairs take
-    the integer-node route there) is at most the m + n + 96 + spread(|t|) nodes
-    complex z takes, and still carries rows m and n."""
-    ctx, sizes = build_context(pd), []
-    rule = propagator.PropagatorContext.rule
-
-    def recorded(self, N, rows=0):
-        out = rule(self, N, rows)
-        sizes.append(out[0].size)
-        return out
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(propagator.PropagatorContext, "rule", recorded)
-        sigma_mn_quad(ctx, m, n, t)
-    assert max(m, n) + 16 <= sizes[0] <= propagator._rule_size(m + n + 96 + pd.spread(abs(t)))
 
 
 # Re z in [0.1, 3], Im z 0 or in [-0.5, 0.4]: the z of the closed benchmark workload
