@@ -17,15 +17,13 @@ vanishes at both ends, gives
 started from the total mass; ``gauss_rule`` produces the Gaussian quadrature
 of the measure from the truncated recurrence matrix (Golub-Welsch).
 
-Its weights are Christoffel sums over one pass of ``scaled_sweep`` at the
-nodes, and the same pass writes the weighted rows sqrt(w_i) P_k(x_i) a
-caller asks for beside the rule; ``weighted_rows`` runs that pass over the
-nodes of a rule already built, so there is one sweep consumer for rules and
-rows alike.  The sweep writes each block of 64 rows straight into the rows
-kept, or into a ring of two blocks past them, from one x - h(k) array per
-block; it measures |u| only when a growth bound from the ladder and the
-nodes says it could pass 2^400, and then rescales the nodes above 2^200 by
-exact powers of two, which add no rounding to the rows.
+A rule is its nodes and weights.  The weights are Christoffel sums over
+one pass of ``scaled_sweep`` at the nodes; ``weighted_rows``, the one
+producer of the rows sqrt(w_i) P_k(x_i), runs a second pass over a rule's
+nodes to the rows it is asked for.  The sweep measures |u| only when a
+growth bound from the ladder and the nodes says it could pass 2^400, and
+then rescales the nodes above 2^200 by exact powers of two, which add no
+rounding to the rows.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .orthopoly import _SWEEP_BLOCK, PearsonData, _log_row, log_weight_mass, recurrence, scaled_sweep
+from .orthopoly import _SWEEP_BLOCK, PearsonData, _final_frame_sweep, log_weight_mass, recurrence, scaled_sweep
 
 __all__ = [
     "SpectralMeasure",
@@ -79,17 +77,13 @@ class QuadratureRule:
     ``log_weights`` carries the weights in log form; on unbounded supports
     the far weights underflow double precision while still mattering for
     integrands that grow against the measure, so downstream code assembling
-    such integrands per node should prefer the logs.  ``rows`` and
-    ``log_rows``, when asked of ``gauss_rule``, hold the weighted rows
-    sqrt(w_i) P_k(x_i) and the log-form rows (log|P_k(x_i)|, sign P_k(x_i))
-    its sweep wrote.
+    such integrands per node should prefer the logs.  A rule holds no rows:
+    ``weighted_rows`` sweeps them over its nodes.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     log_weights: np.ndarray
-    rows: np.ndarray | None = None
-    log_rows: dict | None = None
 
     @property
     def nbytes(self) -> int:
@@ -118,111 +112,72 @@ def moment(sm: SpectralMeasure, k: int) -> float:
     return cur
 
 
-def _sweep_rows(b, h, x, nrows, logw=None, log_mass=0.0, log_rows=()):
-    """(logw, Q, logs) with Q[k] = sqrt(w_i) P_k(x_i), k < nrows, from one scaled_sweep pass.
+def _log_weights(b, h, x, log_mass):
+    """log w_i = log_mass - log sum_{k<len(b)} P_k(x_i)^2, Christoffel's weights at the nodes x.
 
-    With ``logw`` None the pass runs over every k < len(b) and the weights
-    are Christoffel's, w_i = exp(log_mass) / sum_k P_k(x_i)^2; given ``logw``
-    it only builds the rows (b, h then need no more than nrows entries).
-    ``logs`` maps each k in ``log_rows`` to (log|P_k(x_i)|, sign P_k(x_i)),
-    read off the same pass with no weight applied, so far nodes never flush
-    to zero.
-
-    The sweep writes each aligned block of _SWEEP_BLOCK rows straight into
-    Q when the block lies below nrows, and otherwise into one of two ring
-    blocks, whose kept rows are copied out when the block ends.  A frame
-    block of rows ends at each multiple of _SWEEP_BLOCK and at each rescale,
-    so its rows share one frame and none is ever corrected.  An ended
-    block's column sums of squares join the running sum, which a rescale
-    moves to the new frame at the rescaled nodes only: terms that underflow
-    there are negligible next to the current ~1, so sums spanning thousands
-    of orders stay accurate.  Once the weights are known, each block of Q
-    is multiplied by exp(log sqrt(w_i) + s_i) of its frame s.  Blocks end
-    where they would for any nrows, so rows and weights do not depend on
-    nrows, bit for bit.
+    The sum runs over one scaled_sweep pass in frame blocks of rows: a block
+    ends at each multiple of _SWEEP_BLOCK and at each rescale, so its rows
+    share one frame.  An ended block's column sums of squares join the
+    running sum, which a rescale moves to the new frame at the rescaled nodes
+    only: terms that underflow there are negligible next to the current ~1,
+    so sums spanning thousands of orders stay accurate.
     """
     n = len(b)
-    if not 0 <= nrows <= n or any(not 0 <= k < n for k in log_rows):
-        raise ValueError(f"rows 0..{nrows - 1} and {tuple(log_rows)} are not within the {n} levels swept")
     s = np.zeros_like(x)
     frame = np.zeros_like(x)  # s of the open frame block
     acc = np.zeros_like(x)  # the ended blocks' sum of u_k^2, in that frame
-    Q = np.empty((nrows, x.size))
     ring = np.empty((2, min(_SWEEP_BLOCK, n), x.size))
-    kept, logs = [], {}  # kept: (k0, k1, change) per block of Q; change: the (nodes, frame) of its opening rescale
-    k0, change = 0, None
+    k0 = 0
 
-    def block(a):  # the rows of the aligned block a..a + _SWEEP_BLOCK - 1
-        return Q[a : a + _SWEEP_BLOCK] if min(a + _SWEEP_BLOCK, n) <= nrows else ring[a // _SWEEP_BLOCK % 2]
+    def end(k):  # the open frame block holds rows k0..k - 1, within one aligned block
+        a = k0 % _SWEEP_BLOCK
+        rows = ring[k0 // _SWEEP_BLOCK % 2][a : a + k - k0]
+        np.add(acc, np.einsum("ij,ij->j", rows, rows), out=acc)
 
-    def end(k):  # the open frame block holds rows k0..k - 1
-        a = k0 - k0 % _SWEEP_BLOCK
-        blk = block(a)
-        rows = blk[k0 - a : k - a]
-        if logw is None:
-            np.add(acc, np.einsum("ij,ij->j", rows, rows), out=acc)
-        for j in log_rows:
-            if k0 <= j < k:
-                logs[j] = _log_row(rows[j - k0], frame)
-        if k0 < nrows:
-            if blk.base is ring:
-                Q[k0 : min(k, nrows)] = rows[: nrows - k0]
-            kept.append((k0, min(k, nrows), change))
-
-    for k, _, rescaled in scaled_sweep(b, h, x, s, block):
+    for k, _, rescaled in scaled_sweep(b, h, x, s, lambda a: ring[a // _SWEEP_BLOCK % 2]):
         if k and (k % _SWEEP_BLOCK == 0 or rescaled is not None):
             end(k)
-            change = None
             if rescaled is not None:
                 idx = rescaled.nonzero()[0]
-                change = (idx, s[idx])
-                acc[idx] *= np.exp(2.0 * (frame[idx] - change[1]))
-                frame[idx] = change[1]
+                acc[idx] *= np.exp(2.0 * (frame[idx] - s[idx]))
+                frame[idx] = s[idx]
             k0 = k
     end(n)
-    if logw is None:
-        logw = log_mass - np.log(acc) - 2.0 * frame
-    half = 0.5 * logw
-    scale = np.exp(half)
-    for k0, k1, change in kept:
-        if change is not None:
-            idx, new = change
-            scale[idx] = np.exp(half[idx] + new)
-        Q[k0:k1] *= scale
-    return logw, Q, logs
+    return log_mass - np.log(acc) - 2.0 * frame
 
 
-def gauss_rule(sm: SpectralMeasure, N: int, rows: int = 0, log_rows=()) -> QuadratureRule:
-    """N-point Gaussian rule of the measure, with its first ``rows`` weighted rows.
+def gauss_rule(sm: SpectralMeasure, N: int) -> QuadratureRule:
+    """N-point Gaussian rule of the measure.
 
     Nodes are the eigenvalues of the order-N truncation of the recurrence
     matrix.  Weights come from the Christoffel identity
     w_i = mass / sum_{k<N} P_k(x_i)^2, summed in the sweep's scaled frame
     and only then taken to logs; unlike the squared first eigenvector
     components this stays relatively accurate for the extremely small far
-    weights of unbounded supports.  The same sweep writes the rows
-    sqrt(w_i) P_k(x_i), k < ``rows``, into ``rule.rows`` (None for 0 rows)
-    and the log-form rows of the degrees in ``log_rows`` into
-    ``rule.log_rows`` (None if none); ``weighted_rows`` gives the same rows
-    of a rule built without them.
+    weights of unbounded supports.
     """
     if N < 1:
         raise ValueError("N must be positive")
     b, h = recurrence(sm.pd).arrays(N - 1)
     nodes = eigh_tridiagonal(h, b[1:], eigvals_only=True)
-    logw, Q, logs = _sweep_rows(b, h, nodes, rows, log_mass=math.log(sm.mass), log_rows=log_rows)
-    return QuadratureRule(nodes, np.exp(logw), logw, Q if rows else None, logs if log_rows else None)
+    logw = _log_weights(b, h, nodes, math.log(sm.mass))
+    return QuadratureRule(nodes, np.exp(logw), logw)
 
 
-def weighted_rows(sm: SpectralMeasure, rule: QuadratureRule, nrows: int) -> np.ndarray:
-    """Rows sqrt(w_i) P_k(x_i), k < nrows, of a rule of ``sm``.
+def weighted_rows(sm: SpectralMeasure, nodes: np.ndarray, log_weights: np.ndarray, nrows: int) -> np.ndarray:
+    """Rows sqrt(w_i) P_k(x_i), k < nrows, of a rule of ``sm`` with these nodes and log-weights.
 
-    The sweep of ``gauss_rule`` over rows 0..nrows - 1 alone, with the
-    rule's log-weights: bit for bit the rows ``gauss_rule(sm, N, nrows)``
-    returns.  They are exactly orthonormal under plain summation over the
-    nodes, and bounded by 1.
+    One scaled_sweep writes the rows straight into the output; at a rescale
+    the rows already written move to the new frame by the same exact powers
+    of two (``_final_frame_sweep``), so all rows end in the sweep's final
+    frame s and are scaled once, by exp(log w / 2 + s).  They are
+    orthonormal under plain summation over the nodes to the rounding of the
+    rule, and bounded by 1.
     """
     if nrows < 1:
         raise ValueError("nrows must be positive")
-    b, h = recurrence(sm.pd).arrays(nrows - 1)
-    return _sweep_rows(b, h, rule.nodes, nrows, logw=rule.log_weights)[1]
+    Q, s = np.empty((nrows, nodes.size)), np.zeros(nodes.size)
+    for _ in _final_frame_sweep(*recurrence(sm.pd).arrays(nrows - 1), nodes, s, Q):
+        pass
+    Q *= np.exp(0.5 * log_weights + s)
+    return Q

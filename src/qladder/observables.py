@@ -30,7 +30,7 @@ import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
 from .orthopoly import derivative_matrix
-from .propagator import _LRU, PropagatorContext, _real_matvec, evolve
+from .propagator import _LRU, _PACKET_TAIL, PropagatorContext, _real_matvec, evolve
 from .reduction import MultiModeSystem, Sector, beta_offsets
 
 __all__ = [
@@ -159,7 +159,9 @@ def ladder_amplitudes(
     """Coefficients g_k(t) of e^{-i H_I t}|state> in the number basis.
 
     A spectral coherent label z moves to z + t, whose coefficients
-    :func:`.coherent_coeffs` gives to the squared tail ``tail``.  Every other
+    :func:`.coherent_coeffs` gives to a squared tail below min(``tail``, 1e-16),
+    the rounding of a unit norm, as ``evolve`` drops: moments weight the tail
+    by k^l, so a tail at ``tail`` would show in them.  Every other
     state is its coefficient vector (a number state |n> is e_n), returned as
     it is at t = 0 and otherwise propagated by :func:`.evolve`, sized once: on
     Hermite and Laguerre pairs to a squared packet-law tail of at most 1e-16,
@@ -168,7 +170,7 @@ def ladder_amplitudes(
     t = float(t)
     if isinstance(state, SpectralCoherent):
         z = complex(state.z)
-        g = coherent_coeffs(ctx, z + t, tol=tail)
+        g = coherent_coeffs(ctx, z + t, tol=min(tail, _PACKET_TAIL))
         return g / math.sqrt(squared_norm(ctx, z))
     c = _state_coeffs(state)
     return c if t == 0.0 else evolve(ctx, c, t, tail=tail)

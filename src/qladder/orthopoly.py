@@ -931,6 +931,18 @@ def _sweep_check(u, prev, s):
     return rescaled, prev, max(math.frexp(float(top))[1], 0)
 
 
+def _final_frame_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, rows: np.ndarray):
+    """``scaled_sweep`` writing u_k into rows[k], yielding (k, u_k); at a rescale the rows before k
+    move to the new frame by the same exact powers of two, so every row ends in the final frame s."""
+    seen = np.zeros_like(s)  # s at each node's last rescale
+    for k, u, rescaled in scaled_sweep(b, h, x, s, lambda k0: rows[k0 : k0 + _SWEEP_BLOCK]):
+        if rescaled is not None:
+            i = rescaled.nonzero()[0]
+            rows[:k, i] *= np.ldexp(1.0, np.rint((seen[i] - s[i]) / _LN2).astype(int))
+            seen[i] = s[i]
+        yield k, u
+
+
 def _log_row(u, s):
     """(log|P_k|, sign P_k) at the nodes from a row u_k of ``scaled_sweep`` and its log-scale."""
     with np.errstate(divide="ignore"):

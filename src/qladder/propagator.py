@@ -46,7 +46,7 @@ import cmath
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,9 +55,9 @@ from .errors import ConvergenceError, StripError
 from .measure import SpectralMeasure, gauss_rule, normalize, weighted_rows
 from .orthopoly import (
     _LN2,
-    _SWEEP_BLOCK,
     JacobiSystem,
     PearsonData,
+    _final_frame_sweep,
     _log_row,
     _node_sum,
     _products,
@@ -122,28 +122,14 @@ class PropagatorContext:
         """The pair's nodes h0 + s x^ of canonical nodes x^ (``xh`` itself under the identity)."""
         return xh if self.affine is None else self.affine[0] + self.affine[1] * xh
 
-    def rule(self, N: int, rows: int | tuple = 0):
+    def rule(self, N: int):
         """Canonical nodes x^ and log-weights of the shape's ``_rule_size(N)`` point rule (cached).
 
-        The pair's nodes are ``nodes(x^)`` with the same weights.  With ``rows``
-        = R > 0 it returns (x^, log-weights, Q), Q the uncached weighted rows
-        sqrt(w_i) P_k, k < R: from the sweep that builds a cold rule, or one
-        sweep of the canonical ladder over a cached rule's nodes.  With a tuple
-        of degrees it returns (x^, log-weights, L): L the ``log_rows`` of a
-        cold rule's sweep, None for a cached rule.
+        The pair's nodes are ``nodes(x^)`` with the same weights.
         """
         N = _rule_size(N)
-        rule = _RULES.get(self.shape + (N,))
-        logs = isinstance(rows, tuple)
-        if rule is None:  # kept without the rows its sweep wrote
-            rule = gauss_rule(self.base.sm, N, 0, rows) if logs else gauss_rule(self.base.sm, N, rows)
-            _RULES.put(self.shape + (N,), replace(rule, rows=None, log_rows=None))
-        if logs:
-            return rule.nodes, rule.log_weights, rule.log_rows
-        if not rows:
-            return rule.nodes, rule.log_weights
-        Q = weighted_rows(self.base.sm, rule, rows) if rule.rows is None else rule.rows
-        return rule.nodes, rule.log_weights, Q
+        rule = _RULES.get_or_build(self.shape + (N,), lambda: gauss_rule(self.base.sm, N))
+        return rule.nodes, rule.log_weights
 
 
 _RULE_GRID = 32
@@ -199,10 +185,11 @@ class _LRU:
 
     def get(self, key):
         with self._lock:
-            if key not in self._data:
+            hit = self._data.get(key)
+            if hit is None:
                 return None
             self._data.move_to_end(key)
-            return self._data[key][0]
+            return hit[0]
 
     def put(self, key, val) -> None:
         size = _nbytes(val)
@@ -235,23 +222,24 @@ def _nbytes(val) -> int:
 # Rules are keyed shape + (N,): the pairs of one ladder shape share them.
 # Real-t requests read none (they take the integer-node or Chebyshev route), so
 # rules serve complex z, an explicit N and the Jacobi shifted transforms.  A
-# rule holds 24 B per node, and the shifted transforms size theirs without a
-# cap, so _RULES keeps 128 rules within 4 MiB; a larger rule is used uncached.
+# rule is its nodes and weights, 24 B per node with the log-weights, and the
+# shifted transforms size theirs without a cap, so _RULES keeps 128 rules
+# within 4 MiB; a larger rule is used uncached.
 _RULES = _LRU(128, 4 * 2**20)
 
 
 def _weighted_poly_matrix(ctx: PropagatorContext, N: int, nmax: int):
     """The pair's nodes omega_i and rows sqrt(w_i) P_k(omega_i), k = 0..nmax, of ``ctx.rule(N)``.
 
-    Uncached rows, from the sweep that builds a cold rule or one sweep over a cached rule's
-    nodes; a rule of S nodes carries rows 0..S - 64, and nmax > S - 64 raises ValueError.
-    The package no longer calls it; the benchmark tracer (``bench/tracer.py``) binds it.
+    Uncached rows, from ``weighted_rows`` over the rule's canonical nodes; a rule of S nodes
+    carries rows 0..S - 64, and nmax > S - 64 raises ValueError.  The package does not call
+    it: it is kept for the benchmark tracer (``bench/tracer.py``) and the property tests.
     """
     N = _rule_size(N)
     if nmax > N - 64:
         raise ValueError(f"a {N}-node rule carries rows 0..{N - 64}, not {nmax}")
-    xh, _, Q = ctx.rule(N, nmax + 1)
-    return ctx.nodes(xh), Q
+    xh, logw = ctx.rule(N)
+    return ctx.nodes(xh), weighted_rows(ctx.base.sm, xh, logw, nmax + 1)
 
 
 def _real_matvec(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -275,14 +263,10 @@ def _dual_rows(ctx: PropagatorContext, t: float, K: int, n: int, first: int = 0)
         return np.eye(n + 1, K + 1 - first, -first), np.ones(K + 1 - first, dtype=complex), np.ones(n + 1)
     b, h, sigma, e, col = ctx.pd.dual(t, K, n)
     x = np.arange(first, K + 1.0)
-    U, s, seen = np.empty((n + 1, x.size)), np.zeros(x.size), None
-    for k, u, rescaled in scaled_sweep(b, h, x, s, lambda k0: U[k0 : k0 + _SWEEP_BLOCK]):
+    U, s = np.empty((n + 1, x.size)), np.zeros(x.size)
+    for k, u in _final_frame_sweep(b, h, x, s, U):
         if k > first:
             u[: k - first] = 0.0
-        if rescaled is not None:  # the rows before k move to the new frame, exactly
-            i, seen = rescaled.nonzero()[0], np.zeros(x.size) if seen is None else seen
-            U[:k, i] *= np.ldexp(1.0, np.rint((seen[i] - s[i]) / _LN2).astype(int))
-            seen[i] = s[i]
     e = e[first:] + np.rint(s / _LN2).astype(int)  # sigma_m's powers of two and the frame's
     return U, (sigma[first:] * np.ldexp(np.longdouble(1.0), e)).astype(complex), col
 
@@ -452,8 +436,8 @@ def sigma_mn_quad(
     against the measure at complex z.  On Laguerre pairs the sum grows ill conditioned with
     Im z and the degree (2 digits are left at (40, 41) and 0.3 of the strip edge), and
     ``sigma_mn`` routes to the closed form above 0.2 of the edge.  The rows P_m, P_n come in
-    log form from the canonical ladder over the canonical nodes, from the sweep that builds
-    a cold rule or one sweep over a cached one, the same rows bit for bit.
+    log form from one sweep of the canonical ladder to max(m, n) over the rule's canonical
+    nodes.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -467,14 +451,11 @@ def sigma_mn_quad(
         return complex(_chebyshev(ctx, np.eye(lo + 1, 1, -lo), z.real, _PACKET_TAIL, terms=hi - lo)[hi, 0])
     if N is None:
         N = min(m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z), 6144)
-    N = _rule_size(N)
-    # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
-    xh, logw, rows = ctx.rule(N, (m, n) if max(m, n) < N else ())
-    if rows is None:  # a cached rule: one sweep to max(m, n) over its nodes
-        rows, s = {}, np.zeros_like(xh)
-        for k, u, _ in scaled_sweep(*ctx.base.js.arrays(max(m, n)), xh, s):
-            if k in (m, n):
-                rows[k] = _log_row(u, s)
+    xh, logw = ctx.rule(N)
+    rows, s = {}, np.zeros_like(xh)  # k -> (log|P_k(x_i)|, sign P_k(x_i)), never flushing far nodes to zero
+    for k, u, _ in scaled_sweep(*ctx.base.js.arrays(max(m, n)), xh, s):
+        if k in (m, n):
+            rows[k] = _log_row(u, s)
     (lam, sm_), (lan, sn_) = rows[m], rows[n]
     nodes = ctx.nodes(xh)
     M, V = _node_sum(logw + lam + lan + z.imag * nodes, sm_ * sn_, nodes, z.real)

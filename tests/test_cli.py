@@ -75,29 +75,18 @@ def test_propagate_is_deterministic_and_unitary():
     assert float(row0["re_sigma_0_1@interaction"]) == pytest.approx(0.0)
 
 
-def test_repeated_propagate_builds_no_rule(monkeypatch, tmp_path):
+def test_repeated_propagate_builds_no_rule(rule_builds, tmp_path):
     # the Laguerre scenario on a Jacobi pair of (-20, 20) at complex time (real t
     # takes the Chebyshev route, with no rule), whose shifted weight transforms
     # take a Gauss rule past (b - a)|t| = 12, one per rule size
-    from qladder import propagator
-
     text = (SCENARIOS / "laguerre_propagate.ini").read_text().replace("[grid]", "imag_t = 0.05\n\n[grid]")
     jacobi = "kind = jacobi\na = -20.0\nb = 20.0\nmu = 2.0\nnu = 1.5"
     argv = ["propagate", "--config", write_config(tmp_path, text.replace("kind = laguerre\nmu = 2.5", jacobi))]
-    built = []
-    build = propagator.gauss_rule
-
-    def counted(sm, N, rows=0):
-        built.append(N)
-        return build(sm, N, rows)
-
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(propagator._RULES.slots, propagator._RULES.max_bytes))
-    monkeypatch.setattr(propagator, "gauss_rule", counted)
     assert run_cli(argv)[0] == 0
-    assert built and all(N % 32 == 0 for N in built)
-    built.clear()
+    assert rule_builds and all(key[-1] % 32 == 0 for key in rule_builds)  # keys end in the rule size
+    rule_builds.clear()
     assert run_cli(argv)[0] == 0
-    assert built == []
+    assert rule_builds == []
 
 
 def test_propagate_oracle_columns_agree():

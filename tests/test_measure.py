@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qladder.measure import gauss_rule, moment, normalize
+from qladder.measure import gauss_rule, moment, normalize, weighted_rows
 from qladder.orthopoly import (
     _Jacobi,
     hermite_data,
@@ -297,8 +297,9 @@ def test_rescaled_rows_match_the_40_digit_recurrence_at_far_nodes():
 def test_a_2048_node_rule_stays_finite_with_whole_power_of_two_shifts():
     pd, N = laguerre_data(0.8), 2048
     sm = normalize(pd)
-    rule = gauss_rule(sm, N, N)
-    assert np.all(np.isfinite(rule.rows)) and np.all(np.isfinite(rule.log_weights))
+    rule = gauss_rule(sm, N)
+    rows = weighted_rows(sm, rule.nodes, rule.log_weights, N)
+    assert np.all(np.isfinite(rows)) and np.all(np.isfinite(rule.log_weights))
     b, h = recurrence(pd).arrays(N - 1)
     s = np.zeros_like(rule.nodes)
     before, events = s.copy(), 0

@@ -159,6 +159,21 @@ def test_laguerre_geometric_moments():
     assert got == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "pd", [laguerre_data(1.2), laguerre_data(3.05), hermite_data()], ids=["laguerre1.2", "laguerre3.05", "hermite"]
+)
+def test_spectral_label_moments_keep_the_tail_past_rounding(pd):
+    # the series weights the dropped tail by k^l: cut at a squared tail of
+    # 1e-13 it was up to 5.2e-10 relative off the closed occupation law here
+    ctx = build_context(pd)
+    for z in (0.3, 0.5 - 0.2j, -0.8 + 0.25j, 1 + 0.1j):
+        for t in (0.0, 0.712, 1.9):
+            for l in (1, 2, 3):
+                got = number_moment(ctx, SpectralCoherent(z), l, t)
+                want = ctx.pd.closed_number_moment(complex(z) + t, l)
+                assert abs(got - want) <= 5e-11 * abs(want), (z, t, l)
+
+
 def test_closed_series_guard_warns_on_mismatch(monkeypatch, tmp_path):
     monkeypatch.setattr(type(HCTX.pd), "closed_number_moment", lambda *a: 99.0)
     with pytest.warns(RuntimeWarning, match="deviates from the normative"):

@@ -160,52 +160,51 @@ def test_evolve_refuses_a_first_size_above_max_dim():
         evolve(ctx, np.ones(40) / np.sqrt(40), 0.5, max_dim=16)
 
 
-def test_cold_sigma_row_builds_only_the_rows_it_reads(rule_builds):
-    # t = 7.5 on Laguerre(0.8) needs a rule of thousands of nodes for 16
-    # rows; the rows of that rule's full matrix would take ~170 MB
-    ctx = build_context(laguerre_data(0.8))
-    nodes, _ = ctx.rule(15 + 64 + ctx.pd.spread(7.5))  # the rule is built cold once
+def _traced_peak(f):
+    """(f(), the peak bytes traced while it ran)."""
     tracemalloc.start()
     try:
-        row = sigma_row(ctx, 2, 7.5, 15)
-        peak = tracemalloc.get_traced_memory()[1]
+        return f(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert row.shape == (16,) and len(rule_builds) == 1  # the one built above
-    assert nodes.size > 4000 and peak < 8 * 16 * nodes.nbytes
+
+
+def test_sigma_row_allocates_only_its_dual_block(rule_builds):
+    # row 20 to k = 4000 at t = 7.5 on Laguerre(0.8) reads one sweep of 21 dual
+    # degrees over the nodes m = 20..4000; a square block of those levels would
+    # take 128 MB, the 21 rows 0.67 MB
+    ctx = build_context(laguerre_data(0.8))
+    n, kmax = 20, 4000
+    row, peak = _traced_peak(lambda: sigma_row(ctx, n, 7.5, kmax))
+    assert row.shape == (kmax + 1,) and rule_builds == []
+    assert peak < 4 * 8 * (n + 1) * (kmax + 1 - n)
 
 
 def _direct_values(ctx, z, requests):
     """sigma_mn_quad(m, n, z, N) for each (m, n, N) of ``requests``, by the library's
     operations on rules that ``measure.gauss_rule(ctx.sm, N)`` builds for the pair itself."""
     from qladder.measure import gauss_rule
-    from qladder.orthopoly import _node_sum
+    from qladder.orthopoly import _log_row, _node_sum, scaled_sweep
 
     out = []
     for m, n, N in requests:
-        rule = gauss_rule(ctx.sm, N, 0, (m, n))
-        (la, sa), (lb, sb) = rule.log_rows[m], rule.log_rows[n]
+        rule = gauss_rule(ctx.sm, N)
+        s, rows = np.zeros_like(rule.nodes), {}
+        for k, u, _ in scaled_sweep(*ctx.js.arrays(max(m, n)), rule.nodes, s):
+            if k in (m, n):
+                rows[k] = _log_row(u, s)
+        (la, sa), (lb, sb) = rows[m], rows[n]
         M, V = _node_sum(rule.log_weights + la + lb + z.imag * rule.nodes, sa * sb, rule.nodes, z.real)
         out.append(np.array([V * math.exp(M)]))
     return out
 
 
-def test_pairs_of_one_shape_share_one_rule(monkeypatch):
+def test_pairs_of_one_shape_share_one_rule(rule_builds):
     # every Jacobi pair of exponents (2, 1.5) is an affine image of the one
     # ladder on (-1, 1): five pairs at one z build each rule size once, and
     # their values are those of rules built for each pair itself, up to the
     # rounding the map adds to each node; pairs in canonical gauge, mapped by
     # the identity, give the values of their own rules bit for bit
-    from qladder import measure
-
-    built = []
-
-    def counted(sm, N, *rows):
-        built.append(N)
-        return measure.gauss_rule(sm, N, *rows)
-
-    monkeypatch.setattr(propagator, "gauss_rule", counted)
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
     z = 1.3 + 0.1j  # real t takes the Chebyshev route
 
     def check(pd, rel):
@@ -224,6 +223,7 @@ def test_pairs_of_one_shape_share_one_rule(monkeypatch):
     used = set()
     for a, b, scale in ((-1.0, 1.0, 1.0), (0.0, 2.0, 1.0), (-3.0, 1.0, 2.0), (-1.0, 3.0, 2.0), (-4.0, 0.0, 0.5)):
         used |= check(jacobi_data(a, b, 2.0, 1.5, scale), 1e-13)
+    built = [key[-1] for key in rule_builds]  # keys end in the rule size
     assert sorted(built) == sorted(used) and len(used) < 3 * 5
     for pd in (jacobi_data(-1.0, 1.0, 0.7, 3.1), jacobi_data(-1.0, 1.0, 2.0, 1.5)):
         check(pd, 0)
@@ -322,19 +322,26 @@ def test_jacobi_one_index_form_holds_at_large_t(t):
         assert abs(sigma_n(ctx, n, t) - sigma_mn_quad(ctx, n, 0, t)) < 1e-12, n
 
 
-def test_warm_evolve_makes_no_complex_copy_of_the_poly_matrix():
+def test_evolve_makes_no_complex_copy_of_its_dual_block():
+    # the block holds c.size real rows over the output's levels; a complex copy
+    # of it alone would take twice its bytes
     ctx = build_context(laguerre_data(2.5))
-    out = evolve(ctx, [1.0], 2.0)  # cold: builds and caches the matrix
-    _, Q = _weighted_poly_matrix(ctx, out.size + 63, out.size - 1)
-    assert Q.shape[0] == out.size
-    tracemalloc.start()
-    try:
-        again = evolve(ctx, [1.0], 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    c = np.linspace(1.0, 2.0, 200) * (1.0 + 0.5j)
+    out, peak = _traced_peak(lambda: evolve(ctx, c, 1.0))
+    assert peak < 2.5 * 8 * c.size * out.size
+
+
+def test_warm_evolve_makes_no_complex_copy_of_the_chebyshev_rows():
+    # a Jacobi evolve keeps its real Chebyshev rows T_k(Jt) X, which a warm
+    # request reads again; a complex copy of them would take twice their bytes
+    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
+    c = np.linspace(1.0, 2.0, 200)
+    out = evolve(ctx, c, 2.0)  # cold: builds and caches the rows
+    V = propagator._CHEB.get((ctx.pd, (c.size, 1), c.tobytes()))
+    assert V.shape[1] == out.size + 2
+    again, peak = _traced_peak(lambda: evolve(ctx, c, 2.0))
     np.testing.assert_array_equal(again, out)
-    assert peak < Q.nbytes / 4
+    assert peak < V.nbytes
 
 
 def test_lru_evicts_the_least_recently_used_at_its_bound():
@@ -362,6 +369,29 @@ def test_lru_evicts_the_least_recently_used_at_its_bound():
     assert calls == [1] and cache.get("d") is None  # the miss built once and evicted "d"
 
 
+def test_lru_get_looks_its_key_up_once():
+    from collections import OrderedDict
+
+    class Key:
+        hashes = 0
+
+        def __hash__(self):
+            Key.hashes += 1
+            return 7
+
+    key = Key()
+    probe = OrderedDict({key: None})
+    Key.hashes = 0
+    probe.move_to_end(key)
+    refresh = Key.hashes  # what the refresh of a hit hashes (0 in CPython's C OrderedDict)
+    cache = propagator._LRU(4, max_bytes=1000)
+    Key.hashes = 0
+    assert cache.get(key) is None and Key.hashes == 1  # a miss: one lookup
+    cache.put(key, 1)
+    Key.hashes = 0
+    assert cache.get(key) == 1 and Key.hashes == 1 + refresh  # a hit: one lookup and the refresh
+
+
 def test_lru_keeps_its_values_within_a_byte_budget():
     cache = propagator._LRU(12, max_bytes=100)
     cache.put("a", np.zeros(5))  # 40 bytes
@@ -384,61 +414,36 @@ def test_lru_counts_the_bytes_of_lists_of_blocks():
     assert cache.get("pair") is None and cache.nbytes == 384 + 480
 
 
-def test_a_cold_request_sweeps_each_rule_it_builds_once(monkeypatch):
-    """The rows of a cold rule come from the sweep that builds it."""
-    from qladder import measure
+def test_weighted_rows_come_from_one_sweep_over_the_rule_nodes(rule_builds, monkeypatch):
+    """A rule's own sweep writes only its weights; rows are one more sweep over its nodes,
+    cold or cached, and do not depend on which."""
+    from qladder import measure, orthopoly
 
     ctx = build_context(jacobi_data(-1.0, 1.0, 0.7, 0.8))
-    passes, built = [], []
-    sweep, build = measure.scaled_sweep, propagator.gauss_rule
+    passes, sweep = [], orthopoly.scaled_sweep
 
     def counted_sweep(*args):
         passes.append(1)
         return sweep(*args)
 
-    def counted_build(sm, N, rows=0):
-        built.append(N)
-        return build(sm, N, rows)
-
-    for mod in (measure, propagator):
+    for mod in (measure, orthopoly):
         monkeypatch.setattr(mod, "scaled_sweep", counted_sweep)
-    monkeypatch.setattr(propagator, "gauss_rule", counted_build)
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
-    _weighted_poly_matrix(ctx, 128, 64)
-    assert built and len(passes) == len(built)
-    # a cached rule: one sweep, over the cached nodes
-    passes.clear(), built.clear()
-    _weighted_poly_matrix(ctx, 128, 64)
-    assert built == [] and len(passes) == 1
-    passes.clear()
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
-    _weighted_poly_matrix(ctx, 160, 40)
-    assert len(built) == len(passes) == 1
+    _, cold = _weighted_poly_matrix(ctx, 128, 64)
+    assert [key[-1] for key in rule_builds] == [128] and len(passes) == 2  # the weights, then the rows
+    passes.clear(), rule_builds.clear()
+    _, warm = _weighted_poly_matrix(ctx, 128, 64)
+    assert rule_builds == [] and len(passes) == 1
+    np.testing.assert_array_equal(warm, cold)
 
 
-def test_a_cold_sigma_mn_quad_sweeps_once(monkeypatch):
-    """The log-form rows m, n of a cold rule come from the sweep that builds it."""
-    from qladder import measure
-
+def test_sigma_mn_quad_at_complex_z_keeps_its_value():
     ctx = build_context(laguerre_data(2.5))
-    passes = []
-    sweep = measure.scaled_sweep
-
-    def counted_sweep(*args):
-        passes.append(1)
-        return sweep(*args)
-
-    for mod in (measure, propagator):
-        monkeypatch.setattr(mod, "scaled_sweep", counted_sweep)
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
     z = 1.3 + 0.05j  # complex z: real t takes the integer-node route
-    cold = sigma_mn_quad(ctx, 30, 31, z)
-    assert len(passes) == 1
+    first = sigma_mn_quad(ctx, 30, 31, z)
     # the value of a 416-node rule sweep followed by a second sweep to degree 31
     two_pass = -0.37092981921881074 - 0.2830993581610291j
-    assert abs(cold - two_pass) <= 1e-13 * abs(two_pass)
-    passes.clear()
-    assert sigma_mn_quad(ctx, 30, 31, z) == cold and len(passes) == 1  # cached: one sweep to 31
+    assert abs(first - two_pass) <= 1e-13 * abs(two_pass)
+    assert sigma_mn_quad(ctx, 30, 31, z) == first  # from the cached rule
 
 
 def test_the_rule_cache_keeps_its_rules_within_its_byte_budget(monkeypatch):
@@ -449,7 +454,7 @@ def test_the_rule_cache_keeps_its_rules_within_its_byte_budget(monkeypatch):
     rules = propagator._LRU(propagator._RULES.slots, budget)  # empty, with the production bounds
     built = []
 
-    def stub(sm, N, rows=0):  # a rule of 24 B per node, without the O(N^2) build
+    def stub(sm, N):  # a rule of 24 B per node, without the O(N^2) build
         built.append(N)
         z = np.zeros(N)
         return measure.QuadratureRule(z, z, z)
@@ -486,8 +491,8 @@ def test_every_quadrature_caller_keeps_48_nodes_above_its_highest_row(pd, monkey
     sizes = []
     rule = PropagatorContext.rule
 
-    def recorded(self, N, rows=0):
-        out = rule(self, N, rows)
+    def recorded(self, N):
+        out = rule(self, N)
         sizes.append(out[0].size)
         return out
 
@@ -619,8 +624,8 @@ def test_the_real_t_two_index_rule_size_is_pinned(pd, m, n, t, nodes, monkeypatc
     sizes = []
     rule = PropagatorContext.rule
 
-    def recorded(self, N, rows=0):
-        out = rule(self, N, rows)
+    def recorded(self, N):
+        out = rule(self, N)
         sizes.append(out[0].size)
         return out
 
@@ -710,11 +715,7 @@ def test_laguerre_sigma_mn_inside_the_strip_matches_mpmath(mu, m, n, re, height)
 # The integer-node route: Hermite and Laguerre pairs at real t
 
 
-def test_real_t_hermite_and_laguerre_requests_build_no_rule(rule_builds, monkeypatch):
-    from qladder import measure
-
-    calls = []
-    monkeypatch.setattr(propagator, "gauss_rule", lambda *args: calls.append(args) or measure.gauss_rule(*args))
+def test_real_t_hermite_and_laguerre_requests_build_no_rule(rule_builds):
     for pd in (hermite_data(), hermite_data(-1.3, 0.4, 0.8), laguerre_data(2.5), laguerre_data(0.8, -2.0, 1.5, 0.3)):
         ctx = build_context(pd)
         evolve(ctx, [0.6, 0.8j], 1.3)
@@ -722,10 +723,10 @@ def test_real_t_hermite_and_laguerre_requests_build_no_rule(rule_builds, monkeyp
         sigma_row(ctx, 4, 2.1, 60)
         sigma_mn_quad(ctx, 30, 12, 1.7)
         sigma_mn(ctx, 20, 29, -0.9)
-    assert calls == rule_builds == []
+    assert rule_builds == []
     # complex z keeps its rule
     sigma_mn_quad(build_context(hermite_data()), 30, 12, 1.7 + 0.1j)
-    assert len(calls) == len(rule_builds) == 1
+    assert len(rule_builds) == 1
 
 
 def _dense_row(ctx, n, t, levels):
@@ -857,11 +858,7 @@ def test_bessel_row_matches_mpmath(x):
     assert max(abs(a - b) for a, b in zip(longer, want)) <= 1e-15
 
 
-def test_real_t_jacobi_requests_build_no_rule(rule_builds, monkeypatch):
-    from qladder import measure
-
-    calls = []
-    monkeypatch.setattr(propagator, "gauss_rule", lambda *args: calls.append(args) or measure.gauss_rule(*args))
+def test_real_t_jacobi_requests_build_no_rule(rule_builds):
     for pd in (jacobi_data(-1.0, 1.0, 2.0, 1.5), jacobi_data(0.96, 3.60, 0.63, 1.29)):
         ctx = build_context(pd)
         evolve(ctx, [0.6, 0.8j], 1.3)
@@ -869,7 +866,7 @@ def test_real_t_jacobi_requests_build_no_rule(rule_builds, monkeypatch):
         sigma_row(ctx, 4, 2.1, 60)
         sigma_mn_quad(ctx, 30, 12, 1.7)
         sigma_mn(ctx, 20, 29, -0.9)
-    assert calls == rule_builds == []
+    assert rule_builds == []
 
 
 def test_real_t_jacobi_sigma_mn_matches_a_dense_exponential_at_the_far_corner():

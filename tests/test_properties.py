@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from qladder import propagator
 from qladder.coherent import mean_energy, omega_density, reproducing_density
 from qladder.errors import Unsupported
 from qladder.orthopoly import classify, hermite_data, jacobi_data, laguerre_data, recurrence, scaled_sweep
@@ -79,17 +78,14 @@ def test_weighted_rows_orthonormal_where_the_rescale_fires(pd):
     assert np.abs(Q @ Q.T - np.eye(N - 63)).max() < 1e-11
 
 
-def test_weighted_rows_orthonormal_with_rescales_on_both_sides_of_the_last_row(monkeypatch):
+def test_weighted_rows_orthonormal_with_rescales_on_both_sides_of_the_last_row():
     ctx = build_context(laguerre_data(0.8))
-    monkeypatch.setattr(propagator, "_RULES", propagator._LRU(128, propagator._RULES.max_bytes))
     N, rows = 1024, 101
-    nodes, _, Q = ctx.rule(N, rows)  # cold: the rows come from the rule's own sweep
+    nodes, Q = _weighted_poly_matrix(ctx, N, rows - 1)
     s = np.zeros_like(nodes)
     events = [k for k, _, hit in scaled_sweep(*ctx.js.arrays(N - 1), nodes, s) if hit is not None]
     assert min(events) < rows <= max(events)
     assert np.abs(Q @ Q.T - np.eye(rows)).max() < 1e-11
-    _, _, again = ctx.rule(N, rows)  # warm: one sweep over the cached nodes
-    np.testing.assert_array_equal(again, Q)
 
 
 @settings(max_examples=25, deadline=None)
