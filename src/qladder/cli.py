@@ -16,11 +16,12 @@ uses RFC-4180 quoting with deterministic 17-significant-digit floats, so
 identical configs produce byte-identical files.  ``--oracle`` appends
 independently computed truncated-Fock columns and a deviation column;
 the exit status is 0 only when every requested tolerance holds, otherwise
-a machine-readable JSON report goes to stderr.  Each ``expect`` observable
-is one series over number-basis amplitudes: the oracle column applies it to
-the truncated-Fock ones, the library column to the library's, computed at
-most once per time step, unless the library has a closed law (<H_I>, the
-alpha moments by the Heisenberg shift).
+a machine-readable JSON report goes to stderr.  ``propagate`` evolves all
+its rows e_m at once per time step.  Each ``expect`` observable is one
+series over number-basis amplitudes: the oracle column applies it once to
+the (steps x levels) truncated-Fock trajectory, the library column to the
+library's, computed at most once per time step, unless the library has a
+closed law (<H_I>, the alpha moments by the Heisenberg shift: once a request).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import itertools
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,7 +47,7 @@ from .fockoracle import MultiModeBasis, expm_evolve, interaction_evolve, truncat
 from .measure import moment, normalize
 from .orthopoly import (classify, classify_ladder, hermite_data, jacobi_data, laguerre_data,
                         legendre_data)
-from .propagator import build_context, sigma_mn, sigma_n
+from .propagator import build_context, evolve, sigma_mn, sigma_n
 from .reduction import MultiModeSystem, beta_offsets, reduce as reduce_sector
 
 SCHEMA_VERSION = 1
@@ -275,27 +277,27 @@ def _oracle_start(ctx, state, N: int) -> np.ndarray:
 
 
 def _alpha(ctx, g: np.ndarray, l: int) -> list:
-    """<alpha^k>, k = 0..l, on the amplitudes g taken to unit norm."""
-    return ob._alpha_series(ctx, g / float(np.linalg.norm(g)), l)
+    """<alpha^k>, k = 0..l, on the amplitudes g (rows on the last axis) over their norm, as ``np.linalg.norm`` sums a row."""
+    return ob._alpha_series(ctx, g / np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))[..., None], l)
 
 
 class _Observable(NamedTuple):
     nidx: int  # number of ":"-separated indices after the name
     lowest: int  # smallest admissible index
     is_complex: bool
-    series: Callable  # (ctx, amplitudes, idx, t, picture) -> value on the amplitudes at t
-    # (ctx, state, amps, idx, t) -> library value from a closed law or check, amps()
-    # the library's amplitudes at t; None: the library value is series on amps()
+    series: Callable  # (ctx, amplitudes, idx, t, picture) -> value on the amplitudes at t, or T values on (T, N)
+    # (ctx, state, law, amps, idx, t) -> library value from a closed law or check, law the request's
+    # h() and alpha0(l) of cmd_expect, amps() its amplitudes at t; None: the value is series on amps()
     library: Callable | None = None
 
 
 _OBSERVABLES = {
     "number_moment": _Observable(1, 1, False,
         lambda ctx, g, i, t, p: ob._occupation_series(g, i[0]),
-        lambda ctx, st, amps, i, t: ob._checked_moment(ctx, st, amps(), i[0], t)),
+        lambda ctx, st, law, amps, i, t: ob._checked_moment(ctx, st, amps(), i[0], t)),
     "h_expectation": _Observable(0, 0, False,
         lambda ctx, g, i, t, p: ob._tridiagonal_mean(ctx.js, g),
-        lambda ctx, st, amps, i, t: ob.h_expectation(ctx, st)),
+        lambda ctx, st, law, amps, i, t: law.h()),
     "correlation": _Observable(2, 0, True,
         lambda ctx, g, i, t, p: ob._correlation_series(g, *i)),
     "cluster_correlation": _Observable(2, 0, True,
@@ -303,16 +305,15 @@ _OBSERVABLES = {
     # amplitudes at t already carry the Heisenberg shift alpha + t: the law at t = 0
     "alpha_moment": _Observable(1, 1, True,
         lambda ctx, g, i, t, p: ob._alpha_law(_alpha(ctx, g, i[0]), i[0], 0.0),
-        lambda ctx, st, amps, i, t: ob.alpha_moment(ctx, st, i[0], t)),
+        lambda ctx, st, law, amps, i, t: ob._alpha_law(law.alpha0(i[0]), i[0], t)),
     "alpha_dispersion": _Observable(0, 0, True,
         lambda ctx, g, i, t, p: ob._alpha_spread(_alpha(ctx, g, 2), 0.0),
-        lambda ctx, st, amps, i, t: ob.alpha_dispersion(ctx, st, t)),
+        lambda ctx, st, law, amps, i, t: ob._alpha_spread(law.alpha0(2), t)),
     # gamma0 <N(t)> + <H_I>: the conserved <H_I> from its law in the library column
     "total_energy": _Observable(0, 0, False,
         lambda ctx, g, i, t, p: ctx.js.gamma0 * ob._occupation_series(g, 1)
         + ob._tridiagonal_mean(ctx.js, g),
-        lambda ctx, st, amps, i, t: ctx.js.gamma0 * ob._checked_moment(ctx, st, amps(), 1, t)
-        + ob.h_expectation(ctx, st)),
+        lambda ctx, st, law, amps, i, t: ctx.js.gamma0 * ob._checked_moment(ctx, st, amps(), 1, t) + law.h()),
 }
 
 
@@ -371,20 +372,21 @@ def cmd_propagate(cfg, args):
     for m, n in pairs:
         columns += [f"re_sigma_{m}_{n}@interaction", f"im_sigma_{m}_{n}@interaction"]
     rows_m = sorted({m for m, _ in pairs})
+    starts = np.eye(rows_m[-1] + 1, dtype=complex)[:, rows_m]  # a column e_m for each row m
     if imag_t == 0.0:
         columns += [f"unitarity_row_{m}" for m in rows_m]
     if args.oracle:
         columns += [f"oracle_re_{m}_{n}" for m, n in pairs] + ["max_deviation"]
-        op = truncated_h(ctx.js, trunc)
-        go = {m: expm_evolve(op, ts, _oracle_start(ctx, ob.Number(m), trunc)) for m in rows_m}
+        c0 = np.stack([_oracle_start(ctx, ob.Number(m), trunc) for m in rows_m], axis=1)
+        go = dict(zip(rows_m, np.moveaxis(expm_evolve(truncated_h(ctx.js, trunc), ts, c0), -1, 0)))
 
     rows = []
     worst_uni = 0.0
     worst_dev = 0.0
     for i, t in enumerate(ts):
         row = [float(t)]
-        if imag_t == 0.0:
-            amp = {m: ob.ladder_amplitudes(ctx, ob.Number(m), float(t)) for m in rows_m}
+        if imag_t == 0.0:  # every row m of the step from one evolve of all start columns
+            amp = dict(zip(rows_m, np.ascontiguousarray((starts if t == 0.0 else evolve(ctx, starts, float(t))).T)))
             vals = {(m, n): _at(amp[m], n) for m, n in pairs}
         else:
             try:
@@ -430,18 +432,21 @@ def cmd_expect(cfg, args):
     if args.oracle:
         columns += [f"oracle_{spec.replace(':', '_')}" for spec, _, _ in specs] + ["max_deviation"]
         gs = expm_evolve(truncated_h(ctx.js, trunc), ts, _oracle_start(ctx, state, trunc))
+        oracle = [obs.series(ctx, gs, idx, ts, picture) for _, obs, idx in specs]  # each over all T steps
 
+    law = SimpleNamespace(h=functools.cache(functools.partial(ob.h_expectation, ctx, state)),  # once a request
+                          alpha0=functools.cache(functools.partial(ob._alpha_moments_now, ctx, state)))
     rows = []
     worst = 0.0
     for i, t in enumerate(map(float, ts)):
         row = [t]
         amps = functools.cache(functools.partial(ob.ladder_amplitudes, ctx, state, t))
         vals = [obs.series(ctx, amps(), idx, t, picture) if obs.library is None
-                else obs.library(ctx, state, amps, idx, t) for _, obs, idx in specs]
+                else obs.library(ctx, state, law, amps, idx, t) for _, obs, idx in specs]
         for (_, obs, _), v in zip(specs, vals):
             row += [complex(v).real, complex(v).imag] if obs.is_complex else [float(v)]
         if args.oracle:
-            ovals = [obs.series(ctx, gs[i], idx, t, picture) for _, obs, idx in specs]
+            ovals = [o[i] for o in oracle]
             dev = max([0.0] + [abs(complex(v) - complex(o)) for v, o in zip(vals, ovals)])
             row += [complex(o).real if obs.is_complex else float(o)
                     for (_, obs, _), o in zip(specs, ovals)] + [dev]

@@ -7,16 +7,16 @@ occupation-basis states (dict occupation-tuple -> amplitude, the same
 pattern as a hand-written Fock simulator).
 
 Every evolution runs through one kernel, ``_evolve_blocks``: exp(-iHt) on
-eigendecomposed blocks, at a time or over a 1-d grid of times, the blocks
-kept in one byte-bounded cache.  ``expm_evolve`` is one block, the
-truncated ladder.  ``interaction_evolve`` builds multi-mode H_I on a basis
-as sparse entries, by index arithmetic over the occupation array, and
-splits it into the connected components of its pattern (the invariant
-sectors, found without any sector labels, so the oracle stays independent
-of :mod:`qladder.reduction`); the two-mode amplifier at truncation 34 is 69
-blocks of at most 35 levels instead of one dense 1,225-level matrix.
-``eigh_evolve`` splits a dense Hermitian matrix the same way, uncached, and
-``dense_matrix`` keeps the dict route as the independent reference.
+eigendecomposed blocks, of a vector or of start columns, at a time or over a
+1-d grid of times, the blocks kept in one byte-bounded cache.  ``expm_evolve``
+is one block, the truncated ladder.  ``interaction_evolve`` builds multi-mode
+H_I on a basis as sparse entries, by index arithmetic over the occupation array,
+and splits it into the connected components of its pattern (the invariant
+sectors, found without any sector labels, so the oracle stays independent of
+:mod:`qladder.reduction`); the two-mode amplifier at truncation 34 is 69 blocks
+of at most 35 levels instead of one dense 1,225-level matrix.  ``eigh_evolve``
+splits a dense Hermitian matrix the same way, uncached, and ``dense_matrix``
+keeps the dict route as the independent reference.
 
 Truncation policy: multi-mode bases are cut by total occupation (simplex);
 states whose support gets within |l|_1 * (number of applications) of the
@@ -82,7 +82,7 @@ def truncated_h(js: JacobiSystem, N: int) -> TruncatedOperator:
 
 
 def expm_evolve(op: TruncatedOperator, t: float | np.ndarray, vec) -> np.ndarray:
-    """exp(-i H t) @ vec on H's cached eigendecomposition; a 1-d ``t`` gives one row per time."""
+    """exp(-i H t) @ vec on H's cached eigendecomposition, as ``_evolve_blocks``."""
     key = (op.diag.tobytes(), op.off.tobytes())
     blocks = _BLOCKS.get_or_build(
         key, lambda: [(np.arange(op.dim), *eigh_tridiagonal(op.diag, op.off))])
@@ -292,21 +292,22 @@ def _eigh_blocks(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -
 
 
 def _evolve_blocks(n: int, blocks: list, t, vec) -> np.ndarray:
-    """exp(-i h t) @ vec on the eigendecomposed blocks of the n x n h; a 1-d
-    ``t`` gives one row per time."""
+    """exp(-i h t) @ vec on the eigendecomposed blocks of the n x n h, ``vec`` a vector or
+    an (n, W) matrix of start columns; a 1-d ``t`` gives one per time (t.shape + vec.shape)."""
     vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (n,):
+    if vec.ndim not in (1, 2) or len(vec) != n:
         raise ValueError(f"vector shape {vec.shape} does not match dim {n}")
     t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape + vec.shape, dtype=complex)
+    out = np.empty(t.shape + vec.shape[1:] + (n,), dtype=complex)  # levels last while blocks fill them
+    tx = t.reshape(t.shape + (1,) * (vec.ndim - 1))  # the times against the columns
     for idx, w, v in blocks:
-        phase = np.exp(-1j * np.multiply.outer(t, w))
+        phase = np.exp(-1j * np.multiply.outer(tx, w))
         if v.dtype.kind == "f":  # no complex copy of a real v
-            out[..., idx] = _real_matvec(v, (phase * _real_matvec(v.T, vec[idx])).T).T
+            out[..., idx] = _real_matvec(v, (phase * _real_matvec(v.T, vec[idx]).T).T).T
         else:
-            coef = (vec[idx].conj() @ v).conj()  # v^H vec without forming v^H
+            coef = (vec[idx].T.conj() @ v).conj()  # v^H vec without forming v^H
             out[..., idx] = (phase * coef) @ v.T
-    return out
+    return out.swapaxes(-1, t.ndim)
 
 
 def eigh_evolve(h: np.ndarray, t: float | np.ndarray, vec) -> np.ndarray:

@@ -93,6 +93,16 @@ class Fock:
 QuantumState = Union[Number, GaussianCoherent, SpectralCoherent, Fock]
 
 
+_LOG_FACT = [np.zeros(0)]  # the one table of lgamma(k + 1), k = 0.., grown on demand
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! = lgamma(k + 1) for k = 0..n - 1, read off the shared table."""
+    if _LOG_FACT[0].size < n:
+        _LOG_FACT[0] = np.array([lgamma(k + 1.0) for k in range(max(n, 2 * _LOG_FACT[0].size))])
+    return _LOG_FACT[0][:n]
+
+
 # squared norm a Glauber vector may leave out: its amplitudes stay below
 # rounding even after the square root that the alpha observables take
 _GAUSSIAN_TAIL = 1e-32
@@ -114,8 +124,7 @@ def _gaussian_coeffs(zeta: complex) -> np.ndarray:
         return np.ones(1, dtype=complex)
     size = int(math.e**2 * r2 + math.log(2.0 / _GAUSSIAN_TAIL)) + 2
     n = np.arange(size, dtype=float)
-    lg = np.array([lgamma(k + 1.0) for k in range(size)])
-    logmag = -0.5 * r2 + 0.5 * n * math.log(r2) - 0.5 * lg
+    logmag = -0.5 * r2 + 0.5 * n * math.log(r2) - 0.5 * _log_factorials(size)
     with np.errstate(divide="ignore"):  # +inf while the ratio is >= 1
         bound = 2.0 * logmag[1:] - np.log1p(-np.minimum(r2 / (n[1:] + 1.0), 1.0))
     nmax = int(np.argmax(bound <= math.log(_GAUSSIAN_TAIL)))
@@ -181,11 +190,11 @@ def ladder_amplitudes(
 
 
 def _tridiagonal_mean(js, c: np.ndarray) -> float:
-    """<c| J |c> for the tridiagonal ladder matrix J built from js."""
-    b, h = js.arrays(c.size - 1)
-    val = float(np.sum(np.abs(c) ** 2 * h))
-    if c.size > 1:
-        val += 2.0 * float(np.real(np.sum(np.conj(c[1:]) * b[1:] * c[:-1])))
+    """<c| J |c> for the tridiagonal ladder matrix J built from js, over c's last axis."""
+    b, h = js.arrays(c.shape[-1] - 1)
+    val = np.sum(np.abs(c) ** 2 * h, axis=-1)
+    if c.shape[-1] > 1:
+        val = val + 2.0 * np.real(np.sum(np.conj(c[..., 1:]) * b[1:] * c[..., :-1], axis=-1))
     return val
 
 
@@ -202,16 +211,16 @@ def h_expectation(ctx: PropagatorContext, state: QuantumState) -> float:
 
 
 def _occupation_series(g: np.ndarray, l: int) -> float:
-    """sum_k k^l |g_k|^2 on amplitudes g."""
-    k = np.arange(g.size, dtype=float)
-    return float(np.sum(k**l * np.abs(g) ** 2))
+    """sum_k k^l |g_k|^2 on amplitudes g, over their last axis."""
+    k = np.arange(g.shape[-1], dtype=float)
+    return np.sum(k**l * np.abs(g) ** 2, axis=-1)
 
 
 def _checked_moment(ctx, state, g: np.ndarray, l: int, t: float) -> float:
     """sum_k k^l |g_k|^2 on the amplitudes g of state at t.  For a spectral label
     on a family with a closed occupation law (Hermite, Laguerre), a deviation
     of that law beyond 1e-7 of the series is a RuntimeWarning, never adopted."""
-    series = _occupation_series(g, l)
+    series = float(_occupation_series(g, l))
     if isinstance(state, SpectralCoherent):
         closed = ctx.pd.closed_number_moment(complex(state.z) + float(t), l)
         if closed is not None and abs(closed - series) > 1e-7 * max(1.0, series):
@@ -236,25 +245,25 @@ def number_moment(
 
 
 def _pair_series(g: np.ndarray, L: np.ndarray, r: int, s: int) -> complex:
-    """sum_m conj(g_{m+r}) g_{m+s} exp(L[m+r] + L[m+s] - 2 L[m]).
+    """sum_m conj(g_{m+r}) g_{m+s} exp(L[m+r] + L[m+s] - 2 L[m]), over g's last axis.
 
     L is the log-coupling prefix of a lowering operator with A|k> =
     c(k)|k-1>, L[k] = sum_{j<=k} log c(j), so exp(L[m+r] - L[m]) is the
     weight of lowering |m+r> to |m>.
     """
-    nterms = g.size - max(r, s)
-    if nterms <= 0:
-        return 0j
-    m = np.arange(nterms)
-    w = np.exp((L[m + r] - L[m]) + (L[m + s] - L[m]))
+    n = g.shape[-1] - max(r, s)  # terms m = 0..n - 1
+    if n <= 0:
+        return np.zeros(g.shape[:-1], dtype=complex)[()]
+    w = np.exp((L[r : r + n] - L[:n]) + (L[s : s + n] - L[:n]))
+    gr, gs = g[..., r : r + n], g[..., s : s + n]
     if r == s:  # real by construction: keep rounding out of the imaginary part
-        return complex(np.sum((g[m + r].real ** 2 + g[m + r].imag ** 2) * w))
-    return complex(np.sum(np.conj(g[m + r]) * g[m + s] * w))
+        return np.sum((gr.real**2 + gr.imag**2) * w, axis=-1) + 0j
+    return np.sum(np.conj(gr) * gs * w, axis=-1)
 
 
 def _correlation_series(g: np.ndarray, r: int, s: int) -> complex:
     """<a*^r a^s> on amplitudes g (couplings sqrt(j), L[k] = log(k!)/2)."""
-    L = 0.5 * np.array([lgamma(k + 1.0) for k in range(g.size)])
+    L = 0.5 * _log_factorials(g.shape[-1])
     return _pair_series(g, L, r, s)
 
 
@@ -262,13 +271,13 @@ def _cluster_series(js, g: np.ndarray, r: int, s: int, t: float,
                     picture: str) -> complex:
     """<A*^r A^s> on amplitudes g (couplings b(j) of js).
 
-    ``picture="full"`` reattaches the free phase e^{-i gamma0 (s-r) t}.
+    ``picture="full"`` reattaches the free phase e^{-i gamma0 (s-r) t} (t of each row of g).
     """
-    b, _ = js.arrays(g.size - 1)
+    b, _ = js.arrays(g.shape[-1] - 1)
     L = np.concatenate(([0.0], np.cumsum(np.log(b[1:]))))
     val = _pair_series(g, L, r, s)
     if picture == "full":
-        val *= cmath.exp(-1j * js.gamma0 * (s - r) * float(t))
+        val = val * np.exp(-1j * js.gamma0 * (s - r) * np.asarray(t, dtype=float))
     return val
 
 
@@ -314,15 +323,15 @@ _DERIVS = _LRU(256, 64 * 2**20)
 
 
 def _alpha_series(ctx: PropagatorContext, c: np.ndarray, l: int) -> list:
-    """<alpha^k>, k = 0..l, on coefficients c: alpha = i d/domega acts as i D,
-    D = derivative_matrix(js, c.size) the exact triangular derivative, cached
-    by (family, c.size) for the library and the CLI oracle."""
-    D = _DERIVS.get_or_build((ctx.pd, c.size), lambda: derivative_matrix(ctx.js, c.size))
-    out = [complex(np.vdot(c, c))]
+    """<alpha^k>, k = 0..l, on coefficients c, N levels on their last axis: alpha = i d/domega
+    acts as i D, D = derivative_matrix(js, N) the exact triangular derivative, cached by
+    (family, N) for the library and the CLI oracle."""
+    D = _DERIVS.get_or_build((ctx.pd, c.shape[-1]), lambda: derivative_matrix(ctx.js, c.shape[-1]))
+    out = [np.vecdot(c, c)]
     psi = c
-    for k in range(1, l + 1):
-        psi = _real_matvec(D, psi)
-        out.append((1j) ** k * complex(np.vdot(c, psi)))
+    for k in range(1, l + 1):  # row by row, so each row of c gets what c alone would
+        psi = np.array([_real_matvec(D, p) for p in psi.reshape(-1, psi.shape[-1])]).reshape(psi.shape)
+        out.append((1j) ** k * np.vecdot(c, psi))
     return out
 
 
@@ -339,7 +348,7 @@ def _alpha_moments_now(ctx, state, l: int) -> list:
 
 def _alpha_law(mom: list, l: int, t: float) -> complex:
     """<alpha^l(t)> = sum_k C(l,k) t^k <alpha^{l-k}> from the moments at t = 0."""
-    return complex(sum(math.comb(l, k) * t**k * mom[l - k] for k in range(l + 1)))
+    return sum(math.comb(l, k) * t**k * mom[l - k] for k in range(l + 1))
 
 
 def _alpha_spread(mom: list, t: float) -> complex:

@@ -509,37 +509,41 @@ def evolve(
 ) -> np.ndarray:
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
+    ``coeffs`` is a vector c or a (levels x W) matrix of start columns, evolved at once and
+    returned alike: one packet law and block, or one Chebyshev expansion, serves them all.
     The output keeps K + 1 levels, K sized once before anything is allocated, and
     ``max_dim`` caps memory, not levels: past the (max_dim + 1) x (max_dim + 64)
     doubles of the largest rule matrix it once allowed, ConvergenceError is raised.
     On Hermite and Laguerre pairs K is where the closed packet law (``pd.levels``)
-    leaves c's packet a squared tail below min(``tail``, 1e-16), at least c.size - 1,
-    and the block comes off integer nodes, c.size + 32 doubles a level (~2 million
-    levels for one level at the default).  On Jacobi pairs K = c.size - 1 + M for
+    leaves c's packet a squared tail below min(``tail``, 1e-16), at least len(c) - 1,
+    and the block comes off integer nodes, len(c) + 32 doubles a level (~2 million
+    levels for one level at the default).  On Jacobi pairs K = len(c) - 1 + M for
     the M Chebyshev terms whose Bessel tail is below min(``tail``, 1e-16): exact on
     those levels, the expansion's error is that tail relative to ||c||.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coeffs must be a nonempty 1-d array")
-    t = float(t)
-    nrm2 = float(np.vdot(c, c).real)
-    if nrm2 == 0.0:
-        return np.zeros(c.size, dtype=complex)
+    if c.ndim not in (1, 2) or c.size == 0:
+        raise ValueError("coeffs must be a nonempty 1-d or 2-d array")
+    t, ct, L = float(t), c.T, len(c)  # ct: the start vectors as rows, levels on the last axis
+    nrm2 = np.vecdot(ct, ct).real
+    if not np.count_nonzero(nrm2):
+        return np.zeros(c.shape, dtype=complex)
     if ctx.pd.dual is None:
-        X = c.view(float).reshape(-1, 2)[:, : 1 + bool(c.imag.any())]  # c's real columns, one if c is real
-        return _chebyshev(ctx, X, t, min(tail, _PACKET_TAIL), max_dim=max_dim) @ np.array([1.0, 1j])[: X.shape[1]]
-    n = int(np.count_nonzero(np.cumsum(abs(c[::-1]) ** 2) > _PACKET_TAIL * nrm2)) - 1  # rounding past n
-    kcap = (max_dim + 1) * (max_dim + 64) // (c.size + 32) - 1
-    K = _law_size(ctx, n, t, min(tail, _PACKET_TAIL), kcap) if c.size - 1 <= kcap else None
+        k = 1 + bool(c.imag.any())  # real columns: each column's re and im, or its re alone if c is real
+        out = _chebyshev(ctx, c.view(float).reshape(L, -1)[:, :: 3 - k], t, min(tail, _PACKET_TAIL), max_dim=max_dim)
+        return out.reshape(len(out), *c.shape[1:], k).dot(np.array([1.0, 1j])[:k])
+    big = np.add.accumulate(abs(c[::-1]) ** 2) > _PACKET_TAIL * nrm2  # squared tails from the top level down
+    n = int(np.count_nonzero(big if c.ndim == 1 else big.any(1))) - 1  # rounding past n in every column
+    kcap = (max_dim + 1) * (max_dim + 64) // (L + 32) - 1
+    K = _law_size(ctx, n, t, min(tail, _PACKET_TAIL), kcap) if L - 1 <= kcap else None
     if K is None:
         raise ConvergenceError(
             f"propagation needs more than {kcap} ladder levels, the memory max_dim = {max_dim} allows"
         )
-    K = max(K, c.size - 1)
-    U, r, col = _dual_rows(ctx, t, K, c.size - 1)
-    out = r * _real_matvec(U.T, col * c)
-    if c.size > 1:  # the entries m < j, read at m' = j, j' = m
-        T, w = U[:, : c.size], r[: c.size] * c
-        out[: c.size] += col * (_real_matvec(T, w) - T.diagonal() * w)
-    return out
+    K = max(K, L - 1)
+    U, r, col = _dual_rows(ctx, t, K, L - 1)
+    out = r * _real_matvec(U.T, (col * ct).T).T
+    if L > 1:  # the entries m < j, read at m' = j, j' = m
+        T, w = U[:, :L], r[:L] * ct
+        out[..., :L] += col * (_real_matvec(T, w.T).T - T.diagonal() * w)
+    return out.T

@@ -470,7 +470,29 @@ def test_propagate_oracle_evolves_each_row_once(tmp_path, monkeypatch):
     )
     code, out, err = run_cli(["propagate", "--config", cfgp, "--oracle"])
     assert code == 0, err
-    assert calls == [(3,), (3,)]  # rows m = 0 and 1, each over the three time steps
+    assert calls == [(3,)]  # rows m = 0 and 1 in one call, over the three time steps
+
+
+@pytest.mark.parametrize("kind", ["kind = hermite", "kind = laguerre\nmu = 2.5",
+                                  "kind = jacobi\na = -1.0\nb = 1.0\nmu = 2.0\nnu = 1.5"])
+@pytest.mark.parametrize("pairs", ["0:0", "0:0, 0:1, 1:1", "3:0, 0:3, 4:4, 1:2, 2:1"])
+def test_propagate_evolves_every_row_of_a_step_in_one_call(tmp_path, monkeypatch, kind, pairs):
+    import qladder.cli as cli
+
+    calls = []
+    evolve = cli.evolve
+
+    def counted(ctx, coeffs, t, *args, **kwargs):
+        calls.append((t, np.shape(coeffs)))
+        return evolve(ctx, coeffs, t, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", counted)
+    cfgp = write_config(tmp_path, "[scenario]\nschema_version = 1\n\n[family]\n" + kind
+                        + f"\n\n[propagate]\npairs = {pairs}\n\n" + _GRID)
+    code, out, err = run_cli(["propagate", "--config", cfgp, "--oracle"])
+    assert code == 0, err
+    rows = sorted({int(p.split(":")[0]) for p in pairs.split(",")})
+    assert calls == [(t, (rows[-1] + 1, len(rows))) for t in (0.25, 0.5)]  # none at t = 0
 
 
 def test_expect_oracle_evolves_its_start_once(tmp_path, monkeypatch):
@@ -626,6 +648,22 @@ def test_expect_library_columns_equal_the_library_functions(tmp_path, config):
                 assert complex(cells[f"re_{label}"], cells[f"im_{label}"]) == want, (spec, t)
             else:
                 assert cells[label] == want, (spec, t)
+
+
+@pytest.mark.parametrize("picture", ["interaction", "full"])
+def test_each_oracle_series_on_a_trajectory_equals_its_rows(family_ctx, picture):
+    import qladder.cli as cli
+    from qladder.fockoracle import expm_evolve, truncated_h
+
+    start = np.zeros(80, dtype=complex)
+    start[:3] = (0.6, 0.8j, 0.1)
+    ts = np.linspace(0.0, 1.2, 5)
+    gs = expm_evolve(truncated_h(family_ctx.js, 80), ts, start)
+    for spec, obs, idx in cli._observables(_ALL_OBSERVABLES + ", correlation:2:0, cluster_correlation:0:3"):
+        whole = obs.series(family_ctx, gs, idx, ts, picture)
+        rows = [obs.series(family_ctx, g, idx, t, picture) for g, t in zip(gs, ts)]
+        assert np.shape(whole) == ts.shape, spec
+        assert np.max(np.abs(whole - np.array(rows))) < 1e-14 * max(1.0, np.max(np.abs(rows))), spec
 
 
 def test_python_m_qladder_matches_in_process_main():

@@ -131,6 +131,31 @@ def test_block_evolve_of_a_real_block_makes_no_complex_copy():
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
 
 
+def test_expm_evolve_of_start_columns_equals_one_call_per_column(family_ctx):
+    op = truncated_h(family_ctx.js, 60)
+    rng = np.random.default_rng(29)
+    starts = np.zeros((60, 3), dtype=complex)
+    starts[4, 0] = 1.0
+    starts[:3, 1] = rng.normal(size=3) + 1j * rng.normal(size=3)
+    starts[:5, 2] = rng.normal(size=5)
+    for t in (0.9, np.linspace(0.0, 1.4, 5)):
+        out = expm_evolve(op, t, starts)
+        assert out.shape == np.shape(t) + starts.shape
+        for j in range(3):
+            np.testing.assert_allclose(out[..., j], expm_evolve(op, t, starts[:, j]), rtol=0, atol=1e-14)
+
+
+def test_interaction_evolve_of_start_columns_equals_one_call_per_column():
+    sys, basis = MultiModeSystem(omega=(1.0, 1.0), l=(1, 1), g=-0.8j), MultiModeBasis(2, max_local=6)
+    starts = np.zeros((len(basis), 2), dtype=complex)
+    starts[basis.index[(1, 0)], 0] = 1.0
+    starts[basis.index[(0, 0)], 1], starts[basis.index[(2, 1)], 1] = 0.6, 0.8j
+    ts = np.linspace(0.0, 0.6, 4)
+    out = interaction_evolve(sys, basis, ts, starts)  # complex blocks
+    for j in range(2):
+        np.testing.assert_allclose(out[..., j], interaction_evolve(sys, basis, ts, starts[:, j]), rtol=0, atol=1e-14)
+
+
 def _routes():
     sys, basis = _amplifier(), MultiModeBasis(2, max_local=6)
     h = dense_matrix(sys, "HI", basis)

@@ -225,6 +225,21 @@ def test_equal_order_correlations_are_exactly_real():
     assert correlation(HCTX, GaussianCoherent(1 + 0.5j), 1, 1, 0.7).imag == 0.0
 
 
+def test_log_factorials_are_lgamma_from_one_growing_table(monkeypatch):
+    import qladder.observables as ob
+
+    monkeypatch.setattr(ob, "_LOG_FACT", [np.zeros(0)])
+    lgam = [math.lgamma(k + 1.0) for k in range(300)]
+    short = ob._log_factorials(5)
+    assert short.tolist() == lgam[:5]
+    assert ob._log_factorials(7).tolist() == lgam[:7]
+    table = ob._LOG_FACT[0]
+    assert table.size == 10  # grown to twice the 5 entries it had
+    assert ob._log_factorials(9).tolist() == lgam[:9] and ob._LOG_FACT[0] is table
+    assert ob._log_factorials(300).tolist() == lgam
+    assert short.tolist() == lgam[:5]  # growing leaves old views alone
+
+
 def test_cluster_is_scaled_correlation_for_constant_ratio():
     # b(n)^2 = n/2 here, so A = a/sqrt(2) and every cluster correlation is
     # the plain one scaled by 2^{-(r+s)/2}

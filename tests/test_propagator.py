@@ -244,7 +244,31 @@ def test_hermite_rule_size_is_gauge_free():
 def test_evolve_input_validation(family_ctx):
     with pytest.raises(ValueError):
         evolve(family_ctx, [], 1.0)
+    with pytest.raises(ValueError):
+        evolve(family_ctx, np.ones((2, 2, 2)), 1.0)
     assert np.all(evolve(family_ctx, [0.0, 0.0], 1.0) == 0.0)
+    assert evolve(family_ctx, np.zeros((3, 2)), 1.0).shape == (3, 2)
+
+
+def test_matrix_evolve_equals_its_columns_evolved_one_by_one(family_ctx):
+    """A (levels x W) start evolves every column at once.  Hermite and Laguerre columns
+    share one law and one integer-node block, equal to a column's own evolve on its
+    levels; past them each carries only its packet's tail.  Jacobi columns share one
+    Chebyshev expansion, a complex column by its two real ones."""
+    rng = np.random.default_rng(29)
+    cols = [np.eye(6)[5], np.eye(6)[0], np.r_[rng.normal(size=3) + 1j * rng.normal(size=3), 0.0, 0.0, 0.0],
+            np.r_[0.0, rng.normal(size=4), 0.0]]
+    for t in (0.0, 0.7, -1.3):
+        out = evolve(family_ctx, np.stack(cols, axis=1), t)
+        assert out.shape[1] == len(cols)
+        for j, c in enumerate(cols):
+            one = evolve(family_ctx, np.trim_zeros(c, "b"), t)
+            if family_ctx.pd.dual is not None:
+                np.testing.assert_array_equal(out[: one.size, j], one)
+                assert np.linalg.norm(out[one.size :, j]) < 1e-7 * np.linalg.norm(c)
+            else:
+                assert np.max(np.abs(out[: one.size, j] - one)) < 1e-14 * np.linalg.norm(c)
+                assert not out[one.size :, j].any()  # T_k(J) e_n reaches n + k levels
 
 
 def test_negative_indices_rejected(family_ctx):
