@@ -22,6 +22,8 @@ series over number-basis amplitudes: the oracle column applies it once to
 the (steps x levels) truncated-Fock trajectory, the library column to the
 library's, computed at most once per time step, unless the library has a
 closed law (<H_I>, the alpha moments by the Heisenberg shift: once a request).
+The alpha series apply the derivative in O(levels) per row
+(``orthopoly.derivative_apply``), so no levels x levels matrix is built or kept.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ pattern as a hand-written Fock simulator).
 
 Every evolution runs through one kernel, ``_evolve_blocks``: exp(-iHt) on
 eigendecomposed blocks, of a vector or of start columns, at a time or over a
-1-d grid of times, the blocks kept in one byte-bounded cache.  ``expm_evolve``
+1-d grid of times, with one exponential for the phases of every block, the
+blocks kept in one byte-bounded cache.  ``expm_evolve``
 is one block, the truncated ladder.  ``interaction_evolve`` builds multi-mode
 H_I on a basis as sparse entries, by index arithmetic over the occupation array,
 and splits it into the connected components of its pattern (the invariant
@@ -300,8 +301,12 @@ def _evolve_blocks(n: int, blocks: list, t, vec) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape + vec.shape[1:] + (n,), dtype=complex)  # levels last while blocks fill them
     tx = t.reshape(t.shape + (1,) * (vec.ndim - 1))  # the times against the columns
+    ws = [w for _, w, _ in blocks]  # one exponential over every block's eigenvalues
+    phases = np.exp(-1j * np.multiply.outer(tx, ws[0] if len(ws) == 1 else np.concatenate(ws)))
+    lo = 0
     for idx, w, v in blocks:
-        phase = np.exp(-1j * np.multiply.outer(tx, w))
+        phase = phases[..., lo:lo + len(w)]
+        lo += len(w)
         if v.dtype.kind == "f":  # no complex copy of a real v
             out[..., idx] = _real_matvec(v, (phase * _real_matvec(v.T, vec[idx]).T).T).T
         else:

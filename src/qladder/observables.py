@@ -29,8 +29,8 @@ from typing import Union
 import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
-from .orthopoly import derivative_matrix
-from .propagator import _LRU, _PACKET_TAIL, PropagatorContext, _real_matvec, evolve
+from .orthopoly import derivative_apply, derivative_matrix
+from .propagator import _PACKET_TAIL, PropagatorContext, evolve
 from .reduction import MultiModeSystem, Sector, beta_offsets
 
 __all__ = [
@@ -318,19 +318,15 @@ def cluster_correlation(
 # alpha moments
 
 
-# one derivative matrix per family and coefficient-vector length: 256 slots within 64 MiB
-_DERIVS = _LRU(256, 64 * 2**20)
-
-
 def _alpha_series(ctx: PropagatorContext, c: np.ndarray, l: int) -> list:
     """<alpha^k>, k = 0..l, on coefficients c, N levels on their last axis: alpha = i d/domega
-    acts as i D, D = derivative_matrix(js, N) the exact triangular derivative, cached by
-    (family, N) for the library and the CLI oracle."""
-    D = _DERIVS.get_or_build((ctx.pd, c.shape[-1]), lambda: derivative_matrix(ctx.js, c.shape[-1]))
+    acts as i D, D the exact triangular derivative, applied by :func:`.derivative_apply` in
+    O(N) per row from the ladder's end values, with no N x N matrix; each row of c gets
+    what c alone would, for the library and the CLI oracle alike."""
     out = [np.vecdot(c, c)]
     psi = c
-    for k in range(1, l + 1):  # row by row, so each row of c gets what c alone would
-        psi = np.array([_real_matvec(D, p) for p in psi.reshape(-1, psi.shape[-1])]).reshape(psi.shape)
+    for k in range(1, l + 1):
+        psi = derivative_apply(ctx.js, psi)
         out.append((1j) ** k * np.vecdot(c, psi))
     return out
 

@@ -53,6 +53,7 @@ __all__ = [
     "scaled_sweep",
     "eval_poly",
     "derivative_matrix",
+    "derivative_apply",
     "rodrigues_constant",
     "rodrigues_log_norm",
     "log_weight_mass",
@@ -77,6 +78,9 @@ class PearsonData:
     ``shape()`` gives (key, h0, s): the ladder is h0 + s times that of
     ``canonical()``, the pair of the key in canonical gauge, so nodes map as h0 + s x^.
     ``dual`` is None, and the packet law ``levels`` absent, for a family with no discrete dual (Jacobi).
+    ``end_values(n)`` is P_0..P_{n-1} at the finite ends of the support, the
+    roots of B, as an (n, ends) array (Jacobi: upper end first), each column
+    up to a constant: the classical closed values, from their ratios.
     """
 
     a0: float
@@ -119,14 +123,19 @@ class JacobiSystem:
     ``dim`` is math.inf for half-infinite ladders, an integer for finite
     sectors.  ``gamma0`` is the free-field frequency combination attached to
     the ladder by a multi-mode reduction; it is 0.0 for systems built
-    directly from a Pearson family.
+    directly from a Pearson family.  ``end_values(n)`` gives P_0..P_{n-1}
+    at the finite ends of the support of a Pearson weight (the roots of B),
+    as ``PearsonData.end_values`` does, for a system built by
+    :func:`recurrence`; it is None for a ladder with no such weight.
     """
 
     b: Callable
     h: Callable
     dim: float = math.inf
     gamma0: float = 0.0
+    end_values: Callable | None = None
     _prefix: tuple = field(default=(np.zeros(0), np.zeros(0)), init=False, compare=False, repr=False)
+    _chain: tuple = field(default=(0, None), init=False, compare=False, repr=False)
 
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(b(0..n), h(0..n)), copied from the kept prefix, which one call of each function extends."""
@@ -136,6 +145,15 @@ class JacobiSystem:
             b, h = np.asarray(self.b(k), dtype=float), np.asarray(self.h(k), dtype=float)
             object.__setattr__(self, "_prefix", (b, h))
         return b[:n + 1].copy(), h[:n + 1].copy()
+
+    def derivative_chain(self, n: int) -> tuple:
+        """The arrays of :func:`derivative_apply` on at least levels 0..n - 1: the kept prefix,
+        rebuilt once n passes it."""
+        size, chain = self._chain
+        if n > size:
+            size, chain = n, _chain_arrays(self.arrays(n - 1)[0], self.end_values(n))
+            object.__setattr__(self, "_chain", (size, chain))
+        return chain
 
 
 def _products(ratios) -> list:
@@ -294,6 +312,9 @@ class _Hermite(_ClosedRatio, PearsonData):
     def ladder_h(self, n):
         return np.full(np.shape(n), -self.a0 / self.a1)[()]
 
+    def end_values(self, n: int) -> np.ndarray:
+        return np.ones((n, 0))  # the support has no finite end
+
     def shape(self) -> tuple:
         return ("hermite", ()), -self.a0 / self.a1, math.sqrt(-self.b0 / self.a1)
 
@@ -386,6 +407,11 @@ class _Laguerre(_ClosedRatio, PearsonData):
     def ladder_h(self, n):
         s = -self.b1 / self.a1
         return s * (2.0 * n + self.mu) - self.beta
+
+    def end_values(self, n: int) -> np.ndarray:
+        # P_k(-beta) = (-1)^k sqrt((mu)_k / k!), the orthonormal L_k^(mu-1)(0)
+        k = np.arange(1.0, n)
+        return np.cumprod(np.concatenate(([1.0], -np.sqrt((self.mu + k - 1.0) / k))))[:, None]
 
     def shape(self) -> tuple:
         return ("laguerre", (self.mu,)), -self.beta, -self.b1 / self.a1
@@ -538,6 +564,19 @@ class _Jacobi(PearsonData):
             # the closed form is 0/0 at n = 0 when mu+nu = 2; h(0) is just
             # the mean of the Beta-type weight
             return np.where(n == 0, a + (bb - a) * mu / s, num / ((s + n2 - 2.0) * (s + n2)))[()]
+
+    def end_values(self, n: int) -> np.ndarray:
+        # P_k at b and a: the classical P_k^(nu-1, mu-1) at 1 and -1, (nu)_k / k! and
+        # (-1)^k (mu)_k / k!, over the root of its squared norm
+        mu, nu = self.mu, self.nu
+        s = mu + nu
+        k = np.arange(1.0, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # limit of (s+k-2)/(s+2k-3) as s -> 1 at k = 1, as in ladder_b
+            pair = np.where((k == 1) & (abs(s - 1.0) < 1e-12), 1.0, (s + k - 2.0) / (s + 2.0 * k - 3.0))
+        up = np.sqrt((nu + k - 1.0) * (s + 2.0 * k - 1.0) * pair / (k * (mu + k - 1.0)))
+        ratios = np.stack((up, -(mu + k - 1.0) / (nu + k - 1.0) * up), axis=1)
+        return np.cumprod(np.concatenate((np.ones((1, 2)), ratios)), axis=0)
 
     def shape(self) -> tuple:
         a, b = self.support
@@ -806,7 +845,7 @@ def recurrence(pd: PearsonData) -> JacobiSystem:
     (mu + nu = 1 at n = 1, mu + nu = 2 and 3 at n = 0) are handled by taking
     the limit of the cancelled factor pair.
     """
-    return JacobiSystem(b=pd.ladder_b, h=pd.ladder_h)
+    return JacobiSystem(b=pd.ladder_b, h=pd.ladder_h, end_values=pd.end_values)
 
 
 _LADDER_LEVELS, _LADDER_TOL = 8, 1e-10
@@ -976,6 +1015,61 @@ def derivative_matrix(js: JacobiSystem, K: int) -> np.ndarray:
         D[:, n + 1] = nxt
         prev, cur = cur, nxt
     return D
+
+
+def _chain_arrays(b: np.ndarray, p: np.ndarray) -> tuple:
+    """(P, lam, d) of :func:`derivative_apply` on levels 0..len(b) - 1 from their ``end_values`` p.
+
+    P = p[:, 0], d_j = q_{j+1} - q_j with q = p[:, 1] / P (None with one end),
+    lam_n = n / (b(n) P_{n-1} d_{n-1}); with no end, P = d = None and lam_n = n / b(n).
+    """
+    n = np.arange(len(b), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lam_0 = 0 / 0 is never read
+        if p.shape[1] == 0:
+            return None, n / b, None
+        P = p[:, 0]
+        d = None if p.shape[1] == 1 else np.diff(p[:, 1] / P)
+        lam = n / (b * np.concatenate(([np.nan], P[:-1] * (1.0 if d is None else d))))
+    return P, lam, d
+
+
+def derivative_apply(js: JacobiSystem, c: np.ndarray) -> np.ndarray:
+    """D c over the last axis of c, D = derivative_matrix(js, N), in O(N) for N levels.
+
+    B rho, the weight of the derivative family, is rho times one linear factor
+    per root of B, an end of the support, so the derivative family is a
+    Christoffel transform at those ends (Szego, Orthogonal Polynomials,
+    Thm 2.5) and D above its superdiagonal n / b(n) has rank deg B.  With P_k
+    at the first end e of ``js.end_values`` and q_k = P_k(a) / P_k(e) at the
+    other end a, for k < n:
+
+        Hermite  (no end)    D[k, n] = n / b(n) for k = n - 1, else 0;
+        Laguerre (end e)     D[k, n] = n / b(n) * P_k / P_{n-1};
+        Jacobi   (ends a, e) D[k, n] = n / b(n) * P_k / P_{n-1} * (q_n - q_k) / (q_n - q_{n-1}).
+
+    q_n - q_k is summed as q_{j+1} - q_j, j = k..n-1, terms that alternate in
+    sign as P_j(a) does, so none cancels: one or two reverse cumulative sums
+    along the last axis, and each row of c gets what it alone would.  The end
+    values are the closed ones (a sweep of the rounded ladder reaches the
+    ends ~10x less accurately), kept per system by ``derivative_chain``.
+    """
+    if js.end_values is None:
+        raise ValueError("derivative_apply needs the support ends of a Pearson weight "
+                         "(a system from recurrence); derivative_matrix takes any ladder")
+    N = c.shape[-1]
+    out = np.zeros(c.shape, dtype=np.result_type(c, float))
+    if N < 2:
+        return out
+    P, lam, d = js.derivative_chain(N)
+    t = c[..., :0:-1] * lam[N - 1:0:-1]  # lam_n c_n, n = N-1 down to 1
+    if P is not None:
+        np.cumsum(t, axis=-1, out=t)  # sum_{n>k} lam_n c_n, k = N-2 down to 0
+        if d is not None:
+            t *= d[N - 2::-1]
+            np.cumsum(t, axis=-1, out=t)
+        t *= P[N - 2::-1]
+    out[..., -2::-1] = t
+    return out
 
 
 def eval_poly(js: JacobiSystem, n: int, omega: float) -> tuple[float, float, float]:

@@ -392,3 +392,20 @@ def test_phase_exponential_identities():
         assert np.max(np.abs(np.linalg.eigvalsh(c))) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         phase_exponentials(0)
+
+
+def test_alpha_series_on_an_oracle_trajectory_holds_no_dense_derivative():
+    import qladder.observables as ob
+
+    ctx = build_context(laguerre_data(2.5))
+    start = np.zeros(400, dtype=complex)
+    start[:3] = 0.6, 0.8j, 0.0
+    g = expm_evolve(truncated_h(ctx.js, 400), np.linspace(0.0, 1.0, 6), start)  # (6, 400)
+    tracemalloc.start()
+    try:
+        ob._alpha_series(ctx, g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10  # one dense 400 x 400 derivative matrix is 1.25 MiB
+    assert not hasattr(ob, "_DERIVS")

@@ -20,6 +20,8 @@ from qladder.orthopoly import (
     _Jacobi,
     _Laguerre,
     classify,
+    derivative_apply,
+    derivative_matrix,
     derivative_pearson,
     eval_poly,
     hermite_data,
@@ -280,3 +282,49 @@ def test_short_ladders_are_copied_from_the_kept_prefix(name):
         assert h3[0] == pytest.approx(-1.0 + 2.0 * pd.mu / s, rel=1e-15)
     if name == "jacobi_s1":  # mu + nu = 1: b(1) is the limit of the cancelled pair
         assert b3[1] == pytest.approx(2.0 * math.sqrt(pd.mu * pd.nu / (s * s * (s + 1.0))), rel=1e-15)
+
+
+def _mp_jacobi_ladder(mu, nu, N):
+    """b(0..N-1), h(0..N-1) of the Jacobi pair on (-1, 1) from the closed formulas at 40 digits."""
+    mu, nu = mp.mpf(mu), mp.mpf(nu)
+    s = mu + nu
+    b = [mp.mpf(0)] + [2 * mp.sqrt(n * (mu + n - 1) * (nu + n - 1) * (s + n - 2)
+                                    / ((s + 2 * n - 2) ** 2 * (s + 2 * n - 1) * (s + 2 * n - 3)))
+                       for n in range(1, N)]
+    h = [(mu - nu) / s] + [(mu - nu) * (s - 2) / ((s + 2 * n - 2) * (s + 2 * n)) for n in range(1, N)]
+    return b, h
+
+
+def _mp_derivative_apply(b, h, c):
+    """D c, D from the coefficient-space derivative of the recurrence, column by column."""
+    N = len(c)
+    out = [mp.mpc(0)] * N
+    prev, cur = [mp.mpf(0)] * N, [1 / b[1]] + [mp.mpf(0)] * (N - 1)
+    for n in range(1, N):
+        for k in range(n):
+            out[k] += cur[k] * c[n]
+        if n + 1 < N:
+            nxt = [((h[k] - h[n]) * cur[k] + (b[k + 1] * cur[k + 1] if k + 1 < N else 0)
+                    + (b[k] * cur[k - 1] if k else 0) - b[n] * prev[k]) / b[n + 1] for k in range(N)]
+            nxt[n] += 1 / b[n + 1]
+            prev, cur = cur, nxt
+    return out
+
+
+@pytest.mark.parametrize("mu,nu", [(0.7, 3.5), (1.3, 1.1)])
+def test_derivative_apply_and_matrix_differentiate_the_exact_ladder(mu, nu):
+    # both float routes against the derivative of the exact ladder, not of its rounding
+    N = 240
+    c = np.random.default_rng(0).standard_normal(N) + 1j * np.random.default_rng(1).standard_normal(N)
+    with mp.workdps(40):
+        want = np.array([complex(v) for v in _mp_derivative_apply(*_mp_jacobi_ladder(mu, nu, N), list(map(mp.mpc, c)))])
+    js = recurrence(jacobi_data(-1.0, 1.0, mu, nu))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(derivative_apply(js, c) - want)) <= 1e-12 * scale
+    assert np.max(np.abs(derivative_matrix(js, N) @ c - want)) <= 1e-12 * scale
+
+
+def test_derivative_apply_needs_a_pearson_weight():
+    sector = _LADDERS["amplifier"]()
+    with pytest.raises(ValueError, match="Pearson weight"):
+        derivative_apply(sector, np.ones(4))

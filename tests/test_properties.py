@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from qladder.coherent import mean_energy, omega_density, reproducing_density
 from qladder.errors import Unsupported
-from qladder.orthopoly import classify, hermite_data, jacobi_data, laguerre_data, recurrence, scaled_sweep
+from qladder.orthopoly import (classify, derivative_apply, derivative_matrix, hermite_data, jacobi_data, laguerre_data,
+                               recurrence, scaled_sweep)
 from qladder.propagator import (
     _weighted_poly_matrix,
     build_context,
@@ -377,3 +378,23 @@ def test_closed_forms_are_affine_images_of_the_canonical_pair(image, t, frac, to
     for z in (complex(t), complex(t, y)):
         want = cmath.exp(-1j * z * h0) * sigma_mn_closed(ref, m, total - m, s * z)
         _same(sigma_mn_closed(ctx, m, total - m, z), want, _AFFINE_TOL[type(pd).__name__])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd=st.one_of(HERMITE, LAGUERRE, JACOBI, st.just(jacobi_data(0.0, 3.0, 1.3, 1.1, scale=0.7))),
+       N=st.one_of(st.integers(1, 16), st.integers(17, 400)), rows=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(pd=jacobi_data(-1.0, 1.0, 0.5, 0.5), N=40, rows=2, seed=0)  # mu + nu = 1: end ratio at 0/0
+def test_derivative_apply_is_the_dense_derivative(pd, N, rows, seed):
+    # the Christoffel chain at the ends of the support against the column recurrence
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
+    js = recurrence(pd)
+    want = c @ derivative_matrix(js, N).T
+    got = derivative_apply(js, c)
+    assert got.shape == c.shape and np.all(got[:, -1] == 0.0)
+    tol = 2e-14 if N <= 16 else 1e-11
+    assert np.max(np.abs(got - want)) <= tol * max(np.max(np.abs(want)), np.finfo(float).tiny)
+    # rows are independent, and a longer kept prefix changes nothing
+    derivative_apply(js, np.ones(N + 40))
+    np.testing.assert_array_equal(derivative_apply(js, c[0]), got[0])
