@@ -17,11 +17,12 @@ identical configs produce byte-identical files.  ``--oracle`` appends
 independently computed truncated-Fock columns and a deviation column;
 the exit status is 0 only when every requested tolerance holds, otherwise
 a machine-readable JSON report goes to stderr.  ``propagate`` evolves all
-its rows e_m at once per time step.  Each ``expect`` observable is one
-series over number-basis amplitudes: the oracle column applies it once to
-the (steps x levels) truncated-Fock trajectory, the library column to the
-library's, computed at most once per time step, unless the library has a
-closed law (<H_I>, the alpha moments by the Heisenberg shift: once a request).
+its rows e_m over the whole time grid in one call, once per request.  Each
+``expect`` observable is one series over number-basis amplitudes: the oracle
+column applies it once to the (steps x levels) truncated-Fock trajectory, the
+library column to each step of the library's trajectory, evolved at most once
+per request, over the whole grid, unless the library has a closed law (<H_I>,
+the alpha moments by the Heisenberg shift: once a request).
 The alpha series apply the derivative in O(levels) per row
 (``orthopoly.derivative_apply``), so no levels x levels matrix is built or kept.
 """
@@ -382,13 +383,16 @@ def cmd_propagate(cfg, args):
         c0 = np.stack([_oracle_start(ctx, ob.Number(m), trunc) for m in rows_m], axis=1)
         go = dict(zip(rows_m, np.moveaxis(expm_evolve(truncated_h(ctx.js, trunc), ts, c0), -1, 0)))
 
+    if imag_t == 0.0:  # every row m of every step from one evolve of all start columns over the grid
+        amps = np.ascontiguousarray(evolve(ctx, starts, ts).swapaxes(1, 2))  # (steps, rows m, levels)
+        norms = np.vecdot(amps, amps).real
     rows = []
     worst_uni = 0.0
     worst_dev = 0.0
     for i, t in enumerate(ts):
         row = [float(t)]
-        if imag_t == 0.0:  # every row m of the step from one evolve of all start columns
-            amp = dict(zip(rows_m, np.ascontiguousarray((starts if t == 0.0 else evolve(ctx, starts, float(t))).T)))
+        if imag_t == 0.0:
+            amp = dict(zip(rows_m, amps[i]))
             vals = {(m, n): _at(amp[m], n) for m, n in pairs}
         else:
             try:
@@ -398,8 +402,7 @@ def cmd_propagate(cfg, args):
         for m, n in pairs:
             row += [vals[(m, n)].real, vals[(m, n)].imag]
         if imag_t == 0.0:
-            for m in rows_m:
-                u = float(np.vdot(amp[m], amp[m]).real)
+            for u in norms[i].tolist():
                 worst_uni = max(worst_uni, abs(u - 1.0))
                 row.append(u)
         if args.oracle:
@@ -438,11 +441,16 @@ def cmd_expect(cfg, args):
 
     law = SimpleNamespace(h=functools.cache(functools.partial(ob.h_expectation, ctx, state)),  # once a request
                           alpha0=functools.cache(functools.partial(ob._alpha_moments_now, ctx, state)))
+    # one trajectory over the grid, when a column reads it; each step's series reads that step's levels
+    trajectory = functools.cache(functools.partial(ob._amplitude_steps, ctx, state, ts.tolist()))
     rows = []
     worst = 0.0
     for i, t in enumerate(map(float, ts)):
         row = [t]
-        amps = functools.cache(functools.partial(ob.ladder_amplitudes, ctx, state, t))
+
+        def amps():  # this step's amplitudes, on its own levels
+            return trajectory()[i]
+
         vals = [obs.series(ctx, amps(), idx, t, picture) if obs.library is None
                 else obs.library(ctx, state, law, amps, idx, t) for _, obs, idx in specs]
         for (_, obs, _), v in zip(specs, vals):

@@ -312,7 +312,9 @@ def _evolve_blocks(n: int, blocks: list, t, vec) -> np.ndarray:
         else:
             coef = (vec[idx].T.conj() @ v).conj()  # v^H vec without forming v^H
             out[..., idx] = (phase * coef) @ v.T
-    return out.swapaxes(-1, t.ndim)
+    out = out.swapaxes(-1, t.ndim)
+    out[t == 0.0] = vec  # e^0 = I: the start itself, not its rounding through V V^T
+    return out
 
 
 def eigh_evolve(h: np.ndarray, t: float | np.ndarray, vec) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
 from .orthopoly import derivative_apply, derivative_matrix
-from .propagator import _PACKET_TAIL, PropagatorContext, evolve
+from .propagator import _PACKET_TAIL, PropagatorContext, _evolve_steps, _pad, _times
 from .reduction import MultiModeSystem, Sector, beta_offsets
 
 __all__ = [
@@ -163,7 +163,7 @@ def _state_coeffs(state: QuantumState) -> np.ndarray:
 
 
 def ladder_amplitudes(
-    ctx: PropagatorContext, state: QuantumState, t: float, tail: float = 1e-13
+    ctx: PropagatorContext, state: QuantumState, t, tail: float = 1e-13
 ) -> np.ndarray:
     """Coefficients g_k(t) of e^{-i H_I t}|state> in the number basis.
 
@@ -175,14 +175,21 @@ def ladder_amplitudes(
     it is at t = 0 and otherwise propagated by :func:`.evolve`, sized once: on
     Hermite and Laguerre pairs to a squared packet-law tail of at most 1e-16,
     on Jacobi pairs to a Chebyshev Bessel tail below min(``tail``, 1e-16).
+
+    ``t`` may be a 1-d array of times: the result is then t.shape + (levels,), row i the
+    amplitudes at t_i alone and zeros past them, from one ``evolve`` over the grid.
     """
-    t = float(t)
-    if isinstance(state, SpectralCoherent):
-        z = complex(state.z)
-        g = coherent_coeffs(ctx, z + t, tol=min(tail, _PACKET_TAIL))
-        return g / math.sqrt(squared_norm(ctx, z))
-    c = _state_coeffs(state)
-    return c if t == 0.0 else evolve(ctx, c, t, tail=tail)
+    ts, grid = _times(t)
+    steps = _amplitude_steps(ctx, state, ts, tail)
+    return _pad(steps) if grid else steps[0]
+
+
+def _amplitude_steps(ctx: PropagatorContext, state: QuantumState, ts: list, tail: float = 1e-13) -> list:
+    """``ladder_amplitudes`` at each time of the list ts, each on its own levels."""
+    if not isinstance(state, SpectralCoherent):
+        return _evolve_steps(ctx, _state_coeffs(state), ts, tail)
+    z = complex(state.z)
+    return [coherent_coeffs(ctx, z + t, tol=min(tail, _PACKET_TAIL)) / math.sqrt(squared_norm(ctx, z)) for t in ts]
 
 
 # ----------------------------------------------------------------------

@@ -210,12 +210,17 @@ def _warn_cancellation(ratio: float, peak: float) -> None:
         )
 
 
-def _law_level(n: int, log0: float, ratio: np.ndarray, tail: float) -> int:
-    """n + the last j with p_j + p_{j+1} + ... >= tail, p_j = e^log0 ratio_1 ... ratio_j."""
-    if ratio.size == 0 or ratio[-1] >= 1.0:  # p still rises at the last level
-        return n + ratio.size
-    logp = log0 + np.concatenate(([0.0], np.cumsum(np.log(ratio))))
-    return n + max(0, int(np.count_nonzero(np.logaddexp.accumulate(logp[::-1]) >= math.log(tail))) - 1)
+def _law_level(n: int, log0, ratio: np.ndarray, tail: float):
+    """n + the last j with p_j + p_{j+1} + ... >= tail, p_j = e^log0 ratio_1 ... ratio_j along the last
+    axis of ratio: one law, or one per row of ratio with log0 a column."""
+    logp = np.cumsum(np.log(ratio), axis=-1) + (log0 - math.log(tail))  # log(p_j / tail), j = 1..J
+    kept = (np.cumsum(np.exp(np.minimum(logp[..., ::-1], 300.0)), axis=-1) >= 1.0).sum(-1)  # the law is a bound
+    if ratio.size and ratio[..., -1].max() >= 1.0:  # p still rises at the last level
+        kept = np.where(ratio[..., -1] >= 1.0, ratio.shape[-1], kept)
+    return n + kept
+
+
+_TINY = np.finfo(float).tiny  # added to a law's scale: at t = 0 (p_j = 0 past j = 0) it keeps level n alone
 
 
 _LOW, _PLAIN = -1000, 32
@@ -256,26 +261,33 @@ class _ClosedRatio:
                 e = math.frexp(abs(c))[1]
                 c, k = (c * 2.0**k, 0) if k + e > _LOW else (c * 2.0**-e, k + e)
 
-    def dual(self, t: float, K: int, n: int):
-        """(b, h, sigma, e, col) at real t != 0: the dual ladder arrays of degrees 0..n, column 0
-        sigma_m(t) = sigma[m] 2^e[m], m = 0..K (the label-t coherent vector: sigma_0 times a
-        cumulative product of the closed amplitude ratio, in long double so that level m is not
-        off by m eps, as one rounding of w would leave it), and the column phases
-        col_j = (-theta)^j, j = 0..n.  e is 0 while sigma_0 is above 2^_LOW; below, as in
-        ``sigma_seq``, each ratio carries the exact power of two that keeps |sigma[m]| near 1,
-        so that the levels whose amplitudes underflow a float keep their digits."""
-        w, w_exact, beta, gap = self._ratio(t)
-        ratio = w_exact() * np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble))
-        L, e = self._log_char(t), np.zeros(K + 1, dtype=int)
-        if L.real < _LOW * _LN2:
-            log_ratio = np.log(np.abs(ratio).astype(float))
-            e = np.rint((L.real + np.concatenate(([0.0], np.cumsum(log_ratio)))) / _LN2).astype(int)
-            ratio = ratio * np.ldexp(np.longdouble(1.0), -np.diff(e))
-        k = int(e[0])
-        c0 = cmath.exp(L - k * _LN2_HI - k * _LN2_LO)
-        sigma = np.cumprod(np.concatenate(([np.clongdouble(c0)], ratio)))
-        col = np.exp(1j * cmath.phase(-w) * np.arange(n + 1))
-        return (*self.dual_ladder(abs(w) ** 2, n), sigma, e, col)
+    def dual(self, ts: list, K: int, n: int):
+        """(b, h, sigma, e, col) at the real times ts != 0 (a list of floats), stacked over them: the
+        dual ladder arrays of degrees 0..n, (n + 1, T); column 0 sigma_m(t_i) = sigma[i, m] 2^e[i, m],
+        m = 0..K (the label-t coherent vector: sigma_0 times a cumulative product of the closed
+        amplitude ratio, in long double so that level m is not off by m eps, as one rounding of w
+        would leave it), (T, K + 1); and the column phases col[i, j] = (-theta_i)^j, j = 0..n.  e is
+        None while every sigma_0 is above 2^_LOW; below, as in ``sigma_seq``, each ratio of that step
+        carries the exact power of two that keeps |sigma[i, m]| near 1, so that the levels whose
+        amplitudes underflow a float keep their digits."""
+        ratios = [self._ratio(t) for t in ts]
+        beta, gap = ratios[0][2:]
+        sigma = np.empty((len(ts), K + 1), dtype=np.clongdouble)  # the ratios, then their products
+        np.multiply(np.array([r[1]() for r in ratios])[:, None],
+                    np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble)), out=sigma[:, 1:])
+        e = None
+        for i, t in enumerate(ts):
+            L, k = self._log_char(t), 0
+            if L.real < _LOW * _LN2:
+                e = np.zeros((len(ts), K + 1), dtype=int) if e is None else e
+                log_ratio = np.log(np.abs(sigma[i, 1:]).astype(float))
+                e[i] = np.rint((L.real + np.concatenate(([0.0], np.cumsum(log_ratio)))) / _LN2)
+                sigma[i, 1:] *= np.ldexp(np.longdouble(1.0), -np.diff(e[i]))
+                k = int(e[i, 0])
+            sigma[i, 0] = cmath.exp(L - k * _LN2_HI - k * _LN2_LO)
+        np.cumprod(sigma, axis=1, out=sigma)
+        col = np.exp(np.multiply.outer([1j * cmath.phase(-r[0]) for r in ratios], np.arange(n + 1)))
+        return (*self.dual_ladder(np.array([abs(r[0]) ** 2 for r in ratios]), n), sigma, e, col)
 
 
 def _moment_of(l: int, factorial_moment) -> float:
@@ -339,15 +351,15 @@ class _Hermite(_ClosedRatio, PearsonData):
         scale = math.sqrt(-self.b0 / self.a1)  # b(n) = scale * sqrt(n)
         return 32 + int(4.0 * t * (1.0 + scale) + 0.5 * (t * scale) ** 2)
 
-    def dual_ladder(self, q: float, n: int):
-        # orthonormal Charlier polynomials of the Poisson law with intensity q
-        j = np.arange(n + 1.0)
+    def dual_ladder(self, q: np.ndarray, n: int):
+        # orthonormal Charlier polynomials of the Poisson laws with intensities q: (n + 1, len(q))
+        j = np.arange(n + 1.0)[:, None]
         return np.sqrt(q * j), j + q
 
-    def levels(self, n: int, t: float, tail: float, top: int) -> int:
-        # displaced-number law e^{-lam} lam^j / j! C(n + j, j), lam = (-b0/a1) t^2
+    def levels(self, n: int, t, tail: float, top: int):
+        # displaced-number law e^{-lam} lam^j / j! C(n + j, j), lam = (-b0/a1) t^2, at t or a column of times
         lam, j = (-self.b0 / self.a1) * t * t, np.arange(1.0, top - n + 1)
-        return _law_level(n, -lam, lam * (n + j) / (j * j), tail) if lam else n
+        return _law_level(n, -lam, (lam + _TINY) * (n + j) / (j * j), tail)
 
     def quad_extra(self, z: complex) -> int:
         tau = -self.a1 / (2.0 * self.b0)
@@ -439,16 +451,16 @@ class _Laguerre(_ClosedRatio, PearsonData):
         q = t / math.hypot(t, self.gamma)
         return 32 + int(40.0 / max(1e-3, -math.log(q)))
 
-    def dual_ladder(self, q: float, n: int):
-        # orthonormal Meixner polynomials of the negative binomial law, beta = mu and c = q
-        j = np.arange(n + 1.0)
+    def dual_ladder(self, q: np.ndarray, n: int):
+        # orthonormal Meixner polynomials of the negative binomial laws, beta = mu and c = q: (n + 1, len(q))
+        j = np.arange(n + 1.0)[:, None]
         return np.sqrt(q * j * (j + self.mu - 1.0)) / (1.0 - q), (j + q * (j + self.mu)) / (1.0 - q)
 
-    def levels(self, n: int, t: float, tail: float, top: int) -> int:
-        # su(1,1) law (1 - q2)^mu (mu + n)_j / j! q2^j C(n + j, j), q2 = t^2 / (t^2 + gamma^2)
+    def levels(self, n: int, t, tail: float, top: int):
+        # su(1,1) law (1 - q2)^mu (mu + n)_j / j! q2^j C(n + j, j), q2 = t^2 / (t^2 + gamma^2), at t or a column
         q2, j = t * t / (t * t + self.gamma**2), np.arange(1.0, top - n + 1)
-        ratio = q2 * (self.mu + n + j - 1.0) * (n + j) / (j * j)
-        return _law_level(n, self.mu * math.log1p(-q2), ratio, tail) if q2 else n
+        ratio = (q2 + _TINY) * (self.mu + n + j - 1.0) * (n + j) / (j * j)
+        return _law_level(n, self.mu * np.log1p(-q2), ratio, tail)
 
     def quad_extra(self, z: complex) -> int:
         y = z.imag
@@ -689,7 +701,7 @@ class _Jacobi(PearsonData):
 
     def reproducing_density(self, ctx, y: float) -> float:
         mu, nu = _snap_unit(self.mu), _snap_unit(self.nu)
-        if mu < 1.0 or nu < 1.0 or mu + nu <= 3.0:
+        if mu < 1.0 or nu < 1.0 or mu + nu <= 3.0 + 1e-9:  # the bound itself, whatever gauge rounded it
             raise Unsupported(
                 "reproducing measure of a Jacobi pair needs mu >= 1, nu >= 1 "
                 f"and mu + nu > 3; got mu = {mu}, nu = {nu}"
@@ -892,7 +904,9 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
     """Run the recurrence at the nodes x, yielding (k, u_k, rescaled), k = 0..kmax.
 
     ``b``, ``h`` are the ladder arrays b(0..kmax), h(0..kmax) (see
-    ``JacobiSystem.arrays``); their length fixes kmax.
+    ``JacobiSystem.arrays``); their length fixes kmax.  With a trailing axis,
+    (kmax + 1, R), they are R ladders, each swept over the nodes x, as R sweeps
+    would: u_k and s are then (R, len(x)), a row per ladder.
 
     P_k(x_i) = u_k[i] * exp(s[i] - s_start[i]), where ``s`` is the caller's
     log-scale array, updated in place; ``rescaled`` is the mask of the nodes
@@ -900,8 +914,8 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
 
     The sweep runs in blocks of _SWEEP_BLOCK levels.  A block takes
     x - h(k) for all its levels as one array and writes its rows u_k,
-    k0 <= k < k0 + _SWEEP_BLOCK, straight into ``block(k0)``, a 2-d array
-    with a row per level (fewer at the end), so a caller keeps rows where it
+    k0 <= k < k0 + _SWEEP_BLOCK, straight into ``block(k0)``, an array
+    with a row of x's shape per level (fewer at the end), so a caller keeps rows where it
     wants them; by default the sweep alternates between two arrays of its
     own.  ``block`` must not return the array of the block before, whose last
     row the next step reads.  A level is four in-place ufuncs, in the order
@@ -909,8 +923,8 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
 
     |u| is measured only when a bound says it could pass 2^400 since the
     last check: log2 of the max then measured over u_k and u_{k-1} plus the
-    sum of log2 max(1, g_j), g_j = (max_i |x_i - h(j)| + b(j)) / b(j+1),
-    over the steps since.  At a check every node with |u_k| > 2^200 is
+    sum of log2 max(1, g_j), g_j = (max_i |x_i - h(j)| + b(j)) / b(j+1)
+    (the largest over the rows), over the steps since.  At a check every node with |u_k| > 2^200 is
     rescaled by the exact power of two 2^-e that takes u_k there into
     [1/2, 1) (``frexp``), e log 2 is added to s, and the next step reads a
     copy of u_{k-1} rescaled alike.  So a rescale adds no rounding, a yielded
@@ -920,18 +934,21 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
     """
     kmax = len(b) - 1
     if block is None:
-        own = np.empty((2, min(_SWEEP_BLOCK, kmax + 1), len(x)), dtype=x.dtype)
+        own = np.empty((2, min(_SWEEP_BLOCK, kmax + 1)) + s.shape, dtype=x.dtype)
 
         def block(k0):
             return own[k0 // _SWEEP_BLOCK % 2]
 
     xf, hf, bf = (np.asarray(a, dtype=float) for a in (x, h[:-1], b))
     g = (np.maximum(xf.max() - hf, hf - xf.min()) + bf[:-1]) / bf[1:]
+    if b.ndim == 1:
+        bl, hk = b.tolist(), h[:, None]  # ufuncs take Python scalars
+    else:  # level k of row r is b[k, r], h[k, r] against x
+        g, bl, hk = g.max(1), b[..., None], h[..., None]
     grow = np.log2(np.maximum(g, 1.0)).tolist()
-    bl = b.tolist()  # ufuncs take Python scalars
-    xh = np.empty((min(_SWEEP_BLOCK, kmax), len(x)), dtype=x.dtype)
-    tmp = np.empty_like(x)
-    prev, cur, bound = np.zeros_like(x), None, 0.0
+    xh = np.empty((min(_SWEEP_BLOCK, kmax),) + s.shape, dtype=x.dtype)
+    tmp = np.empty(s.shape, dtype=x.dtype)
+    prev, cur, bound = np.zeros(s.shape, dtype=x.dtype), None, 0.0
     for k0 in range(0, kmax + 1, _SWEEP_BLOCK):
         k1 = min(k0 + _SWEEP_BLOCK, kmax + 1)
         rows = block(k0)[: k1 - k0]
@@ -940,7 +957,7 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
             cur = rows[0]
             yield 0, cur, None
         lo = max(k0, 1)
-        np.subtract(x, h[lo - 1 : k1 - 1, None], out=xh[: k1 - lo])
+        np.subtract(x, hk[lo - 1 : k1 - 1], out=xh[: k1 - lo])
         for k, u, xk in zip(range(lo, k1), rows[lo - k0 :], xh):
             np.multiply(xk, cur, out=u)
             np.multiply(prev, bl[k - 1], out=tmp)
@@ -971,15 +988,16 @@ def _sweep_check(u, prev, s):
 
 
 def _final_frame_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, rows: np.ndarray):
-    """``scaled_sweep`` writing u_k into rows[k], yielding (k, u_k); at a rescale the rows before k
-    move to the new frame by the same exact powers of two, so every row ends in the final frame s."""
-    seen = np.zeros_like(s)  # s at each node's last rescale
+    """``scaled_sweep`` writing u_k into rows[k], yielding (k, u_k, rescaled); at a rescale the rows
+    before k move to the new frame by the same exact powers of two, so every row ends in the final
+    frame s."""
+    seen = None  # s at each node's last rescale
     for k, u, rescaled in scaled_sweep(b, h, x, s, lambda k0: rows[k0 : k0 + _SWEEP_BLOCK]):
         if rescaled is not None:
-            i = rescaled.nonzero()[0]
-            rows[:k, i] *= np.ldexp(1.0, np.rint((seen[i] - s[i]) / _LN2).astype(int))
-            seen[i] = s[i]
-        yield k, u
+            seen = np.zeros_like(s) if seen is None else seen
+            rows[:k, rescaled] *= np.ldexp(1.0, np.rint((seen[rescaled] - s[rescaled]) / _LN2).astype(int))
+            seen[rescaled] = s[rescaled]
+        yield k, u, rescaled
 
 
 def _log_row(u, s):
@@ -1075,17 +1093,23 @@ def derivative_apply(js: JacobiSystem, c: np.ndarray) -> np.ndarray:
 def eval_poly(js: JacobiSystem, n: int, omega: float) -> tuple[float, float, float]:
     """(P_n, P_n', P_n'') at omega for the orthonormal system ``js``.
 
-    P_0..P_n come from the scaled sweep at the one node omega; with
-    D = derivative_matrix(js, n + 1) the derivatives are P' = D^T P and
-    P'' = D^T P'.
+    P_0..P_n come from the scaled sweep at the one node omega, and the derivatives
+    from the recurrence differentiated there, in the sweep's frame, in O(n):
+
+        b(k+1) P'_{k+1}  = (omega - h(k)) P'_k  + P_k   - b(k) P'_{k-1},
+        b(k+1) P''_{k+1} = (omega - h(k)) P''_k + 2 P'_k - b(k) P''_{k-1}.
     """
-    s = np.zeros(1)
-    p = np.empty(n + 1)
-    for k, u, _ in scaled_sweep(*js.arrays(n), np.array([float(omega)]), s):
-        p[k] = u[0] * math.exp(s[0])
-    D = derivative_matrix(js, n + 1)
-    dp = D.T @ p
-    return float(p[n]), float(dp[n]), float(D[:, n] @ dp)
+    b, h = js.arrays(n)
+    s, frame, p, d1, d2 = np.zeros(1), 0.0, 0.0, (0.0, 0.0), (0.0, 0.0)  # P_{k-1}; P', P'' at k - 2, k - 1
+    for k, u, _ in scaled_sweep(b, h, np.array([float(omega)]), s):
+        if k:
+            a, c, bk = omega - h[k - 1], b[k - 1], b[k]
+            d1, d2 = (d1[1], (a * d1[1] + p - c * d1[0]) / bk), (d2[1], (a * d2[1] + 2.0 * d1[1] - c * d2[0]) / bk)
+        if s[0] != frame:  # a rescale moved u_k and u_{k-1} by an exact power of two
+            f, frame = math.ldexp(1.0, round((frame - s[0]) / _LN2)), s[0]
+            d1, d2 = (d1[0] * f, d1[1] * f), (d2[0] * f, d2[1] * f)
+        p = float(u[0])
+    return tuple(float(v * math.exp(s[0])) for v in (p, d1[1], d2[1]))
 
 
 def log_weight_mass(pd: PearsonData) -> float:

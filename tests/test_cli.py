@@ -495,7 +495,8 @@ def test_propagate_evolves_every_row_of_a_step_in_one_call(tmp_path, monkeypatch
     code, out, err = run_cli(["propagate", "--config", cfgp, "--oracle"])
     assert code == 0, err
     rows = sorted({int(p.split(":")[0]) for p in pairs.split(",")})
-    assert calls == [(t, (rows[-1] + 1, len(rows))) for t in (0.25, 0.5)]  # none at t = 0
+    ((t, shape),) = calls  # every step of the grid in the same call
+    assert t.tolist() == [0.0, 0.25, 0.5] and shape == (rows[-1] + 1, len(rows))
 
 
 def test_expect_oracle_evolves_its_start_once(tmp_path, monkeypatch):
@@ -572,13 +573,13 @@ def test_expect_reads_library_amplitudes_once_per_step(tmp_path, monkeypatch):
     import qladder.observables as ob
 
     calls = []
-    amplitudes = ob.ladder_amplitudes
+    amplitudes = ob._amplitude_steps
 
     def counted(ctx, state, t, *args, **kwargs):
         calls.append(t)
         return amplitudes(ctx, state, t, *args, **kwargs)
 
-    monkeypatch.setattr(ob, "ladder_amplitudes", counted)
+    monkeypatch.setattr(ob, "_amplitude_steps", counted)
     cfgp = write_config(
         tmp_path,
         _HERMITE + "[state]\nkind = gaussian\nzeta = 0.4+0.2j\n\n[expect]\nobservables = "
@@ -587,7 +588,7 @@ def test_expect_reads_library_amplitudes_once_per_step(tmp_path, monkeypatch):
     )
     code, out, err = run_cli(["expect", "--config", cfgp])
     assert code == 0, err
-    assert calls == [0.0, 0.25, 0.5]
+    assert calls == [[0.0, 0.25, 0.5]]  # every step's amplitudes from one call over the grid
 
 
 _ALL_OBSERVABLES = ("h_expectation, number_moment:1, number_moment:2, correlation:0:1, "
@@ -681,3 +682,45 @@ def test_every_readme_invocation_parses():
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert args.command in _COMMANDS
         assert (SCENARIOS.parent / args.config).is_file()
+
+
+@pytest.mark.parametrize("kind", ["kind = hermite", "kind = laguerre\nmu = 1.3"])
+@pytest.mark.parametrize("command, section", [
+    ("propagate", "[propagate]\npairs = 0:0, 0:3, 2:1, 4:4\n"),
+    ("expect", "[state]\nkind = number\nn = 2\n\n[expect]\nobservables = number_moment:1, correlation:0:1\n"),
+    ("expect", "[state]\nkind = gaussian\nzeta = 0.4+0.2j\n\n[expect]\n"
+               "observables = number_moment:2, cluster_correlation:1:1, total_energy\n"),
+])
+def test_a_request_pays_one_dual_and_one_sweep(tmp_path, monkeypatch, kind, command, section):
+    from qladder import orthopoly, propagator
+
+    calls = []
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(orthopoly._ClosedRatio, "dual", counting("dual", orthopoly._ClosedRatio.dual))
+    monkeypatch.setattr(propagator, "_final_frame_sweep", counting("sweep", propagator._final_frame_sweep))
+    cfgp = write_config(tmp_path, "[scenario]\nschema_version = 1\n\n[family]\n" + kind + "\n\n" + section
+                        + "\n[grid]\nt0 = 0.0\nt1 = 2.0\nsteps = 7\n")
+    code, out, err = run_cli([command, "--config", cfgp])
+    assert code == 0, err
+    assert calls == ["dual", "sweep"]
+
+
+def test_expect_oracle_reads_the_start_vector_itself_at_t_0(tmp_path):
+    # e^0 = I: the oracle's t = 0 row is |4> itself, so its alpha dispersion is 0
+    cfgp = write_config(
+        tmp_path,
+        "[scenario]\nschema_version = 1\n\n[family]\nkind = jacobi\na = -1.0\nb = 1.0\nmu = 0.947\nnu = 3.162\n\n"
+        "[state]\nkind = number\nn = 4\n\n[expect]\nobservables = alpha_dispersion\n\n"
+        "[grid]\nt0 = 0.0\nt1 = 1.0\nsteps = 3\n",
+    )
+    code, out, err = run_cli(["expect", "--config", cfgp, "--oracle", "--truncation", "400", "--format", "json"])
+    assert code == 0, err
+    (table,) = json.loads(out)["tables"]
+    first = dict(zip(table["columns"], table["rows"][0]))
+    assert first["t(dimensionless,hbar=1)"] == 0.0 and first["oracle_alpha_dispersion"] == 0.0

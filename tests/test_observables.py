@@ -409,3 +409,15 @@ def test_alpha_series_on_an_oracle_trajectory_holds_no_dense_derivative():
         tracemalloc.stop()
     assert peak < 256 * 2**10  # one dense 400 x 400 derivative matrix is 1.25 MiB
     assert not hasattr(ob, "_DERIVS")
+
+
+@pytest.mark.parametrize("state", [Number(2), GaussianCoherent(0.5 - 0.3j), Fock((0.6, 0.8j, 0.1)),
+                                   SpectralCoherent(0.3 + 0.1j)])
+def test_amplitudes_over_a_grid_are_each_time_alone(family_ctx, state):
+    ts = np.array([0.7, 0.0, -1.2, 0.7])
+    grid = ladder_amplitudes(family_ctx, state, ts)
+    assert grid.shape[0] == ts.size
+    for g, t in zip(grid, ts):
+        one = ladder_amplitudes(family_ctx, state, t)
+        np.testing.assert_array_equal(g[: one.size], one)
+        assert not g[one.size :].any()

@@ -31,6 +31,7 @@ from qladder.orthopoly import (
     ode_residual,
     recurrence,
     rodrigues_constant,
+    scaled_sweep,
     strong_field,
 )
 from qladder.reduction import MultiModeSystem, reduce
@@ -155,6 +156,21 @@ def test_eval_poly_matches_table(family_ctx, mp_orthonormal):
     assert p == pytest.approx(want[0], rel=1e-13)
     assert dp == pytest.approx(want[1], rel=1e-13)
     assert ddp == pytest.approx(want[2], rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 41, 60])
+def test_eval_poly_derivatives_are_the_dense_derivative_matrix(family_ctx, n):
+    """P_n' and P_n'' from the differentiated recurrence against D^T P and D^T (D^T P)."""
+    js = family_ctx.js
+    for omega in _inner_points(family_ctx.pd):
+        s, p = np.zeros(1), np.empty(n + 1)
+        for k, u, _ in scaled_sweep(*js.arrays(n), np.array([omega]), s):
+            p[k] = u[0] * math.exp(s[0])
+        D = derivative_matrix(js, n + 1)
+        dp = D.T @ p
+        got = eval_poly(js, n, omega)
+        for g, w in zip(got, (p[n], dp[n], D[:, n] @ dp)):
+            assert g == pytest.approx(w, rel=1e-12)
 
 
 def _weight_fn(pd):

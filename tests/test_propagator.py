@@ -959,3 +959,38 @@ def test_chebyshev_rows_cache_gives_the_values_it_is_bypassed_for(monkeypatch):
     for got in (values(), values()):  # cold then warm, extending rows as t grows
         for g, want in zip(got, bypassed, strict=True):
             np.testing.assert_array_equal(g, want)
+
+
+# ---------------------------------------------------------------------------
+# A time grid in one call
+
+
+def test_a_grid_past_the_underflow_of_sigma_0_gives_each_call():
+    # t = +-160 on hermite_data(): sigma_0 = e^-12800, the steps whose powers of
+    # two ride on the ratios, beside a step that needs none
+    ctx = build_context(hermite_data())
+    ts = np.array([160.0, 3.0, 0.0, -160.0])
+    for c in ([1.0], [0.0, 0.0, 0.0, 1.0]):
+        grid = evolve(ctx, c, ts)
+        for g, t in zip(grid, ts):
+            one = evolve(ctx, c, t)
+            assert np.abs(g[: one.size] - one).max() <= 1e-14 and not g[one.size :].any()
+        assert abs(1.0 - np.vdot(grid[0], grid[0]).real) <= 1e-13
+
+
+@pytest.mark.parametrize("pd, c, t, max_dim", [
+    (hermite_data(), [1.0], 5.0, 50),
+    (jacobi_data(-1.0, 1.0, 2.0, 1.5), [0.0, 1.0], 3.0, 30),
+])
+def test_the_memory_check_counts_every_step_of_a_grid(pd, c, t, max_dim):
+    ctx = build_context(pd)
+    evolve(ctx, c, t, max_dim=max_dim)  # one step fits
+    with pytest.raises(ConvergenceError, match=f"max_dim = {max_dim}"):
+        evolve(ctx, c, np.full(100, t), max_dim=max_dim)
+
+
+def test_grid_times_are_a_time_or_a_nonempty_vector(family_ctx):
+    for t in (np.zeros((2, 2)), np.zeros(0), []):
+        with pytest.raises(ValueError, match="1-d array of times"):
+            evolve(family_ctx, [1.0], t)
+    assert evolve(family_ctx, [0.6, 0.8], [0.0, 0.0]).tolist() == [[0.6, 0.8]] * 2

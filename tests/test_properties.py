@@ -398,3 +398,28 @@ def test_derivative_apply_is_the_dense_derivative(pd, N, rows, seed):
     # rows are independent, and a longer kept prefix changes nothing
     derivative_apply(js, np.ones(N + 40))
     np.testing.assert_array_equal(derivative_apply(js, c[0]), got[0])
+
+
+GRID_TIMES = st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0).filter(lambda t: abs(t) > 1e-3)),
+                      min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pd=FAMILIES, ts=GRID_TIMES, size=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       real=st.booleans())
+@example(pd=hermite_data(), ts=[1.5, -0.7, 0.0, 1.5, 2.9], size=3, seed=0, real=True)
+def test_a_grid_evolves_each_time_as_a_call_of_its_own(pd, ts, size, seed, real):
+    # unsorted grids with negative, repeated and zero times: step i on the levels
+    # a call at t_i alone keeps is that call, and what the grid keeps past them
+    # is below the squared tail that call dropped
+    ctx = build_context(pd)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(size) + (0.0 if real else 1j * rng.standard_normal(size))
+    grid = evolve(ctx, c, np.array(ts))
+    nrm = np.linalg.norm(c)
+    assert grid.shape[0] == len(ts)
+    for g, t in zip(grid, ts):
+        one = evolve(ctx, c, t)
+        assert np.abs(g[: one.size] - one).max() <= 1e-14 * nrm
+        assert np.vdot(g[one.size :], g[one.size :]).real <= 1e-16 * nrm**2
+    np.testing.assert_array_equal(evolve(ctx, c, np.array(ts[:1]))[0], evolve(ctx, c, ts[0]))
