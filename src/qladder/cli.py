@@ -447,10 +447,7 @@ def cmd_expect(cfg, args):
     worst = 0.0
     for i, t in enumerate(map(float, ts)):
         row = [t]
-
-        def amps():  # this step's amplitudes, on its own levels
-            return trajectory()[i]
-
+        amps = functools.partial(lambda i: trajectory()[i], i)  # this step's amplitudes, on its own levels
         vals = [obs.series(ctx, amps(), idx, t, picture) if obs.library is None
                 else obs.library(ctx, state, law, amps, idx, t) for _, obs, idx in specs]
         for (_, obs, _), v in zip(specs, vals):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coherent import coherent_coeffs, mean_energy, squared_norm
 from .orthopoly import derivative_apply, derivative_matrix
-from .propagator import _PACKET_TAIL, PropagatorContext, _evolve_steps, _pad, _times
+from .propagator import _PACKET_TAIL, PropagatorContext, _evolve_steps, _on_times
 from .reduction import MultiModeSystem, Sector, beta_offsets
 
 __all__ = [
@@ -179,9 +179,7 @@ def ladder_amplitudes(
     ``t`` may be a 1-d array of times: the result is then t.shape + (levels,), row i the
     amplitudes at t_i alone and zeros past them, from one ``evolve`` over the grid.
     """
-    ts, grid = _times(t)
-    steps = _amplitude_steps(ctx, state, ts, tail)
-    return _pad(steps) if grid else steps[0]
+    return _on_times(t, lambda ts: _amplitude_steps(ctx, state, ts, tail))
 
 
 def _amplitude_steps(ctx: PropagatorContext, state: QuantumState, ts: list, tail: float = 1e-13) -> list:

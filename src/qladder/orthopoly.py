@@ -210,17 +210,12 @@ def _warn_cancellation(ratio: float, peak: float) -> None:
         )
 
 
-def _law_level(n: int, log0, ratio: np.ndarray, tail: float):
-    """n + the last j with p_j + p_{j+1} + ... >= tail, p_j = e^log0 ratio_1 ... ratio_j along the last
-    axis of ratio: one law, or one per row of ratio with log0 a column."""
-    logp = np.cumsum(np.log(ratio), axis=-1) + (log0 - math.log(tail))  # log(p_j / tail), j = 1..J
-    kept = (np.cumsum(np.exp(np.minimum(logp[..., ::-1], 300.0)), axis=-1) >= 1.0).sum(-1)  # the law is a bound
-    if ratio.size and ratio[..., -1].max() >= 1.0:  # p still rises at the last level
-        kept = np.where(ratio[..., -1] >= 1.0, ratio.shape[-1], kept)
-    return n + kept
-
-
-_TINY = np.finfo(float).tiny  # added to a law's scale: at t = 0 (p_j = 0 past j = 0) it keeps level n alone
+def _law_level(n: int, log0: float, ratio: np.ndarray, tail: float) -> int:
+    """n + the last j with p_j + p_{j+1} + ... >= tail, p_j = e^log0 ratio_1 ... ratio_j."""
+    if ratio.size == 0 or ratio[-1] >= 1.0:  # p still rises at the last level
+        return n + ratio.size
+    logp = np.cumsum(np.log(ratio)) + (log0 - math.log(tail))  # log(p_j / tail), j = 1..J
+    return n + int(np.count_nonzero(np.cumsum(np.exp(np.minimum(logp, 300.0))[::-1]) >= 1.0))  # p_j may pass 1
 
 
 _LOW, _PLAIN = -1000, 32
@@ -272,11 +267,10 @@ class _ClosedRatio:
         amplitudes underflow a float keep their digits."""
         ratios = [self._ratio(t) for t in ts]
         beta, gap = ratios[0][2:]
-        sigma = np.empty((len(ts), K + 1), dtype=np.clongdouble)  # the ratios, then their products
-        np.multiply(np.array([r[1]() for r in ratios])[:, None],
-                    np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble)), out=sigma[:, 1:])
-        e = None
+        root = np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble))
+        sigma, e = np.empty((len(ts), K + 1), dtype=np.clongdouble), None
         for i, t in enumerate(ts):
+            np.multiply(ratios[i][1](), root, out=sigma[i, 1:])  # the ratios, then their products
             L, k = self._log_char(t), 0
             if L.real < _LOW * _LN2:
                 e = np.zeros((len(ts), K + 1), dtype=int) if e is None else e
@@ -286,7 +280,7 @@ class _ClosedRatio:
                 k = int(e[i, 0])
             sigma[i, 0] = cmath.exp(L - k * _LN2_HI - k * _LN2_LO)
         np.cumprod(sigma, axis=1, out=sigma)
-        col = np.exp(np.multiply.outer([1j * cmath.phase(-r[0]) for r in ratios], np.arange(n + 1)))
+        col = np.exp(np.array([[1j * cmath.phase(-r[0])] for r in ratios]) * np.arange(n + 1))
         return (*self.dual_ladder(np.array([abs(r[0]) ** 2 for r in ratios]), n), sigma, e, col)
 
 
@@ -356,10 +350,10 @@ class _Hermite(_ClosedRatio, PearsonData):
         j = np.arange(n + 1.0)[:, None]
         return np.sqrt(q * j), j + q
 
-    def levels(self, n: int, t, tail: float, top: int):
-        # displaced-number law e^{-lam} lam^j / j! C(n + j, j), lam = (-b0/a1) t^2, at t or a column of times
+    def levels(self, n: int, t: float, tail: float, top: int) -> int:
+        # displaced-number law e^{-lam} lam^j / j! C(n + j, j), lam = (-b0/a1) t^2
         lam, j = (-self.b0 / self.a1) * t * t, np.arange(1.0, top - n + 1)
-        return _law_level(n, -lam, (lam + _TINY) * (n + j) / (j * j), tail)
+        return _law_level(n, -lam, lam * (n + j) / (j * j), tail) if lam else n
 
     def quad_extra(self, z: complex) -> int:
         tau = -self.a1 / (2.0 * self.b0)
@@ -456,11 +450,11 @@ class _Laguerre(_ClosedRatio, PearsonData):
         j = np.arange(n + 1.0)[:, None]
         return np.sqrt(q * j * (j + self.mu - 1.0)) / (1.0 - q), (j + q * (j + self.mu)) / (1.0 - q)
 
-    def levels(self, n: int, t, tail: float, top: int):
-        # su(1,1) law (1 - q2)^mu (mu + n)_j / j! q2^j C(n + j, j), q2 = t^2 / (t^2 + gamma^2), at t or a column
+    def levels(self, n: int, t: float, tail: float, top: int) -> int:
+        # su(1,1) law (1 - q2)^mu (mu + n)_j / j! q2^j C(n + j, j), q2 = t^2 / (t^2 + gamma^2)
         q2, j = t * t / (t * t + self.gamma**2), np.arange(1.0, top - n + 1)
-        ratio = (q2 + _TINY) * (self.mu + n + j - 1.0) * (n + j) / (j * j)
-        return _law_level(n, self.mu * np.log1p(-q2), ratio, tail)
+        ratio = q2 * (self.mu + n + j - 1.0) * (n + j) / (j * j)
+        return _law_level(n, self.mu * math.log1p(-q2), ratio, tail) if q2 else n
 
     def quad_extra(self, z: complex) -> int:
         y = z.imag
@@ -904,9 +898,8 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
     """Run the recurrence at the nodes x, yielding (k, u_k, rescaled), k = 0..kmax.
 
     ``b``, ``h`` are the ladder arrays b(0..kmax), h(0..kmax) (see
-    ``JacobiSystem.arrays``); their length fixes kmax.  With a trailing axis,
-    (kmax + 1, R), they are R ladders, each swept over the nodes x, as R sweeps
-    would: u_k and s are then (R, len(x)), a row per ladder.
+    ``JacobiSystem.arrays``); their length fixes kmax.  As (kmax + 1, R) arrays they
+    are R ladders, each swept over x in frames of its own: u_k and s are (R, len(x)).
 
     P_k(x_i) = u_k[i] * exp(s[i] - s_start[i]), where ``s`` is the caller's
     log-scale array, updated in place; ``rescaled`` is the mask of the nodes
@@ -914,8 +907,8 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
 
     The sweep runs in blocks of _SWEEP_BLOCK levels.  A block takes
     x - h(k) for all its levels as one array and writes its rows u_k,
-    k0 <= k < k0 + _SWEEP_BLOCK, straight into ``block(k0)``, an array
-    with a row of x's shape per level (fewer at the end), so a caller keeps rows where it
+    k0 <= k < k0 + _SWEEP_BLOCK, straight into ``block(k0)``, an array with
+    a row u_k per level (fewer at the end), so a caller keeps rows where it
     wants them; by default the sweep alternates between two arrays of its
     own.  ``block`` must not return the array of the block before, whose last
     row the next step reads.  A level is four in-place ufuncs, in the order
@@ -923,11 +916,11 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
 
     |u| is measured only when a bound says it could pass 2^400 since the
     last check: log2 of the max then measured over u_k and u_{k-1} plus the
-    sum of log2 max(1, g_j), g_j = (max_i |x_i - h(j)| + b(j)) / b(j+1)
-    (the largest over the rows), over the steps since.  At a check every node with |u_k| > 2^200 is
-    rescaled by the exact power of two 2^-e that takes u_k there into
-    [1/2, 1) (``frexp``), e log 2 is added to s, and the next step reads a
-    copy of u_{k-1} rescaled alike.  So a rescale adds no rounding, a yielded
+    sum of log2 max(1, g_j), g_j = (max_i |x_i - h(j)| + b(j)) / b(j+1) (the
+    largest over the ladders), over the steps since.  At a check every node
+    with |u_k| > 2^200 is rescaled by the exact power of two 2^-e that takes
+    u_k there into [1/2, 1) (``frexp``), e log 2 is added to s, and the next
+    step reads a copy of u_{k-1} rescaled alike.  So a rescale adds no rounding, a yielded
     row never changes (it stays valid until its block array is written
     again, two blocks later by default), and the checks depend on b, h and x
     alone: rows do not depend on how far the sweep runs.
@@ -941,11 +934,9 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
 
     xf, hf, bf = (np.asarray(a, dtype=float) for a in (x, h[:-1], b))
     g = (np.maximum(xf.max() - hf, hf - xf.min()) + bf[:-1]) / bf[1:]
-    if b.ndim == 1:
-        bl, hk = b.tolist(), h[:, None]  # ufuncs take Python scalars
-    else:  # level k of row r is b[k, r], h[k, r] against x
-        g, bl, hk = g.max(1), b[..., None], h[..., None]
-    grow = np.log2(np.maximum(g, 1.0)).tolist()
+    grow = np.log2(np.maximum(g.max(axis=tuple(range(1, g.ndim))), 1.0)).tolist()  # the largest over the ladders
+    hk = h[..., None]  # level k of ladder r is b[k, r], h[k, r] against x
+    bl = np.empty((min(_SWEEP_BLOCK, kmax) + 1,) + s.shape, dtype=x.dtype)  # b(k) in full rows, which a ufunc takes fastest
     xh = np.empty((min(_SWEEP_BLOCK, kmax),) + s.shape, dtype=x.dtype)
     tmp = np.empty(s.shape, dtype=x.dtype)
     prev, cur, bound = np.zeros(s.shape, dtype=x.dtype), None, 0.0
@@ -958,11 +949,13 @@ def scaled_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, blo
             yield 0, cur, None
         lo = max(k0, 1)
         np.subtract(x, hk[lo - 1 : k1 - 1], out=xh[: k1 - lo])
-        for k, u, xk in zip(range(lo, k1), rows[lo - k0 :], xh):
+        bk = bl[: k1 - lo + 1]
+        bk[...] = b[lo - 1 : k1, ..., None]
+        for k, u, xk, b0, b1 in zip(range(lo, k1), rows[lo - k0 :], xh, bk, bk[1:]):
             np.multiply(xk, cur, out=u)
-            np.multiply(prev, bl[k - 1], out=tmp)
+            np.multiply(prev, b0, out=tmp)
             np.subtract(u, tmp, out=u)
-            np.divide(u, bl[k], out=u)
+            np.divide(u, b1, out=u)
             bound += grow[k - 1]
             rescaled = None
             if bound > _CHECK_LOG2:
@@ -988,16 +981,14 @@ def _sweep_check(u, prev, s):
 
 
 def _final_frame_sweep(b: np.ndarray, h: np.ndarray, x: np.ndarray, s: np.ndarray, rows: np.ndarray):
-    """``scaled_sweep`` writing u_k into rows[k], yielding (k, u_k, rescaled); at a rescale the rows
-    before k move to the new frame by the same exact powers of two, so every row ends in the final
-    frame s."""
-    seen = None  # s at each node's last rescale
+    """``scaled_sweep`` writing u_k into rows[k], yielding (k, u_k); at a rescale the rows before k
+    move to the new frame by the same exact powers of two, so every row ends in the final frame s."""
+    seen = s.copy()  # s at each node's last rescale
     for k, u, rescaled in scaled_sweep(b, h, x, s, lambda k0: rows[k0 : k0 + _SWEEP_BLOCK]):
         if rescaled is not None:
-            seen = np.zeros_like(s) if seen is None else seen
             rows[:k, rescaled] *= np.ldexp(1.0, np.rint((seen[rescaled] - s[rescaled]) / _LN2).astype(int))
             seen[rescaled] = s[rescaled]
-        yield k, u, rescaled
+        yield k, u
 
 
 def _log_row(u, s):

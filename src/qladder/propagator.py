@@ -254,51 +254,52 @@ def _dual_rows(ctx: PropagatorContext, ts: list, K: int, n: int, first: int = 0)
 
     Returns (U, r, col): entry (m, j) of step i is r[i, m - first] U[j, i, m - first] col[i, j] for
     m >= j, that is sigma_m(t_i) (-theta_i)^j p_j(m) of ``pd.dual``.  U holds one ``scaled_sweep``
-    of the steps' dual ladders over degrees 0..n at the integer nodes m, all in the sweep's final
-    frame, and r is sigma_m(t_i) in that frame, which sets the law's weight |sigma_m|^2: the exact
-    powers of two of both meet before r is rounded to a double, so r holds where sigma_m alone
-    would underflow.  Below the degree, m < j, the forward recurrence is unstable: U is 0 there,
-    and those entries are sigma_mj = sigma_jm, read at m' = j and j' = m.
+    of the steps' dual ladders over degrees 0..n at the integer nodes m, in the sweep's final frame,
+    and r is sigma_m(t_i) in that frame: the exact powers of two of both meet before r is rounded
+    to a double, so r holds where sigma_m alone would underflow.  Below the degree, m < j, the
+    forward recurrence is unstable: U is 0 there, and those entries are sigma_jm, read at (j, m).
     """
     b, h, sigma, e, col = ctx.pd.dual(ts, K, n)
     s = np.zeros((len(ts), K + 1 - first))
     U = np.empty((n + 1,) + s.shape)
-    sweep = (b, h, s, U) if len(ts) > 1 else (b[:, 0], h[:, 0], s[0], U[:, 0])  # one time: one plain ladder
-    moved = e is not None  # sigma_m's powers of two, and the frame's if the sweep rescales
-    for k, u, rescaled in _final_frame_sweep(*sweep[:2], np.arange(first, K + 1.0), *sweep[2:]):
+    for k, u in _final_frame_sweep(b, h, np.arange(first, K + 1.0), s, U):
         if k > first:
             u[..., : k - first] = 0.0
-        moved = moved or rescaled is not None
     r = sigma[:, first:]
-    if moved:
+    if e is not None or np.count_nonzero(s):  # sigma_m's powers of two and the frame's (long double: ~10 us at 120 levels)
         r = r * np.ldexp(np.longdouble(1.0), np.rint(s / _LN2).astype(int) + (0 if e is None else e[:, first:]))
     return U, r.astype(complex), col
 
 
 def _law_size(ctx: PropagatorContext, n: int, ts: list, tail: float, kcap: int) -> list | None:
     """Levels past which the packet law ``pd.levels`` leaves e^{-iHt} on levels <= n a squared tail
-    < ``tail``, at each time of the list ts, off laws as long as the largest |t| needs; None if that
+    < ``tail``, at each time of the list ts: each law on a window of its own time, doubled while it
+    holds mass at its end, so a time gets the level a call at that time alone gets.  None if one
     is above ``kcap``."""
-    t = abs(ts[0]) if len(ts) == 1 else np.abs(ts)[:, None]  # a time, or a column of them
-    top = n + 64 + ctx.pd.spread(max(map(abs, ts)))
-    while True:
-        top = min(top, kcap + 1)
-        K = np.ravel(ctx.pd.levels(n, t, tail, top)).tolist()
-        if max(K) < top:
-            return K
-        if top > kcap:
-            return None
-        top *= 2
+    K = []
+    for t in map(abs, ts):
+        top = n + 64 + ctx.pd.spread(t)
+        while (k := ctx.pd.levels(n, t, tail, min(top, kcap + 1))) >= min(top, kcap + 1):
+            if top > kcap:
+                return None
+            top *= 2
+        K.append(k)
+    return K
 
 
-def _times(t) -> tuple[list, bool]:
-    """A time or a 1-d array of times as a list of floats, and whether it was an array."""
-    if isinstance(t, float):
-        return [t], False
+def _on_times(t, steps) -> np.ndarray:
+    """steps(ts), a list of arrays, at the list ts of the time t or of a nonempty 1-d array t:
+    the one array, or all of them stacked, each with zeros past its own levels."""
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or ts.size == 0:
         raise ValueError("t must be a time or a nonempty 1-d array of times")
-    return ts.reshape(-1).tolist(), bool(ts.ndim)
+    out = steps(ts.ravel().tolist())
+    if not ts.ndim:
+        return out[0]
+    grid = np.zeros((len(out), max(map(len, out))) + out[0].shape[1:], dtype=complex)
+    for g, o in zip(grid, out):
+        g[: len(o)] = o
+    return grid
 
 
 @lru_cache(maxsize=64)  # the rows of one time step (the CLI's pairs) share t
@@ -341,22 +342,20 @@ def _chebyshev(ctx: PropagatorContext, X: np.ndarray, ts: list, tol: float, term
     (n + M_i + 1, w) array per time.
 
     X holds real columns on levels 0..n.  Step i sums e^{-it alpha} (2 - delta_k0) (-i)^k J_k(t beta)
-    T_k(Jt) X over the M_i + 1 weights of ``_bessel_row`` (at least ``terms`` + 1), the rows T_k(Jt) X,
-    shared by the steps, from T_{k+1} = 2 Jt T_k - T_{k-1} on n + k + 1 levels: exact on its
-    n + M_i + 1 levels, it leaves out the Bessel tail, below ``tol`` ||X||, and it is the product a
-    one-step call forms.  The rows and the outputs past the (max_dim + 1) x (max_dim + 64) doubles of
-    the rule matrix ``max_dim`` once allowed raise ConvergenceError before anything is allocated,
-    first at the lower bound M >= max |t beta|.
+    T_k(Jt) X over the M_i + 1 weights of ``_bessel_row`` (at least ``terms`` + 1), the rows T_k(Jt) X
+    shared by the steps, from T_{k+1} = 2 Jt T_k - T_{k-1} on n + k + 1 levels: exact on its levels,
+    it leaves out the Bessel tail, below ``tol`` ||X||.  Rows past the doubles of the (max_dim + 1) x
+    (max_dim + 64) rule matrix ``max_dim`` once allowed raise ConvergenceError before anything is
+    allocated, first at the lower bound M >= max |t beta|.
     """
     a, b = ctx.pd.support
     alpha, beta = 0.5 * (a + b), 0.5 * (b - a)
-    n, w, T = X.shape[0] - 1, X.shape[1], len(ts)
+    n, w = X.shape[0] - 1, X.shape[1]
 
-    def check(M: int) -> int:  # the doubles of V and of the output, before they are allocated
-        size = ((M + 1) * (n + M + 3) + 2 * T * (n + M + 1)) * w
-        if size > (max_dim + 1) * (max_dim + 64):
-            raise ConvergenceError(f"propagation needs about {8 * size:,} bytes for {n + M + 1} ladder levels"
-                                   f"{f' at {T} times' if T > 1 else ''}, more than the memory max_dim = {max_dim} allows")
+    def check(M: int) -> int:  # the doubles of V, before it is allocated
+        if (M + 1) * (n + M + 3) * w > (max_dim + 1) * (max_dim + 64):
+            raise ConvergenceError(f"propagation needs about {8 * (M + 1) * (n + M + 3) * w:,} bytes for "
+                                   f"{n + M + 1} ladder levels, more than the memory max_dim = {max_dim} allows")
         return M
 
     check(math.ceil(max(map(abs, ts)) * beta))
@@ -382,11 +381,10 @@ def _chebyshev(ctx: PropagatorContext, X: np.ndarray, ts: list, tol: float, term
                 row *= 0.5
         _CHEB.put(key, V)
     steps = []
-    for t, J in zip(ts, Js):
-        m = len(J) - 1
-        wts = 2.0 * np.array(J) * np.array([1.0, -1j, -1.0, 1j])[np.arange(m + 1) % 4] * cmath.exp(-1j * t * alpha)
+    for t, J in zip(ts, Js):  # each step's own product, the one a one-step call forms
+        wts = 2.0 * np.array(J) * np.array([1.0, -1j, -1.0, 1j])[np.arange(len(J)) % 4] * cmath.exp(-1j * t * alpha)
         wts[0] /= 2.0
-        Vf = V[: m + 1, 1 : n + m + 2].reshape(m + 1, -1)
+        Vf = V[: len(J), 1 : n + len(J) + 1].reshape(len(J), -1)
         steps.append((wts.real @ Vf + 1j * (wts.imag @ Vf)).reshape(-1, w))
     return steps
 
@@ -538,23 +536,21 @@ def evolve(
     """Propagate ladder coefficients: out_k = sum_n c_n sigma_nk(t).
 
     ``coeffs`` is a vector c or a (levels x W) matrix of start columns, evolved at once and
-    returned alike: one packet law and block, or one Chebyshev expansion, serves them all.
-    ``t`` is a time or a 1-d array of times, which gives t.shape + (K + 1,) + coeffs.shape[1:]:
-    row i is ``evolve`` at t_i on its K_i + 1 levels and zeros past them, K = max K_i, from one
-    packet law, one stacked dual and one sweep (Hermite, Laguerre) or one set of Chebyshev rows.
-    K_i is sized once before anything is allocated, and ``max_dim`` caps memory, not levels:
-    past the (max_dim + 1) x (max_dim + 64) doubles of the largest rule matrix it once allowed,
-    counted over every step, ConvergenceError is raised.
-    On Hermite and Laguerre pairs K_i is where the closed packet law (``pd.levels``)
-    leaves c's packet a squared tail below min(``tail``, 1e-16), at least len(c) - 1,
-    and the block comes off integer nodes, len(c) + 32 doubles a level (~2 million
-    levels for one level at the default).  On Jacobi pairs K_i = len(c) - 1 + M_i for
-    the M_i Chebyshev terms whose Bessel tail is below min(``tail``, 1e-16): exact on
-    those levels, the expansion's error is that tail relative to ||c||.
+    returned alike.  ``t`` is a time or a 1-d array of times, which gives t.shape + (K + 1,) +
+    coeffs.shape[1:]: row i holds a call at t_i alone on its K_i + 1 levels, zeros past them.
+    A grid pays one dual and one sweep per run of steps (Hermite, Laguerre), or one set of
+    Chebyshev rows (Jacobi).  K_i is sized before anything is allocated, and ``max_dim``
+    caps memory, not levels: a step past the (max_dim + 1) x (max_dim + 64) doubles of the
+    largest rule matrix it once allowed raises ConvergenceError; steps that fit one by one
+    but not together take more than one run.  On Hermite and Laguerre pairs K_i is where the
+    closed packet law (``pd.levels``, on a window of t_i's own) leaves c's
+    packet a squared tail below min(``tail``, 1e-16), at least len(c) - 1, and the block comes
+    off integer nodes, len(c) + 32 doubles a level (~2 million levels for one level at the
+    default).  On Jacobi pairs K_i = len(c) - 1 + M_i for the M_i Chebyshev terms whose Bessel
+    tail is below min(``tail``, 1e-16): exact on those levels, the expansion's error is that
+    tail relative to ||c||.
     """
-    ts, grid = _times(t)
-    steps = _evolve_steps(ctx, coeffs, ts, tail, max_dim)
-    return _pad(steps) if grid else steps[0]
+    return _on_times(t, lambda ts: _evolve_steps(ctx, coeffs, ts, tail, max_dim))
 
 
 def _evolve_steps(ctx: PropagatorContext, coeffs, ts: list, tail: float = 1e-12, max_dim: int = 8192) -> list:
@@ -562,40 +558,31 @@ def _evolve_steps(ctx: PropagatorContext, coeffs, ts: list, tail: float = 1e-12,
     c = np.ascontiguousarray(coeffs, dtype=complex)
     if c.ndim not in (1, 2) or c.size == 0:
         raise ValueError("coeffs must be a nonempty 1-d or 2-d array")
-    T, ct, L = len(ts), c.T, len(c)  # ct: the start vectors as rows, levels on the last axis
+    ct, L = c.T, len(c)  # ct: the start vectors as rows, levels on the last axis
     nrm2 = np.vecdot(ct, ct).real
-    live = [i for i, t in enumerate(ts) if t] if np.count_nonzero(nrm2) else []  # e^0 = I, and 0 stays 0
-    times, steps = (ts, [None] * T) if len(live) == T else ([ts[i] for i in live], [c.copy()] * T)
-    if ctx.pd.dual is None:
-        if live:
-            k = 1 + bool(c.imag.any())  # real columns: each column's re and im, or its re alone if c is real
-            X = c.view(float).reshape(L, -1)[:, :: 3 - k]
-            for i, o in zip(live, _chebyshev(ctx, X, times, min(tail, _PACKET_TAIL), max_dim=max_dim)):
-                o = o.reshape(len(o), *c.shape[1:], k)
-                steps[i] = o[..., 0] if k == 1 else o.dot(np.array([1.0, 1j]))
-        return steps
-    big = np.add.accumulate(abs(c[::-1]) ** 2) > _PACKET_TAIL * nrm2  # squared tails from the top level down
-    n = int(np.count_nonzero(big if c.ndim == 1 else big.any(1))) - 1  # rounding past n in every column
-    kcap = (max_dim + 1) * (max_dim + 64) // ((L + 32) * T) - 1  # levels a step, with every step counted
-    if L - 1 > kcap or live and (law := _law_size(ctx, n, times, min(tail, _PACKET_TAIL), kcap)) is None:
-        raise ConvergenceError(f"propagation needs more than {kcap} ladder levels"
-                               f"{f' at each of {T} times' if T > 1 else ''}, the memory max_dim = {max_dim} allows")
-    if live:
+    times = [t for t in ts if t] if np.count_nonzero(nrm2) else []  # e^0 = I, and 0 stays 0
+    outs = []
+    if times and ctx.pd.dual is None:
+        k = 1 + bool(c.imag.any())  # real columns: each column's re and im, or its re alone if c is real
+        for o in _chebyshev(ctx, c.view(float).reshape(L, -1)[:, :: 3 - k], times, min(tail, _PACKET_TAIL), max_dim=max_dim):
+            outs.append(o.reshape(len(o), *c.shape[1:], k).dot(np.array([1.0, 1j])[:k]))
+    elif times:
+        big = np.add.accumulate(abs(c[::-1]) ** 2) > _PACKET_TAIL * nrm2  # squared tails from the top level down
+        n = int(np.count_nonzero(big if c.ndim == 1 else big.any(1))) - 1  # rounding past n in every column
+        kcap = (max_dim + 1) * (max_dim + 64) // (L + 32) - 1  # levels of a block, over the steps it holds
+        law = _law_size(ctx, n, times, min(tail, _PACKET_TAIL), kcap) if L - 1 <= kcap else None
+        if law is None:
+            raise ConvergenceError(f"propagation needs more than {kcap} ladder levels, the memory max_dim = {max_dim} allows")
         K = [max(k, L - 1) for k in law]
-        U, r, col = _dual_rows(ctx, times, max(K), L - 1)
-        for s, (i, k) in enumerate(zip(live, K)):
-            Us, rs = U[:, s, : k + 1], r[s, : k + 1]
-            o = rs * _real_matvec(Us.T, (col[s] * ct).T).T
-            if L > 1:  # the entries m < j, read at m' = j, j' = m
-                Tm, w = Us[:, :L], rs[:L] * ct
-                o[..., :L] += col[s] * (_real_matvec(Tm, w.T).T - Tm.diagonal() * w)
-            steps[i] = o.T
-    return steps
-
-
-def _pad(steps: list) -> np.ndarray:
-    """The arrays of ``steps`` stacked, each with zeros past its own levels."""
-    out = np.zeros((len(steps), max(map(len, steps))) + steps[0].shape[1:], dtype=complex)
-    for o, step in zip(out, steps):
-        o[: len(step)] = step
-    return out
+        run = (kcap + 1) // (max(K) + 1)  # the steps a block holds at the largest K: one dual and one sweep a run
+        for a in range(0, len(times), run):
+            U, r, col = _dual_rows(ctx, times[a : a + run], max(K[a : a + run]), L - 1)
+            for s, k in enumerate(K[a : a + run]):
+                Us, rs = U[:, s, : k + 1], r[s, : k + 1]
+                o = rs * _real_matvec(Us.T, (col[s] * ct).T).T
+                if L > 1:  # the entries m < j, read at m' = j, j' = m
+                    Tm, w = Us[:, :L], rs[:L] * ct
+                    o[..., :L] += col[s] * (_real_matvec(Tm, w.T).T - Tm.diagonal() * w)
+                outs.append(o.T)
+    outs = iter(outs)
+    return [next(outs) if t and times else c.copy() for t in ts]

@@ -982,11 +982,34 @@ def test_a_grid_past_the_underflow_of_sigma_0_gives_each_call():
     (hermite_data(), [1.0], 5.0, 50),
     (jacobi_data(-1.0, 1.0, 2.0, 1.5), [0.0, 1.0], 3.0, 30),
 ])
-def test_the_memory_check_counts_every_step_of_a_grid(pd, c, t, max_dim):
+def test_a_grid_whose_steps_fit_one_by_one_runs(monkeypatch, pd, c, t, max_dim):
+    # max_dim bounds the block of each run of steps: 100 steps that each fit run in
+    # several blocks, each step as a call of its own; a step that fits no block raises
     ctx = build_context(pd)
-    evolve(ctx, c, t, max_dim=max_dim)  # one step fits
-    with pytest.raises(ConvergenceError, match=f"max_dim = {max_dim}"):
-        evolve(ctx, c, np.full(100, t), max_dim=max_dim)
+    ts = np.linspace(t / 100, t, 100)
+    duals = []
+    if pd.dual is not None:
+        dual = type(pd).dual
+        monkeypatch.setattr(type(pd), "dual", lambda self, ts, K, n: duals.append(len(ts)) or dual(self, ts, K, n))
+    grid = evolve(ctx, c, ts, max_dim=max_dim)
+    for g, x in zip(grid, ts):
+        one = evolve(ctx, c, x, max_dim=max_dim)
+        np.testing.assert_array_equal(g[: one.size], one)
+    assert pd.dual is None or (len(duals) > 2 and sum(duals[: -len(ts)]) == len(ts))
+    with pytest.raises(ConvergenceError, match="max_dim = 5 allows"):
+        evolve(ctx, c, ts, max_dim=5)
+
+
+def test_a_step_keeps_its_levels_whatever_the_other_times_of_its_grid():
+    # each time's packet law reads a window of its own |t|, so t = 5 keeps the
+    # 2,042 levels it keeps alone beside t = 9, whose window is 3.3 times longer
+    # and would give it one more
+    ctx = build_context(laguerre_data(1.3))
+    one = evolve(ctx, [0.0, 0.0, 0.0, 1.0], 5.0)
+    grid = evolve(ctx, [0.0, 0.0, 0.0, 1.0], np.array([5.0, 9.0]))
+    assert one.size == 2042 and grid.shape[1] > 2 * one.size
+    np.testing.assert_array_equal(grid[0, : one.size], one)
+    assert not grid[0, one.size :].any()
 
 
 def test_grid_times_are_a_time_or_a_nonempty_vector(family_ctx):

@@ -410,8 +410,7 @@ GRID_TIMES = st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0).filter(lambda
 @example(pd=hermite_data(), ts=[1.5, -0.7, 0.0, 1.5, 2.9], size=3, seed=0, real=True)
 def test_a_grid_evolves_each_time_as_a_call_of_its_own(pd, ts, size, seed, real):
     # unsorted grids with negative, repeated and zero times: step i on the levels
-    # a call at t_i alone keeps is that call, and what the grid keeps past them
-    # is below the squared tail that call dropped
+    # a call at t_i alone keeps is that call, and the grid holds zeros past them
     ctx = build_context(pd)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(size) + (0.0 if real else 1j * rng.standard_normal(size))
@@ -421,5 +420,5 @@ def test_a_grid_evolves_each_time_as_a_call_of_its_own(pd, ts, size, seed, real)
     for g, t in zip(grid, ts):
         one = evolve(ctx, c, t)
         assert np.abs(g[: one.size] - one).max() <= 1e-14 * nrm
-        assert np.vdot(g[one.size :], g[one.size :]).real <= 1e-16 * nrm**2
+        assert not g[one.size :].any()
     np.testing.assert_array_equal(evolve(ctx, c, np.array(ts[:1]))[0], evolve(ctx, c, ts[0]))
