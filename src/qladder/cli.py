@@ -268,7 +268,7 @@ def _oracle_start(ctx, state, N: int) -> np.ndarray:
         # observables' derivative series amplify past the oracle tolerance
         z = complex(state.z)
         nrm = math.sqrt(squared_norm(ctx, z))
-        seq = ctx.pd.sigma_seq(ctx, z, sigma_n(ctx, 0, z))
+        seq = ctx.pd.sigma_seq(ctx, z, lambda: sigma_n(ctx, 0, z))
         c0 = np.fromiter(itertools.islice(seq, N), complex, N) / nrm
         if abs(c0[-1]) <= 1e-15:
             return c0

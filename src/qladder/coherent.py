@@ -126,7 +126,7 @@ def coherent_coeffs(
     """
     z = _require_label(ctx, z)
     norm2 = squared_norm(ctx, z)
-    seq = ctx.pd.sigma_seq(ctx, z, sigma_n(ctx, 0, z))
+    seq = ctx.pd.sigma_seq(ctx, z, lambda: sigma_n(ctx, 0, z))
     out = []
     acc = prev = 0.0
     n, limit = 0, 4000 if nmax is None else nmax
@@ -185,7 +185,7 @@ def holomorphic_transform(
         M, V = _node_sum(logw + z.imag * nodes, vals, nodes, z.real)
         return math.exp(M) * V
     coeffs = np.trim_zeros(np.asarray(state, dtype=complex), "b")
-    seq = ctx.pd.sigma_seq(ctx, z, sigma_n(ctx, 0, z))
+    seq = ctx.pd.sigma_seq(ctx, z, lambda: sigma_n(ctx, 0, z))
     return sum((c.conjugate() * s for c, s in zip(coeffs, seq) if c != 0.0), 0j)
 
 

@@ -72,7 +72,7 @@ class PearsonData:
 
     Each family subclass derives its shape parameters once and holds the
     closed forms, named after the functions that call them; methods taking
-    ``ctx`` read ``ctx.sm.C`` and ``ctx.rule(N)`` of a PropagatorContext.
+    ``ctx`` read ``ctx.sm.C``, ``ctx.rule(N)`` and ``ctx.expansion`` of a PropagatorContext.
     ``strip_edge`` is the upper edge of the coherent-label strip,
     and ``closed_max_degree`` the highest m + n ``sigma_mn`` sends to closed form.
     ``shape()`` gives (key, h0, s): the ladder is h0 + s times that of
@@ -106,11 +106,6 @@ class PearsonData:
     def closed_number_moment(self, w: complex, l: int):
         """<N^l> on the spectral coherent state |w>; None without a closed form."""
         return None
-
-    def sigma_seq(self, ctx, z: complex, c0: complex):
-        """sigma_0(z) = c0, sigma_1(z), ...; by default the scalar ``sigma_n`` per level."""
-        yield c0
-        yield from (self.sigma_n(ctx, n, z) if z else 0j for n in itertools.count(1))
 
 
 @dataclass(frozen=True)
@@ -236,11 +231,12 @@ class _ClosedRatio:
     def char(self, ctx, z: complex) -> complex:
         return cmath.exp(self._log_char(z))
 
-    def sigma_seq(self, ctx, z: complex, c0: complex):
-        """c0, sigma_1(z), ... by one complex multiply per level.  w rounded once leaves level n
-        off by (1 + eps)^n, eps its relative remainder in long double, so levels from _PLAIN on are
-        emitted times 1 + n eps; where c0 underflows, sigma_n 2^-k runs from log c0 until 2^_LOW."""
+    def sigma_seq(self, ctx, z: complex, sigma_0):
+        """c0 = sigma_0(), sigma_1(z), ... by one complex multiply per level.  w rounded once leaves
+        level n off by (1 + eps)^n, eps its relative remainder in long double, so levels from _PLAIN
+        on are emitted times 1 + n eps; where c0 underflows, sigma_n 2^-k runs from log c0 until 2^_LOW."""
         w, w_exact, beta, gap = self._ratio(z)
+        c0 = sigma_0()
         c, k, eps = c0, 0, 0j
         if abs(c0) < 2.0**_LOW:
             L = rodrigues_log_norm(self, 0, ctx.sm.C) + self._log_char(z)
@@ -266,8 +262,11 @@ class _ClosedRatio:
         carries the exact power of two that keeps |sigma[i, m]| near 1, so that the levels whose
         amplitudes underflow a float keep their digits."""
         ratios = [self._ratio(t) for t in ts]
-        beta, gap = ratios[0][2:]
-        root = np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble))
+        root = self.__dict__.get("_root")  # sqrt(beta + gap / j), j = 1.., kept per pair as JacobiSystem.arrays keeps its own
+        if root is None or len(root) < K:
+            beta, gap = ratios[0][2:]
+            root = self.__dict__["_root"] = np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble))
+        root = root[:K]
         sigma, e = np.empty((len(ts), K + 1), dtype=np.clongdouble), None
         for i, t in enumerate(ts):
             np.multiply(ratios[i][1](), root, out=sigma[i, 1:])  # the ratios, then their products
@@ -521,7 +520,8 @@ class _Laguerre(_ClosedRatio, PearsonData):
 
 
 # |w| = (b - a)|z| up to which the Jacobi transforms sum their confluent series; past it
-# the series' terms cancel (sigma_n lost 4e-10 at |w| = 20) and a Gauss rule takes over
+# the series' terms cancel (sigma_n lost 4e-10 at |w| = 20): there char and sigma_n read the
+# Chebyshev expansion of e^{-izJ} e_0, and the rows of sigma_mn_closed a Gauss rule
 _SERIES_W = 12.0
 
 
@@ -529,7 +529,7 @@ _SERIES_W = 12.0
 class _Jacobi(PearsonData):
     """Jacobi class: B = b2_factored*(omega - a)*(b - omega) on (a, b)."""
 
-    closed_max_degree = 18  # at 20-24 the sums cancel past 1e-8
+    closed_max_degree = 18  # sigma_mn_closed only: at 20-24 the sums cancel past 1e-8
 
     def __post_init__(self):
         a, b = self.support
@@ -620,8 +620,19 @@ class _Jacobi(PearsonData):
         return 32 + int(2.0 * t * (b - a))
 
     def char(self, ctx, z: complex) -> complex:
+        if abs((self.support[1] - self.support[0]) * z) > _SERIES_W:
+            return ctx.expansion(z, 0)
         L, V = self._shifted(ctx, z, 0, 0)
         return math.exp(L) * V
+
+    def sigma_seq(self, ctx, z: complex, sigma_0):
+        """sigma_0(z), sigma_1(z), ...: the levels of e^{-izJ} e_0 from one Chebyshev expansion, and
+        0 past them; the scalar ``sigma_0`` is not called.  The Bessel tail is below 1e-16 of the
+        label's norm, which is at least e^{Im z h(0)} (Jensen, h(0) the mean of the measure)."""
+        a, b = self.support
+        mean = a + (b - a) * self.mu / (self.mu + self.nu)
+        yield from ctx.expansion(z, tol=1e-16 * math.exp(z.imag * (mean - 0.5 * (a + b)))).tolist()
+        yield from itertools.repeat(0j)
 
     def _beta_log(self, ctx, mup: float, nup: float) -> float:
         """log of C times the mass (b - a)^{mup+nup-1} B(mup, nup) of the weight with indices mup, nup."""
@@ -630,15 +641,11 @@ class _Jacobi(PearsonData):
                 + ln_gamma(mup) + ln_gamma(nup) - ln_gamma(mup + nup))
 
     def _shifted(self, ctx, z: complex, dmu: int, dnu: int):
-        """Transform of the weight with indices raised to mu+dmu, nu+dnu: ``(L, V)``, the value
-        exp(L) * V; row 0 of ``_shifted_row``, by the scalar series where that applies."""
+        """Transform of the weight with indices raised to mu+dmu, nu+dnu by the scalar series, for
+        (b - a)|z| <= _SERIES_W: ``(L, V)``, the value exp(L) * V (row 0 of ``_shifted_row``)."""
         a, b = self.support
         mup, nup = self.mu + dmu, self.nu + dnu
-        w = -1j * (b - a) * z
-        if abs(w) <= _SERIES_W:
-            return self._beta_log(ctx, mup, nup), hyp1f1(mup, mup + nup, w) * cmath.exp(-1j * a * z)
-        L, _, V = self._shifted_row(ctx, z, dmu, dnu, 1)
-        return L, complex(V[0])
+        return self._beta_log(ctx, mup, nup), hyp1f1(mup, mup + nup, -1j * (b - a) * z) * cmath.exp(-1j * a * z)
 
     def _shifted_row(self, ctx, z: complex, dmu: int, dnu: int, rows: int):
         """Transforms of the weight with indices raised to mu+dmu+i, nu+dnu-i, i < ``rows``.
@@ -671,6 +678,8 @@ class _Jacobi(PearsonData):
         return M[0] + (dmu + dnu) * math.log(0.5 * (b - a)), np.exp(M - M[0]), V
 
     def sigma_n(self, ctx, n: int, z: complex) -> complex:
+        if abs((self.support[1] - self.support[0]) * z) > _SERIES_W:
+            return ctx.expansion(z, n)
         lc = rodrigues_log_norm(self, n, ctx.sm.C)
         L, V = self._shifted(ctx, z, n, n)
         expo = lc + n * math.log(self.b2_factored) + n * cmath.log(-1j * z) + L

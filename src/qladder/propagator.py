@@ -27,12 +27,14 @@ Four independent evaluation routes are provided on purpose:
   binomial law |sigma_m(t)|^2 on the integers m.  One scaled sweep of their
   ladder over the nodes m = 0..K gives a block of columns, with K sized once
   from the packet law; no rule, no eigenvalues, no cache;
-* a Chebyshev expansion, for Jacobi pairs at real t (the same three functions).
-  The spectrum of the ladder and of its truncations lies in the support [a, b],
-  so e^{-itJ} = e^{-it alpha} sum_k (2 - delta_k0) (-i)^k J_k(t beta) T_k((J - alpha)/beta),
+* a Chebyshev expansion, for Jacobi pairs at any z (the same three functions at
+  real t, and ``sigma_mn``, ``sigma_n``, ``char_fn`` and coherent vectors at complex
+  z).  The spectrum of the ladder and of its truncations lies in the support [a, b],
+  so e^{-izJ} = e^{-iz alpha} sum_k (2 - delta_k0) (-i)^k J_k(z beta) T_k((J - alpha)/beta),
   alpha and beta its centre and half width, with no spectral estimate (Tal-Ezer &
-  Kosloff, J. Chem. Phys. 81 (1984) 3967).  M terms move a vector up M levels, so
-  the sum is exact there and drops only the Bessel tail past M; no rule, no doubling.
+  Kosloff, J. Chem. Phys. 81 (1984) 3967).  The rows T_k((J - alpha)/beta) e_n do not
+  depend on z and are cached.  M terms move a vector up M levels, so the sum is exact
+  there and drops only the Bessel tail past M; no rule, no doubling.
 
 The routes cross-check one another in the test-suite.  The per-family closed
 forms, duals and rule sizes live on the PearsonData subclasses of
@@ -43,6 +45,7 @@ strip, then call them.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -130,6 +133,13 @@ class PropagatorContext:
         N = _rule_size(N)
         rule = _RULES.get_or_build(self.shape + (N,), lambda: gauss_rule(self.base.sm, N))
         return rule.nodes, rule.log_weights
+
+    def expansion(self, z: complex, level: int | None = None, tol: float = 1e-16):
+        """e^{-izJ} e_0 by the Chebyshev expansion, on a pair with compact support: its entry
+        ``level``, or all its levels, to a Bessel tail below ``tol`` e^{Im z alpha}."""
+        if level is None:
+            return _chebyshev(self, 0, [z], tol)[0][:, 0]
+        return _cheb_entry(self, 0, level, z)
 
 
 _RULE_GRID = 32
@@ -302,73 +312,105 @@ def _on_times(t, steps) -> np.ndarray:
     return grid
 
 
-@lru_cache(maxsize=64)  # the rows of one time step (the CLI's pairs) share t
-def _bessel_row(x: float, tol: float, terms: int = 0) -> tuple:
+def _bessel_row(x: complex, tol: float, terms: int = 0) -> list:
     """J_0(x)..J_M(x), M >= ``terms`` the first index where 2 sum_{k > M} |J_k(x)| < ``tol``.
 
-    Miller's backward recurrence on the ratios J_j / J_{j-1} = |x| / (2j - |x| J_{j+1} / J_j), in
-    plain floats that cannot overflow, from the first index past |x| + 8 and ``terms`` + 8 where
-    |J_k(x)| <= (|x|/2)^k / k! is below tol e^-9; products normalized by J_0 + 2 sum J_2k = 1.
+    Miller's backward recurrence on the ratios J_j / J_{j-1} = x / (2j - x J_{j+1} / J_j), in
+    floats at real x and complex floats at complex x, from the first index past |x| + 8 and
+    ``terms`` + 8 where |J_k(x)| <= (|x|/2)^k e^{|Im x|} / k! is below tol e^-9.  The products are
+    normalized by J_0 + 2 sum J_2k = 1 at real x; at complex x by J_0 + 2 sum (-+i)^k J_k = e^{-+ix}
+    (upper sign for Im x >= 0), at the end of the support where |e^{-ix omega}| is largest, so the
+    sum does not cancel.
     """
+    if x.imag == 0.0:
+        x = x.real
     ax = abs(x)
     if ax == 0.0:
-        return (1.0,) + (0.0,) * terms
+        return [1.0] + [0.0] * terms
     k = max(math.ceil(ax), terms) + 8
-    log_bound, stop = k * math.log(0.5 * ax) - math.lgamma(k + 1.0), math.log(tol) - 9.0
+    log_bound, stop = k * math.log(0.5 * ax) - math.lgamma(k + 1.0), math.log(tol) - 9.0 - abs(x.imag)
     while log_bound > stop:
         k += 1
         log_bound += math.log(0.5 * ax / k)
     r, ratio = [0.0] * k, 0.0
     for j in range(k, 0, -1):
-        ratio = r[j - 1] = ax / (2.0 * j - ax * ratio)
+        ratio = r[j - 1] = x / (2.0 * j - x * ratio)
     row = _products(r)
-    norm = row[0] + 2.0 * math.fsum(row[2::2])
+    if isinstance(x, complex):  # sum (-+i)^k J_k by residues mod 4
+        s = -1j if x.imag > 0.0 else 1j
+        norm = (row[0] + 2.0 * (s * (sum(row[1::4]) - sum(row[3::4])) + sum(row[4::4]) - sum(row[2::4]))) * cmath.exp(-s * x)
+    else:
+        norm = row[0] + 2.0 * math.fsum(row[2::2])
     M, tail = k, 0.0
     while M > terms and 2.0 * (tail + abs(row[M])) < tol * abs(norm):
         tail += abs(row[M])
         M -= 1
-    return tuple(v / (-norm if j % 2 and x < 0.0 else norm) for j, v in enumerate(row[: M + 1]))  # J_k(-x) = (-1)^k J_k(x)
+    return [v / norm for v in row[: M + 1]]
 
 
-# Chebyshev rows T_k(Jt) X of a pair and a start X: they do not depend on t, so the steps of
+@lru_cache(maxsize=64)
+def _turns(n: int) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k, k < n (read-only)."""
+    w = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
+    w[0] = 1.0
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=64)  # the rows of one time step (the CLI's pairs) share t
+def _turned_row(x: complex, tol: float, terms: int) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x), k = 0..M, of ``_bessel_row`` (read-only): the weights of
+    e^{-ixy} = sum_k w_k T_k(y) on [-1, 1]."""
+    J = _bessel_row(x, tol, terms)
+    w = np.multiply(J, _turns(len(J)))
+    w.flags.writeable = False
+    return w
+
+
+# Chebyshev rows T_k(Jt) X of a pair and a start X: they do not depend on z, so the steps of
 # one request and the requests that revisit a system read them again, and more terms extend
 # them.  Row k does not depend on the rows kept, so no value depends on what the cache holds.
 _CHEB = _LRU(256, 64 * 2**20)
 
 
-def _chebyshev(ctx: PropagatorContext, X: np.ndarray, ts: list, tol: float, terms: int = 0,
-               max_dim: int = 8192) -> list:
-    """e^{-i t_i J} X at the real times of the list ts on a pair with compact support: one complex
-    (n + M_i + 1, w) array per time.
+def _cheb_weights(ctx: PropagatorContext, zs: list, tol: float, terms: int, n: int, w: int, max_dim: int) -> list:
+    """The weights of e^{-izJ} = e^{-iz alpha} sum_k w_k T_k(Jt), Jt = (J - alpha) / beta, for a pair with
+    compact support, alpha and beta its centre and half width: ``_turned_row(z beta)`` per z of zs,
+    at least ``terms`` + 1, leaving out a Bessel tail below ``tol`` e^{Im z alpha}.
 
-    X holds real columns on levels 0..n.  Step i sums e^{-it alpha} (2 - delta_k0) (-i)^k J_k(t beta)
-    T_k(Jt) X over the M_i + 1 weights of ``_bessel_row`` (at least ``terms`` + 1), the rows T_k(Jt) X
-    shared by the steps, from T_{k+1} = 2 Jt T_k - T_{k-1} on n + k + 1 levels: exact on its levels,
-    it leaves out the Bessel tail, below ``tol`` ||X||.  Rows past the doubles of the (max_dim + 1) x
-    (max_dim + 64) rule matrix ``max_dim`` once allowed raise ConvergenceError before anything is
-    allocated, first at the lower bound M >= max |t beta|.
+    Rows of a start on levels 0..n with w columns (``_cheb_rows``) to their largest M past the
+    doubles of the (max_dim + 1) x (max_dim + 64) rule matrix ``max_dim`` once allowed raise
+    ConvergenceError before anything is allocated, first at the lower bound M >= max |z beta|.
     """
-    a, b = ctx.pd.support
-    alpha, beta = 0.5 * (a + b), 0.5 * (b - a)
-    n, w = X.shape[0] - 1, X.shape[1]
+    beta = 0.5 * (ctx.pd.support[1] - ctx.pd.support[0])
 
-    def check(M: int) -> int:  # the doubles of V, before it is allocated
+    def check(M: int) -> None:  # the doubles of the rows, before they are allocated
         if (M + 1) * (n + M + 3) * w > (max_dim + 1) * (max_dim + 64):
             raise ConvergenceError(f"propagation needs about {8 * (M + 1) * (n + M + 3) * w:,} bytes for "
                                    f"{n + M + 1} ladder levels, more than the memory max_dim = {max_dim} allows")
-        return M
 
-    check(math.ceil(max(map(abs, ts)) * beta))
-    Js = [_bessel_row(t * beta, tol, terms) for t in ts]
-    M = check(max(map(len, Js)) - 1)
-    key = (ctx.pd, X.shape, X.tobytes())
-    V = old = _CHEB.get(key)  # V[k, i + 1] = (T_k(Jt) X)_i, between zeros
+    check(math.ceil(max(map(abs, zs)) * beta))
+    weights = [_turned_row(z * beta, tol, terms) for z in zs]
+    check(max(map(len, weights)) - 1)
+    return weights
+
+
+def _cheb_rows(ctx: PropagatorContext, X, M: int) -> np.ndarray:
+    """V[k, i + 1] = (T_k(Jt) X)_i between zeros, k = 0..M at least, of a real (n + 1, w) start X, or of
+    the unit vector e_X at a level X: from T_{k+1} = 2 Jt T_k - T_{k-1} on n + k + 1 levels, cached by
+    pair and start, and extended when M passes the rows kept."""
+    unit = isinstance(X, int)
+    n, w = (X, 1) if unit else (X.shape[0] - 1, X.shape[1])
+    key = (ctx.pd, X) if unit else (ctx.pd, X.shape, X.tobytes())
+    V = old = _CHEB.get(key)
     if old is None or len(old) <= M:
+        a, b = ctx.pd.support
+        alpha, beta = 0.5 * (a + b), 0.5 * (b - a)
         bl, hl = ctx.js.arrays(n + M + 1)
         e = bl * (2.0 / beta)
         C = np.stack((e[:-1], (hl[:-1] - alpha) * (2.0 / beta), e[1:]), axis=-1)[:, None, :]  # rows of 2 Jt
         V = np.zeros((M + 1, n + M + 3, w))
-        V[0, 1 : n + 2] = X
+        V[0, 1 : n + 2] = np.eye(n + 1, 1, -n) if unit else X
         if old is not None:
             V[: len(old), : old.shape[1]] = old
         W = np.lib.stride_tricks.as_strided(V, (M + 1, n + M + 1, w, 3), V.strides + V.strides[1:2], writeable=False)
@@ -380,13 +422,35 @@ def _chebyshev(ctx: PropagatorContext, X: np.ndarray, ts: list, tol: float, term
             else:  # T_1 = Jt T_0
                 row *= 0.5
         _CHEB.put(key, V)
+    return V
+
+
+def _chebyshev(ctx: PropagatorContext, X, zs: list, tol: float, terms: int = 0, max_dim: int = 8192) -> list:
+    """e^{-izJ} X at each z of the list zs, on a pair with compact support: one complex
+    (n + M_z + 1, w) array per z, for a real (n + 1, w) X or the unit vector e_X at a level X.
+
+    Each sums the weights of ``_cheb_weights`` against the rows of ``_cheb_rows``, shared by the
+    steps: exact on its levels, it leaves out the Bessel tail, below ``tol`` ||X|| e^{Im z alpha}.
+    Each step is its own product, the one a one-step call forms.
+    """
+    n, w = (X, 1) if isinstance(X, int) else (X.shape[0] - 1, X.shape[1])
+    weights = _cheb_weights(ctx, zs, tol, terms, n, w, max_dim)
+    V = _cheb_rows(ctx, X, max(map(len, weights)) - 1)
+    alpha = 0.5 * sum(ctx.pd.support)
     steps = []
-    for t, J in zip(ts, Js):  # each step's own product, the one a one-step call forms
-        wts = 2.0 * np.array(J) * np.array([1.0, -1j, -1.0, 1j])[np.arange(len(J)) % 4] * cmath.exp(-1j * t * alpha)
-        wts[0] /= 2.0
-        Vf = V[: len(J), 1 : n + len(J) + 1].reshape(len(J), -1)
-        steps.append((wts.real @ Vf + 1j * (wts.imag @ Vf)).reshape(-1, w))
+    for z, wts in zip(zs, weights):
+        Vf = V[: len(wts), 1 : n + len(wts) + 1].reshape(len(wts), -1)
+        steps.append(_real_matvec(Vf.T, wts * cmath.exp(-1j * z * alpha)).reshape(-1, w))
     return steps
+
+
+def _cheb_entry(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
+    """sigma_mn(z) on a pair with compact support: entry max(m, n) of e^{-izJ} e_min(m, n), one dot
+    of the Chebyshev weights, at least |m - n| + 1 of them, with one cached column."""
+    lo, hi = sorted((int(m), int(n)))
+    (wts,) = _cheb_weights(ctx, [z], _PACKET_TAIL, hi - lo, lo, 1, 8192)
+    col = _cheb_rows(ctx, lo, len(wts) - 1)[: len(wts), 1 + hi, 0]
+    return complex(np.dot(wts, col)) * cmath.exp(-1j * z * (0.5 * sum(ctx.pd.support)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +486,10 @@ def sigma_mn_closed(ctx: PropagatorContext, m: int, n: int, z: complex) -> compl
 
     Finite alternating sums; intended for moderate m + n (the generic
     ``sigma_mn`` switches to quadrature beyond ``pd.closed_max_degree``,
-    24 or 18 for Jacobi, where the cancellation starts to eat precision).
+    24, where the cancellation starts to eat precision).  On Jacobi pairs it
+    is the closed reference only: the Leibniz double sum over m + n + 1
+    shifted transforms cancels past 1e-8 at m + n = 20-24, and ``sigma_mn``
+    reads the Chebyshev expansion there at every degree.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -448,7 +515,8 @@ def sigma_mn_quad(
     At real z and N not given it reads level max(m, n) off a vector started at e_min(m, n),
     so sigma_mn and sigma_nm are the same number: one sweep of the dual ladder over min(m, n)
     degrees at the node max(m, n) (Hermite, Laguerre), or the Chebyshev expansion of
-    e^{-izJ} e_min(m, n) to a Bessel tail below 1e-16, over at least |m - n| terms (Jacobi).
+    e^{-izJ} e_min(m, n) to a Bessel tail below 1e-16, over at least |m - n| terms (Jacobi,
+    as ``sigma_mn`` reads it at every z).
 
     Otherwise it is the N-node Gauss sum, exactly [e^{-izJ_N}]_mn of the N-level ladder
     (Golub & Welsch), N by default m + n + 96 + spread(|z|) (+ ``quad_extra(z)``), at most
@@ -471,8 +539,7 @@ def sigma_mn_quad(
         if ctx.pd.dual is not None:
             U, r, col = _dual_rows(ctx, [z.real], hi, lo, hi)
             return complex(r[0, 0] * U[lo, 0, 0] * col[0, lo])
-        (out,) = _chebyshev(ctx, np.eye(lo + 1, 1, -lo), [z.real], _PACKET_TAIL, terms=hi - lo)
-        return complex(out[hi, 0])
+        return _cheb_entry(ctx, m, n, z)
     if N is None:
         N = min(m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z), 6144)
     xh, logw = ctx.rule(N)
@@ -487,18 +554,23 @@ def sigma_mn_quad(
 
 
 def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
-    """Two-index coefficient, routed by total degree and argument.
+    """Two-index coefficient, routed by family, total degree and argument.
 
-    Closed forms up to m + n = ``ctx.pd.closed_max_degree`` (24 for Hermite
-    and Laguerre, 18 for Jacobi); beyond that their alternating sums lose
-    precision and the quadrature route is both faster and more accurate.
-    Exception: for a Laguerre pair with Im z above 0.2 of the strip edge
-    (0.1 * gamma) the discrete sum is dominated by an exponentially larger
-    envelope (up to ~1e-11 off at 0.2, 5e-10 at 0.3, 5e-5 at 0.5) while the
-    closed form stays within ~1e-11, so it is used for every degree there
-    (it warns if its own cancellation becomes severe).
+    On Jacobi pairs, at every degree and z: entry max(m, n) of e^{-izJ} e_min(m, n) by the
+    Chebyshev expansion, one dot of its Bessel weights with one cached column.  On Hermite
+    and Laguerre pairs, closed forms up to m + n = ``ctx.pd.closed_max_degree`` (24);
+    beyond that their alternating sums lose precision and the quadrature route is both
+    faster and more accurate.  Exception: for a Laguerre pair with Im z above 0.2 of the
+    strip edge (0.1 * gamma) the discrete sum is dominated by an exponentially larger
+    envelope (up to ~1e-11 off at 0.2, 5e-10 at 0.3, 5e-5 at 0.5) while the closed form
+    stays within ~1e-11, so it is used for every degree there (it warns if its own
+    cancellation becomes severe).
     """
     z = complex(z)
+    if ctx.pd.dual is None:
+        if m < 0 or n < 0:
+            raise ValueError("indices must be nonnegative")
+        return _cheb_entry(ctx, m, n, z)
     if m + n <= ctx.pd.closed_max_degree or z.imag > 0.2 * ctx.strip.upper:
         return sigma_mn_closed(ctx, m, n, z)
     return sigma_mn_quad(ctx, m, n, z)
@@ -522,7 +594,7 @@ def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray
     if ctx.pd.dual is not None:  # sigma_nk, k < n, at node n; then column n from node n on
         U, r, col = (a[..., 0, :] for a in _dual_rows(ctx, [t], max(n, kmax), n, n))
         return np.concatenate((r[0] * U[:n, 0] * col[:n], r * U[n] * col[n]))[: kmax + 1]
-    row = _chebyshev(ctx, np.eye(n + 1, 1, -n), [t], _PACKET_TAIL)[0][: kmax + 1, 0]
+    row = _chebyshev(ctx, int(n), [t], _PACKET_TAIL)[0][: kmax + 1, 0]
     return np.pad(row, (0, kmax + 1 - row.size))
 
 

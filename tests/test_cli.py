@@ -76,12 +76,16 @@ def test_propagate_is_deterministic_and_unitary():
 
 
 def test_repeated_propagate_builds_no_rule(rule_builds, tmp_path):
-    # the Laguerre scenario on a Jacobi pair of (-20, 20) at complex time (real t
-    # takes the Chebyshev route, with no rule), whose shifted weight transforms
-    # take a Gauss rule past (b - a)|t| = 12, one per rule size
+    # the Laguerre scenario at complex time: on a Jacobi pair of (-20, 20) every pair
+    # reads the Chebyshev expansion, past (b - a)|t| = 12 too, and builds no rule; on a
+    # Hermite pair, the pairs past the closed degree take a Gauss rule, one per rule size
     text = (SCENARIOS / "laguerre_propagate.ini").read_text().replace("[grid]", "imag_t = 0.05\n\n[grid]")
     jacobi = "kind = jacobi\na = -20.0\nb = 20.0\nmu = 2.0\nnu = 1.5"
     argv = ["propagate", "--config", write_config(tmp_path, text.replace("kind = laguerre\nmu = 2.5", jacobi))]
+    assert run_cli(argv)[0] == 0
+    assert rule_builds == []
+    hermite = text.replace("kind = laguerre\nmu = 2.5", "kind = hermite").replace("2:4", "2:4, 12:14")
+    argv = ["propagate", "--config", write_config(tmp_path, hermite)]
     assert run_cli(argv)[0] == 0
     assert rule_builds and all(key[-1] % 32 == 0 for key in rule_builds)  # keys end in the rule size
     rule_builds.clear()

@@ -156,14 +156,12 @@ def test_scalar_sigma_n_at_the_peak_level_of_a_large_hermite_label(mp_sigma_n):
 
 
 @pytest.mark.parametrize(
-    "pd, z, per_level",
-    [(hermite_data(-1.0, 0.0, 1.0), 45.0, False), (laguerre_data(2.5), 3.0 + 0.2j, False),
-     (jacobi_data(-1.0, 1.0, 2.0, 1.5), 0.8 + 0.2j, True)],
+    "pd, z",
+    [(hermite_data(-1.0, 0.0, 1.0), 45.0), (laguerre_data(2.5), 3.0 + 0.2j),
+     (jacobi_data(-1.0, 1.0, 2.0, 1.5), 0.8 + 0.2j)],
     ids=["hermite", "laguerre", "jacobi"],
 )
-def test_coeffs_call_the_scalar_coefficient_once_where_a_ratio_is_closed(
-    monkeypatch, pd, z, per_level
-):
+def test_coeffs_call_the_scalar_coefficient_once_where_a_ratio_is_closed(monkeypatch, pd, z):
     calls = {"sigma_n": 0, "family": 0, "rodrigues": 0}
 
     def counted(f, key):
@@ -179,12 +177,10 @@ def test_coeffs_call_the_scalar_coefficient_once_where_a_ratio_is_closed(
         orthopoly, "rodrigues_log_norm", counted(orthopoly.rodrigues_log_norm, "rodrigues")
     )
     c = coherent_coeffs(build_context(pd), z)
-    assert c.size > 40 or per_level
-    assert calls["sigma_n"] == 1
-    if per_level:
-        assert calls["family"] == c.size
+    if pd.dual is None:  # Jacobi: every level from one Chebyshev expansion
+        assert calls["sigma_n"] <= 1 and calls["family"] <= 1
     else:
-        assert calls["family"] == 1 and calls["rodrigues"] <= 2
+        assert c.size > 40 and calls["sigma_n"] == 1 and calls["family"] == 1 and calls["rodrigues"] <= 2
 
 
 def test_evolution_shifts_the_label(family_ctx):

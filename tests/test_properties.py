@@ -27,6 +27,7 @@ from qladder.propagator import (
     build_context,
     char_fn,
     evolve,
+    sigma_mn,
     sigma_mn_closed,
     sigma_mn_quad,
     sigma_n,
@@ -223,6 +224,52 @@ def test_chebyshev_route_matches_a_dense_exponential(pd, t, back, n, seed):
     assert abs(sigma_mn_quad(ctx, m, n, t) - U[m, n]) <= 1e-14
 
 
+def _mp_jacobi_sigma(pd, m, n, z):
+    """sigma_mn(z) of a Jacobi pair as the integral of e^{-iz omega} P_m P_n against the Beta
+    weight, by mpmath's tanh-sinh rule, with digits to spare past e^{|Im z| max |omega|}."""
+    with mp.workdps(30 + int(abs(z.imag) * max(map(abs, pd.support)) / 2.3)):
+        lo, hi = (mp.mpf(e) for e in pd.support)
+        al, be = mp.mpf(pd.nu) - 1, mp.mpf(pd.mu) - 1
+
+        def h(k):  # squared norm of the classical P_k^(al, be) on (-1, 1)
+            return (2 ** (al + be + 1) / (2 * k + al + be + 1) * mp.gamma(k + al + 1)
+                    * mp.gamma(k + be + 1) / (mp.gamma(k + al + be + 1) * mp.factorial(k)))
+
+        zz, A, B = mp.mpc(z), (lo + hi) / 2, (hi - lo) / 2
+        f = lambda y: (mp.exp(-1j * zz * (A + B * y)) * mp.jacobi(m, al, be, y) * mp.jacobi(n, al, be, y)
+                       * (1 + y) ** be * (1 - y) ** al)
+        return complex(mp.quad(f, [-1, 0, 1]) / mp.sqrt(h(m) * h(n)))
+
+
+CENTRED_JACOBI = st.builds(
+    lambda width, mu, nu: jacobi_data(-0.5 * width, 0.5 * width, mu, nu),
+    st.floats(0.3, 4.0), st.floats(0.6, 4.0), st.floats(0.6, 4.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pd=st.one_of(JACOBI, CENTRED_JACOBI), m=st.integers(0, 48), n=st.integers(0, 48), x=st.floats(-20.0, 20.0),
+       frac=st.floats(-1.0, 1.0))
+@example(pd=jacobi_data(-2.0, 2.0, 0.6, 4.0), m=0, n=48, x=20.0, frac=1.0)
+@example(pd=jacobi_data(-1.0, 1.0, 1.0, 1.0), m=0, n=14, x=0.0, frac=1.0)  # the Gauss sum is 1.3e-8 off
+def test_jacobi_sigma_mn_at_complex_z_is_the_gauss_sum(pd, m, n, x, frac):
+    """sigma_mn reads the Chebyshev expansion of e^{-izJ} e_min(m, n) at complex z, |Im z| beta up
+    to 5, to 1e-13 max(1, |ref|), on supports centred at 0 (a shift of the support by h only
+    multiplies by e^{-izh}, whose size the bound would have to carry).  The reference is the Gauss sum of twice the rule size
+    sigma_mn_quad takes there, exactly [e^{-izJ_N}]_mn of an N-level ladder far longer than the
+    expansion reaches.  That sum loses digits as Im z grows (1.3e-8 relative at (0, 14), z = 5i on
+    Legendre, where the expansion is 1.5e-15 off), so where it misses, the integral at 30 digits
+    and more decides."""
+    assume(m + n <= 48)
+    z = complex(x, 10.0 * frac / (pd.support[1] - pd.support[0]))
+    ctx = build_context(pd)
+    got = sigma_mn(ctx, m, n, z)
+    want = sigma_mn_quad(ctx, m, n, z, N=2 * min(m + n + 96 + pd.spread(abs(z)), 6144))
+    if abs(got - want) > 1e-13 * max(1.0, abs(want)):
+        want = _mp_jacobi_sigma(pd, m, n, z)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 def _same(got, want, tol=1e-11):
     got, want = np.asarray(got), np.asarray(want)
     assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
@@ -332,7 +379,7 @@ def test_amplitude_ratio_sequence_is_the_scalar_coefficients(pd, x, frac, mp_sig
     z = complex(x, frac * min(pd.strip_edge, 0.75))
     assume(abs(z) > 1e-3)
     ctx = build_context(pd)
-    seq = pd.sigma_seq(ctx, z, sigma_n(ctx, 0, z))
+    seq = pd.sigma_seq(ctx, z, lambda: sigma_n(ctx, 0, z))
     for n, got in zip(range(61), seq):
         want = mp_sigma_n(pd, ctx.sm.C, n, z)
         if abs(want) < 1e-250:
