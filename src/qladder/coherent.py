@@ -11,7 +11,7 @@ so overlaps never need a mode sum.  Time evolution only shifts the label,
 |z> -> |z + t|, which makes these states the natural probes of the closed
 forms in :mod:`qladder.propagator`.  Coefficient vectors read the family's
 ``sigma_seq``: the closed amplitude ratio sigma_n / sigma_{n-1} on Hermite
-and Laguerre pairs, the scalar ``sigma_n`` per level on Jacobi pairs.
+and Laguerre pairs, the Chebyshev expansion of e^{-izJ} e_0 on Jacobi pairs.
 
 The family is overcomplete; completeness is expressed by a planar measure
 mu(y) dx dy / (2 pi) (y = Im z) against which the |z><z| resolve the
@@ -111,10 +111,11 @@ def coherent_coeffs(
 ) -> np.ndarray:
     """Ladder coefficients <n|z> = sigma_n(z), truncated by squared tail.
 
-    sigma_0 comes from ``sigma_n``, the rest from the family's ``sigma_seq``:
-    the closed amplitude ratio (w / sqrt(n) for Hermite, w sqrt((mu + n -
-    1) / n) for Laguerre), one complex multiply per level, or on Jacobi
-    pairs the scalar ``sigma_n`` per level.  The returned vector c
+    The levels come from the family's ``sigma_seq``: sigma_0 from ``sigma_n``
+    and the closed amplitude ratio (w / sqrt(n) for Hermite, w sqrt((mu + n -
+    1) / n) for Laguerre), one complex multiply per level; or on Jacobi
+    pairs every level from one Chebyshev expansion of e^{-izJ} e_0, whose
+    Bessel tail is below 1e-16 of sqrt(<z|z>).  The returned vector c
     satisfies ||c||^2 >= (1 - tol) <z|z>, or stops earlier once the
     remaining tail can no longer change ||c||^2 in double precision (a tol
     below rounding cannot be met: the sum and the closed <z|z> differ by

@@ -262,14 +262,11 @@ class _ClosedRatio:
         carries the exact power of two that keeps |sigma[i, m]| near 1, so that the levels whose
         amplitudes underflow a float keep their digits."""
         ratios = [self._ratio(t) for t in ts]
-        root = self.__dict__.get("_root")  # sqrt(beta + gap / j), j = 1.., kept per pair as JacobiSystem.arrays keeps its own
-        if root is None or len(root) < K:
-            beta, gap = ratios[0][2:]
-            root = self.__dict__["_root"] = np.sqrt(beta + gap / np.arange(1, K + 1, dtype=np.longdouble))
-        root = root[:K]
+        if len(root := self.__dict__.get("_root", ())) < K:  # sqrt(beta + gap / j), j = 1.., kept per pair, rebuilt as K passes it
+            root = self.__dict__["_root"] = np.sqrt(ratios[0][2] + ratios[0][3] / np.arange(1, K + 1, dtype=np.longdouble))
         sigma, e = np.empty((len(ts), K + 1), dtype=np.clongdouble), None
         for i, t in enumerate(ts):
-            np.multiply(ratios[i][1](), root, out=sigma[i, 1:])  # the ratios, then their products
+            np.multiply(ratios[i][1](), root[:K], out=sigma[i, 1:])  # the ratios, then their products
             L, k = self._log_char(t), 0
             if L.real < _LOW * _LN2:
                 e = np.zeros((len(ts), K + 1), dtype=int) if e is None else e
@@ -621,17 +618,15 @@ class _Jacobi(PearsonData):
 
     def char(self, ctx, z: complex) -> complex:
         if abs((self.support[1] - self.support[0]) * z) > _SERIES_W:
-            return ctx.expansion(z, 0)
+            return ctx.expansion(z, 0, 0)
         L, V = self._shifted(ctx, z, 0, 0)
         return math.exp(L) * V
 
     def sigma_seq(self, ctx, z: complex, sigma_0):
-        """sigma_0(z), sigma_1(z), ...: the levels of e^{-izJ} e_0 from one Chebyshev expansion, and
-        0 past them; the scalar ``sigma_0`` is not called.  The Bessel tail is below 1e-16 of the
-        label's norm, which is at least e^{Im z h(0)} (Jensen, h(0) the mean of the measure)."""
+        """The levels of e^{-izJ} e_0 from one Chebyshev expansion, then 0 (``sigma_0`` is not called): its
+        Bessel tail below 1e-16 of the label's norm, at least e^{Im z h(0)}, h(0) the mean (Jensen)."""
         a, b = self.support
-        mean = a + (b - a) * self.mu / (self.mu + self.nu)
-        yield from ctx.expansion(z, tol=1e-16 * math.exp(z.imag * (mean - 0.5 * (a + b)))).tolist()
+        yield from ctx.expansion(z, tol=1e-16 * math.exp(z.imag * (b - a) * (self.mu / (self.mu + self.nu) - 0.5))).tolist()
         yield from itertools.repeat(0j)
 
     def _beta_log(self, ctx, mup: float, nup: float) -> float:
@@ -679,7 +674,7 @@ class _Jacobi(PearsonData):
 
     def sigma_n(self, ctx, n: int, z: complex) -> complex:
         if abs((self.support[1] - self.support[0]) * z) > _SERIES_W:
-            return ctx.expansion(z, n)
+            return ctx.expansion(z, 0, n)
         lc = rodrigues_log_norm(self, n, ctx.sm.C)
         L, V = self._shifted(ctx, z, n, n)
         expo = lc + n * math.log(self.b2_factored) + n * cmath.log(-1j * z) + L

@@ -27,14 +27,13 @@ Four independent evaluation routes are provided on purpose:
   binomial law |sigma_m(t)|^2 on the integers m.  One scaled sweep of their
   ladder over the nodes m = 0..K gives a block of columns, with K sized once
   from the packet law; no rule, no eigenvalues, no cache;
-* a Chebyshev expansion, for Jacobi pairs at any z (the same three functions at
-  real t, and ``sigma_mn``, ``sigma_n``, ``char_fn`` and coherent vectors at complex
-  z).  The spectrum of the ladder and of its truncations lies in the support [a, b],
-  so e^{-izJ} = e^{-iz alpha} sum_k (2 - delta_k0) (-i)^k J_k(z beta) T_k((J - alpha)/beta),
-  alpha and beta its centre and half width, with no spectral estimate (Tal-Ezer &
-  Kosloff, J. Chem. Phys. 81 (1984) 3967).  The rows T_k((J - alpha)/beta) e_n do not
-  depend on z and are cached.  M terms move a vector up M levels, so the sum is exact
-  there and drops only the Bessel tail past M; no rule, no doubling.
+* a Chebyshev expansion, for Jacobi pairs at any z (``sigma_mn``, and ``char_fn`` and
+  ``sigma_n`` past (b - a)|z| = 12).  The spectrum of the ladder and of its truncations
+  lies in the support [a, b], so e^{-izJ} = e^{-iz alpha} sum_k (2 - delta_k0) (-i)^k J_k(z beta)
+  T_k((J - alpha)/beta), alpha and beta its centre and half width, with no spectral estimate
+  (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), and the cached rows T_k(.) e_n do
+  not depend on z.  M terms move a vector up M levels, so the sum is exact there and
+  drops only the Bessel tail past M; no rule, no doubling.
 
 The routes cross-check one another in the test-suite.  The per-family closed
 forms, duals and rule sizes live on the PearsonData subclasses of
@@ -134,12 +133,15 @@ class PropagatorContext:
         rule = _RULES.get_or_build(self.shape + (N,), lambda: gauss_rule(self.base.sm, N))
         return rule.nodes, rule.log_weights
 
-    def expansion(self, z: complex, level: int | None = None, tol: float = 1e-16):
-        """e^{-izJ} e_0 by the Chebyshev expansion, on a pair with compact support: its entry
-        ``level``, or all its levels, to a Bessel tail below ``tol`` e^{Im z alpha}."""
+    def expansion(self, z: complex, n: int = 0, level: int | None = None, tol: float = 1e-16):
+        """e^{-izJ} e_n by the Chebyshev expansion (compact support), to a Bessel tail below ``tol``
+        e^{Im z alpha}: all its levels, or its entry ``level``, one dot of at least |level - n| + 1
+        weights with one cached column."""
         if level is None:
-            return _chebyshev(self, 0, [z], tol)[0][:, 0]
-        return _cheb_entry(self, 0, level, z)
+            return _chebyshev(self, int(n), [z], tol)[0][:, 0]
+        lo, hi = sorted((int(n), int(level)))
+        V, (wts,) = _cheb_rows(self, lo, [z], tol, hi - lo)
+        return complex(np.dot(wts, V[: len(wts), 1 + hi, 0])) * cmath.exp(-1j * z * (0.5 * sum(self.pd.support)))
 
 
 _RULE_GRID = 32
@@ -230,11 +232,12 @@ def _nbytes(val) -> int:
 
 
 # Rules are keyed shape + (N,): the pairs of one ladder shape share them.
-# Real-t requests read none (they take the integer-node or Chebyshev route), so
-# rules serve complex z, an explicit N and the Jacobi shifted transforms.  A
-# rule is its nodes and weights, 24 B per node with the log-weights, and the
-# shifted transforms size theirs without a cap, so _RULES keeps 128 rules
-# within 4 MiB; a larger rule is used uncached.
+# Real-t requests and Jacobi requests other than sigma_mn_closed read none (they
+# take the integer-node or Chebyshev route), so rules serve Hermite and Laguerre
+# at complex z, an explicit N and the shifted transforms of the Jacobi
+# sigma_mn_closed.  A rule is its nodes and weights, 24 B per node with the
+# log-weights, and the shifted transforms size theirs without a cap, so _RULES
+# keeps 128 rules within 4 MiB; a larger rule is used uncached.
 _RULES = _LRU(128, 4 * 2**20)
 
 
@@ -315,15 +318,12 @@ def _on_times(t, steps) -> np.ndarray:
 def _bessel_row(x: complex, tol: float, terms: int = 0) -> list:
     """J_0(x)..J_M(x), M >= ``terms`` the first index where 2 sum_{k > M} |J_k(x)| < ``tol``.
 
-    Miller's backward recurrence on the ratios J_j / J_{j-1} = x / (2j - x J_{j+1} / J_j), in
-    floats at real x and complex floats at complex x, from the first index past |x| + 8 and
-    ``terms`` + 8 where |J_k(x)| <= (|x|/2)^k e^{|Im x|} / k! is below tol e^-9.  The products are
-    normalized by J_0 + 2 sum J_2k = 1 at real x; at complex x by J_0 + 2 sum (-+i)^k J_k = e^{-+ix}
-    (upper sign for Im x >= 0), at the end of the support where |e^{-ix omega}| is largest, so the
-    sum does not cancel.
+    Miller's backward recurrence on the ratios J_j / J_{j-1} = x / (2j - x J_{j+1} / J_j), in (complex)
+    floats, from the first index past |x| + 8 and ``terms`` + 8 where |J_k(x)| <= (|x|/2)^k e^{|Im x|} / k!
+    is below tol e^-9; the products normalized by J_0 + 2 sum J_2k = 1 at real x, at complex x by
+    J_0 + 2 sum (-+i)^k J_k = e^{-+ix} (upper sign for Im x > 0), whose terms do not cancel.
     """
-    if x.imag == 0.0:
-        x = x.real
+    x = x.real if x.imag == 0.0 else x
     ax = abs(x)
     if ax == 0.0:
         return [1.0] + [0.0] * terms
@@ -348,21 +348,12 @@ def _bessel_row(x: complex, tol: float, terms: int = 0) -> list:
     return [v / norm for v in row[: M + 1]]
 
 
-@lru_cache(maxsize=64)
-def _turns(n: int) -> np.ndarray:
-    """(2 - delta_k0) (-i)^k, k < n (read-only)."""
-    w = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
-    w[0] = 1.0
-    w.flags.writeable = False
-    return w
-
-
 @lru_cache(maxsize=64)  # the rows of one time step (the CLI's pairs) share t
 def _turned_row(x: complex, tol: float, terms: int) -> np.ndarray:
-    """(2 - delta_k0) (-i)^k J_k(x), k = 0..M, of ``_bessel_row`` (read-only): the weights of
-    e^{-ixy} = sum_k w_k T_k(y) on [-1, 1]."""
+    """(2 - delta_k0) (-i)^k J_k(x), k = 0..M, of ``_bessel_row`` (read-only)."""
     J = _bessel_row(x, tol, terms)
-    w = np.multiply(J, _turns(len(J)))
+    w = np.multiply(J, np.array([2.0, -2j, -2.0, 2j])[np.arange(len(J)) % 4])
+    w[0] = J[0]
     w.flags.writeable = False
     return w
 
@@ -373,39 +364,33 @@ def _turned_row(x: complex, tol: float, terms: int) -> np.ndarray:
 _CHEB = _LRU(256, 64 * 2**20)
 
 
-def _cheb_weights(ctx: PropagatorContext, zs: list, tol: float, terms: int, n: int, w: int, max_dim: int) -> list:
-    """The weights of e^{-izJ} = e^{-iz alpha} sum_k w_k T_k(Jt), Jt = (J - alpha) / beta, for a pair with
-    compact support, alpha and beta its centre and half width: ``_turned_row(z beta)`` per z of zs,
-    at least ``terms`` + 1, leaving out a Bessel tail below ``tol`` e^{Im z alpha}.
+def _cheb_rows(ctx: PropagatorContext, X, zs: list, tol: float, terms: int = 0, max_dim: int = 8192) -> tuple:
+    """(V, weights): e^{-izJ} X = e^{-iz alpha} sum_k w_k V[k] at each z of zs, X a real (n + 1, w)
+    array or a level n for e_n, on a pair with compact support of centre alpha and half width beta.
 
-    Rows of a start on levels 0..n with w columns (``_cheb_rows``) to their largest M past the
-    doubles of the (max_dim + 1) x (max_dim + 64) rule matrix ``max_dim`` once allowed raise
-    ConvergenceError before anything is allocated, first at the lower bound M >= max |z beta|.
+    Per z the weights are ``_turned_row(z beta)``, at least ``terms`` + 1, leaving out a Bessel tail
+    below ``tol`` ||X|| e^{Im z alpha}.  V[k, i + 1] = (T_k(Jt) X)_i between zeros, Jt = (J - alpha) / beta,
+    from T_{k+1} = 2 Jt T_k - T_{k-1} on n + k + 1 levels, is cached and extended as the weights pass it.
+    Rows past the doubles of the (max_dim + 1) x (max_dim + 64) rule matrix ``max_dim`` once allowed
+    raise ConvergenceError before anything is allocated, first at the lower bound M >= max |z beta|.
     """
-    beta = 0.5 * (ctx.pd.support[1] - ctx.pd.support[0])
+    a, b = ctx.pd.support
+    alpha, beta = 0.5 * (a + b), 0.5 * (b - a)
+    unit = isinstance(X, int)
+    n, w = (X, 1) if unit else (X.shape[0] - 1, X.shape[1])
 
-    def check(M: int) -> None:  # the doubles of the rows, before they are allocated
+    def check(M: int) -> int:  # the doubles of V, before it is allocated
         if (M + 1) * (n + M + 3) * w > (max_dim + 1) * (max_dim + 64):
             raise ConvergenceError(f"propagation needs about {8 * (M + 1) * (n + M + 3) * w:,} bytes for "
                                    f"{n + M + 1} ladder levels, more than the memory max_dim = {max_dim} allows")
+        return M
 
     check(math.ceil(max(map(abs, zs)) * beta))
     weights = [_turned_row(z * beta, tol, terms) for z in zs]
-    check(max(map(len, weights)) - 1)
-    return weights
-
-
-def _cheb_rows(ctx: PropagatorContext, X, M: int) -> np.ndarray:
-    """V[k, i + 1] = (T_k(Jt) X)_i between zeros, k = 0..M at least, of a real (n + 1, w) start X, or of
-    the unit vector e_X at a level X: from T_{k+1} = 2 Jt T_k - T_{k-1} on n + k + 1 levels, cached by
-    pair and start, and extended when M passes the rows kept."""
-    unit = isinstance(X, int)
-    n, w = (X, 1) if unit else (X.shape[0] - 1, X.shape[1])
+    M = check(max(map(len, weights)) - 1)
     key = (ctx.pd, X) if unit else (ctx.pd, X.shape, X.tobytes())
     V = old = _CHEB.get(key)
     if old is None or len(old) <= M:
-        a, b = ctx.pd.support
-        alpha, beta = 0.5 * (a + b), 0.5 * (b - a)
         bl, hl = ctx.js.arrays(n + M + 1)
         e = bl * (2.0 / beta)
         C = np.stack((e[:-1], (hl[:-1] - alpha) * (2.0 / beta), e[1:]), axis=-1)[:, None, :]  # rows of 2 Jt
@@ -422,35 +407,16 @@ def _cheb_rows(ctx: PropagatorContext, X, M: int) -> np.ndarray:
             else:  # T_1 = Jt T_0
                 row *= 0.5
         _CHEB.put(key, V)
-    return V
+    return V, weights
 
 
-def _chebyshev(ctx: PropagatorContext, X, zs: list, tol: float, terms: int = 0, max_dim: int = 8192) -> list:
-    """e^{-izJ} X at each z of the list zs, on a pair with compact support: one complex
-    (n + M_z + 1, w) array per z, for a real (n + 1, w) X or the unit vector e_X at a level X.
-
-    Each sums the weights of ``_cheb_weights`` against the rows of ``_cheb_rows``, shared by the
-    steps: exact on its levels, it leaves out the Bessel tail, below ``tol`` ||X|| e^{Im z alpha}.
-    Each step is its own product, the one a one-step call forms.
-    """
-    n, w = (X, 1) if isinstance(X, int) else (X.shape[0] - 1, X.shape[1])
-    weights = _cheb_weights(ctx, zs, tol, terms, n, w, max_dim)
-    V = _cheb_rows(ctx, X, max(map(len, weights)) - 1)
-    alpha = 0.5 * sum(ctx.pd.support)
-    steps = []
-    for z, wts in zip(zs, weights):
-        Vf = V[: len(wts), 1 : n + len(wts) + 1].reshape(len(wts), -1)
-        steps.append(_real_matvec(Vf.T, wts * cmath.exp(-1j * z * alpha)).reshape(-1, w))
-    return steps
-
-
-def _cheb_entry(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
-    """sigma_mn(z) on a pair with compact support: entry max(m, n) of e^{-izJ} e_min(m, n), one dot
-    of the Chebyshev weights, at least |m - n| + 1 of them, with one cached column."""
-    lo, hi = sorted((int(m), int(n)))
-    (wts,) = _cheb_weights(ctx, [z], _PACKET_TAIL, hi - lo, lo, 1, 8192)
-    col = _cheb_rows(ctx, lo, len(wts) - 1)[: len(wts), 1 + hi, 0]
-    return complex(np.dot(wts, col)) * cmath.exp(-1j * z * (0.5 * sum(ctx.pd.support)))
+def _chebyshev(ctx: PropagatorContext, X, zs: list, tol: float, max_dim: int = 8192) -> list:
+    """e^{-izJ} X at each z of the list zs (``_cheb_rows``): one complex (n + M_z + 1, w) array per z,
+    exact on its levels but for the Bessel tail, each its own product, as a one-step call forms it."""
+    V, weights = _cheb_rows(ctx, X, zs, tol, max_dim=max_dim)
+    n, alpha = X if isinstance(X, int) else len(X) - 1, 0.5 * sum(ctx.pd.support)
+    return [_real_matvec(V[: len(wts), 1 : n + len(wts) + 1].reshape(len(wts), -1).T, wts * cmath.exp(-1j * z * alpha))
+            .reshape(-1, V.shape[2]) for z, wts in zip(zs, weights)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +452,8 @@ def sigma_mn_closed(ctx: PropagatorContext, m: int, n: int, z: complex) -> compl
 
     Finite alternating sums; intended for moderate m + n (the generic
     ``sigma_mn`` switches to quadrature beyond ``pd.closed_max_degree``,
-    24, where the cancellation starts to eat precision).  On Jacobi pairs it
-    is the closed reference only: the Leibniz double sum over m + n + 1
-    shifted transforms cancels past 1e-8 at m + n = 20-24, and ``sigma_mn``
-    reads the Chebyshev expansion there at every degree.
+    24).  On Jacobi pairs it is the closed reference only: its double sum cancels past
+    1e-8 at m + n = 20-24, and ``sigma_mn`` reads the Chebyshev expansion at every degree.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -515,8 +479,7 @@ def sigma_mn_quad(
     At real z and N not given it reads level max(m, n) off a vector started at e_min(m, n),
     so sigma_mn and sigma_nm are the same number: one sweep of the dual ladder over min(m, n)
     degrees at the node max(m, n) (Hermite, Laguerre), or the Chebyshev expansion of
-    e^{-izJ} e_min(m, n) to a Bessel tail below 1e-16, over at least |m - n| terms (Jacobi,
-    as ``sigma_mn`` reads it at every z).
+    e^{-izJ} e_min(m, n) to a Bessel tail below 1e-16, over at least |m - n| terms (Jacobi).
 
     Otherwise it is the N-node Gauss sum, exactly [e^{-izJ_N}]_mn of the N-level ladder
     (Golub & Welsch), N by default m + n + 96 + spread(|z|) (+ ``quad_extra(z)``), at most
@@ -539,7 +502,7 @@ def sigma_mn_quad(
         if ctx.pd.dual is not None:
             U, r, col = _dual_rows(ctx, [z.real], hi, lo, hi)
             return complex(r[0, 0] * U[lo, 0, 0] * col[0, lo])
-        return _cheb_entry(ctx, m, n, z)
+        return ctx.expansion(z, m, n)
     if N is None:
         N = min(m + n + 96 + ctx.pd.spread(abs(z)) + ctx.pd.quad_extra(z), 6144)
     xh, logw = ctx.rule(N)
@@ -556,21 +519,19 @@ def sigma_mn_quad(
 def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
     """Two-index coefficient, routed by family, total degree and argument.
 
-    On Jacobi pairs, at every degree and z: entry max(m, n) of e^{-izJ} e_min(m, n) by the
-    Chebyshev expansion, one dot of its Bessel weights with one cached column.  On Hermite
-    and Laguerre pairs, closed forms up to m + n = ``ctx.pd.closed_max_degree`` (24);
-    beyond that their alternating sums lose precision and the quadrature route is both
-    faster and more accurate.  Exception: for a Laguerre pair with Im z above 0.2 of the
-    strip edge (0.1 * gamma) the discrete sum is dominated by an exponentially larger
-    envelope (up to ~1e-11 off at 0.2, 5e-10 at 0.3, 5e-5 at 0.5) while the closed form
-    stays within ~1e-11, so it is used for every degree there (it warns if its own
-    cancellation becomes severe).
+    Jacobi pairs, at every degree and z: entry max(m, n) of e^{-izJ} e_min(m, n) (``ctx.expansion``).
+    Hermite and Laguerre pairs: closed forms up to m + n = ``ctx.pd.closed_max_degree`` (24); beyond
+    that their alternating sums lose precision and the quadrature route is both faster and more
+    accurate.  Exception: for a Laguerre pair with Im z above 0.2 of the strip edge (0.1 * gamma)
+    the discrete sum is dominated by an exponentially larger envelope (up to ~1e-11 off at 0.2,
+    5e-10 at 0.3, 5e-5 at 0.5) while the closed form stays within ~1e-11, so it is used for every
+    degree there (it warns if its own cancellation becomes severe).
     """
     z = complex(z)
     if ctx.pd.dual is None:
         if m < 0 or n < 0:
             raise ValueError("indices must be nonnegative")
-        return _cheb_entry(ctx, m, n, z)
+        return ctx.expansion(z, m, n)
     if m + n <= ctx.pd.closed_max_degree or z.imag > 0.2 * ctx.strip.upper:
         return sigma_mn_closed(ctx, m, n, z)
     return sigma_mn_quad(ctx, m, n, z)
@@ -594,7 +555,7 @@ def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray
     if ctx.pd.dual is not None:  # sigma_nk, k < n, at node n; then column n from node n on
         U, r, col = (a[..., 0, :] for a in _dual_rows(ctx, [t], max(n, kmax), n, n))
         return np.concatenate((r[0] * U[:n, 0] * col[:n], r * U[n] * col[n]))[: kmax + 1]
-    row = _chebyshev(ctx, int(n), [t], _PACKET_TAIL)[0][: kmax + 1, 0]
+    row = ctx.expansion(t, n)[: kmax + 1]
     return np.pad(row, (0, kmax + 1 - row.size))
 
 

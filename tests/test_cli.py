@@ -162,6 +162,21 @@ def test_expect_spectral_oracle_starts_from_every_level_of_the_label(tmp_path):
     assert code == 0, err
 
 
+def test_expect_spectral_oracle_on_jacobi_reads_one_expansion(tmp_path, monkeypatch):
+    # the oracle's start vector takes all 400 levels of the label from one Chebyshev
+    # expansion of e^{-izJ} e_0, not one scalar sigma_n per level
+    from qladder.orthopoly import _Jacobi
+
+    calls = []
+    scalar = _Jacobi.sigma_n
+    monkeypatch.setattr(_Jacobi, "sigma_n", lambda self, ctx, n, z: calls.append(n) or scalar(self, ctx, n, z))
+    text = (SCENARIOS / "spectral_expect.ini").read_text().replace(
+        "kind = laguerre\nmu = 2.5", "kind = jacobi\na = -1.0\nb = 1.0\nmu = 2.0\nnu = 1.5")
+    code, out, err = run_cli(["expect", "--config", write_config(tmp_path, text), "--oracle"])
+    assert code == 0, err
+    assert len(calls) <= 1  # one start vector
+
+
 def test_expect_spectral_oracle_reports_a_short_truncation():
     code, out, err = run_cli(
         ["expect", "--config", str(SCENARIOS / "spectral_expect.ini"), "--oracle", "--truncation", "20"]

@@ -183,6 +183,17 @@ def test_coeffs_call_the_scalar_coefficient_once_where_a_ratio_is_closed(monkeyp
         assert c.size > 40 and calls["sigma_n"] == 1 and calls["family"] == 1 and calls["rodrigues"] <= 2
 
 
+@pytest.mark.parametrize("mu, nu", [(2.0, 1.5), (0.7, 3.1), (3.6, 0.8), (4.0, 4.0)])
+def test_jacobi_coeffs_are_the_scalar_coefficients(mu, nu):
+    # one Chebyshev expansion of e^{-izJ} e_0 against the Rodrigues series of sigma_n, level by
+    # level, at labels where the series applies ((b - a)|z| <= 12)
+    ctx = build_context(jacobi_data(-1.0, 1.0, mu, nu))
+    for z in (0.8 + 0.2j, -1.5 + 0.3j, 2.5 - 0.3j, 4.0 + 3.0j, 0.05j):
+        c = coherent_coeffs(ctx, z, tol=1e-15)
+        want = np.array([sigma_n(ctx, n, z) for n in range(c.size)])
+        assert np.abs(c - want).max() <= 1e-14 * np.linalg.norm(want), z
+
+
 def test_evolution_shifts_the_label(family_ctx):
     z, t = _label(family_ctx), 0.8
     base = coherent_coeffs(family_ctx, z, tol=1e-13)

@@ -885,6 +885,118 @@ def test_bessel_row_matches_mpmath(x):
     assert max(abs(a - b) for a, b in zip(longer, want)) <= 1e-15
 
 
+@pytest.mark.parametrize("x", [2.7 - 0.4j, 3 + 5j, 3 + 10j, 1 - 10j, 20j, 15 + 2j])
+def test_bessel_row_at_complex_argument_matches_mpmath(x):
+    # normalized at the support end where |e^{-ix omega}| is largest: J_0 + 2 sum J_2k = 1
+    # cancels at complex x (1.6e-8 off at 20i, where the J_k reach 4e7)
+    row = propagator._bessel_row(x, 1e-16)
+    want = [complex(mp.besselj(k, x)) for k in range(len(row) + 20)]
+    assert max(abs(a - b) for a, b in zip(row, want)) <= 1e-15 * max(map(abs, want))
+    assert 2.0 * sum(map(abs, want[len(row):])) < 1e-16  # the tail left out
+    assert 2.0 * sum(map(abs, want[len(row) - 1:])) >= 1e-16  # and no more terms than that
+
+
+def test_closed_jacobi_requests_build_no_rule(monkeypatch):
+    # every Jacobi request kind of the benchmark's closed box, on four pairs, at degrees
+    # and arguments past its draws too (char_fn and sigma_n past (b - a)|z| = 12)
+    from qladder.coherent import coherent_coeffs, kernel
+    from qladder.observables import Fock, Number, SpectralCoherent, alpha_moment
+
+    def refuse(self, N):
+        raise AssertionError(f"a {N}-node Gauss rule on a closed request")
+
+    monkeypatch.setattr(PropagatorContext, "rule", refuse)
+    rng = np.random.default_rng(11)
+    for mu, nu in ((0.6, 4.0), (4.0, 0.6), (1.3, 2.2), (3.1, 3.7)):
+        ctx = build_context(jacobi_data(-1.0, 1.0, mu, nu))
+        for _ in range(6):
+            z = complex(rng.uniform(0.1, 8.0), rng.uniform(-0.5, 0.4))
+            m, n = (int(k) for k in rng.integers(0, 25, 2))
+            for w in (z, z.real, 3.0 * z):
+                sigma_mn(ctx, m, n, w)
+                sigma_n(ctx, n, w)
+                char_fn(ctx, w)
+            kernel(ctx, complex(rng.uniform(-2, 2), -0.3), complex(rng.uniform(-2, 2), 0.3))
+            coherent_coeffs(ctx, complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.3, 0.3)))
+            for state in (Number(int(rng.integers(0, 9))), SpectralCoherent(complex(rng.uniform(-1, 1), 0.2)),
+                          Fock([0.6, 0.8j, -0.2])):
+                alpha_moment(ctx, state, int(rng.integers(1, 4)), rng.uniform(-2.0, 2.0))
+
+
+# [e^{-izJ}]_mn of the 70-level ladder of jacobi_data(-1, 1, mu, nu), by mpmath.expm at 30 digits, the
+# ladder's coefficients from their closed forms in mpmath: keyed (z, m, n), by (mu, nu)
+_JACOBI_EXPM = {
+    (2.0, 1.5): {
+        (8 - 1j, 0, 0): complex(0.03147331819746828, -0.022222786424304537),
+        (8 - 1j, 0, 5): complex(-0.0979890471817943, -0.5552836044076925),
+        (8 - 1j, 3, 12): complex(-0.08661640015744075, -0.10860626113827128),
+        (8 - 1j, 9, 9): complex(0.25612217787889435, 0.2714198342852124),
+        (8 - 1j, 7, 20): complex(-0.003543362162234437, -0.0009245384924214901),
+        (15 + 2j, 0, 0): complex(0.13931382058063077, -0.04738517216052255),
+        (15 + 2j, 0, 5): complex(-0.013104088122215998, -0.6594208960259318),
+        (15 + 2j, 3, 12): complex(-0.15920498964735932, 0.6298034442204964),
+        (15 + 2j, 9, 9): complex(-0.10437253191666926, -0.7438830829897304),
+        (15 + 2j, 7, 20): complex(0.021992108966232778, -0.43395251833154647),
+        (3 + 5j, 0, 0): complex(-7.0574547238303795, -8.502122470704267),
+        (3 + 5j, 0, 5): complex(-2.725755352489262, 1.9369479146931337),
+        (3 + 5j, 3, 12): complex(0.04821743164068747, 0.0398831003622362),
+        (3 + 5j, 9, 9): complex(-22.79231814379732, -10.311055394372461),
+        (3 + 5j, 7, 20): complex(6.94444831051517e-05, -0.00022379478766372345),
+        (3 + 10j, 0, 0): complex(-606.7154640671805, -377.52419044339564),
+        (3 + 10j, 0, 5): complex(-646.3434432217318, -32.19217212619856),
+        (3 + 10j, 3, 12): complex(-48.89156219201299, 45.56298103156563),
+        (3 + 10j, 9, 9): complex(-2638.9388505635698, -790.7663153762843),
+        (3 + 10j, 7, 20): complex(0.083044367510556, 1.6437680238487045),
+        (1 - 10j, 0, 0): complex(134.22039417541782, 139.96408902204448),
+        (1 - 10j, 0, 5): complex(-177.919391119328, -274.57284157690356),
+        (1 - 10j, 3, 12): complex(-12.83149468703052, -47.76336907890837),
+        (1 - 10j, 9, 9): complex(1586.2003590755528, 2193.988377054336),
+        (1 - 10j, 7, 20): complex(0.04948250351264309, -1.0884199737354554),
+    },
+    (0.7, 3.1): {
+        (8 - 1j, 0, 0): complex(0.5734560458095376, 0.5843149048165717),
+        (8 - 1j, 0, 5): complex(0.6827788968700006, 0.16468537590504884),
+        (8 - 1j, 3, 12): complex(-0.06454223691857125, -0.11587690738196084),
+        (8 - 1j, 9, 9): complex(0.25331634076931725, 0.28571243812207137),
+        (8 - 1j, 7, 20): complex(-0.0033509868164317913, -0.001075037467445835),
+        (15 + 2j, 0, 0): complex(0.007099397566283506, 0.02628800849240906),
+        (15 + 2j, 0, 5): complex(0.06229882623139644, 0.006178256377778565),
+        (15 + 2j, 3, 12): complex(-0.31048705997365994, 0.4519812763859425),
+        (15 + 2j, 9, 9): complex(0.11287961420409462, -0.7213562226566907),
+        (15 + 2j, 7, 20): complex(0.07808798576768392, -0.41830431622797726),
+        (3 + 5j, 0, 0): complex(0.08678890054329252, -0.2685698109735058),
+        (3 + 5j, 0, 5): complex(-0.6965896885487932, 0.03637848099800474),
+        (3 + 5j, 3, 12): complex(0.03425858280659798, 0.034287610371657826),
+        (3 + 5j, 9, 9): complex(-20.149588157368648, -10.626756224218727),
+        (3 + 5j, 7, 20): complex(6.843867304315556e-05, -0.00020106320551285526),
+        (3 + 10j, 0, 0): complex(-3.3006410969249504, -5.909320342532996),
+        (3 + 10j, 0, 5): complex(-54.79304584914498, -26.670635535098125),
+        (3 + 10j, 3, 12): complex(-34.89099490486332, 25.85340323337408),
+        (3 + 10j, 9, 9): complex(-2122.67167960717, -785.1423238898477),
+        (3 + 10j, 7, 20): complex(0.027178386413769583, 1.4199256245085992),
+        (1 - 10j, 0, 0): complex(3172.082858494361, 4319.09617885935),
+        (1 - 10j, 0, 5): complex(-462.39806804666324, -930.3019595727312),
+        (1 - 10j, 3, 12): complex(-12.809825316340948, -50.55588745499148),
+        (1 - 10j, 9, 9): complex(1655.2181262320612, 2312.6557409264406),
+        (1 - 10j, 7, 20): complex(0.05456097930628714, -1.088178951101792),
+    },
+}
+
+
+@pytest.mark.parametrize("mu, nu", [(2.0, 1.5), (0.7, 3.1)])
+def test_jacobi_complex_z_matches_a_30_digit_exponential(mu, nu):
+    # the ladder ends 50 levels past these entries, where the Bessel tail of the truncation is below
+    # 1e-20; frozen, since each exponential takes ~25 s.  The bound is rounding on the scale of the
+    # larger of the entry and the Bessel weights, e^{|Im z|} on (-1, 1)
+    ctx = build_context(jacobi_data(-1.0, 1.0, mu, nu))
+    for (z, m, n), want in _JACOBI_EXPM[mu, nu].items():
+        got, scale = sigma_mn(ctx, m, n, z), max(abs(want), math.exp(abs(z.imag)))
+        assert got == sigma_mn(ctx, n, m, z)
+        assert abs(got - want) <= 1e-15 * scale, (z, m, n)
+        if m == 0:  # the scalar route: the series below (b - a)|z| = 12, the same expansion past it
+            assert abs(sigma_n(ctx, n, z) - want) <= 1e-15 * scale, (z, n)
+
+
 def test_real_t_jacobi_requests_build_no_rule(rule_builds):
     for pd in (jacobi_data(-1.0, 1.0, 2.0, 1.5), jacobi_data(0.96, 3.60, 0.63, 1.29)):
         ctx = build_context(pd)
