@@ -111,11 +111,10 @@ def coherent_coeffs(
 ) -> np.ndarray:
     """Ladder coefficients <n|z> = sigma_n(z), truncated by squared tail.
 
-    The levels come from the family's ``sigma_seq``: sigma_0 from ``sigma_n``
-    and the closed amplitude ratio (w / sqrt(n) for Hermite, w sqrt((mu + n -
-    1) / n) for Laguerre), one complex multiply per level; or on Jacobi
-    pairs every level from one Chebyshev expansion of e^{-izJ} e_0, whose
-    Bessel tail is below 1e-16 of sqrt(<z|z>).  The returned vector c
+    The levels come from the family's ``sigma_seq``: sigma_0 from ``sigma_n`` and
+    the closed amplitude ratio (w / sqrt(n) for Hermite, w sqrt((mu + n - 1) / n)
+    for Laguerre), one complex multiply per level; on Jacobi pairs one Chebyshev
+    expansion of e^{-izJ} e_0, to 1e-16 of sqrt(<z|z>).  The returned vector c
     satisfies ||c||^2 >= (1 - tol) <z|z>, or stops earlier once the
     remaining tail can no longer change ||c||^2 in double precision (a tol
     below rounding cannot be met: the sum and the closed <z|z> differ by

@@ -236,9 +236,8 @@ class _ClosedRatio:
         level n off by (1 + eps)^n, eps its relative remainder in long double, so levels from _PLAIN
         on are emitted times 1 + n eps; where c0 underflows, sigma_n 2^-k runs from log c0 until 2^_LOW."""
         w, w_exact, beta, gap = self._ratio(z)
-        c0 = sigma_0()
-        c, k, eps = c0, 0, 0j
-        if abs(c0) < 2.0**_LOW:
+        c, k, eps = sigma_0(), 0, 0j
+        if abs(c) < 2.0**_LOW:
             L = rodrigues_log_norm(self, 0, ctx.sm.C) + self._log_char(z)
             k = math.floor(L.real / _LN2)
             c = cmath.exp(L - k * _LN2_HI - k * _LN2_LO)
@@ -262,7 +261,7 @@ class _ClosedRatio:
         carries the exact power of two that keeps |sigma[i, m]| near 1, so that the levels whose
         amplitudes underflow a float keep their digits."""
         ratios = [self._ratio(t) for t in ts]
-        if len(root := self.__dict__.get("_root", ())) < K:  # sqrt(beta + gap / j), j = 1.., kept per pair, rebuilt as K passes it
+        if len(root := self.__dict__.get("_root", ())) < K:  # sqrt(beta + gap / j), j = 1..: kept per pair
             root = self.__dict__["_root"] = np.sqrt(ratios[0][2] + ratios[0][3] / np.arange(1, K + 1, dtype=np.longdouble))
         sigma, e = np.empty((len(ts), K + 1), dtype=np.clongdouble), None
         for i, t in enumerate(ts):
@@ -516,9 +515,8 @@ class _Laguerre(_ClosedRatio, PearsonData):
         return -2.0 * self.mu / (self.gamma - 2.0 * y) ** 2
 
 
-# |w| = (b - a)|z| up to which the Jacobi transforms sum their confluent series; past it
-# the series' terms cancel (sigma_n lost 4e-10 at |w| = 20): there char and sigma_n read the
-# Chebyshev expansion of e^{-izJ} e_0, and the rows of sigma_mn_closed a Gauss rule
+# |w| = (b - a)|z| up to which the Jacobi transforms sum their confluent series; past it the terms cancel
+# (4e-10 lost at |w| = 20): char and sigma_n read e^{-izJ} e_0, the rows of sigma_mn_closed a Gauss rule
 _SERIES_W = 12.0
 
 
@@ -623,8 +621,7 @@ class _Jacobi(PearsonData):
         return math.exp(L) * V
 
     def sigma_seq(self, ctx, z: complex, sigma_0):
-        """The levels of e^{-izJ} e_0 from one Chebyshev expansion, then 0 (``sigma_0`` is not called): its
-        Bessel tail below 1e-16 of the label's norm, at least e^{Im z h(0)}, h(0) the mean (Jensen)."""
+        """e^{-izJ} e_0 from one Chebyshev expansion, then 0s; tail < 1e-16 e^{Im z h(0)} <= 1e-16 ||z|| (Jensen)."""
         a, b = self.support
         yield from ctx.expansion(z, tol=1e-16 * math.exp(z.imag * (b - a) * (self.mu / (self.mu + self.nu) - 0.5))).tolist()
         yield from itertools.repeat(0j)

@@ -27,13 +27,12 @@ Four independent evaluation routes are provided on purpose:
   binomial law |sigma_m(t)|^2 on the integers m.  One scaled sweep of their
   ladder over the nodes m = 0..K gives a block of columns, with K sized once
   from the packet law; no rule, no eigenvalues, no cache;
-* a Chebyshev expansion, for Jacobi pairs at any z (``sigma_mn``, and ``char_fn`` and
-  ``sigma_n`` past (b - a)|z| = 12).  The spectrum of the ladder and of its truncations
-  lies in the support [a, b], so e^{-izJ} = e^{-iz alpha} sum_k (2 - delta_k0) (-i)^k J_k(z beta)
-  T_k((J - alpha)/beta), alpha and beta its centre and half width, with no spectral estimate
-  (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), and the cached rows T_k(.) e_n do
-  not depend on z.  M terms move a vector up M levels, so the sum is exact there and
-  drops only the Bessel tail past M; no rule, no doubling.
+* a Chebyshev expansion, for Jacobi pairs at any z (and ``char_fn``, ``sigma_n`` past
+  (b - a)|z| = 12).  The ladder's spectrum lies in the support [a, b], so e^{-izJ} = e^{-iz alpha}
+  sum_k (2 - delta_k0) (-i)^k J_k(z beta) T_k((J - alpha)/beta), alpha and beta its centre and half
+  width, with no spectral estimate (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967); the cached
+  rows T_k(.) e_n do not depend on z.  M terms move a vector up M levels, so the sum is exact
+  there and drops only the Bessel tail past M; no rule, no doubling.
 
 The routes cross-check one another in the test-suite.  The per-family closed
 forms, duals and rule sizes live on the PearsonData subclasses of
@@ -44,7 +43,6 @@ strip, then call them.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -134,9 +132,8 @@ class PropagatorContext:
         return rule.nodes, rule.log_weights
 
     def expansion(self, z: complex, n: int = 0, level: int | None = None, tol: float = 1e-16):
-        """e^{-izJ} e_n by the Chebyshev expansion (compact support), to a Bessel tail below ``tol``
-        e^{Im z alpha}: all its levels, or its entry ``level``, one dot of at least |level - n| + 1
-        weights with one cached column."""
+        """e^{-izJ} e_n by the Chebyshev expansion (compact support) to a Bessel tail below ``tol`` e^{Im z alpha}:
+        all its levels, or its entry ``level``, one dot of at least |level - n| + 1 weights with a cached column."""
         if level is None:
             return _chebyshev(self, int(n), [z], tol)[0][:, 0]
         lo, hi = sorted((int(n), int(level)))
@@ -232,12 +229,11 @@ def _nbytes(val) -> int:
 
 
 # Rules are keyed shape + (N,): the pairs of one ladder shape share them.
-# Real-t requests and Jacobi requests other than sigma_mn_closed read none (they
-# take the integer-node or Chebyshev route), so rules serve Hermite and Laguerre
-# at complex z, an explicit N and the shifted transforms of the Jacobi
-# sigma_mn_closed.  A rule is its nodes and weights, 24 B per node with the
-# log-weights, and the shifted transforms size theirs without a cap, so _RULES
-# keeps 128 rules within 4 MiB; a larger rule is used uncached.
+# Real-t and Jacobi requests read none (they take the integer-node or Chebyshev route), so
+# rules serve Hermite and Laguerre at complex z, an explicit N and the Jacobi sigma_mn_closed.
+# A rule is its nodes and weights, 24 B per node with the log-weights, and the shifted
+# transforms size theirs without a cap, so _RULES keeps 128 rules within 4 MiB; a larger
+# rule is used uncached.
 _RULES = _LRU(128, 4 * 2**20)
 
 
@@ -335,12 +331,9 @@ def _bessel_row(x: complex, tol: float, terms: int = 0) -> list:
     r, ratio = [0.0] * k, 0.0
     for j in range(k, 0, -1):
         ratio = r[j - 1] = x / (2.0 * j - x * ratio)
-    row = _products(r)
-    if isinstance(x, complex):  # sum (-+i)^k J_k by residues mod 4
-        s = -1j if x.imag > 0.0 else 1j
-        norm = (row[0] + 2.0 * (s * (sum(row[1::4]) - sum(row[3::4])) + sum(row[4::4]) - sum(row[2::4]))) * cmath.exp(-s * x)
-    else:
-        norm = row[0] + 2.0 * math.fsum(row[2::2])
+    row, s = _products(r), -1j if x.imag > 0.0 else 1j  # at complex x, sum (-+i)^k J_k by residues mod 4
+    norm = ((row[0] + 2.0 * (s * (sum(row[1::4]) - sum(row[3::4])) + sum(row[4::4]) - sum(row[2::4]))) * cmath.exp(-s * x)
+            if isinstance(x, complex) else row[0] + 2.0 * math.fsum(row[2::2]))
     M, tail = k, 0.0
     while M > terms and 2.0 * (tail + abs(row[M])) < tol * abs(norm):
         tail += abs(row[M])
@@ -376,8 +369,7 @@ def _cheb_rows(ctx: PropagatorContext, X, zs: list, tol: float, terms: int = 0, 
     """
     a, b = ctx.pd.support
     alpha, beta = 0.5 * (a + b), 0.5 * (b - a)
-    unit = isinstance(X, int)
-    n, w = (X, 1) if unit else (X.shape[0] - 1, X.shape[1])
+    n, w = (X, 1) if (unit := isinstance(X, int)) else (X.shape[0] - 1, X.shape[1])
 
     def check(M: int) -> int:  # the doubles of V, before it is allocated
         if (M + 1) * (n + M + 3) * w > (max_dim + 1) * (max_dim + 64):
@@ -411,8 +403,7 @@ def _cheb_rows(ctx: PropagatorContext, X, zs: list, tol: float, terms: int = 0, 
 
 
 def _chebyshev(ctx: PropagatorContext, X, zs: list, tol: float, max_dim: int = 8192) -> list:
-    """e^{-izJ} X at each z of the list zs (``_cheb_rows``): one complex (n + M_z + 1, w) array per z,
-    exact on its levels but for the Bessel tail, each its own product, as a one-step call forms it."""
+    """e^{-izJ} X at each z of zs (``_cheb_rows``): a complex (n + M_z + 1, w) array each, as one z alone gives."""
     V, weights = _cheb_rows(ctx, X, zs, tol, max_dim=max_dim)
     n, alpha = X if isinstance(X, int) else len(X) - 1, 0.5 * sum(ctx.pd.support)
     return [_real_matvec(V[: len(wts), 1 : n + len(wts) + 1].reshape(len(wts), -1).T, wts * cmath.exp(-1j * z * alpha))
@@ -452,8 +443,7 @@ def sigma_mn_closed(ctx: PropagatorContext, m: int, n: int, z: complex) -> compl
 
     Finite alternating sums; intended for moderate m + n (the generic
     ``sigma_mn`` switches to quadrature beyond ``pd.closed_max_degree``,
-    24).  On Jacobi pairs it is the closed reference only: its double sum cancels past
-    1e-8 at m + n = 20-24, and ``sigma_mn`` reads the Chebyshev expansion at every degree.
+    24).  On Jacobi pairs it is the closed reference only (cancelling past 1e-8 at m + n = 20-24).
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -488,8 +478,7 @@ def sigma_mn_quad(
     against the measure at complex z.  On Laguerre pairs the sum grows ill conditioned with
     Im z and the degree (2 digits are left at (40, 41) and 0.3 of the strip edge), and
     ``sigma_mn`` routes to the closed form above 0.2 of the edge.  The rows P_m, P_n come in
-    log form from one sweep of the canonical ladder to max(m, n) over the rule's canonical
-    nodes.
+    log form from one sweep of the canonical ladder to max(m, n) over the rule's canonical nodes.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -528,9 +517,7 @@ def sigma_mn(ctx: PropagatorContext, m: int, n: int, z: complex) -> complex:
     degree there (it warns if its own cancellation becomes severe).
     """
     z = complex(z)
-    if ctx.pd.dual is None:
-        if m < 0 or n < 0:
-            raise ValueError("indices must be nonnegative")
+    if ctx.pd.dual is None and min(m, n) >= 0:  # negative indices raise in sigma_mn_closed
         return ctx.expansion(z, m, n)
     if m + n <= ctx.pd.closed_max_degree or z.imag > 0.2 * ctx.strip.upper:
         return sigma_mn_closed(ctx, m, n, z)
@@ -555,8 +542,7 @@ def sigma_row(ctx: PropagatorContext, n: int, t: float, kmax: int) -> np.ndarray
     if ctx.pd.dual is not None:  # sigma_nk, k < n, at node n; then column n from node n on
         U, r, col = (a[..., 0, :] for a in _dual_rows(ctx, [t], max(n, kmax), n, n))
         return np.concatenate((r[0] * U[:n, 0] * col[:n], r * U[n] * col[n]))[: kmax + 1]
-    row = ctx.expansion(t, n)[: kmax + 1]
-    return np.pad(row, (0, kmax + 1 - row.size))
+    return np.pad(row := ctx.expansion(t, n)[: kmax + 1], (0, kmax + 1 - row.size))
 
 
 def evolve(
