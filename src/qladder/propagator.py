@@ -332,7 +332,7 @@ def _bessel_row(x: complex, tol: float, terms: int = 0) -> list:
     for j in range(k, 0, -1):
         ratio = r[j - 1] = x / (2.0 * j - x * ratio)
     row, s = _products(r), -1j if x.imag > 0.0 else 1j  # at complex x, sum (-+i)^k J_k by residues mod 4
-    norm = ((row[0] + 2.0 * (s * (sum(row[1::4]) - sum(row[3::4])) + sum(row[4::4]) - sum(row[2::4]))) * cmath.exp(-s * x)
+    norm = ((row[0] + 2.0 * (s * (sum(row[1::4]) - sum(row[3::4])) + sum(row[4::4]) - sum(row[2::4]))) / cmath.exp(s * x)
             if isinstance(x, complex) else row[0] + 2.0 * math.fsum(row[2::2]))
     M, tail = k, 0.0
     while M > terms and 2.0 * (tail + abs(row[M])) < tol * abs(norm):
