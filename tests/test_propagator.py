@@ -896,6 +896,16 @@ def test_bessel_row_at_complex_argument_matches_mpmath(x):
     assert 2.0 * sum(map(abs, want[len(row) - 1:])) >= 1e-16  # and no more terms than that
 
 
+@pytest.mark.parametrize("z", [1 + 800j, 1 - 800j])
+def test_jacobi_elements_past_the_float_range_raise_overflow(z):
+    # |J_k(z beta)| ~ e^{|Im z| beta} passes the largest float: the end phase overflows, not a
+    # division by its underflowed reciprocal
+    ctx = build_context(jacobi_data(-1.0, 1.0, 2.0, 1.5))
+    for read in (lambda: sigma_mn(ctx, 3, 5, z), lambda: sigma_n(ctx, 3, z), lambda: char_fn(ctx, z)):
+        with pytest.raises(OverflowError):
+            read()
+
+
 def test_closed_jacobi_requests_build_no_rule(monkeypatch):
     # every Jacobi request kind of the benchmark's closed box, on four pairs, at degrees
     # and arguments past its draws too (char_fn and sigma_n past (b - a)|z| = 12)
