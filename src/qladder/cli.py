@@ -69,7 +69,7 @@ class CliError(Exception):
 
 
 def load_config(path: str) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg.read_file(fh, source=path)

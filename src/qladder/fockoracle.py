@@ -17,7 +17,8 @@ sectors, found without any sector labels, so the oracle stays independent of
 :mod:`qladder.reduction`); the two-mode amplifier at truncation 34 is 69 blocks
 of at most 35 levels instead of one dense 1,225-level matrix.  ``eigh_evolve``
 splits a dense Hermitian matrix the same way, uncached, and ``dense_matrix``
-keeps the dict route as the independent reference.
+keeps the dict route as the independent reference.  The first eigendecomposition
+imports scipy.linalg and the first split scipy.sparse (CLI: ``--oracle``, ``amplifier``).
 
 Truncation policy: multi-mode bases are cut by total occupation (simplex);
 states whose support gets within |l|_1 * (number of applications) of the
@@ -31,9 +32,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import CutoffOverflow
+from .measure import eigh_tridiagonal
 from .orthopoly import JacobiSystem
 from .propagator import _LRU, _real_matvec
 from .reduction import MultiModeSystem, lambda_of
@@ -267,6 +268,12 @@ def _interaction_entries(sys: MultiModeSystem, basis: MultiModeBasis):
     vals = np.concatenate((up, np.conjugate(up), diag))
     keep = vals != 0
     return rows[keep], cols[keep], vals[keep]
+
+
+def eigh(a):
+    """``scipy.linalg.eigh``, imported at the first call rather than with qladder."""
+    from scipy.linalg import eigh as solve
+    return solve(a)
 
 
 def _eigh_blocks(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list:

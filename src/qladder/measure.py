@@ -15,7 +15,10 @@ vanishes at both ends, gives
     (a1 + j*b2) m_{j+1} = -(a0 + j*b1) m_j - j*b0 m_{j-1},
 
 started from the total mass; ``gauss_rule`` produces the Gaussian quadrature
-of the measure from the truncated recurrence matrix (Golub-Welsch).
+of the measure from the truncated recurrence matrix (Golub-Welsch), importing
+scipy.linalg at the first rule.  Only complex-z or explicit-N ``sigma_mn_quad``,
+Jacobi ``sigma_mn_closed`` past (b - a)|t| = 12 and ``holomorphic_transform`` of
+a function build a rule.
 
 A rule is its nodes and weights.  The weights are Christoffel sums over
 one pass of ``scaled_sweep`` at the nodes; ``weighted_rows``, the one
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .orthopoly import _SWEEP_BLOCK, PearsonData, _final_frame_sweep, log_weight_mass, recurrence, scaled_sweep
 
@@ -144,6 +146,12 @@ def _log_weights(b, h, x, log_mass):
             k0 = k
     end(n)
     return log_mass - np.log(acc) - 2.0 * frame
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, imported at the first call rather than with qladder."""
+    from scipy.linalg import eigh_tridiagonal as solve
+    return solve(d, e, **kwargs)
 
 
 def gauss_rule(sm: SpectralMeasure, N: int) -> QuadratureRule:

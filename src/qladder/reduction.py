@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import ConstraintViolated, NoPseudoVacuum, Singular
 from .orthopoly import JacobiSystem
@@ -48,18 +47,14 @@ __all__ = [
 def default_alpha(l: Sequence[int]) -> np.ndarray:
     """Canonical mode-combination matrix for exponent vector l.
 
-    Row 0 is l/|l|^2 (so alpha @ l = e_0); the remaining rows are an
-    orthonormal basis of the orthogonal complement of l.
+    Row 0 is l/|l|^2 (so alpha @ l = e_0); the remaining rows, l's right singular vectors
+    past the first (as ``scipy.linalg.null_space``), are an orthonormal basis of its complement.
     """
     lv = np.asarray(l, dtype=float)
     norm2 = float(lv @ lv)
     if norm2 == 0.0:
         raise ValueError("exponent vector l must be nonzero")
-    rows = [lv / norm2]
-    comp = null_space(lv[None, :])  # shape (M+1, M)
-    for k in range(comp.shape[1]):
-        rows.append(comp[:, k])
-    return np.array(rows)
+    return np.vstack((lv / norm2, np.linalg.svd(lv[None, :])[2][1:]))
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,19 @@ def test_unknown_family_kind_is_exit_2(tmp_path):
     assert json.loads(err)["error"] == "config-field"
 
 
+def test_percent_in_a_config_value_is_a_config_field_error(tmp_path):
+    # values are read literally: '%' starts no interpolation
+    cfgp = write_config(
+        tmp_path,
+        "[scenario]\nschema_version = 1\n\n[family]\nkind = laguerre\nmu = 1.5%\n\n"
+        "[spectrum]\nomega_min = 0\nomega_max = 1\n",
+    )
+    code, out, err = run_cli(["spectrum", "--config", cfgp])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "config-field" and "1.5%" in doc["detail"]
+
+
 def _run_python(code):
     """Run ``code`` in a fresh interpreter that imports this checkout's qladder."""
     src = str(SCENARIOS.parent / "src")
@@ -390,6 +403,26 @@ def test_cli_import_leaves_scipy_special_unloaded():
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # the block oracle imports scipy.sparse on its first cold build
     _run_python("import sys, qladder.cli; assert 'scipy.sparse' not in sys.modules")
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # the eigensolvers import scipy.linalg at their first call; on import it was
+    # most of every CLI start-up, and with it gone no scipy module is left
+    _run_python("import sys, qladder, qladder.cli\n"
+                "assert 'scipy.linalg' not in sys.modules and 'scipy' not in sys.modules")
+
+
+def test_requests_without_an_eigensolve_leave_scipy_linalg_unloaded():
+    # no Gauss rule or oracle block: spectrum, propagate and expect without --oracle, reduce
+    argvs = [[command, "--config", str(SCENARIOS / name)] for command, name in (
+        ("spectrum", "hermite_spectrum.ini"), ("propagate", "laguerre_propagate.ini"),
+        ("expect", "gaussian_expect.ini"), ("expect", "spectral_expect.ini"),
+        ("reduce", "amplifier.ini"))]
+    _run_python(
+        "import sys, qladder.cli\n"
+        f"assert [qladder.cli.main(argv) for argv in {argvs!r}] == {[0] * len(argvs)!r}\n"
+        "assert 'scipy.linalg' not in sys.modules"
+    )
 
 
 def test_spectrum_leaves_scipy_integrate_unloaded():

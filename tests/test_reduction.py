@@ -48,11 +48,17 @@ def test_big_g_single_mode_squeeze(occ):
 
 
 def test_default_alpha_constraint():
-    for l in [(1, 1), (-1, 1), (2,), (1, -2, 3)]:
+    from scipy.linalg import null_space
+
+    for l in [(1, 1), (-1, 1), (2,), (1, -2, 3), (2, 1), (1, -1)]:
         alpha = default_alpha(l)
         e0 = np.zeros(len(l))
         e0[0] = 1.0
         assert np.allclose(alpha @ np.asarray(l, float), e0, atol=1e-12)
+        # rows 1..M: the complement scipy's null_space gives, bit for bit, and orthonormal
+        comp = alpha[1:]
+        assert np.array_equal(comp, null_space(np.asarray(l, float)[None, :]).T)
+        np.testing.assert_allclose(comp @ comp.T, np.eye(len(l) - 1), rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         default_alpha((0, 0))
 
